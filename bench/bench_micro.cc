@@ -98,6 +98,34 @@ void BM_BloomQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomQuery);
 
+// The query path's shape: one object tested against every summary in a
+// view of V_gossip = 50. Arg 0 hashes the key once per summary; arg 1
+// hashes it once per query through a shared BloomProbe.
+void BM_BloomViewProbe(benchmark::State& state) {
+  const bool shared_probe = state.range(0) != 0;
+  std::vector<ContentSummary> view;
+  for (uint64_t s = 0; s < 50; ++s) {
+    view.emplace_back(500, 8, 5);
+    for (uint64_t k = 0; k < 100; ++k) {
+      view.back().Add(Mix64(s * 1000 + k) % 500);
+    }
+  }
+  uint64_t object = 0;
+  for (auto _ : state) {
+    const ObjectId id = object++ % 500;
+    int hits = 0;
+    if (shared_probe) {
+      const BloomProbe probe(id);
+      for (const ContentSummary& s : view) hits += s.MaybeContains(probe);
+    } else {
+      for (const ContentSummary& s : view) hits += s.MaybeContains(id);
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * 50);
+}
+BENCHMARK(BM_BloomViewProbe)->Arg(0)->Arg(1);
+
 void BM_SummaryRebuild(benchmark::State& state) {
   const int64_t objects = state.range(0);
   std::vector<ObjectId> ids;

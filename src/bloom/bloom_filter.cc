@@ -2,43 +2,47 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/rng.h"
 
 namespace flower {
 
+BloomProbe::BloomProbe(uint64_t key)
+    : h1_(Mix64(key)), h2_(Mix64(key ^ 0x5851f42d4c957f2dULL) | 1) {}
+
+void BloomProbe::Reduce(size_t num_bits, int num_hashes) const {
+  for (int i = 0; i < num_hashes; ++i) {
+    positions_[static_cast<size_t>(i)] = static_cast<size_t>(
+        (h1_ + static_cast<uint64_t>(i) * h2_) % num_bits);
+  }
+  cached_bits_ = num_bits;
+  cached_hashes_ = num_hashes;
+}
+
 BloomFilter::BloomFilter(size_t num_bits, int num_hashes)
     : num_bits_(num_bits),
       num_hashes_(num_hashes),
       bits_((num_bits + 63) / 64, 0) {
-  assert(num_bits > 0);
-  assert(num_hashes > 0);
-}
-
-void BloomFilter::Positions(uint64_t key, std::vector<size_t>* out) const {
-  out->clear();
-  uint64_t h1 = Mix64(key);
-  uint64_t h2 = Mix64(key ^ 0x5851f42d4c957f2dULL) | 1;  // odd step
-  for (int i = 0; i < num_hashes_; ++i) {
-    out->push_back(static_cast<size_t>((h1 + static_cast<uint64_t>(i) * h2) %
-                                       num_bits_));
+  // SimConfig::Apply validates the summary keys, but the fields can also
+  // be set directly; a probe would then index past its inline positions,
+  // so this stays fatal in Release builds too.
+  if (num_bits == 0 || num_hashes < 1 ||
+      num_hashes > BloomProbe::kMaxHashes) {
+    std::fprintf(stderr, "fatal: Bloom filter of %zu bits and %d hashes\n",
+                 num_bits, num_hashes);
+    std::abort();
   }
 }
 
 void BloomFilter::Add(uint64_t key) {
-  std::vector<size_t> pos;
-  Positions(key, &pos);
-  for (size_t p : pos) bits_[p / 64] |= (1ULL << (p % 64));
-  ++insertions_;
-}
-
-bool BloomFilter::MaybeContains(uint64_t key) const {
-  std::vector<size_t> pos;
-  Positions(key, &pos);
-  for (size_t p : pos) {
-    if ((bits_[p / 64] & (1ULL << (p % 64))) == 0) return false;
+  const BloomProbe probe(key);
+  const size_t* pos = probe.Positions(num_bits_, num_hashes_);
+  for (int i = 0; i < num_hashes_; ++i) {
+    bits_[pos[i] / 64] |= (1ULL << (pos[i] % 64));
   }
-  return true;
+  ++insertions_;
 }
 
 void BloomFilter::Clear() {

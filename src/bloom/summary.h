@@ -24,6 +24,11 @@ class ContentSummary {
 
   void Add(ObjectId id) { filter_.Add(id); }
   bool MaybeContains(ObjectId id) const { return filter_.MaybeContains(id); }
+  /// The query path's form: one probe per object, tested against many
+  /// summaries (see BloomProbe).
+  bool MaybeContains(const BloomProbe& probe) const {
+    return filter_.MaybeContains(probe);
+  }
   void Clear() { filter_.Clear(); }
 
   /// Rebuilds from a full object list.

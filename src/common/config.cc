@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
+#include "bloom/bloom_filter.h"
 #include "cache/eviction_policy.h"
 #include "net/fault_injector.h"
 
@@ -244,8 +246,24 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   TIME_KEY("keepalive_period", keepalive_period)
   INT_KEY("dead_age_limit", dead_age_limit)
   INT_KEY("view_age_limit", view_age_limit)
-  INT_KEY("summary_bits_per_object", summary_bits_per_object)
-  INT_KEY("summary_num_hashes", summary_num_hashes)
+  if (key == "summary_bits_per_object") {
+    if (!ParseInt(value, &i) || i < 1) {
+      return Status::InvalidArgument(
+          "summary_bits_per_object wants an integer >= 1");
+    }
+    summary_bits_per_object = static_cast<int>(i);
+    return Status::Ok();
+  }
+  if (key == "summary_num_hashes") {
+    // Bloom probes cache their bit positions inline, up to kMaxHashes.
+    if (!ParseInt(value, &i) || i < 1 || i > BloomProbe::kMaxHashes) {
+      return Status::InvalidArgument(
+          "summary_num_hashes wants an integer in [1, " +
+          std::to_string(BloomProbe::kMaxHashes) + "]");
+    }
+    summary_num_hashes = static_cast<int>(i);
+    return Status::Ok();
+  }
   DOUBLE_KEY("directory_summary_threshold", directory_summary_threshold)
   INT_KEY("directory_summary_neighbors", directory_summary_neighbors)
   INT_KEY("chord_id_bits", chord_id_bits)

@@ -162,8 +162,8 @@ struct SimConfig {
   double plumtree_broadcast_threshold = 0.1;
 
   // --- Summaries (Fan et al. sizing, paper Table 1) ---------------------------
-  int summary_bits_per_object = 8;
-  int summary_num_hashes = 5;
+  int summary_bits_per_object = 8;  // >= 1
+  int summary_num_hashes = 5;       // 1..BloomProbe::kMaxHashes (16)
   /// Directory summary refresh threshold: fraction of new object ids not yet
   /// reflected in the last summary sent to neighbors.
   double directory_summary_threshold = 0.1;

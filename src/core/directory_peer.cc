@@ -206,8 +206,9 @@ void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
     return;
   }
   if (RedirectToIndexHolder(query)) return;
-  if (RedirectViaViewSummaries(query)) return;
-  if (RedirectViaDirSummaries(query)) return;
+  const BloomProbe probe(query->object);
+  if (RedirectViaViewSummaries(query, probe)) return;
+  if (RedirectViaDirSummaries(query, probe)) return;
   if (query->stage == QueryStage::kDirToDir) {
     // A neighbor redirected here on the strength of our summary, but
     // nothing in the index or own content backs the claim anymore —
@@ -260,14 +261,14 @@ bool DirectoryPeer::RedirectToIndexHolder(
 }
 
 bool DirectoryPeer::RedirectViaViewSummaries(
-    std::unique_ptr<FlowerQueryMsg>& query) {
+    std::unique_ptr<FlowerQueryMsg>& query, const BloomProbe& probe) {
   // Used by freshly promoted directories while the index rebuilds
   // (Sec 5.2: "answers first queries from its content summaries").
   std::vector<PeerAddress> candidates;
   for (const ViewEntry& e : view_.entries()) {
     if (!e.summary || e.addr == query->client || e.addr == address()) continue;
     if (dir_store_.Contains(e.addr)) continue;  // already tried via the index
-    if (e.summary->MaybeContains(query->object)) candidates.push_back(e.addr);
+    if (e.summary->MaybeContains(probe)) candidates.push_back(e.addr);
   }
   if (candidates.empty()) return false;
   PeerAddress target = candidates[rng_.Index(candidates.size())];
@@ -278,12 +279,12 @@ bool DirectoryPeer::RedirectViaViewSummaries(
 }
 
 bool DirectoryPeer::RedirectViaDirSummaries(
-    std::unique_ptr<FlowerQueryMsg>& query) {
+    std::unique_ptr<FlowerQueryMsg>& query, const BloomProbe& probe) {
   if (query->dir_redirects >= 2) return false;  // bound dir-to-dir forwarding
   std::vector<const DirectoryStore::NeighborSummary*> candidates;
   for (const auto& [dir_id, ns] : dir_store_.summaries()) {
     if (ns.addr == address() || !ns.summary) continue;
-    if (ns.summary->MaybeContains(query->object)) candidates.push_back(&ns);
+    if (ns.summary->MaybeContains(probe)) candidates.push_back(&ns);
   }
   if (candidates.empty()) return false;
   const DirectoryStore::NeighborSummary* target =

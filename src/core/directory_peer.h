@@ -102,8 +102,10 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   void ProcessQuery(std::unique_ptr<FlowerQueryMsg> query);
   void ServeFromOwnContent(const FlowerQueryMsg& query);
   bool RedirectToIndexHolder(std::unique_ptr<FlowerQueryMsg>& query);
-  bool RedirectViaViewSummaries(std::unique_ptr<FlowerQueryMsg>& query);
-  bool RedirectViaDirSummaries(std::unique_ptr<FlowerQueryMsg>& query);
+  bool RedirectViaViewSummaries(std::unique_ptr<FlowerQueryMsg>& query,
+                                const BloomProbe& probe);
+  bool RedirectViaDirSummaries(std::unique_ptr<FlowerQueryMsg>& query,
+                               const BloomProbe& probe);
   void RedirectToServer(std::unique_ptr<FlowerQueryMsg> query);
 
   // Admission of new clients in this locality.

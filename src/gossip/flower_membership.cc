@@ -93,9 +93,10 @@ void FlowerMembership::AppendHolderCandidates(
     ObjectId object, const std::vector<PeerAddress>& tried,
     std::vector<PeerAddress>* out) const {
   const PeerAddress self = host_->HostAddress();
+  const BloomProbe probe(object);
   for (const ViewEntry& e : view_.entries()) {
     if (!e.summary || e.addr == self) continue;
-    if (!e.summary->MaybeContains(object)) continue;
+    if (!e.summary->MaybeContains(probe)) continue;
     if (std::find(tried.begin(), tried.end(), e.addr) != tried.end()) {
       continue;
     }

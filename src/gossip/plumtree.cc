@@ -232,9 +232,10 @@ void Plumtree::AppendHolderCandidates(
     ObjectId object, const std::vector<PeerAddress>& tried,
     std::vector<PeerAddress>* out) const {
   const PeerAddress self = host_->HostAddress();
+  const BloomProbe probe(object);
   for (const auto& [addr, st] : summaries_) {
     if (!st.summary || addr == self) continue;
-    if (!st.summary->MaybeContains(object)) continue;
+    if (!st.summary->MaybeContains(probe)) continue;
     if (std::find(tried.begin(), tried.end(), addr) != tried.end()) {
       continue;
     }

@@ -2,8 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
 #include "bloom/summary.h"
 #include "common/rng.h"
+
+// Counts global allocations so a test can assert that a code path makes
+// none. Only this test binary replaces the global operator new. Kept out
+// of line so gcc does not pair an inlined new with the free() below and
+// warn about a mismatch.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace flower {
 namespace {
@@ -78,6 +102,96 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 8, 16),   // bits per key
                        ::testing::Values(3, 5, 7),    // hash functions
                        ::testing::Values(100, 500))); // keys
+
+// Bit positions are part of the output contract: summaries, false
+// positives and therefore every run's trajectory depend on them. These
+// counts were recorded from the original per-call double-hashing code
+// (keys 1000.. inserted, keys 100000..199999 probed).
+TEST(BloomFilterTest, PositionsMatchRecordedGoldens) {
+  struct Golden {
+    size_t bits;
+    int hashes;
+    int keys;
+    size_t set_bits;
+    int positives;
+  };
+  const Golden goldens[] = {{4000, 5, 500, 1865, 2143},
+                            {4000, 2, 2000, 2548, 40454},
+                            {1000, 3, 100, 256, 1586},
+                            {64, 7, 10, 41, 5060},
+                            {4001, 16, 300, 2791, 314}};
+  for (const Golden& g : goldens) {
+    BloomFilter f(g.bits, g.hashes);
+    for (int i = 0; i < g.keys; ++i) f.Add(1000 + static_cast<uint64_t>(i));
+    int positives = 0;
+    for (uint64_t p = 100000; p < 200000; ++p) positives += f.MaybeContains(p);
+    EXPECT_EQ(f.CountSetBits(), g.set_bits) << g.bits << "/" << g.hashes;
+    EXPECT_EQ(positives, g.positives) << g.bits << "/" << g.hashes;
+  }
+}
+
+TEST(BloomFilterTest, OutOfRangeGeometryIsFatal) {
+  // A probe caches at most kMaxHashes positions; a config that bypasses
+  // SimConfig::Apply must die instead of writing past them.
+  EXPECT_DEATH(BloomFilter(64, BloomProbe::kMaxHashes + 1), "fatal");
+  EXPECT_DEATH(BloomFilter(64, 0), "fatal");
+  EXPECT_DEATH(BloomFilter(0, 5), "fatal");
+}
+
+TEST(BloomProbeTest, SingleHashPositionIsMix64ModBits) {
+  // With k = 1 the only position is h1 mod m, h1 = Mix64(key).
+  const size_t m = 997;
+  BloomFilter f(m, 1);
+  f.Add(42);
+  for (uint64_t key = 0; key < 5000; ++key) {
+    EXPECT_EQ(f.MaybeContains(BloomProbe(key)),
+              Mix64(key) % m == Mix64(42) % m)
+        << key;
+  }
+}
+
+TEST(BloomProbeTest, OneProbeAcrossGeometriesMatchesFreshProbes) {
+  // A view mixes filter sizes only in tests, but the probe must stay exact
+  // when its cached positions belong to another size or to more or fewer
+  // hashes.
+  const std::vector<std::pair<size_t, int>> geometries = {
+      {4000, 5}, {4000, 3}, {4000, 7}, {1000, 5}, {4000, 5}, {64, 16}};
+  std::vector<BloomFilter> filters;
+  for (const auto& [bits, hashes] : geometries) {
+    filters.emplace_back(bits, hashes);
+    for (uint64_t k = 0; k < 200; ++k) filters.back().Add(Mix64(k) % 700);
+  }
+  for (uint64_t key = 0; key < 700; ++key) {
+    const BloomProbe probe(key);
+    for (const BloomFilter& f : filters) {
+      EXPECT_EQ(f.MaybeContains(probe), f.MaybeContains(key))
+          << key << " in " << f.num_bits() << "/" << f.num_hashes();
+    }
+  }
+}
+
+TEST(BloomProbeTest, ProbesAndAddsDoNotAllocate) {
+  // The query path's shape: one object against a view of 50 summaries.
+  std::vector<std::shared_ptr<const ContentSummary>> view;
+  for (int s = 0; s < 50; ++s) {
+    auto summary = std::make_shared<ContentSummary>(500, 8, 5);
+    for (uint64_t k = 0; k < 100; ++k) {
+      summary->Add(static_cast<uint64_t>(s) * 1000 + k);
+    }
+    view.push_back(summary);
+  }
+  BloomFilter scratch(4000, 5);
+  const long before = g_allocations.load();
+  int hits = 0;
+  for (uint64_t object = 0; object < 2000; ++object) {
+    const BloomProbe probe(object);
+    for (const auto& summary : view) hits += summary->MaybeContains(probe);
+    hits += view.front()->MaybeContains(object);
+    scratch.Add(object);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_GT(hits, 0);
+}
 
 TEST(ContentSummaryTest, SizeMatchesPaperRule) {
   // Table 1: summary size = 8 * nb_objects bits.

@@ -69,6 +69,23 @@ TEST(ConfigTest, MalformedValueRejected) {
   EXPECT_FALSE(c.Apply("churn_enabled", "maybe").ok());
 }
 
+TEST(ConfigTest, SummaryGeometryKeysValidated) {
+  // Bloom probes cache positions for at most BloomProbe::kMaxHashes (16)
+  // hashes, and a zero-bit filter has no positions at all.
+  SimConfig c;
+  EXPECT_TRUE(c.Apply("summary_num_hashes", "16").ok());
+  EXPECT_EQ(c.summary_num_hashes, 16);
+  EXPECT_TRUE(c.Apply("summary_bits_per_object", "1").ok());
+  EXPECT_EQ(c.summary_bits_per_object, 1);
+  EXPECT_FALSE(c.Apply("summary_num_hashes", "0").ok());
+  EXPECT_FALSE(c.Apply("summary_num_hashes", "17").ok());
+  EXPECT_FALSE(c.Apply("summary_num_hashes", "five").ok());
+  EXPECT_FALSE(c.Apply("summary_bits_per_object", "0").ok());
+  EXPECT_FALSE(c.Apply("summary_bits_per_object", "-8").ok());
+  EXPECT_EQ(c.summary_num_hashes, 16);  // rejected values leave it alone
+  EXPECT_EQ(c.summary_bits_per_object, 1);
+}
+
 TEST(ConfigTest, ApplyArgs) {
   SimConfig c;
   const char* argv[] = {"prog", "view_size=20", "gossip_period=1h"};
