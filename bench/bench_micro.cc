@@ -5,33 +5,19 @@
 //
 //   ./bench_micro sweep quick json   # end-to-end smoke run per system
 //                                    #   -> BENCH_micro.json
-//   ./bench_micro engine json        # simulation-engine suite: pooled
-//                                    #   EventQueue vs the legacy
-//                                    #   shared_ptr/std::function queue
-//                                    #   -> BENCH_engine.json
 //   ./bench_micro shards quick json  # sharded-engine scaling suite
 //                                    #   (shards x executor)
 //                                    #   -> BENCH_shards.json
 //   ./bench_micro                    # google-benchmark suite
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/rng.h"
-#include "legacy_event_queue.h"
-#include "sim/calendar_queue.h"
-#include "sim/engine_queue.h"
-#include "sim/event_queue.h"
-#include "sim/simulator.h"
 
 #ifdef FLOWER_HAVE_GOOGLE_BENCHMARK
 #include <benchmark/benchmark.h>
@@ -236,415 +222,6 @@ BENCHMARK(BM_RngNext);
 namespace flower {
 namespace {
 
-// --- Engine microbenchmark suite (no google-benchmark needed) -----------------
-//
-// Measures the simulation engine's raw event throughput — push/pop,
-// push/cancel/pop, and steady-state pop-one-push-one loops at several
-// warm-queue depths — for three engines: the legacy
-// shared_ptr/std::function queue, the pooled 4-ary heap EventQueue
-// (`sim_engine=heap`), and the ladder CalendarQueue
-// (`sim_engine=calendar`); plus end-to-end Simulator dispatch for the
-// two production engines. The steady_64/steady_512 suites chart the
-// crossover: at small live sets the heap's shallow sift beats the
-// ladder's bucket machinery, at paper-scale sets the O(1) calendar
-// wins. `json[=PATH]` writes BENCH_engine.json, the perf-trajectory
-// file CI uploads, including one geomean summary row per engine.
-
-/// The size class of the hot scheduling closures (message delivery
-/// captures this+addresses+sizes+the message pointer, ~40 bytes): big
-/// enough that std::function heap-allocates it, small enough for
-/// EventFn's inline storage — exactly the gap the pool closes.
-struct HotCapture {
-  uint64_t a = 1, b = 2, c = 3, d = 4;
-  uint64_t* sink = nullptr;
-};
-
-double MsBetween(std::chrono::steady_clock::time_point start,
-                 std::chrono::steady_clock::time_point end) {
-  return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-/// Event times, generated outside the timed region so both engines
-/// measure queue work, not RNG draws.
-std::vector<SimTime> MakeTimes(int64_t n, SimTime range) {
-  Rng rng(7);
-  std::vector<SimTime> times(static_cast<size_t>(n));
-  for (SimTime& t : times) {
-    t = static_cast<SimTime>(rng.Next() % static_cast<uint64_t>(range));
-  }
-  return times;
-}
-
-/// Dispatches one pending event the way each engine's production run
-/// loop does: the pooled queue invokes the callback in its slot
-/// (RunNextIfBefore), the legacy queue moves the std::function out.
-inline bool DispatchOne(EventQueue& q, SimTime* t) {
-  return q.RunNextIfBefore(kMaxSimTime, [t](SimTime when) { *t = when; });
-}
-inline bool DispatchOne(CalendarQueue& q, SimTime* t) {
-  return q.RunNextIfBefore(kMaxSimTime, [t](SimTime when) { *t = when; });
-}
-inline bool DispatchOne(bench::LegacyEventQueue& q, SimTime* t) {
-  if (q.empty()) return false;
-  auto fn = q.Pop(t);
-  fn();
-  return true;
-}
-
-/// Pushes `n` events at pseudorandom times, then drains through the
-/// dispatch path.
-template <typename Queue>
-double SuitePushPop(int64_t n, uint64_t* sink) {
-  const std::vector<SimTime> times = MakeTimes(n, 1000000);
-  HotCapture cap;
-  cap.sink = sink;
-  const auto start = std::chrono::steady_clock::now();
-  Queue q;
-  for (int64_t i = 0; i < n; ++i) {
-    q.Push(times[static_cast<size_t>(i)],
-           [cap]() { *cap.sink += cap.a + cap.c; });
-  }
-  SimTime t;
-  while (DispatchOne(q, &t)) {
-  }
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-
-template <typename Queue>
-struct HandleOf;
-template <>
-struct HandleOf<EventQueue> {
-  using type = EventHandle;
-};
-template <>
-struct HandleOf<CalendarQueue> {
-  using type = EventHandle;
-};
-template <>
-struct HandleOf<bench::LegacyEventQueue> {
-  using type = bench::LegacyEventHandle;
-};
-
-/// Pushes `n`, cancels every other event through its handle, drains.
-template <typename Queue>
-double SuitePushCancelPop(int64_t n, uint64_t* sink) {
-  const std::vector<SimTime> times = MakeTimes(n, 1000000);
-  HotCapture cap;
-  cap.sink = sink;
-  const auto start = std::chrono::steady_clock::now();
-  Queue q;
-  std::vector<typename HandleOf<Queue>::type> handles;
-  handles.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    handles.push_back(q.Push(times[static_cast<size_t>(i)],
-                             [cap]() { *cap.sink += cap.b; }));
-  }
-  for (int64_t i = 0; i < n; i += 2) {
-    handles[static_cast<size_t>(i)].Cancel();
-  }
-  SimTime t;
-  while (DispatchOne(q, &t)) {
-  }
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-
-/// Steady state: a warm queue of Depth pending events; each op
-/// dispatches the earliest and pushes a replacement — the pool's
-/// slot-reuse sweet spot, and the shape of a simulation in its main
-/// phase. Depth=16384 is a paper-scale pending set (where the calendar's
-/// O(1) amortized ops pay off); 64 and 512 chart the small-warm-queue
-/// crossover against the heap's shallow O(log n) sift.
-template <typename Queue, int64_t Depth>
-double SuiteSteadyState(int64_t n, uint64_t* sink) {
-  const std::vector<SimTime> times = MakeTimes(n + Depth, 10000);
-  HotCapture cap;
-  cap.sink = sink;
-  const auto start = std::chrono::steady_clock::now();
-  Queue q;
-  for (int64_t i = 0; i < Depth; ++i) {
-    q.Push(times[static_cast<size_t>(i)], [cap]() { *cap.sink += cap.d; });
-  }
-  SimTime t = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    DispatchOne(q, &t);
-    q.Push(t + 1 + times[static_cast<size_t>(Depth + i)],
-           [cap]() { *cap.sink += cap.d; });
-  }
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-
-/// The production message-delivery shape (Network::Send): every event
-/// owns a heap message. The legacy engine needed a shared_ptr holder
-/// around the unique_ptr (std::function requires copyable callables)
-/// plus the std::function allocation — three allocations per delivery;
-/// the pooled engine moves the unique_ptr straight into the slot-stored
-/// closure — one (the message itself).
-struct FakeMsg {
-  uint64_t payload[12] = {1};  // ~100 B, a small protocol message
-};
-
-double SuiteDeliveryLegacy(int64_t n, uint64_t* sink) {
-  constexpr int64_t kDepth = 16384;
-  const std::vector<SimTime> times = MakeTimes(n + kDepth, 10000);
-  const auto start = std::chrono::steady_clock::now();
-  bench::LegacyEventQueue q;
-  auto send = [&q, sink](SimTime at) {
-    auto msg = std::make_unique<FakeMsg>();
-    auto holder = std::make_shared<std::unique_ptr<FakeMsg>>(std::move(msg));
-    q.Push(at, [holder, sink]() { *sink += (*holder)->payload[0]; });
-  };
-  for (int64_t i = 0; i < kDepth; ++i) {
-    send(times[static_cast<size_t>(i)]);
-  }
-  SimTime t = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    DispatchOne(q, &t);
-    send(t + 1 + times[static_cast<size_t>(kDepth + i)]);
-  }
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-
-/// Slot-pool engines (heap and calendar) move the unique_ptr straight
-/// into the slot-stored closure — one allocation (the message itself).
-template <typename Queue>
-double SuiteDeliveryPooled(int64_t n, uint64_t* sink) {
-  constexpr int64_t kDepth = 16384;
-  const std::vector<SimTime> times = MakeTimes(n + kDepth, 10000);
-  const auto start = std::chrono::steady_clock::now();
-  Queue q;
-  auto send = [&q, sink](SimTime at) {
-    auto msg = std::make_unique<FakeMsg>();
-    q.Push(at, [m = std::move(msg), sink]() { *sink += m->payload[0]; });
-  };
-  for (int64_t i = 0; i < kDepth; ++i) {
-    send(times[static_cast<size_t>(i)]);
-  }
-  SimTime t = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    DispatchOne(q, &t);
-    send(t + 1 + times[static_cast<size_t>(kDepth + i)]);
-  }
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-
-/// End-to-end Simulator dispatch (production engines only: the
-/// Simulator is the production wiring around the queue).
-double SuiteSimDispatch(int64_t n, uint64_t* sink, SimEngine engine) {
-  HotCapture cap;
-  cap.sink = sink;
-  const auto start = std::chrono::steady_clock::now();
-  Simulator sim(1, engine);
-  for (int64_t i = 0; i < n; ++i) {
-    sim.Schedule(i % 100000, [cap]() { *cap.sink += cap.a; });
-  }
-  sim.Run();
-  return MsBetween(start, std::chrono::steady_clock::now());
-}
-double SuiteSimDispatchHeap(int64_t n, uint64_t* sink) {
-  return SuiteSimDispatch(n, sink, SimEngine::kHeap);
-}
-double SuiteSimDispatchCalendar(int64_t n, uint64_t* sink) {
-  return SuiteSimDispatch(n, sink, SimEngine::kCalendar);
-}
-
-struct EngineRecord {
-  std::string suite;
-  std::string engine;  // "legacy" | "pooled" (heap) | "calendar"
-  int64_t events = 0;
-  double wall_ms = 0;
-  double events_per_sec = 0;
-  double speedup_vs_legacy = 0;  // pooled/calendar records only; 0 = n/a
-  double speedup_vs_pooled = 0;  // calendar records only; 0 = n/a
-};
-
-/// Best-of-`reps` wall time for one suite body.
-template <typename SuiteFn>
-EngineRecord MeasureSuite(const std::string& suite,
-                          const std::string& engine, int64_t events,
-                          int reps, uint64_t* sink, SuiteFn body) {
-  double best_ms = 0;
-  for (int r = 0; r < reps; ++r) {
-    double ms = body(events, sink);
-    if (r == 0 || ms < best_ms) best_ms = ms;
-  }
-  EngineRecord rec;
-  rec.suite = suite;
-  rec.engine = engine;
-  rec.events = events;
-  rec.wall_ms = best_ms;
-  rec.events_per_sec =
-      best_ms > 0 ? static_cast<double>(events) / (best_ms / 1000.0) : 0;
-  return rec;
-}
-
-void WriteEngineJson(const std::string& path,
-                     const std::vector<EngineRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const EngineRecord& r = records[i];
-    std::fprintf(f,
-                 "  {\"suite\":\"%s\",\"engine\":\"%s\",\"events\":%lld,"
-                 "\"wall_ms\":%.3f,\"events_per_sec\":%.0f",
-                 r.suite.c_str(), r.engine.c_str(),
-                 static_cast<long long>(r.events), r.wall_ms,
-                 r.events_per_sec);
-    if (r.speedup_vs_legacy > 0) {
-      std::fprintf(f, ",\"speedup_vs_legacy\":%.2f", r.speedup_vs_legacy);
-    }
-    if (r.speedup_vs_pooled > 0) {
-      std::fprintf(f, ",\"speedup_vs_pooled\":%.2f", r.speedup_vs_pooled);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-}
-
-int RunEngineBench(int argc, char** argv) {
-  int64_t events = 400000;
-  int reps = 5;
-  std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    std::string tok = argv[a];
-    size_t eq = tok.find('=');
-    std::string key = eq == std::string::npos ? tok : tok.substr(0, eq);
-    std::string value = eq == std::string::npos ? "" : tok.substr(eq + 1);
-    if (key == "json") {
-      json_path = value.empty() ? "BENCH_engine.json" : value;
-    } else if (key == "events") {
-      events = std::atoll(value.c_str());
-    } else if (key == "reps") {
-      reps = std::atoi(value.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_micro engine [json[=PATH]] [events=N] "
-                   "[reps=N]\n");
-      return 1;
-    }
-  }
-  if (events < 1 || reps < 1) {
-    std::fprintf(stderr, "events/reps must be >= 1\n");
-    return 1;
-  }
-
-  std::printf("Engine microbenchmark: legacy vs pooled heap vs calendar "
-              "(events=%lld, best of %d)\n",
-              static_cast<long long>(events), reps);
-  std::printf("  %-16s %-9s %-12s %-14s %-10s %-10s\n", "suite", "engine",
-              "wall_ms", "events/sec", "vs_legacy", "vs_pooled");
-
-  uint64_t sink = 0;
-  std::vector<EngineRecord> records;
-  struct Suite {
-    const char* name;
-    double (*legacy)(int64_t, uint64_t*);
-    double (*pooled)(int64_t, uint64_t*);
-    double (*calendar)(int64_t, uint64_t*);
-  };
-  const Suite suites[] = {
-      {"push_pop", &SuitePushPop<bench::LegacyEventQueue>,
-       &SuitePushPop<EventQueue>, &SuitePushPop<CalendarQueue>},
-      {"push_cancel_pop", &SuitePushCancelPop<bench::LegacyEventQueue>,
-       &SuitePushCancelPop<EventQueue>, &SuitePushCancelPop<CalendarQueue>},
-      {"steady_64", &SuiteSteadyState<bench::LegacyEventQueue, 64>,
-       &SuiteSteadyState<EventQueue, 64>,
-       &SuiteSteadyState<CalendarQueue, 64>},
-      {"steady_512", &SuiteSteadyState<bench::LegacyEventQueue, 512>,
-       &SuiteSteadyState<EventQueue, 512>,
-       &SuiteSteadyState<CalendarQueue, 512>},
-      {"steady_state", &SuiteSteadyState<bench::LegacyEventQueue, 16384>,
-       &SuiteSteadyState<EventQueue, 16384>,
-       &SuiteSteadyState<CalendarQueue, 16384>},
-      {"message_delivery", &SuiteDeliveryLegacy,
-       &SuiteDeliveryPooled<EventQueue>, &SuiteDeliveryPooled<CalendarQueue>},
-  };
-
-  const auto print_row = [](const EngineRecord& r) {
-    std::printf("  %-16s %-9s %-12s %-14s %-10s %-10s\n", r.suite.c_str(),
-                r.engine.c_str(), bench::Fmt(r.wall_ms, 2).c_str(),
-                bench::Fmt(r.events_per_sec, 0).c_str(),
-                r.speedup_vs_legacy > 0
-                    ? (bench::Fmt(r.speedup_vs_legacy, 2) + "x").c_str()
-                    : "-",
-                r.speedup_vs_pooled > 0
-                    ? (bench::Fmt(r.speedup_vs_pooled, 2) + "x").c_str()
-                    : "-");
-  };
-
-  double pooled_product = 1.0;
-  double calendar_legacy_product = 1.0;
-  double calendar_pooled_product = 1.0;
-  for (const Suite& suite : suites) {
-    EngineRecord legacy =
-        MeasureSuite(suite.name, "legacy", events, reps, &sink, suite.legacy);
-    EngineRecord pooled =
-        MeasureSuite(suite.name, "pooled", events, reps, &sink, suite.pooled);
-    EngineRecord calendar = MeasureSuite(suite.name, "calendar", events,
-                                         reps, &sink, suite.calendar);
-    pooled.speedup_vs_legacy =
-        legacy.wall_ms > 0 ? legacy.wall_ms / pooled.wall_ms : 0;
-    calendar.speedup_vs_legacy =
-        legacy.wall_ms > 0 ? legacy.wall_ms / calendar.wall_ms : 0;
-    calendar.speedup_vs_pooled =
-        pooled.wall_ms > 0 ? pooled.wall_ms / calendar.wall_ms : 0;
-    pooled_product *= pooled.speedup_vs_legacy;
-    calendar_legacy_product *= calendar.speedup_vs_legacy;
-    calendar_pooled_product *= calendar.speedup_vs_pooled;
-    print_row(legacy);
-    print_row(pooled);
-    print_row(calendar);
-    records.push_back(legacy);
-    records.push_back(pooled);
-    records.push_back(calendar);
-  }
-  EngineRecord dispatch_heap = MeasureSuite("sim_dispatch", "pooled", events,
-                                            reps, &sink, &SuiteSimDispatchHeap);
-  EngineRecord dispatch_cal = MeasureSuite(
-      "sim_dispatch", "calendar", events, reps, &sink,
-      &SuiteSimDispatchCalendar);
-  dispatch_cal.speedup_vs_pooled = dispatch_heap.wall_ms > 0
-                                       ? dispatch_heap.wall_ms /
-                                             dispatch_cal.wall_ms
-                                       : 0;
-  print_row(dispatch_heap);
-  print_row(dispatch_cal);
-  records.push_back(dispatch_heap);
-  records.push_back(dispatch_cal);
-
-  const double n_suites = static_cast<double>(std::size(suites));
-  EngineRecord geo_pooled;
-  geo_pooled.suite = "geomean";
-  geo_pooled.engine = "pooled";
-  geo_pooled.speedup_vs_legacy = std::pow(pooled_product, 1.0 / n_suites);
-  EngineRecord geo_calendar;
-  geo_calendar.suite = "geomean";
-  geo_calendar.engine = "calendar";
-  geo_calendar.speedup_vs_legacy =
-      std::pow(calendar_legacy_product, 1.0 / n_suites);
-  geo_calendar.speedup_vs_pooled =
-      std::pow(calendar_pooled_product, 1.0 / n_suites);
-  records.push_back(geo_pooled);
-  records.push_back(geo_calendar);
-  std::printf("\n  geomean speedup pooled vs legacy:   %sx\n",
-              bench::Fmt(geo_pooled.speedup_vs_legacy, 2).c_str());
-  std::printf("  geomean speedup calendar vs legacy: %sx\n",
-              bench::Fmt(geo_calendar.speedup_vs_legacy, 2).c_str());
-  std::printf("  geomean speedup calendar vs pooled: %sx\n",
-              bench::Fmt(geo_calendar.speedup_vs_pooled, 2).c_str());
-  if (!json_path.empty()) {
-    WriteEngineJson(json_path, records);
-    std::printf("  wrote %s\n", json_path.c_str());
-  }
-  // Keep the compiler from eliding the callbacks entirely.
-  if (sink == 0) std::printf("  (sink=0)\n");
-  return 0;
-}
-
 /// A fast macro sweep: one short run per registered system, emitting the
 /// full per-window trajectories through the driver's sinks.
 int RunMicroSweep(int argc, char** argv) {
@@ -824,9 +401,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
     return flower::RunMicroSweep(argc - 1, argv + 1);
   }
-  if (argc > 1 && std::strcmp(argv[1], "engine") == 0) {
-    return flower::RunEngineBench(argc - 1, argv + 1);
-  }
   if (argc > 1 && std::strcmp(argv[1], "shards") == 0) {
     return flower::RunShardsBench(argc - 1, argv + 1);
   }
@@ -839,8 +413,7 @@ int main(int argc, char** argv) {
 #else
   std::fprintf(stderr,
                "google-benchmark unavailable at build time; only the "
-               "`sweep`, `engine` and `shards` subcommands are "
-               "supported\n");
+               "`sweep` and `shards` subcommands are supported\n");
   return 2;
 #endif
 }

@@ -1,6 +1,6 @@
 // Memory-scaled runs: peers-vs-RSS and peers-vs-events/sec curves for
 // the flyweight peer-state layer (interned object ids, SoA peer tables,
-// arena message payloads, streamed metrics).
+// streamed metrics).
 //
 //   ./bench_scale [quick] [json[=PATH]]   # sweep -> BENCH_scale.json
 //   ./bench_scale point key=value...      # one point (internal)

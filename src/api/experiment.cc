@@ -185,7 +185,7 @@ Result<RunResult> Experiment::TryRun() {
   // system, churn-in-Setup, workload, driver, sampler) is exactly the v1
   // runner's; preserving it keeps every RNG draw, and therefore every
   // metric value, bit-identical across the API migration.
-  Simulator sim(config_.seed, SimEngineFromName(config_.sim_engine));
+  Simulator sim(config_.seed);
   Topology topology(config_, sim.rng());
   // shards >= 2 switches the engine into locality-lane mode before any
   // component is built on top of it. Lane RNG streams are derived from

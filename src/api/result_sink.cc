@@ -153,7 +153,7 @@ void JsonResultSink::Write(const SimConfig& config, const RunResult& r) {
      << ",\"directory_promotions\":" << r.directory_promotions
      // Deterministic engine counters only: wall_ms/events-per-second are
      // host-dependent and would break byte-identical trajectory diffs
-     // (they live in RunResult and BENCH_engine.json instead).
+     // (they live in RunResult; flower_perf measures them).
      << ",\"events_processed\":" << r.events_processed
      << ",\"events_cancelled\":" << r.events_cancelled;
   // Sharded-engine observability, emitted only for sharded runs so

@@ -135,8 +135,8 @@ struct RunResult {
   /// by nature, so sinks deliberately do NOT write it — BENCH_*.json
   /// trajectories and sweep outputs must stay byte-identical between
   /// runs (and between serial and jobs=N sweeps). Read it from the
-  /// returned RunResult; the engine microbenchmark (bench_micro engine)
-  /// owns the wall-clock trajectory in BENCH_engine.json.
+  /// returned RunResult; flower_perf (perf/) is the wall-clock
+  /// benchmark.
   double wall_ms = 0;
   /// Peak resident set size of the process (MemStats::PeakRssBytes) at
   /// the end of the run, 0 on platforms without procfs. Host-dependent

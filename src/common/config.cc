@@ -146,13 +146,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     shards = static_cast<int>(i);
     return Status::Ok();
   }
-  if (key == "sim_engine") {
-    if (value != "heap" && value != "calendar") {
-      return UnknownEnumValue(key, value, {"heap", "calendar"});
-    }
-    sim_engine = value;
-    return Status::Ok();
-  }
   if (key == "shard_executor") {
     if (value != "auto" && value != "serial" && value != "threads") {
       return UnknownEnumValue(key, value, {"auto", "serial", "threads"});

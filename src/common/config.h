@@ -36,13 +36,6 @@ struct SimConfig {
   /// deterministic schedule than shards=1 (window-phased dispatch,
   /// per-lane RNG streams), so compare sharded runs with sharded runs.
   int shards = 1;
-  /// Scheduling engine of every event queue (src/sim/engine_queue.h):
-  /// "heap" (default, 4-ary implicit heap, O(log n)) or "calendar"
-  /// (ladder calendar queue, O(1) amortized — faster at large live
-  /// event sets). Both engines dispatch the identical (time, seq) total
-  /// order, so every output byte is the same either way; the knob only
-  /// trades wall-clock time. It therefore never appears in ToString().
-  std::string sim_engine = "heap";
   /// Lane executor under shards >= 2: "serial" runs lanes in lane order
   /// on one thread; "threads" runs shard groups on a worker pool
   /// (requires a system whose lane state is isolated — Flower without

@@ -34,7 +34,8 @@ void ContentPeer::Activate(NodeId node) {
 
 const View& ContentPeer::view() const {
   if (const View* v = membership_->DebugView()) return *v;
-  static const View kEmpty(0, 0);
+  // Never written to, so it stays empty; View only needs a capacity > 0.
+  static const View kEmpty(1);
   return kEmpty;
 }
 

@@ -5,8 +5,8 @@
 // master seed (Mix64(seed ^ (kFaultLaneTag + slot))), never from the
 // simulator's master RNG, so attaching an injector with every fault
 // disabled changes no output byte, and sharded runs stay byte-identical
-// across shard counts, executors and engines (lanes == localities, which
-// is shard-count invariant). Partition cuts are a pure function of
+// across shard counts and executors (lanes == localities, which is
+// shard-count invariant). Partition cuts are a pure function of
 // (sender, destination, time) and draw nothing.
 //
 // Counters follow the Network's lane-split discipline: one slot per

@@ -2,12 +2,10 @@
 #ifndef FLOWERCDN_NET_MESSAGE_H_
 #define FLOWERCDN_NET_MESSAGE_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 
 #include "common/types.h"
-#include "net/payload_arena.h"
 
 namespace flower {
 
@@ -64,19 +62,6 @@ using MessagePtr = std::unique_ptr<Message>;
 class Message {
  public:
   virtual ~Message() = default;
-
-  // Message envelopes are the dominant short-lived allocation of a run
-  // (one per simulated send), so they are served from the per-lane
-  // recycling arena instead of the system heap. Class-level operator
-  // new/delete covers every subclass, including the make_unique calls
-  // behind FLOWER_DUPLICATE_AS_COPY. See net/payload_arena.h.
-  static void* operator new(std::size_t size) {
-    return PayloadArena::Allocate(size);
-  }
-  static void operator delete(void* p) { PayloadArena::Deallocate(p); }
-  static void operator delete(void* p, std::size_t) {
-    PayloadArena::Deallocate(p);
-  }
 
   /// Payload size in bits (excluding the fixed header, which the network
   /// adds when accounting).

@@ -4,6 +4,43 @@
 
 namespace flower {
 
+void EventHandle::Cancel() {
+  if (queue_ == nullptr) return;
+  // Seq check: stale after the event fired, was cancelled, or the slot
+  // was reused — Cancel is a no-op in all three cases.
+  if (queue_->SlotAt(slot_).seq != seq_) return;
+  // Destroy the callback now: closures can own handles back into the
+  // queue (periodic timers), and their captures must not linger until
+  // the heap skims the stale item.
+  queue_->FreeSlot(slot_);
+  --queue_->live_;
+  ++queue_->cancelled_;
+}
+
+bool EventHandle::pending() const {
+  return queue_ != nullptr && queue_->SlotAt(slot_).seq == seq_;
+}
+
+uint32_t EventQueue::AllocSlot() {
+  if (free_head_ != kNoSlot) {
+    const uint32_t index = free_head_;
+    free_head_ = SlotAt(index).next_free;
+    return index;
+  }
+  if ((next_unused_slot_ >> kSlabBits) >= slabs_.size()) {
+    slabs_.push_back(std::make_unique<Slot[]>(kSlabSlots));
+  }
+  return next_unused_slot_++;
+}
+
+void EventQueue::FreeSlot(uint32_t index) {
+  Slot& slot = SlotAt(index);
+  slot.fn.reset();
+  slot.seq = kFreeSeq;
+  slot.next_free = free_head_;
+  free_head_ = index;
+}
+
 void EventQueue::SiftUp(size_t index) const {
   const Item item = heap_[index];
   while (index > 0) {
@@ -50,7 +87,7 @@ EventHandle EventQueue::Push(SimTime t, EventFn fn) {
   heap_.push_back(Item::Make(t, seq, index));
   SiftUp(heap_.size() - 1);
   ++live_;
-  return MakeHandle(index, seq);
+  return EventHandle(this, index, seq);
 }
 
 bool EventQueue::empty() const {

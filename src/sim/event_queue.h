@@ -1,42 +1,73 @@
 // Priority queue of timed events with O(log n) push/pop and O(1)
-// cancellation — the `sim_engine=heap` engine. Ties on time break by
+// cancellation — the simulator's event queue. Ties on time break by
 // insertion sequence, which makes the whole simulation deterministic.
 //
-// Engine layout (built on the shared slot pool, see event_pool.h):
-//  - Events live in slab-allocated slot pools with a free list: a Push
-//    costs no heap allocation once the pool is warm, and the callback is
+// Layout:
+//  - Events live in slab-allocated slots with a free list: a Push costs
+//    no heap allocation once the pool is warm, and the callback is
 //    SBO-stored in its slot (event_fn.h). Slabs never move, so a
 //    callback can be invoked in place while new events are pushed.
+//  - A slot remembers the seq of its current occupant; a handle (or a
+//    heap item) whose seq no longer matches is stale — fired, cancelled,
+//    or the slot was reused. seq is unique per push for the queue's
+//    lifetime, so there is no ABA window.
 //  - The heap is a hand-rolled 4-ary implicit heap over 32-byte POD
 //    items {128-bit (time, seq) key, slot} — shallower than a binary
 //    heap, one branchless compare per ordering decision, and
 //    cache-friendlier than shared_ptr-carrying nodes.
-//  - Cancellation destroys the callback and frees the slot immediately
-//    (EventHandle, event_pool.h); the heap skims the stale item lazily.
+//  - Cancellation destroys the callback and frees the slot immediately;
+//    the heap skims the stale item lazily. Handles hold no owning
+//    pointers, so the old shared_ptr-cycle teardown hazard cannot exist
+//    by construction.
 //  - The dispatch fast path is RunNextIfBefore: one skim, pop, invoke
 //    the callback in its slot (no move, no temporary), then recycle the
 //    slot. Pop (move the callback out) remains for callers that need
 //    the callable itself.
 //
-// The O(1)-amortized alternative for large live sets is the ladder
-// calendar queue (calendar_queue.h, `sim_engine=calendar`); both pop in
-// the identical (time, seq) total order.
+// Handles must not outlive their queue: everything in this codebase that
+// stores one lives inside the owning Simulator's scope.
 #ifndef FLOWERCDN_SIM_EVENT_QUEUE_H_
 #define FLOWERCDN_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
 #include "sim/event_fn.h"
-#include "sim/event_pool.h"
 
 namespace flower {
 
-class EventQueue : public EventPool {
+class EventQueue;
+
+/// Handle to a scheduled event; allows cancellation. Default-constructed
+/// handles are inert. Copyable POD — all copies go stale together once
+/// the event fires or is cancelled.
+class EventHandle {
+ public:
+  EventHandle() = default;
+
+  /// Cancels the event if it has not fired yet. Idempotent.
+  void Cancel();
+
+  /// True if the event is still scheduled (not fired, not cancelled).
+  bool pending() const;
+
+ private:
+  friend class EventQueue;
+  EventHandle(EventQueue* queue, uint32_t slot, uint64_t seq)
+      : queue_(queue), slot_(slot), seq_(seq) {}
+
+  EventQueue* queue_ = nullptr;
+  uint32_t slot_ = 0;
+  uint64_t seq_ = 0;
+};
+
+class EventQueue {
  public:
   EventQueue() = default;
-  ~EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules fn at absolute time t. Requires t >= 0.
   EventHandle Push(SimTime t, EventFn fn);
@@ -77,7 +108,76 @@ class EventQueue : public EventPool {
     return true;
   }
 
+  /// Number of live (neither fired nor cancelled) events.
+  size_t live_size() const { return live_; }
+
+  /// Events cancelled over the queue's lifetime.
+  uint64_t events_cancelled() const { return cancelled_; }
+
  private:
+  friend class EventHandle;
+
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  /// Occupancy sentinel: seq values start at 0 and only count up, so no
+  /// live event ever carries this.
+  static constexpr uint64_t kFreeSeq = ~uint64_t{0};
+  static constexpr uint32_t kSlabBits = 8;
+  static constexpr uint32_t kSlabSlots = 1u << kSlabBits;  // 256 per slab
+
+  /// One pooled event. `seq` identifies the current occupant (kFreeSeq
+  /// when the slot is free).
+  struct Slot {
+    EventFn fn;
+    uint64_t seq = kFreeSeq;
+    uint32_t next_free = kNoSlot;
+  };
+
+  /// POD heap entry; the callback stays in the slot. The sort key packs
+  /// (time, seq) into one 128-bit integer — time in the high 64 bits
+  /// (Push asserts t >= 0, so the unsigned compare is order-preserving),
+  /// seq below breaking ties FIFO — so every ordering decision is a
+  /// single branchless compare, and total (seq is unique).
+  struct Item {
+    unsigned __int128 key;
+    uint32_t slot;
+
+    static Item Make(SimTime time, uint64_t seq, uint32_t slot) {
+      return Item{(static_cast<unsigned __int128>(static_cast<uint64_t>(time))
+                   << 64) |
+                      seq,
+                  slot};
+    }
+    SimTime Time() const {
+      return static_cast<SimTime>(static_cast<uint64_t>(key >> 64));
+    }
+    uint64_t Seq() const { return static_cast<uint64_t>(key); }
+  };
+  static bool Earlier(const Item& a, const Item& b) { return a.key < b.key; }
+
+  Slot& SlotAt(uint32_t index) {
+    return slabs_[index >> kSlabBits][index & (kSlabSlots - 1)];
+  }
+  const Slot& SlotAt(uint32_t index) const {
+    return slabs_[index >> kSlabBits][index & (kSlabSlots - 1)];
+  }
+
+  /// True while the heap item still names the slot's occupant.
+  bool ItemLive(const Item& item) const {
+    return SlotAt(item.slot).seq == item.Seq();
+  }
+
+  /// Takes a free slot (growing the slab list if the free list is dry).
+  uint32_t AllocSlot();
+  /// Destroys the slot's callback and returns it to the free list.
+  void FreeSlot(uint32_t index);
+  /// Returns an already-emptied slot (fn reset, seq staled by the
+  /// dispatch fast path) to the free list.
+  void RecycleSlot(uint32_t index) {
+    Slot& slot = SlotAt(index);
+    slot.next_free = free_head_;
+    free_head_ = index;
+  }
+
   // 4-ary implicit heap over heap_: children of i at 4i+1..4i+4.
   void SiftUp(size_t index) const;
   void SiftDown(size_t index) const;
@@ -89,6 +189,12 @@ class EventQueue : public EventPool {
     while (!heap_.empty() && !ItemLive(heap_[0])) PopRoot();
   }
 
+  std::vector<std::unique_ptr<Slot[]>> slabs_;
+  uint32_t next_unused_slot_ = 0;
+  uint32_t free_head_ = kNoSlot;
+  uint64_t next_seq_ = 0;
+  size_t live_ = 0;
+  uint64_t cancelled_ = 0;
   // Skimming mutates only the physical heap (dropping entries that are
   // already dead), so const observers may do it without a const_cast.
   mutable std::vector<Item> heap_;

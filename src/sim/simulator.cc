@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "net/payload_arena.h"
-
 namespace flower {
 
 namespace {
@@ -25,8 +23,7 @@ constexpr uint64_t kLaneRngTag = 0x9e3779b97f4a7c15ull;
 
 int CurrentSimLane() { return tls_current_lane; }
 
-Simulator::Simulator(uint64_t seed, SimEngine engine)
-    : queue_(engine), rng_(seed), seed_(seed), engine_(engine) {}
+Simulator::Simulator(uint64_t seed) : rng_(seed), seed_(seed) {}
 
 EventHandle Simulator::Schedule(SimTime delay, EventFn fn) {
   assert(delay >= 0);
@@ -97,10 +94,6 @@ void Simulator::RunLoop(SimTime bound) {
 void Simulator::Run() {
   assert(shard_ == nullptr && "sharded runs go through ShardedSimulator");
   RunLoop(kMaxSimTime);
-  // Event drain is an arena safe point: no message is in flight, so the
-  // envelope pool of this thread can hand its slabs back (no-op if the
-  // workload still holds messages).
-  PayloadArena::TrimThread();
 }
 
 void Simulator::RunUntil(SimTime t) {
@@ -141,7 +134,7 @@ void Simulator::EnableSharding(ShardPlan plan) {
   shard_->lanes.reserve(static_cast<size_t>(shard_->plan.num_lanes));
   for (int l = 0; l < shard_->plan.num_lanes; ++l) {
     shard_->lanes.push_back(std::make_unique<Lane>(
-        Mix64(seed_ ^ (kLaneRngTag + static_cast<uint64_t>(l))), engine_));
+        Mix64(seed_ ^ (kLaneRngTag + static_cast<uint64_t>(l)))));
   }
 }
 
@@ -227,7 +220,7 @@ void Simulator::RunControlUntil(SimTime bound) {
 }
 
 bool Simulator::LaneHasEventBefore(int lane, SimTime bound) const {
-  const EngineQueue& q = shard_->lanes[static_cast<size_t>(lane)]->queue;
+  const EventQueue& q = shard_->lanes[static_cast<size_t>(lane)]->queue;
   return !q.empty() && q.NextTime() <= bound;
 }
 

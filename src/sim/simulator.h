@@ -28,7 +28,7 @@
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "sim/engine_queue.h"
+#include "sim/event_queue.h"
 #include "sim/shard_plan.h"
 
 namespace flower {
@@ -43,9 +43,7 @@ int CurrentSimLane();
 
 class Simulator {
  public:
-  /// The engine choice affects wall-clock time only: dispatch order is
-  /// the identical (time, seq) total order either way (engine_queue.h).
-  explicit Simulator(uint64_t seed, SimEngine engine = SimEngine::kHeap);
+  explicit Simulator(uint64_t seed);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -108,9 +106,6 @@ class Simulator {
   /// Master generator for this simulation. Fork per component (setup
   /// path); lane-scoped randomness should come from lane_rng instead.
   Rng* rng() { return &rng_; }
-
-  /// The scheduling engine every queue in this simulator uses.
-  SimEngine engine() const { return engine_; }
 
   /// The master seed (for deriving independent per-lane streams via
   /// Mix64, the churn/fault-injector pattern — never reseed from rng()).
@@ -226,8 +221,8 @@ class Simulator {
   // one worker per window, and the barrier's mutex handoff publishes the
   // state before any cross-lane read (merge, NextEventTime, folds).
   struct Lane {
-    Lane(uint64_t seed, SimEngine engine) : queue(engine), rng(seed) {}
-    LANE_CONFINED EngineQueue queue;
+    explicit Lane(uint64_t seed) : rng(seed) {}
+    LANE_CONFINED EventQueue queue;
     LANE_CONFINED SimTime now = 0;
     LANE_CONFINED uint64_t events_processed = 0;
     LANE_CONFINED Rng rng;
@@ -244,10 +239,9 @@ class Simulator {
 
   // Control lane (the only lane in serial mode).
   SimTime now_ = 0;
-  EngineQueue queue_;
+  EventQueue queue_;
   Rng rng_;
   uint64_t seed_;
-  SimEngine engine_;
   // Atomic so a Stop() from a lane event is a benign cross-thread signal
   // under the parallel executor (it is only *honored* at barriers).
   std::atomic<bool> stop_requested_{false};

@@ -1,8 +1,10 @@
-// Engine tests for the pooled event queue (src/sim/event_queue.h):
-// determinism against a reference model under interleaved
-// push/cancel/pop, tie-break ordering across slot reuse, generation/seq
-// staleness of handles, the in-place dispatch path, EventFn inline/heap
-// storage, and ASan-clean teardown with pending self-referential timers.
+// Tests for the pooled event queue (src/sim/event_queue.h): determinism
+// against a reference model under interleaved push/cancel/pop (uniform
+// times, and drifting hot spots with a far-future tail), (time, seq)
+// tie-breaking across slot reuse, cancelled bursts and callback pushes,
+// seq staleness of handles, the in-place dispatch path, EventFn
+// inline/heap storage, and ASan-clean teardown with pending
+// self-referential timers.
 #include "sim/event_queue.h"
 
 #include <algorithm>
@@ -145,21 +147,110 @@ TEST(EventQueueTest, SameTimeFifoSurvivesSlotChurn) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(EventQueueTest, SameTimeBurstAmongSpreadEventsStaysFifo) {
+  // A large burst at one time, pushed after events spread around it,
+  // fires between its neighbours in push order.
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 32; ++i) {
+    q.Push(static_cast<SimTime>(i * 1000),
+           [&order, i]() { order.push_back(i); });
+  }
+  const SimTime kHot = 17500;
+  for (int i = 0; i < 200; ++i) {
+    const int id = 100 + i;
+    q.Push(kHot, [&order, id]() { order.push_back(id); });
+  }
+  SimTime t;
+  while (!q.empty()) q.Pop(&t)();
+  std::vector<int> expected;
+  for (int i = 0; i < 18; ++i) expected.push_back(i);        // 0..17000
+  for (int i = 0; i < 200; ++i) expected.push_back(100 + i);  // the burst
+  for (int i = 18; i < 32; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, CancelledBurstSurvivorsFireInPushOrder) {
+  // Cancel most of a same-time burst: the survivors fire in push order
+  // and the cancellation counter stays exact.
+  EventQueue q;
+  for (int i = 0; i < 16; ++i) {
+    q.Push(static_cast<SimTime>(i * 1000), []() {});
+  }
+  std::vector<EventHandle> burst;
+  std::vector<int> order;
+  for (int i = 0; i < 300; ++i) {
+    burst.push_back(q.Push(9500, [&order, i]() { order.push_back(i); }));
+  }
+  for (int i = 0; i < 300; ++i) {
+    if (i % 10 != 0) burst[static_cast<size_t>(i)].Cancel();
+  }
+  EXPECT_EQ(q.events_cancelled(), 270u);
+  SimTime t;
+  while (!q.empty()) q.Pop(&t)();
+  ASSERT_EQ(order.size(), 30u);
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i * 10);
+}
+
+TEST(EventQueueTest, CallbackPushAtBusyTimeFiresAfterOlderEvents) {
+  // A callback pushes an event at a time that already holds older
+  // events: the new event has the highest seq there, so it fires last
+  // among them.
+  EventQueue q;
+  std::vector<int> order;
+  auto record = [&order](int id) {
+    return [&order, id]() { order.push_back(id); };
+  };
+  q.Push(603, record(100));
+  q.Push(603, record(101));
+  q.Push(402, [&]() {
+    order.push_back(200);
+    q.Push(603, record(300));
+  });
+  q.Push(500, record(201));
+  q.Push(803, record(2));
+  SimTime t;
+  while (!q.empty()) q.Pop(&t)();
+  EXPECT_EQ(order, (std::vector<int>{200, 201, 100, 101, 300, 2}));
+}
+
+TEST(EventQueueTest, SameTimePushFromCallbackRunsThisRound) {
+  // An event scheduled at the current dispatch time from inside a firing
+  // callback runs before any later event.
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(100, [&]() {
+    order.push_back(1);
+    q.Push(100, [&order]() { order.push_back(2); });
+  });
+  q.Push(200, [&order]() { order.push_back(3); });
+  SimTime t;
+  while (q.RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; })) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 // --- Reference-model stress ---------------------------------------------------
 
-TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
+/// Drives the queue with `rounds` random push/cancel/pop ops and checks
+/// every pop against an explicit (time, seq) reference model, then
+/// drains the rest through the in-place dispatch path. `next_time(rng,
+/// drift)` picks each push time; drift is the latest time popped so far.
+template <typename NextTime>
+void StressAgainstModel(uint64_t seed, int rounds, NextTime next_time) {
   struct ModelEvent {
     SimTime time;
     uint64_t seq;
     int id;
   };
-  Rng rng(20260731);
+  Rng rng(seed);
   EventQueue q;
   std::vector<ModelEvent> live;           // the reference model
   std::map<uint64_t, EventHandle> handles;  // seq -> handle
   std::vector<int> fired;
   uint64_t seq = 0;
   int next_id = 0;
+  SimTime drift = 0;
 
   auto model_min = [&]() {
     return std::min_element(live.begin(), live.end(),
@@ -169,10 +260,10 @@ TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
                             });
   };
 
-  for (int round = 0; round < 30000; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     const uint64_t op = rng.Index(4);
     if (op <= 1) {  // push (twice as likely, keeps the queue populated)
-      const SimTime time = static_cast<SimTime>(rng.Index(500));
+      const SimTime time = next_time(rng, drift);
       const int id = next_id++;
       handles[seq] = q.Push(time, [&fired, id]() { fired.push_back(id); });
       EXPECT_TRUE(handles[seq].pending());
@@ -197,6 +288,7 @@ TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
       EXPECT_EQ(t, expected->time);
       ASSERT_FALSE(fired.empty());
       EXPECT_EQ(fired.back(), expected->id);
+      drift = std::max(drift, t);
       handles.erase(expected->seq);
       live.erase(expected);
     }
@@ -204,13 +296,11 @@ TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
   }
 
   // Drain the remainder through the in-place dispatch path.
-  SimTime t = -1;
   while (!live.empty()) {
     auto expected = model_min();
     const int expected_id = expected->id;
     ASSERT_TRUE(q.RunNextIfBefore(kMaxSimTime, [&](SimTime when) {
       EXPECT_EQ(when, expected->time);
-      t = when;
     }));
     ASSERT_FALSE(fired.empty());
     EXPECT_EQ(fired.back(), expected_id);
@@ -218,7 +308,24 @@ TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
   }
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.live_size(), 0u);
-  (void)t;
+}
+
+TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
+  StressAgainstModel(20260731, 30000, [](Rng& rng, SimTime) {
+    return static_cast<SimTime>(rng.Index(500));
+  });
+}
+
+TEST(EventQueueStress, DriftingHotSpotsMatchModel) {
+  // The shape of a running simulation: pushes never precede the last
+  // pop, most land in the near future, many pile onto a few exact times
+  // (same-time FIFO at depth), and some go far ahead.
+  StressAgainstModel(20260808, 60000, [](Rng& rng, SimTime drift) {
+    const uint64_t shape = rng.Index(10);
+    if (shape < 4) return drift + static_cast<SimTime>(rng.Index(200));
+    if (shape < 7) return drift + static_cast<SimTime>(100 * rng.Index(4));
+    return drift + static_cast<SimTime>(rng.Index(500000));
+  });
 }
 
 // --- In-place dispatch path ---------------------------------------------------
