@@ -328,9 +328,9 @@ int RunShardsBench(int argc, char** argv) {
   };
   const Point points[] = {{1, "serial"},
                           {2, "serial"},
-                          {2, "threads"},
-                          {4, "threads"},
-                          {6, "threads"}};
+                          {2, "auto"},
+                          {4, "auto"},
+                          {6, "auto"}};
 
   std::printf("Sharded-engine scaling (flower, %s config, %lld h, "
               "%u hardware threads)\n",

@@ -280,10 +280,8 @@ Result<RunResult> Experiment::TryRun() {
   // detlint: allow(wall-clock) — diagnostics-only wall_ms timing
   const auto wall_start = std::chrono::steady_clock::now();
   if (sharded) {
-    // "threads" needs lane-isolated system state; "auto" asks the
-    // system, an explicit "threads" falls back to the cooperative
-    // executor when the system cannot isolate. Either executor runs the
-    // identical deterministic schedule.
+    // Threads need lane-isolated system state, so "auto" asks the
+    // system. Either executor runs the identical deterministic schedule.
     const bool want_threads = config_.shard_executor != "serial";
     const ShardedSimulator::Executor executor =
         want_threads && system->SupportsParallelShards()

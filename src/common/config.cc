@@ -147,8 +147,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   if (key == "shard_executor") {
-    if (value != "auto" && value != "serial" && value != "threads") {
-      return UnknownEnumValue(key, value, {"auto", "serial", "threads"});
+    if (value != "auto" && value != "serial") {
+      return UnknownEnumValue(key, value, {"auto", "serial"});
     }
     shard_executor = value;
     return Status::Ok();

@@ -37,11 +37,9 @@ struct SimConfig {
   /// per-lane RNG streams), so compare sharded runs with sharded runs.
   int shards = 1;
   /// Lane executor under shards >= 2: "serial" runs lanes in lane order
-  /// on one thread; "threads" runs shard groups on a worker pool
-  /// (requires a system whose lane state is isolated — Flower without
-  /// churn; silently falls back to serial otherwise); "auto" (default)
-  /// picks threads exactly when the system supports it. All three
-  /// produce byte-identical output.
+  /// on one thread; "auto" (default) runs shard groups on a worker pool
+  /// exactly when the system keeps lane state isolated (Flower without
+  /// churn) and serially otherwise. Both produce byte-identical output.
   std::string shard_executor = "auto";
 
   // --- Underlying topology (paper Table 1 / BRITE-inspired model) ----------

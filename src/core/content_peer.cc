@@ -421,21 +421,19 @@ void ContentPeer::SendKeepalive() {
 // --- Directory failure handling (Sec 5.2) ------------------------------------------
 
 void ContentPeer::OnDirectoryUnreachable() {
-  if (replacing_directory_ || !joined_) return;
-  replacing_directory_ = true;
+  const SimTime now = ctx_->sim->Now();
+  if (!joined_ || now < replacement_blocks_until_) return;
   Key dir_key = ctx_->scheme->MakeKey(site_->dring_hash, locality_);
   PeerAddress bootstrap = ctx_->system->BootstrapDirectory(&rng_);
-  if (bootstrap == kInvalidAddress) {
-    replacing_directory_ = false;
-    return;
-  }
+  if (bootstrap == kInvalidAddress) return;
+  replacement_blocks_until_ = now + ctx_->config->keepalive_period;
   auto req = std::make_unique<JoinDirectoryReq>(dir_key, address());
   auto route = std::make_unique<RouteMsg>(dir_key, std::move(req));
   ctx_->network->Send(this, bootstrap, std::move(route));
 }
 
 void ContentPeer::HandleJoinDirectoryResp(const JoinDirectoryResp& resp) {
-  replacing_directory_ = false;
+  replacement_blocks_until_ = 0;
   // Suspicion state refers to the old directory; start clean with the
   // replacement.
   keepalive_misses_ = 0;
@@ -542,125 +540,123 @@ ContentPeer::PromotionState ContentPeer::PrepareForPromotion() {
 
 void ContentPeer::HandleMessage(MessagePtr msg) {
   if (!alive_) return;
-  Message* raw = msg.get();
-  if (auto* q = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    msg.release();
-    HandleIncomingQuery(std::unique_ptr<FlowerQueryMsg>(q));
-    return;
+  switch (msg->type()) {
+    case MessageKind::kFlowerQuery:
+      HandleIncomingQuery(MessageCast<FlowerQueryMsg>(std::move(msg)));
+      return;
+    case MessageKind::kServe:
+      HandleServe(MessageCast<ServeMsg>(std::move(msg)));
+      return;
+    case MessageKind::kWelcome:
+      HandleWelcome(MessageCast<WelcomeMsg>(std::move(msg)));
+      return;
+    case MessageKind::kNotFound:
+      HandleNotFound(MessageCast<NotFoundMsg>(std::move(msg)));
+      return;
+    case MessageKind::kKeepaliveAck:
+      keepalive_misses_ = 0;
+      keepalive_awaiting_ack_ = false;
+      return;
+    case MessageKind::kJoinDirectoryResp:
+      HandleJoinDirectoryResp(
+          *MessageCast<JoinDirectoryResp>(std::move(msg)));
+      return;
+    case MessageKind::kDirectoryHandoff:
+      HandleDirectoryHandoff(
+          MessageCast<DirectoryHandoffMsg>(std::move(msg)));
+      return;
+    case MessageKind::kReplicaTransferCmd:
+      HandleReplicaTransferCmd(
+          *MessageCast<ReplicaTransferCmd>(std::move(msg)));
+      return;
+    case MessageKind::kReplicaTransfer:
+      HandleReplicaTransfer(MessageCast<ReplicaTransferMsg>(std::move(msg)));
+      return;
+    default:
+      if (membership_->ConsumeMessage(msg)) return;
+      FLOWER_LOG(Debug) << "content peer " << address()
+                        << " ignoring unknown message";
   }
-  if (auto* s = dynamic_cast<ServeMsg*>(raw)) {
-    msg.release();
-    HandleServe(std::unique_ptr<ServeMsg>(s));
-    return;
-  }
-  if (auto* w = dynamic_cast<WelcomeMsg*>(raw)) {
-    msg.release();
-    HandleWelcome(std::unique_ptr<WelcomeMsg>(w));
-    return;
-  }
-  if (auto* nf = dynamic_cast<NotFoundMsg*>(raw)) {
-    msg.release();
-    HandleNotFound(std::unique_ptr<NotFoundMsg>(nf));
-    return;
-  }
-  if (dynamic_cast<KeepaliveAckMsg*>(raw) != nullptr) {
-    keepalive_misses_ = 0;
-    keepalive_awaiting_ack_ = false;
-    return;
-  }
-  if (membership_->ConsumeMessage(msg)) return;
-  if (auto* jr = dynamic_cast<JoinDirectoryResp*>(raw)) {
-    HandleJoinDirectoryResp(*jr);
-    return;
-  }
-  if (auto* ho = dynamic_cast<DirectoryHandoffMsg*>(raw)) {
-    msg.release();
-    HandleDirectoryHandoff(std::unique_ptr<DirectoryHandoffMsg>(ho));
-    return;
-  }
-  if (auto* cmd = dynamic_cast<ReplicaTransferCmd*>(raw)) {
-    HandleReplicaTransferCmd(*cmd);
-    return;
-  }
-  if (auto* rt = dynamic_cast<ReplicaTransferMsg*>(raw)) {
-    msg.release();
-    HandleReplicaTransfer(std::unique_ptr<ReplicaTransferMsg>(rt));
-    return;
-  }
-  FLOWER_LOG(Debug) << "content peer " << address()
-                    << " ignoring unknown message";
 }
 
 void ContentPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
   if (!alive_) return;
-  Message* raw = msg.get();
-  if (membership_->OnUndeliverable(dest, raw)) return;
-  if (auto* push = dynamic_cast<PushMsg*>(raw)) {
-    // Re-queue the delta and start directory replacement. The cache may
-    // have moved on while the push was in flight: only re-queue entries
-    // that still describe the current content (and are not queued
-    // already), so added/removed never contradict each other.
-    for (auto it = push->added.rbegin(); it != push->added.rend(); ++it) {
-      if (!content_.Contains(site_->IdAtSlot(*it))) continue;
-      if (std::find(push_delta_.begin(), push_delta_.end(), *it) !=
-          push_delta_.end()) {
-        continue;
+  switch (msg->type()) {
+    case MessageKind::kPush: {
+      // Re-queue the delta and start directory replacement. The cache may
+      // have moved on while the push was in flight: only re-queue entries
+      // that still describe the current content (and are not queued
+      // already), so added/removed never contradict each other.
+      auto push = MessageCast<PushMsg>(std::move(msg));
+      for (auto it = push->added.rbegin(); it != push->added.rend(); ++it) {
+        if (!content_.Contains(site_->IdAtSlot(*it))) continue;
+        if (std::find(push_delta_.begin(), push_delta_.end(), *it) !=
+            push_delta_.end()) {
+          continue;
+        }
+        push_delta_.insert(push_delta_.begin(), *it);
       }
-      push_delta_.insert(push_delta_.begin(), *it);
-    }
-    for (auto it = push->removed.rbegin(); it != push->removed.rend(); ++it) {
-      if (content_.Contains(site_->IdAtSlot(*it))) continue;
-      if (std::find(push_removed_.begin(), push_removed_.end(), *it) !=
-          push_removed_.end()) {
-        continue;
+      for (auto it = push->removed.rbegin(); it != push->removed.rend();
+           ++it) {
+        if (content_.Contains(site_->IdAtSlot(*it))) continue;
+        if (std::find(push_removed_.begin(), push_removed_.end(), *it) !=
+            push_removed_.end()) {
+          continue;
+        }
+        push_removed_.insert(push_removed_.begin(), *it);
       }
-      push_removed_.insert(push_removed_.begin(), *it);
+      OnDirectoryUnreachable();
+      return;
     }
-    OnDirectoryUnreachable();
-    return;
-  }
-  if (dynamic_cast<KeepaliveMsg*>(raw) != nullptr) {
-    // Bounce-detected failure: the suspicion state was about this (now
-    // confirmed-dead) directory.
-    keepalive_misses_ = 0;
-    keepalive_awaiting_ack_ = false;
-    OnDirectoryUnreachable();
-    return;
-  }
-  if (auto* q = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    switch (q->stage) {
-      case QueryStage::kPeerDirect:
-        membership_->OnContactDead(dest);
-        ContinueQuery(q->object);
-        return;
-      case QueryStage::kToDirectory: {
-        OnDirectoryUnreachable();
-        auto it = pending_.find(q->object);
-        if (it != pending_.end()) SendViaDRing(q->object, &it->second);
-        return;
+    case MessageKind::kKeepalive:
+      // Bounce-detected failure: the suspicion state was about this (now
+      // confirmed-dead) directory.
+      keepalive_misses_ = 0;
+      keepalive_awaiting_ack_ = false;
+      OnDirectoryUnreachable();
+      return;
+    case MessageKind::kFlowerQuery: {
+      auto q = MessageCast<FlowerQueryMsg>(std::move(msg));
+      switch (q->stage) {
+        case QueryStage::kPeerDirect:
+          membership_->OnContactDead(dest);
+          ContinueQuery(q->object);
+          return;
+        case QueryStage::kToDirectory: {
+          OnDirectoryUnreachable();
+          auto it = pending_.find(q->object);
+          if (it != pending_.end()) SendViaDRing(q->object, &it->second);
+          return;
+        }
+        case QueryStage::kViaDRing: {
+          auto it = pending_.find(q->object);
+          if (it != pending_.end()) SendViaDRing(q->object, &it->second);
+          return;
+        }
+        default:
+          FLOWER_LOG(Warn) << "query to stage " << static_cast<int>(q->stage)
+                           << " undeliverable";
+          return;
       }
-      case QueryStage::kViaDRing: {
-        auto it = pending_.find(q->object);
-        if (it != pending_.end()) SendViaDRing(q->object, &it->second);
-        return;
-      }
-      default:
-        FLOWER_LOG(Warn) << "query to stage " << static_cast<int>(q->stage)
-                         << " undeliverable";
-        return;
     }
-  }
-  if (auto* route = dynamic_cast<RouteMsg*>(raw)) {
-    // Bootstrap entry point died before forwarding our routed message.
-    if (auto* q = dynamic_cast<FlowerQueryMsg*>(route->payload.get())) {
-      auto it = pending_.find(q->object);
-      if (it != pending_.end()) SendViaDRing(q->object, &it->second);
+    case MessageKind::kRoute: {
+      // Bootstrap entry point died before forwarding our routed message.
+      // A bounced replacement request stops blocking a new attempt one
+      // keepalive period after it started, like a lost one.
+      auto route = MessageCast<RouteMsg>(std::move(msg));
+      if (route->payload->type() != MessageKind::kFlowerQuery) return;
+      const ObjectId object =
+          MessageCast<FlowerQueryMsg>(std::move(route->payload))->object;
+      auto it = pending_.find(object);
+      if (it != pending_.end()) SendViaDRing(object, &it->second);
+      return;
     }
-    return;
+    default:
+      if (membership_->OnUndeliverable(dest, msg->type())) return;
+      // Anything else is deliberately dropped; the base logs it in debug
+      // builds so silently ignored bounces stay visible.
+      Peer::HandleUndeliverable(dest, std::move(msg));
   }
-  // Anything else is deliberately dropped; the base logs it in debug
-  // builds so silently ignored bounces stay visible.
-  Peer::HandleUndeliverable(dest, std::move(msg));
 }
 
 }  // namespace flower

@@ -159,7 +159,10 @@ class ContentPeer : public Peer, public MembershipHost {
 
   std::unique_ptr<Membership> membership_;
   DirectoryPointer dir_pointer_;
-  bool replacing_directory_ = false;
+  /// A directory replacement attempt blocks new ones until this time, one
+  /// keepalive_period after it started, or until its JoinDirectoryResp
+  /// arrives: the request or the reply may be lost or bounce.
+  SimTime replacement_blocks_until_ = 0;
 
   std::map<ObjectId, PendingQuery> pending_;
   uint64_t queries_started_ = 0;

@@ -111,47 +111,51 @@ const std::vector<ObjectSlot>* DirectoryPeer::IndexObjectsOf(
 void DirectoryPeer::Deliver(Key key, MessagePtr payload,
                             const DeliveryInfo& info) {
   (void)info;
-  Message* raw = payload.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    payload.release();
-    auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    if (!ctx_->scheme->SameWebsite(key, id()) ||
-        owned->website_hash != site_->dring_hash) {
-      // No directory of the right website is reachable: fall back to the
-      // origin server of the queried website.
-      int ws = ctx_->catalog->FindByDRingHash(owned->website_hash);
-      if (ws >= 0) {
-        const Website& target =
-            ctx_->catalog->site(static_cast<WebsiteId>(ws));
-        owned->stage = QueryStage::kToServer;
-        ctx_->network->Send(this, target.server_addr, std::move(owned));
-      } else {
-        FLOWER_LOG(Warn) << "query for unknown website hash dropped";
-      }
+  switch (payload->type()) {
+    case MessageKind::kFlowerQuery:
+      DeliverQuery(key, MessageCast<FlowerQueryMsg>(std::move(payload)));
+      return;
+    case MessageKind::kJoinDirectoryReq:
+      HandleJoinDirectoryReq(
+          *MessageCast<JoinDirectoryReq>(std::move(payload)));
+      return;
+    default:
+      FLOWER_LOG(Warn) << "directory " << id()
+                       << " got unknown routed payload";
+  }
+}
+
+void DirectoryPeer::DeliverQuery(Key key,
+                                 std::unique_ptr<FlowerQueryMsg> query) {
+  if (!ctx_->scheme->SameWebsite(key, id()) ||
+      query->website_hash != site_->dring_hash) {
+    // No directory of the right website is reachable: fall back to the
+    // origin server of the queried website.
+    int ws = ctx_->catalog->FindByDRingHash(query->website_hash);
+    if (ws >= 0) {
+      const Website& target = ctx_->catalog->site(static_cast<WebsiteId>(ws));
+      query->stage = QueryStage::kToServer;
+      ctx_->network->Send(this, target.server_addr, std::move(query));
+    } else {
+      FLOWER_LOG(Warn) << "query for unknown website hash dropped";
+    }
+    return;
+  }
+  // Scale-up (Sec 5.3): a full overlay hands new clients of its locality
+  // to the next directory instance, whose overlay absorbs them.
+  if (ctx_->scheme->extra_bits() > 0 && OverlayFull() &&
+      !query->client_is_member && query->client_loc == locality_ &&
+      !dir_store_.Contains(query->client)) {
+    NodeRef next = successor();
+    if (next.valid() && next.addr != address() &&
+        ctx_->scheme->SameWebsite(next.id, id()) &&
+        ctx_->scheme->LocalityOf(next.id) == locality_) {
+      ctx_->network->Send(this, next.addr, std::move(query));
       return;
     }
-    // Scale-up (Sec 5.3): a full overlay hands new clients of its locality
-    // to the next directory instance, whose overlay absorbs them.
-    if (ctx_->scheme->extra_bits() > 0 && OverlayFull() &&
-        !owned->client_is_member && owned->client_loc == locality_ &&
-        !dir_store_.Contains(owned->client)) {
-      NodeRef next = successor();
-      if (next.valid() && next.addr != address() &&
-          ctx_->scheme->SameWebsite(next.id, id()) &&
-          ctx_->scheme->LocalityOf(next.id) == locality_) {
-        ctx_->network->Send(this, next.addr, std::move(owned));
-        return;
-      }
-    }
-    MaybeAdmitClient(*owned);
-    ProcessQuery(std::move(owned));
-    return;
   }
-  if (auto* join = dynamic_cast<JoinDirectoryReq*>(raw)) {
-    HandleJoinDirectoryReq(*join);
-    return;
-  }
-  FLOWER_LOG(Warn) << "directory " << id() << " got unknown routed payload";
+  MaybeAdmitClient(*query);
+  ProcessQuery(std::move(query));
 }
 
 void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
@@ -597,174 +601,175 @@ void DirectoryPeer::HandleReplicationRequest(
 // --- Message dispatch ---------------------------------------------------------------------------
 
 void DirectoryPeer::HandleMessage(MessagePtr msg) {
-  Message* raw = msg.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    msg.release();
-    auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    MaybeAdmitClient(*owned);
-    ProcessQuery(std::move(owned));
-    return;
-  }
-  if (auto* push = dynamic_cast<PushMsg*>(raw)) {
-    AddObjectsToEntry(push->sender, push->added, push->removed);
-    return;
-  }
-  if (auto* ka = dynamic_cast<KeepaliveMsg*>(raw)) {
-    if (dir_store_.Contains(raw->sender)) {
-      dir_store_.Touch(raw->sender);
-    } else if (!OverlayFull()) {
-      // A member we do not know (index rebuild after promotion).
+  const PeerAddress from = msg->sender;
+  switch (msg->type()) {
+    case MessageKind::kFlowerQuery: {
+      auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
+      MaybeAdmitClient(*query);
+      ProcessQuery(std::move(query));
+      return;
+    }
+    case MessageKind::kPush: {
+      auto push = MessageCast<PushMsg>(std::move(msg));
+      AddObjectsToEntry(from, push->added, push->removed);
+      return;
+    }
+    case MessageKind::kKeepalive: {
+      auto ka = MessageCast<KeepaliveMsg>(std::move(msg));
+      if (dir_store_.Contains(from)) {
+        dir_store_.Touch(from);
+      } else if (!OverlayFull()) {
+        // A member we do not know (index rebuild after promotion).
+        DirectoryStore::Delta delta;
+        dir_store_.Admit(from, 0, ctx_->sim->Now(), &delta);
+        ApplyDelta(delta);
+      }
+      if (ka->want_ack) {
+        // Suspicion protocol (suspicion_keepalive_misses > 0): the ack is
+        // the liveness signal a silently-crashed directory cannot fake.
+        ctx_->network->Send(this, from, std::make_unique<KeepaliveAckMsg>());
+      }
+      return;
+    }
+    case MessageKind::kLeave:
+      RemoveEntry(from);
+      return;
+    case MessageKind::kNotFound: {
+      // A redirect target did not have the object (stale entry / false
+      // positive): drop the claim and retry (Sec 5.1). The view entry must
+      // go too — a promoted directory's inherited view can carry a summary
+      // from a node's previous life (churned out and reborn with an empty
+      // cache), and RedirectViaViewSummaries would otherwise pick the same
+      // target forever.
+      auto nf = MessageCast<NotFoundMsg>(std::move(msg));
+      if (nf->query != nullptr) {
+        AddObjectsToEntry(from, {}, {site_->SlotOf(nf->object)});
+        view_.Remove(from);
+        ++redirect_failures_;
+        // Back under local processing: a kDirToDir stage left on the
+        // bounced query would count a spurious dir_summary_fallthrough
+        // when the retry ends at the server (same hazard as the
+        // undeliverable path below).
+        nf->query->stage = QueryStage::kToDirectory;
+        ProcessQuery(std::move(nf->query));
+      }
+      return;
+    }
+    case MessageKind::kDirectorySummary: {
+      auto ds = MessageCast<DirectorySummaryMsg>(std::move(msg));
       DirectoryStore::Delta delta;
-      dir_store_.Admit(raw->sender, 0, ctx_->sim->Now(), &delta);
+      dir_store_.PutSummary(
+          ds->from_dir_id,
+          DirectoryStore::NeighborSummary{from, ds->from_loc, ds->summary},
+          &delta);
       ApplyDelta(delta);
+      return;
     }
-    if (ka->want_ack) {
-      // Suspicion protocol (suspicion_keepalive_misses > 0): the ack is
-      // the liveness signal a silently-crashed directory cannot fake.
-      ctx_->network->Send(this, raw->sender,
-                          std::make_unique<KeepaliveAckMsg>());
+    case MessageKind::kServe:
+      HandleServe(MessageCast<ServeMsg>(std::move(msg)));
+      return;
+    case MessageKind::kGossipRequest: {
+      // Directories answer gossip so overlay members see them alive and
+      // learn the current directory address.
+      auto gr = MessageCast<GossipRequestMsg>(std::move(msg));
+      auto reply = std::make_unique<GossipReplyMsg>();
+      if (!content_.empty()) {
+        auto s = std::make_shared<ContentSummary>(
+            ctx_->config->num_objects_per_website,
+            ctx_->config->summary_bits_per_object,
+            ctx_->config->summary_num_hashes);
+        for (const auto& [o, size] : content_.entries()) s->Add(o);
+        reply->own_summary = std::move(s);
+      }
+      reply->view_subset =
+          view_.SelectSubset(ctx_->config->gossip_length, &rng_, from);
+      reply->dir_pointer = DirectoryPointer{address(), 0};
+      ctx_->network->Send(this, from, std::move(reply));
+      ViewEntry fresh;
+      fresh.addr = from;
+      fresh.age = 0;
+      fresh.summary = gr->own_summary;
+      view_.Merge(gr->view_subset, fresh, address());
+      return;
     }
-    return;
-  }
-  if (dynamic_cast<LeaveMsg*>(raw) != nullptr) {
-    RemoveEntry(raw->sender);
-    return;
-  }
-  if (auto* nf = dynamic_cast<NotFoundMsg*>(raw)) {
-    // A redirect target did not have the object (stale entry / false
-    // positive): drop the claim and retry (Sec 5.1). The view entry must
-    // go too — a promoted directory's inherited view can carry a summary
-    // from a node's previous life (churned out and reborn with an empty
-    // cache), and RedirectViaViewSummaries would otherwise pick the same
-    // target forever.
-    if (nf->query != nullptr) {
-      AddObjectsToEntry(raw->sender, {}, {site_->SlotOf(nf->object)});
-      view_.Remove(raw->sender);
-      ++redirect_failures_;
-      // Back under local processing: a kDirToDir stage left on the
-      // bounced query would count a spurious dir_summary_fallthrough
-      // when the retry ends at the server (same hazard as the
-      // undeliverable path below).
-      nf->query->stage = QueryStage::kToDirectory;
-      ProcessQuery(std::move(nf->query));
+    case MessageKind::kReplicationOffer:
+      HandleReplicationOffer(
+          *MessageCast<ReplicationOfferMsg>(std::move(msg)), from);
+      return;
+    case MessageKind::kReplicationRequest:
+      HandleReplicationRequest(
+          *MessageCast<ReplicationRequestMsg>(std::move(msg)));
+      return;
+    case MessageKind::kReplicaTransfer: {
+      // Deposited replicas obey the same admission rule as content peers:
+      // a bounded own-content store declines them within the configured
+      // headroom of its budget (unbounded stores never consult the hook).
+      auto rt = MessageCast<ReplicaTransferMsg>(std::move(msg));
+      ContentStore::AdmissionHook prev =
+          content_.swap_admission_hook(ContentStore::HeadroomHook(
+              &content_, ctx_->config->replication_admission_headroom,
+              [this]() { ctx_->metrics->OnReplicaDeclined(); }));
+      AddOwnObject(rt->object, ReplicaInsertCost(*ctx_, &cost_model_,
+                                                 rt->object, from, address()));
+      content_.swap_admission_hook(std::move(prev));
+      return;
     }
-    return;
+    default:
+      if (IsHyParViewKind(msg->type())) {
+        // A promoted directory no longer runs overlay membership: decline
+        // the chatter so the sender demotes us out of its active view.
+        if (msg->type() != MessageKind::kHpvDisconnect) {
+          ctx_->network->Send(this, from,
+                              std::make_unique<HpvDisconnectMsg>());
+        }
+        return;
+      }
+      // Everything else is DHT traffic.
+      ChordNode::HandleMessage(std::move(msg));
   }
-  if (auto* ds = dynamic_cast<DirectorySummaryMsg*>(raw)) {
-    DirectoryStore::Delta delta;
-    dir_store_.PutSummary(ds->from_dir_id,
-                          DirectoryStore::NeighborSummary{
-                              ds->sender, ds->from_loc, ds->summary},
-                          &delta);
-    ApplyDelta(delta);
-    return;
-  }
-  if (auto* serve = dynamic_cast<ServeMsg*>(raw)) {
-    msg.release();
-    HandleServe(std::unique_ptr<ServeMsg>(serve));
-    return;
-  }
-  if (auto* gr = dynamic_cast<GossipRequestMsg*>(raw)) {
-    // Directories answer gossip so overlay members see them alive and learn
-    // the current directory address.
-    auto reply = std::make_unique<GossipReplyMsg>();
-    if (!content_.empty()) {
-      auto s = std::make_shared<ContentSummary>(
-          ctx_->config->num_objects_per_website,
-          ctx_->config->summary_bits_per_object,
-          ctx_->config->summary_num_hashes);
-      for (const auto& [o, size] : content_.entries()) s->Add(o);
-      reply->own_summary = std::move(s);
-    }
-    reply->view_subset =
-        view_.SelectSubset(ctx_->config->gossip_length, &rng_, gr->sender);
-    reply->dir_pointer = DirectoryPointer{address(), 0};
-    ctx_->network->Send(this, gr->sender, std::move(reply));
-    ViewEntry fresh;
-    fresh.addr = gr->sender;
-    fresh.age = 0;
-    fresh.summary = gr->own_summary;
-    view_.Merge(gr->view_subset, fresh, address());
-    return;
-  }
-  if (auto* offer = dynamic_cast<ReplicationOfferMsg*>(raw)) {
-    HandleReplicationOffer(*offer, raw->sender);
-    return;
-  }
-  if (auto* rreq = dynamic_cast<ReplicationRequestMsg*>(raw)) {
-    HandleReplicationRequest(*rreq);
-    return;
-  }
-  if (auto* rt = dynamic_cast<ReplicaTransferMsg*>(raw)) {
-    // Deposited replicas obey the same admission rule as content peers:
-    // a bounded own-content store declines them within the configured
-    // headroom of its budget (unbounded stores never consult the hook).
-    ContentStore::AdmissionHook prev =
-        content_.swap_admission_hook(ContentStore::HeadroomHook(
-            &content_, ctx_->config->replication_admission_headroom,
-            [this]() { ctx_->metrics->OnReplicaDeclined(); }));
-    AddOwnObject(rt->object,
-                 ReplicaInsertCost(*ctx_, &cost_model_, rt->object,
-                                   rt->sender, address()));
-    content_.swap_admission_hook(std::move(prev));
-    return;
-  }
-  if (auto* hpv = dynamic_cast<HyParViewMsg*>(raw)) {
-    // A promoted directory no longer runs overlay membership: decline the
-    // chatter so the sender demotes us out of its active view.
-    if (dynamic_cast<HpvDisconnectMsg*>(hpv) == nullptr) {
-      ctx_->network->Send(this, hpv->sender,
-                          std::make_unique<HpvDisconnectMsg>());
-    }
-    return;
-  }
-  // Everything else is DHT traffic.
-  ChordNode::HandleMessage(std::move(msg));
 }
 
 void DirectoryPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
-  Message* raw = msg.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    msg.release();
-    auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    switch (owned->stage) {
-      case QueryStage::kDirRedirect:
-        // Redirection failure (Sec 5.1): drop the dead entry, retry.
-        ++redirect_failures_;
-        RemoveEntry(dest);
-        view_.Remove(dest);
-        ProcessQuery(std::move(owned));
-        return;
-      case QueryStage::kDirToDir: {
-        ++redirect_failures_;
-        dir_store_.EraseSummariesFrom(dest);
-        // Back under local processing: the stage must not keep claiming
-        // a neighbor redirected *to us*, or the retry would count a
-        // spurious dir_summary_fallthrough when it ends at the server.
-        owned->stage = QueryStage::kToDirectory;
-        ProcessQuery(std::move(owned));
-        return;
+  switch (msg->type()) {
+    case MessageKind::kFlowerQuery: {
+      auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
+      switch (query->stage) {
+        case QueryStage::kDirRedirect:
+          // Redirection failure (Sec 5.1): drop the dead entry, retry.
+          ++redirect_failures_;
+          RemoveEntry(dest);
+          view_.Remove(dest);
+          ProcessQuery(std::move(query));
+          return;
+        case QueryStage::kDirToDir:
+          ++redirect_failures_;
+          dir_store_.EraseSummariesFrom(dest);
+          // Back under local processing: the stage must not keep claiming
+          // a neighbor redirected *to us*, or the retry would count a
+          // spurious dir_summary_fallthrough when it ends at the server.
+          query->stage = QueryStage::kToDirectory;
+          ProcessQuery(std::move(query));
+          return;
+        case QueryStage::kToServer:
+          FLOWER_LOG(Warn) << "origin server unreachable for website "
+                           << query->website;
+          return;
+        default:
+          return;
       }
-      case QueryStage::kToServer:
-        FLOWER_LOG(Warn) << "origin server unreachable for website "
-                         << owned->website;
-        return;
-      default:
-        return;
     }
+    case MessageKind::kWelcome:
+    case MessageKind::kServe:
+      RemoveEntry(dest);  // the client vanished before we reached it
+      return;
+    case MessageKind::kDirectorySummary:
+    case MessageKind::kReplicationOffer:
+    case MessageKind::kReplicationRequest:
+      dir_store_.EraseSummariesFrom(dest);
+      return;
+    default:
+      ChordNode::HandleUndeliverable(dest, std::move(msg));
   }
-  if (dynamic_cast<WelcomeMsg*>(raw) != nullptr ||
-      dynamic_cast<ServeMsg*>(raw) != nullptr) {
-    RemoveEntry(dest);  // the client vanished before we reached it
-    return;
-  }
-  if (dynamic_cast<DirectorySummaryMsg*>(raw) != nullptr ||
-      dynamic_cast<ReplicationOfferMsg*>(raw) != nullptr ||
-      dynamic_cast<ReplicationRequestMsg*>(raw) != nullptr) {
-    dir_store_.EraseSummariesFrom(dest);
-    return;
-  }
-  ChordNode::HandleUndeliverable(dest, std::move(msg));
 }
 
 }  // namespace flower

@@ -99,6 +99,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
 
  private:
   // Algorithm 3.
+  void DeliverQuery(Key key, std::unique_ptr<FlowerQueryMsg> query);
   void ProcessQuery(std::unique_ptr<FlowerQueryMsg> query);
   void ServeFromOwnContent(const FlowerQueryMsg& query);
   bool RedirectToIndexHolder(std::unique_ptr<FlowerQueryMsg>& query);

@@ -27,7 +27,8 @@ enum class QueryStage : uint8_t {
   kToServer,       // anyone -> origin web server
 };
 
-class FlowerQueryMsg : public Message {
+class FlowerQueryMsg
+    : public MessageOf<MessageKind::kFlowerQuery, TrafficClass::kQuery> {
  public:
   FlowerQueryMsg(WebsiteId website_in, uint64_t website_hash_in,
                  ObjectId object_in, PeerAddress client_in,
@@ -45,7 +46,6 @@ class FlowerQueryMsg : public Message {
     // object id + website id + client address + locality + flags.
     return kObjectIdBits + 64 + kAddressBits + 8 + 16;
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kQuery; }
 
   WebsiteId website;
   uint64_t website_hash;
@@ -86,7 +86,8 @@ class FlowerQueryMsg : public Message {
 
 /// Object delivery from a provider (content peer, directory peer or origin
 /// server) to the requesting client.
-class ServeMsg : public Message {
+class ServeMsg
+    : public MessageOf<MessageKind::kServe, TrafficClass::kTransfer> {
  public:
   ServeMsg(ObjectId object_in, WebsiteId website_in, uint64_t website_hash_in,
            PeerAddress provider_in, bool from_server_in, SimTime submit_time_in,
@@ -103,9 +104,6 @@ class ServeMsg : public Message {
     uint64_t bits = object_size_bits + kObjectIdBits + kAddressBits + 8;
     for (const ViewEntry& e : view_subset) bits += e.WireBits();
     return bits;
-  }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kTransfer;
   }
 
   ObjectId object;
@@ -124,13 +122,13 @@ class ServeMsg : public Message {
 
 /// A peer asked directly for an object it does not hold (Bloom false
 /// positive or stale directory entry). The requester falls back.
-class NotFoundMsg : public Message {
+class NotFoundMsg
+    : public MessageOf<MessageKind::kNotFound, TrafficClass::kQuery> {
  public:
   NotFoundMsg(ObjectId object_in, uint64_t website_hash_in, QueryStage stage_in)
       : object(object_in), website_hash(website_hash_in), stage(stage_in) {}
 
   uint64_t SizeBits() const override { return kObjectIdBits + 8; }
-  TrafficClass traffic_class() const override { return TrafficClass::kQuery; }
 
   ObjectId object;
   uint64_t website_hash;
@@ -148,7 +146,8 @@ class NotFoundMsg : public Message {
 
 /// Directory -> new content peer: you are admitted to the overlay; here are
 /// initial contacts from my directory index (addresses only).
-class WelcomeMsg : public Message {
+class WelcomeMsg
+    : public MessageOf<MessageKind::kWelcome, TrafficClass::kControl> {
  public:
   WelcomeMsg(uint64_t website_hash_in, LocalityId locality_in)
       : website_hash(website_hash_in), locality(locality_in) {}
@@ -157,9 +156,6 @@ class WelcomeMsg : public Message {
     uint64_t bits = 64 + 8;
     for (const ViewEntry& e : contacts) bits += e.WireBits();
     return bits;
-  }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
   }
 
   uint64_t website_hash;
@@ -180,14 +176,14 @@ struct DirectoryPointer {
 
 /// Gossip exchange (paper Algorithm 4): the initiator's current content
 /// summary, a random view subset, and its directory pointer.
-class GossipRequestMsg : public Message {
+class GossipRequestMsg
+    : public MessageOf<MessageKind::kGossipRequest, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override {
     uint64_t bits = own_summary ? own_summary->SizeBits() : 0;
     for (const ViewEntry& e : view_subset) bits += e.WireBits();
     return bits + dir_pointer.WireBits();
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kGossip; }
 
   std::shared_ptr<const ContentSummary> own_summary;
   std::vector<ViewEntry> view_subset;
@@ -197,14 +193,14 @@ class GossipRequestMsg : public Message {
 };
 
 /// The passive side's answer (same contents).
-class GossipReplyMsg : public Message {
+class GossipReplyMsg
+    : public MessageOf<MessageKind::kGossipReply, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override {
     uint64_t bits = own_summary ? own_summary->SizeBits() : 0;
     for (const ViewEntry& e : view_subset) bits += e.WireBits();
     return bits + dir_pointer.WireBits();
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kGossip; }
 
   std::shared_ptr<const ContentSummary> own_summary;
   std::vector<ViewEntry> view_subset;
@@ -221,12 +217,11 @@ class GossipReplyMsg : public Message {
 /// the website's slot table); the wire still charges the full object-id
 /// width per entry — the slot is an in-memory compression, not a protocol
 /// change.
-class PushMsg : public Message {
+class PushMsg : public MessageOf<MessageKind::kPush, TrafficClass::kPush> {
  public:
   uint64_t SizeBits() const override {
     return (added.size() + removed.size()) * kObjectIdBits + 16;
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kPush; }
 
   std::vector<ObjectSlot> added;
   std::vector<ObjectSlot> removed;
@@ -235,12 +230,10 @@ class PushMsg : public Message {
 };
 
 /// Content peer -> directory peer liveness signal (paper Sec 5.1).
-class KeepaliveMsg : public Message {
+class KeepaliveMsg
+    : public MessageOf<MessageKind::kKeepalive, TrafficClass::kKeepalive> {
  public:
   uint64_t SizeBits() const override { return want_ack ? 1 : 0; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kKeepalive;
-  }
 
   /// Set when suspicion_keepalive_misses > 0: the directory answers with
   /// a KeepaliveAckMsg so a silently-crashed directory becomes visible
@@ -253,31 +246,27 @@ class KeepaliveMsg : public Message {
 
 /// Directory peer -> content peer: keepalive acknowledgement (only sent
 /// when the keepalive requested one).
-class KeepaliveAckMsg : public Message {
+class KeepaliveAckMsg
+    : public MessageOf<MessageKind::kKeepaliveAck, TrafficClass::kKeepalive> {
  public:
   uint64_t SizeBits() const override { return 0; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kKeepalive;
-  }
 
   FLOWER_DUPLICATE_AS_COPY(KeepaliveAckMsg)
 };
 
 /// Content peer -> directory peer: graceful goodbye, so the entry can be
 /// dropped without waiting for T_dead.
-class LeaveMsg : public Message {
+class LeaveMsg : public MessageOf<MessageKind::kLeave, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override { return 0; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 
   FLOWER_DUPLICATE_AS_COPY(LeaveMsg)
 };
 
 /// Directory peer -> same-website neighbor directory: refreshed directory
 /// summary (paper Sec 3.3 / 4.2.1; counted with push traffic).
-class DirectorySummaryMsg : public Message {
+class DirectorySummaryMsg
+    : public MessageOf<MessageKind::kDirectorySummary, TrafficClass::kPush> {
  public:
   DirectorySummaryMsg(uint64_t website_hash_in, LocalityId from_loc_in,
                       Key from_dir_id_in,
@@ -290,7 +279,6 @@ class DirectorySummaryMsg : public Message {
   uint64_t SizeBits() const override {
     return 64 + 8 + 64 + (summary ? summary->SizeBits() : 0);
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kPush; }
 
   uint64_t website_hash;
   LocalityId from_loc;
@@ -302,7 +290,8 @@ class DirectorySummaryMsg : public Message {
 
 /// Voluntary directory leave: full directory state handed to the chosen
 /// successor content peer (paper Sec 5.2).
-class DirectoryHandoffMsg : public Message {
+class DirectoryHandoffMsg
+    : public MessageOf<MessageKind::kDirectoryHandoff, TrafficClass::kControl> {
  public:
   /// `objects` carries flyweight ObjectSlots (see PushMsg); SizeBits
   /// still charges the full object-id width per claimed object.
@@ -323,9 +312,6 @@ class DirectoryHandoffMsg : public Message {
     }
     return bits;
   }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 
   Key dir_key = 0;
   std::vector<IndexEntryWire> entries;
@@ -339,21 +325,21 @@ class DirectoryHandoffMsg : public Message {
 
 /// Content peer -> D-ring (routed): request to take over a failed
 /// directory position (paper Sec 5.2).
-class JoinDirectoryReq : public Message {
+class JoinDirectoryReq
+    : public MessageOf<MessageKind::kJoinDirectoryReq, TrafficClass::kControl> {
  public:
   JoinDirectoryReq(Key dir_key_in, PeerAddress candidate_in)
       : dir_key(dir_key_in), candidate(candidate_in) {}
 
   uint64_t SizeBits() const override { return 64 + kAddressBits; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 
   Key dir_key;
   PeerAddress candidate;
 };
 
-class JoinDirectoryResp : public Message {
+class JoinDirectoryResp
+    : public MessageOf<MessageKind::kJoinDirectoryResp,
+                       TrafficClass::kControl> {
  public:
   JoinDirectoryResp(Key dir_key_in, bool granted_in, NodeRef current_dir_in)
       : dir_key(dir_key_in),
@@ -361,9 +347,6 @@ class JoinDirectoryResp : public Message {
         current_dir(current_dir_in) {}
 
   uint64_t SizeBits() const override { return 64 + 8 + kNodeRefBits; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 
   Key dir_key;
   bool granted;
@@ -373,13 +356,11 @@ class JoinDirectoryResp : public Message {
 // --- Active replication extension (paper Sec 8 future work) -----------------
 
 /// Directory -> sibling directory: "these are my most requested objects".
-class ReplicationOfferMsg : public Message {
+class ReplicationOfferMsg
+    : public MessageOf<MessageKind::kReplicationOffer, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override {
     return objects.size() * kObjectIdBits;
-  }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
   }
 
   std::vector<ObjectId> objects;
@@ -388,13 +369,12 @@ class ReplicationOfferMsg : public Message {
 };
 
 /// Sibling directory -> offering directory: "send these to this member".
-class ReplicationRequestMsg : public Message {
+class ReplicationRequestMsg
+    : public MessageOf<MessageKind::kReplicationRequest,
+                       TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override {
     return wanted.size() * kObjectIdBits + kAddressBits;
-  }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
   }
 
   std::vector<ObjectId> wanted;
@@ -404,7 +384,8 @@ class ReplicationRequestMsg : public Message {
 };
 
 /// Holder content peer -> deposit target in the sibling overlay.
-class ReplicaTransferMsg : public Message {
+class ReplicaTransferMsg
+    : public MessageOf<MessageKind::kReplicaTransfer, TrafficClass::kTransfer> {
  public:
   ReplicaTransferMsg(ObjectId object_in, uint64_t website_hash_in,
                      uint64_t object_size_bits_in)
@@ -415,9 +396,6 @@ class ReplicaTransferMsg : public Message {
   uint64_t SizeBits() const override {
     return object_size_bits + kObjectIdBits;
   }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kTransfer;
-  }
 
   ObjectId object;
   uint64_t website_hash;
@@ -427,15 +405,14 @@ class ReplicaTransferMsg : public Message {
 };
 
 /// Offering directory -> one of its holders: "transfer this object there".
-class ReplicaTransferCmd : public Message {
+class ReplicaTransferCmd
+    : public MessageOf<MessageKind::kReplicaTransferCmd,
+                       TrafficClass::kControl> {
  public:
   ReplicaTransferCmd(ObjectId object_in, PeerAddress target_in)
       : object(object_in), target(target_in) {}
 
   uint64_t SizeBits() const override { return kObjectIdBits + kAddressBits; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 
   ObjectId object;
   PeerAddress target;

@@ -14,11 +14,11 @@ OriginServer::OriginServer(Simulator* sim, Network* network, Metrics* metrics,
 }
 
 void OriginServer::HandleMessage(MessagePtr msg) {
-  auto* query = dynamic_cast<FlowerQueryMsg*>(msg.get());
-  if (query == nullptr) {
+  if (msg->type() != MessageKind::kFlowerQuery) {
     FLOWER_LOG(Warn) << "origin server got non-query message";
     return;
   }
+  auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
   if (objects_.find(query->object) == objects_.end()) {
     // Unknown object: report not-found to the client (should not happen
     // with a well-formed workload).

@@ -2,7 +2,9 @@
 #ifndef FLOWERCDN_DHT_CHORD_MESSAGES_H_
 #define FLOWERCDN_DHT_CHORD_MESSAGES_H_
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -24,13 +26,20 @@ struct NodeRef {
 inline constexpr uint64_t kNodeRefBits = 64 + kAddressBits;
 
 /// Envelope for recursively routed application payloads (paper Algorithm 1
-/// runs at each hop; this is the msg it forwards).
+/// runs at each hop; this is the msg it forwards). It accounts as its
+/// payload's traffic class.
 class RouteMsg : public Message {
  public:
-  RouteMsg(Key key_in, MessagePtr payload_in);
+  static constexpr MessageKind kKind = MessageKind::kRoute;
 
-  uint64_t SizeBits() const override;
-  TrafficClass traffic_class() const override;
+  RouteMsg(Key key_in, MessagePtr payload_in)
+      : Message(kKind, (assert(payload_in != nullptr),
+                        payload_in->traffic_class())),
+        key(key_in),
+        payload(std::move(payload_in)) {}
+
+  /// Key + hop counter + encapsulated payload.
+  uint64_t SizeBits() const override { return 64 + 16 + payload->SizeBits(); }
 
   Key key;
   MessagePtr payload;
@@ -40,7 +49,8 @@ class RouteMsg : public Message {
 
 /// find_successor request, routed recursively; the responsible node answers
 /// the requester directly.
-class FindSuccessorReq : public Message {
+class FindSuccessorReq
+    : public MessageOf<MessageKind::kFindSuccessorReq, TrafficClass::kDht> {
  public:
   FindSuccessorReq(Key target_in, PeerAddress requester_in,
                    uint64_t request_id_in)
@@ -51,7 +61,6 @@ class FindSuccessorReq : public Message {
   uint64_t SizeBits() const override {
     return 64 + kAddressBits + 64;
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 
   Key target;
   PeerAddress requester;
@@ -59,13 +68,13 @@ class FindSuccessorReq : public Message {
   int hops = 0;
 };
 
-class FindSuccessorResp : public Message {
+class FindSuccessorResp
+    : public MessageOf<MessageKind::kFindSuccessorResp, TrafficClass::kDht> {
  public:
   FindSuccessorResp(Key target_in, NodeRef result_in, uint64_t request_id_in)
       : target(target_in), result(result_in), request_id(request_id_in) {}
 
   uint64_t SizeBits() const override { return 64 + kNodeRefBits + 64; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 
   Key target;
   NodeRef result;
@@ -73,44 +82,41 @@ class FindSuccessorResp : public Message {
 };
 
 /// Stabilization: ask a node for its predecessor and successor list.
-class GetNeighborsReq : public Message {
+class GetNeighborsReq
+    : public MessageOf<MessageKind::kGetNeighborsReq, TrafficClass::kDht> {
  public:
   uint64_t SizeBits() const override { return 0; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 };
 
-class GetNeighborsResp : public Message {
+class GetNeighborsResp
+    : public MessageOf<MessageKind::kGetNeighborsResp, TrafficClass::kDht> {
  public:
   uint64_t SizeBits() const override {
     return kNodeRefBits * (1 + successors.size());
   }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 
   NodeRef predecessor;  // may be invalid
   std::vector<NodeRef> successors;
 };
 
 /// Chord notify(): "I believe I am your predecessor".
-class NotifyMsg : public Message {
+class NotifyMsg : public MessageOf<MessageKind::kNotify, TrafficClass::kDht> {
  public:
   explicit NotifyMsg(NodeRef self_in) : self(self_in) {}
   uint64_t SizeBits() const override { return kNodeRefBits; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 
   NodeRef self;
 };
 
 /// Liveness probe used by check_predecessor.
-class PingReq : public Message {
+class PingReq : public MessageOf<MessageKind::kPingReq, TrafficClass::kDht> {
  public:
   uint64_t SizeBits() const override { return 0; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 };
 
-class PingResp : public Message {
+class PingResp : public MessageOf<MessageKind::kPingResp, TrafficClass::kDht> {
  public:
   uint64_t SizeBits() const override { return 0; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 };
 
 }  // namespace flower

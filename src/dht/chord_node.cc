@@ -385,98 +385,98 @@ void ChordNode::RemoveDeadRef(PeerAddress addr) {
 // --- Message handling ------------------------------------------------------------
 
 void ChordNode::HandleMessage(MessagePtr msg) {
-  Message* raw = msg.get();
-  if (auto* route = dynamic_cast<RouteMsg*>(raw)) {
-    msg.release();
-    HandleRoute(std::unique_ptr<RouteMsg>(route));
-    return;
-  }
-  if (auto* req = dynamic_cast<FindSuccessorReq*>(raw)) {
-    msg.release();
-    HandleFindSuccessor(std::unique_ptr<FindSuccessorReq>(req));
-    return;
-  }
-  if (auto* resp = dynamic_cast<FindSuccessorResp*>(raw)) {
-    auto it = pending_finds_.find(resp->request_id);
-    if (it != pending_finds_.end()) {
-      auto cb = std::move(it->second);
-      pending_finds_.erase(it);
-      cb(resp->result);
-    }
-    return;
-  }
-  if (dynamic_cast<GetNeighborsReq*>(raw) != nullptr) {
-    auto resp = std::make_unique<GetNeighborsResp>();
-    resp->predecessor = predecessor_;
-    resp->successors = SuccessorList();
-    network_->Send(this, raw->sender, std::move(resp));
-    return;
-  }
-  if (auto* resp = dynamic_cast<GetNeighborsResp*>(raw)) {
-    // stabilize() continuation: maybe adopt successor's predecessor, then
-    // refresh the successor list and notify.
-    AdoptSuccessor(resp->predecessor);
-    NodeRef succ = successor();
-    if (succ.valid() && succ.addr == raw->sender) {
-      std::vector<NodeRef> list;
-      list.push_back(succ);
-      for (const NodeRef& r : resp->successors) {
-        if (static_cast<int>(list.size()) >=
-            ring_->config().successor_list_size) {
-          break;
-        }
-        if (r.valid() && r.addr != address()) list.push_back(r);
+  const PeerAddress from = msg->sender;
+  switch (msg->type()) {
+    case MessageKind::kRoute:
+      HandleRoute(MessageCast<RouteMsg>(std::move(msg)));
+      return;
+    case MessageKind::kFindSuccessorReq:
+      HandleFindSuccessor(MessageCast<FindSuccessorReq>(std::move(msg)));
+      return;
+    case MessageKind::kFindSuccessorResp: {
+      auto resp = MessageCast<FindSuccessorResp>(std::move(msg));
+      auto it = pending_finds_.find(resp->request_id);
+      if (it != pending_finds_.end()) {
+        auto cb = std::move(it->second);
+        pending_finds_.erase(it);
+        cb(resp->result);
       }
-      successors_ = std::move(list);
+      return;
     }
-    if (succ.valid() && succ.addr != address()) {
-      network_->Send(this, succ.addr,
-                     std::make_unique<NotifyMsg>(self_ref()));
+    case MessageKind::kGetNeighborsReq: {
+      auto resp = std::make_unique<GetNeighborsResp>();
+      resp->predecessor = predecessor_;
+      resp->successors = SuccessorList();
+      network_->Send(this, from, std::move(resp));
+      return;
     }
-    return;
-  }
-  if (auto* notify = dynamic_cast<NotifyMsg*>(raw)) {
-    if (!predecessor_.valid() ||
-        space().InOpenInterval(notify->self.id, predecessor_.id, id_)) {
-      predecessor_ = notify->self;
+    case MessageKind::kGetNeighborsResp: {
+      // stabilize() continuation: maybe adopt successor's predecessor, then
+      // refresh the successor list and notify.
+      auto resp = MessageCast<GetNeighborsResp>(std::move(msg));
+      AdoptSuccessor(resp->predecessor);
+      NodeRef succ = successor();
+      if (succ.valid() && succ.addr == from) {
+        std::vector<NodeRef> list;
+        list.push_back(succ);
+        for (const NodeRef& r : resp->successors) {
+          if (static_cast<int>(list.size()) >=
+              ring_->config().successor_list_size) {
+            break;
+          }
+          if (r.valid() && r.addr != address()) list.push_back(r);
+        }
+        successors_ = std::move(list);
+      }
+      if (succ.valid() && succ.addr != address()) {
+        network_->Send(this, succ.addr,
+                       std::make_unique<NotifyMsg>(self_ref()));
+      }
+      return;
     }
-    // A node that was alone on the ring adopts its first contact as
-    // successor; stabilization cannot do it (it has nobody to ask).
-    if (successor().addr == address()) AdoptSuccessor(notify->self);
-    return;
+    case MessageKind::kNotify: {
+      const NodeRef self = MessageCast<NotifyMsg>(std::move(msg))->self;
+      if (!predecessor_.valid() ||
+          space().InOpenInterval(self.id, predecessor_.id, id_)) {
+        predecessor_ = self;
+      }
+      // A node that was alone on the ring adopts its first contact as
+      // successor; stabilization cannot do it (it has nobody to ask).
+      if (successor().addr == address()) AdoptSuccessor(self);
+      return;
+    }
+    case MessageKind::kPingReq:
+      network_->Send(this, from, std::make_unique<PingResp>());
+      return;
+    case MessageKind::kPingResp:
+      return;  // predecessor alive; nothing to do
+    default:
+      FLOWER_LOG(Warn) << "chord node " << id_ << " got unknown message";
   }
-  if (dynamic_cast<PingReq*>(raw) != nullptr) {
-    network_->Send(this, raw->sender, std::make_unique<PingResp>());
-    return;
-  }
-  if (dynamic_cast<PingResp*>(raw) != nullptr) {
-    return;  // predecessor alive; nothing to do
-  }
-  FLOWER_LOG(Warn) << "chord node " << id_ << " got unknown message";
 }
 
 void ChordNode::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
   RemoveDeadRef(dest);
-  Message* raw = msg.get();
-  if (auto* route = dynamic_cast<RouteMsg*>(raw)) {
-    // Retry routing from here with the dead peer expunged.
-    msg.release();
-    auto owned = std::unique_ptr<RouteMsg>(route);
-    ++owned->hops;
-    HandleRoute(std::move(owned));
-    return;
+  switch (msg->type()) {
+    case MessageKind::kRoute: {
+      // Retry routing from here with the dead peer expunged.
+      auto route = MessageCast<RouteMsg>(std::move(msg));
+      ++route->hops;
+      HandleRoute(std::move(route));
+      return;
+    }
+    case MessageKind::kFindSuccessorReq: {
+      auto req = MessageCast<FindSuccessorReq>(std::move(msg));
+      ++req->hops;
+      HandleFindSuccessor(std::move(req));
+      return;
+    }
+    default:
+      // Other bounces (stabilization chatter to a dead peer) are dropped by
+      // design — RemoveDeadRef above already expunged the peer; the base
+      // logs the drop in debug builds.
+      Peer::HandleUndeliverable(dest, std::move(msg));
   }
-  if (auto* req = dynamic_cast<FindSuccessorReq*>(raw)) {
-    msg.release();
-    auto owned = std::unique_ptr<FindSuccessorReq>(req);
-    ++owned->hops;
-    HandleFindSuccessor(std::move(owned));
-    return;
-  }
-  // Other bounces (stabilization chatter to a dead peer) are dropped by
-  // design — RemoveDeadRef above already expunged the peer; the base
-  // logs the drop in debug builds.
-  Peer::HandleUndeliverable(dest, std::move(msg));
 }
 
 }  // namespace flower

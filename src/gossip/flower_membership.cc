@@ -37,18 +37,16 @@ void FlowerMembership::PeriodicRound() {
 }
 
 bool FlowerMembership::ConsumeMessage(MessagePtr& msg) {
-  Message* raw = msg.get();
-  if (auto* gr = dynamic_cast<GossipRequestMsg*>(raw)) {
-    msg.release();
-    HandleGossipRequest(std::unique_ptr<GossipRequestMsg>(gr));
-    return true;
+  switch (msg->type()) {
+    case MessageKind::kGossipRequest:
+      HandleGossipRequest(MessageCast<GossipRequestMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kGossipReply:
+      HandleGossipReply(MessageCast<GossipReplyMsg>(std::move(msg)));
+      return true;
+    default:
+      return false;
   }
-  if (auto* gp = dynamic_cast<GossipReplyMsg*>(raw)) {
-    msg.release();
-    HandleGossipReply(std::unique_ptr<GossipReplyMsg>(gp));
-    return true;
-  }
-  return false;
 }
 
 void FlowerMembership::HandleGossipRequest(
@@ -80,9 +78,9 @@ void FlowerMembership::HandleGossipReply(
   host_->HostMergeDirPointer(reply->dir_pointer);
 }
 
-bool FlowerMembership::OnUndeliverable(PeerAddress dest, Message* raw) {
-  if (dynamic_cast<GossipRequestMsg*>(raw) != nullptr ||
-      dynamic_cast<GossipReplyMsg*>(raw) != nullptr) {
+bool FlowerMembership::OnUndeliverable(PeerAddress dest, MessageKind kind) {
+  if (kind == MessageKind::kGossipRequest ||
+      kind == MessageKind::kGossipReply) {
     view_.Remove(dest);  // dead contact (Sec 5.4: treated like dead peers)
     return true;
   }

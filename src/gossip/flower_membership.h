@@ -25,7 +25,7 @@ class FlowerMembership : public Membership {
   void OnViewSeed(const std::vector<ViewEntry>& entries) override;
   void PeriodicRound() override;
   bool ConsumeMessage(MessagePtr& msg) override;
-  bool OnUndeliverable(PeerAddress dest, Message* raw) override;
+  bool OnUndeliverable(PeerAddress dest, MessageKind kind) override;
   void AppendHolderCandidates(ObjectId object,
                               const std::vector<PeerAddress>& tried,
                               std::vector<PeerAddress>* out) const override;

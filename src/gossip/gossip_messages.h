@@ -16,24 +16,23 @@
 
 namespace flower {
 
-/// Common base so hosts can recognize (and politely decline) membership
-/// chatter addressed to a peer that no longer runs the protocol, e.g. a
-/// content peer promoted to directory.
-class HyParViewMsg : public Message {
- public:
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kGossip;
-  }
-};
+/// True for every HyParView and Plumtree message, so hosts can recognize
+/// (and politely decline) membership chatter addressed to a peer that no
+/// longer runs the protocol, e.g. a content peer promoted to directory.
+inline bool IsHyParViewKind(MessageKind kind) {
+  return kind >= MessageKind::kHpvJoin && kind <= MessageKind::kPtPrune;
+}
 
 /// Joiner -> contact node: admit me to the overlay's partial views.
-class HpvJoinMsg : public HyParViewMsg {
+class HpvJoinMsg
+    : public MessageOf<MessageKind::kHpvJoin, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override { return kAddressBits; }
 };
 
 /// Contact -> active view: random walk advertising the joiner.
-class HpvForwardJoinMsg : public HyParViewMsg {
+class HpvForwardJoinMsg
+    : public MessageOf<MessageKind::kHpvForwardJoin, TrafficClass::kGossip> {
  public:
   HpvForwardJoinMsg(PeerAddress new_node_in, int ttl_in)
       : new_node(new_node_in), ttl(ttl_in) {}
@@ -48,7 +47,8 @@ class HpvForwardJoinMsg : public HyParViewMsg {
 /// sender has already added the receiver optimistically; a low-priority
 /// request may be rejected (HpvNeighborRejectMsg), a high-priority one
 /// (sender's active view is empty) never is.
-class HpvNeighborMsg : public HyParViewMsg {
+class HpvNeighborMsg
+    : public MessageOf<MessageKind::kHpvNeighbor, TrafficClass::kGossip> {
  public:
   explicit HpvNeighborMsg(bool high_priority_in)
       : high_priority(high_priority_in) {}
@@ -58,21 +58,24 @@ class HpvNeighborMsg : public HyParViewMsg {
   bool high_priority;
 };
 
-class HpvNeighborRejectMsg : public HyParViewMsg {
+class HpvNeighborRejectMsg
+    : public MessageOf<MessageKind::kHpvNeighborReject, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override { return kAddressBits; }
 };
 
 /// Eviction notice: the sender dropped the receiver from its active view
 /// (the receiver demotes the sender to its passive view).
-class HpvDisconnectMsg : public HyParViewMsg {
+class HpvDisconnectMsg
+    : public MessageOf<MessageKind::kHpvDisconnect, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override { return kAddressBits; }
 };
 
 /// Passive-view repair: random walk carrying a sample of the origin's
 /// views; the accepting node answers the origin directly.
-class HpvShuffleMsg : public HyParViewMsg {
+class HpvShuffleMsg
+    : public MessageOf<MessageKind::kHpvShuffle, TrafficClass::kGossip> {
  public:
   HpvShuffleMsg(PeerAddress origin_in, int ttl_in)
       : origin(origin_in), ttl(ttl_in) {}
@@ -86,7 +89,8 @@ class HpvShuffleMsg : public HyParViewMsg {
   std::vector<PeerAddress> sample;
 };
 
-class HpvShuffleReplyMsg : public HyParViewMsg {
+class HpvShuffleReplyMsg
+    : public MessageOf<MessageKind::kHpvShuffleReply, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override {
     return kAddressBits * (1 + sample.size());
@@ -97,7 +101,8 @@ class HpvShuffleReplyMsg : public HyParViewMsg {
 
 /// Plumtree eager push: one content-summary delta, identified by
 /// (origin, version) with per-origin monotone versions.
-class PtGossipMsg : public HyParViewMsg {
+class PtGossipMsg
+    : public MessageOf<MessageKind::kPtGossip, TrafficClass::kGossip> {
  public:
   PtGossipMsg(PeerAddress origin_in, uint64_t version_in,
               std::shared_ptr<const ContentSummary> summary_in)
@@ -119,7 +124,8 @@ class PtGossipMsg : public HyParViewMsg {
 };
 
 /// Plumtree lazy announcement to non-tree neighbors.
-class PtIHaveMsg : public HyParViewMsg {
+class PtIHaveMsg
+    : public MessageOf<MessageKind::kPtIHave, TrafficClass::kGossip> {
  public:
   PtIHaveMsg(PeerAddress origin_in, uint64_t version_in)
       : origin(origin_in), version(version_in) {}
@@ -132,7 +138,8 @@ class PtIHaveMsg : public HyParViewMsg {
 
 /// Tree repair: the receiver becomes an eager neighbor and retransmits
 /// the missing (origin, version).
-class PtGraftMsg : public HyParViewMsg {
+class PtGraftMsg
+    : public MessageOf<MessageKind::kPtGraft, TrafficClass::kGossip> {
  public:
   PtGraftMsg(PeerAddress origin_in, uint64_t version_in)
       : origin(origin_in), version(version_in) {}
@@ -145,7 +152,8 @@ class PtGraftMsg : public HyParViewMsg {
 
 /// Tree pruning after a duplicate delivery: the sender is demoted to a
 /// lazy (IHAVE-only) neighbor.
-class PtPruneMsg : public HyParViewMsg {
+class PtPruneMsg
+    : public MessageOf<MessageKind::kPtPrune, TrafficClass::kGossip> {
  public:
   uint64_t SizeBits() const override { return kAddressBits; }
 };

@@ -175,38 +175,33 @@ void HyParViewMembership::DoShuffle() {
 // --- Message handling -------------------------------------------------------
 
 bool HyParViewMembership::ConsumeMessage(MessagePtr& msg) {
-  Message* raw = msg.get();
-  if (dynamic_cast<HpvJoinMsg*>(raw) != nullptr) {
-    HandleJoin(raw->sender);
-    return true;
+  const PeerAddress from = msg->sender;
+  switch (msg->type()) {
+    case MessageKind::kHpvJoin:
+      HandleJoin(from);
+      return true;
+    case MessageKind::kHpvForwardJoin:
+      HandleForwardJoin(MessageCast<HpvForwardJoinMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kHpvNeighbor:
+      HandleNeighbor(
+          from, MessageCast<HpvNeighborMsg>(std::move(msg))->high_priority);
+      return true;
+    case MessageKind::kHpvNeighborReject:
+      HandleNeighborReject(from);
+      return true;
+    case MessageKind::kHpvDisconnect:
+      HandleDisconnect(from);
+      return true;
+    case MessageKind::kHpvShuffle:
+      HandleShuffle(MessageCast<HpvShuffleMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kHpvShuffleReply:
+      HandleShuffleReply(*MessageCast<HpvShuffleReplyMsg>(std::move(msg)));
+      return true;
+    default:
+      return plumtree_.ConsumeMessage(msg);
   }
-  if (auto* fj = dynamic_cast<HpvForwardJoinMsg*>(raw)) {
-    msg.release();
-    HandleForwardJoin(std::unique_ptr<HpvForwardJoinMsg>(fj));
-    return true;
-  }
-  if (auto* nb = dynamic_cast<HpvNeighborMsg*>(raw)) {
-    HandleNeighbor(nb->sender, nb->high_priority);
-    return true;
-  }
-  if (dynamic_cast<HpvNeighborRejectMsg*>(raw) != nullptr) {
-    HandleNeighborReject(raw->sender);
-    return true;
-  }
-  if (dynamic_cast<HpvDisconnectMsg*>(raw) != nullptr) {
-    HandleDisconnect(raw->sender);
-    return true;
-  }
-  if (auto* sh = dynamic_cast<HpvShuffleMsg*>(raw)) {
-    msg.release();
-    HandleShuffle(std::unique_ptr<HpvShuffleMsg>(sh));
-    return true;
-  }
-  if (auto* sr = dynamic_cast<HpvShuffleReplyMsg*>(raw)) {
-    HandleShuffleReply(*sr);
-    return true;
-  }
-  return plumtree_.ConsumeMessage(msg);
 }
 
 void HyParViewMembership::HandleJoin(PeerAddress joiner) {
@@ -292,8 +287,9 @@ void HyParViewMembership::HandleShuffleReply(const HpvShuffleReplyMsg& msg) {
   for (PeerAddress p : msg.sample) AddPassive(p);
 }
 
-bool HyParViewMembership::OnUndeliverable(PeerAddress dest, Message* raw) {
-  if (dynamic_cast<HyParViewMsg*>(raw) == nullptr) return false;
+bool HyParViewMembership::OnUndeliverable(PeerAddress dest,
+                                          MessageKind kind) {
+  if (!IsHyParViewKind(kind)) return false;
   OnPeerFailure(dest);
   return true;
 }

@@ -98,9 +98,9 @@ class Membership {
   /// Offers an incoming message; true if it was consumed.
   virtual bool ConsumeMessage(MessagePtr& msg) = 0;
 
-  /// Offers an undeliverable notification; true if it was consumed (the
-  /// failed message belonged to this protocol).
-  virtual bool OnUndeliverable(PeerAddress dest, Message* raw) = 0;
+  /// Offers an undeliverable notification of a `kind` message; true if it
+  /// was consumed (the failed message belonged to this protocol).
+  virtual bool OnUndeliverable(PeerAddress dest, MessageKind kind) = 0;
 
   /// Appends contacts whose summaries may contain `object`, in
   /// deterministic order, skipping `tried`. The host draws the pick.

@@ -116,27 +116,22 @@ void Plumtree::DeliverAndRelay(
 // --- Message handling -------------------------------------------------------
 
 bool Plumtree::ConsumeMessage(MessagePtr& msg) {
-  Message* raw = msg.get();
-  if (auto* g = dynamic_cast<PtGossipMsg*>(raw)) {
-    msg.release();
-    HandleGossip(std::unique_ptr<PtGossipMsg>(g));
-    return true;
+  switch (msg->type()) {
+    case MessageKind::kPtGossip:
+      HandleGossip(MessageCast<PtGossipMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kPtIHave:
+      HandleIHave(MessageCast<PtIHaveMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kPtGraft:
+      HandleGraft(MessageCast<PtGraftMsg>(std::move(msg)));
+      return true;
+    case MessageKind::kPtPrune:
+      HandlePrune(msg->sender);
+      return true;
+    default:
+      return false;
   }
-  if (auto* ih = dynamic_cast<PtIHaveMsg*>(raw)) {
-    msg.release();
-    HandleIHave(std::unique_ptr<PtIHaveMsg>(ih));
-    return true;
-  }
-  if (auto* gr = dynamic_cast<PtGraftMsg*>(raw)) {
-    msg.release();
-    HandleGraft(std::unique_ptr<PtGraftMsg>(gr));
-    return true;
-  }
-  if (dynamic_cast<PtPruneMsg*>(raw) != nullptr) {
-    HandlePrune(raw->sender);
-    return true;
-  }
-  return false;
 }
 
 void Plumtree::HandleGossip(std::unique_ptr<PtGossipMsg> msg) {

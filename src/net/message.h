@@ -2,6 +2,7 @@
 #ifndef FLOWERCDN_NET_MESSAGE_H_
 #define FLOWERCDN_NET_MESSAGE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -12,7 +13,7 @@ namespace flower {
 /// Traffic accounting classes. The paper's "background traffic" metric
 /// counts gossip + push (+ keepalive) traffic only; DHT maintenance, query
 /// routing and object transfers are tracked separately.
-enum class TrafficClass : int {
+enum class TrafficClass : uint8_t {
   kGossip = 0,
   kPush,
   kKeepalive,
@@ -56,6 +57,56 @@ inline constexpr uint64_t kTtlBits = 8;
 /// per-origin message ids).
 inline constexpr uint64_t kVersionBits = 64;
 
+/// Identity of every wire message type. Receivers dispatch with a
+/// `switch` on Message::type() and take the concrete type with
+/// MessageCast<T>.
+enum class MessageKind : uint8_t {
+  // Chord substrate (dht/chord_messages.h).
+  kRoute,
+  kFindSuccessorReq,
+  kFindSuccessorResp,
+  kGetNeighborsReq,
+  kGetNeighborsResp,
+  kNotify,
+  kPingReq,
+  kPingResp,
+  // Flower-CDN protocols (core/flower_messages.h).
+  kFlowerQuery,
+  kServe,
+  kNotFound,
+  kWelcome,
+  kGossipRequest,
+  kGossipReply,
+  kPush,
+  kKeepalive,
+  kKeepaliveAck,
+  kLeave,
+  kDirectorySummary,
+  kDirectoryHandoff,
+  kJoinDirectoryReq,
+  kJoinDirectoryResp,
+  kReplicationOffer,
+  kReplicationRequest,
+  kReplicaTransfer,
+  kReplicaTransferCmd,
+  // HyParView + Plumtree (gossip/gossip_messages.h). Keep kHpvJoin first
+  // and kPtPrune last: IsHyParViewKind tests that range.
+  kHpvJoin,
+  kHpvForwardJoin,
+  kHpvNeighbor,
+  kHpvNeighborReject,
+  kHpvDisconnect,
+  kHpvShuffle,
+  kHpvShuffleReply,
+  kPtGossip,
+  kPtIHave,
+  kPtGraft,
+  kPtPrune,
+  /// A payload no protocol handles (network and routing probes in tests):
+  /// every dispatch sends it to its default branch.
+  kProbe,
+};
+
 class Message;
 using MessagePtr = std::unique_ptr<Message>;
 
@@ -67,8 +118,11 @@ class Message {
   /// adds when accounting).
   virtual uint64_t SizeBits() const = 0;
 
+  /// Which message this is.
+  MessageKind type() const { return kind_; }
+
   /// Accounting class of this message.
-  virtual TrafficClass traffic_class() const = 0;
+  TrafficClass traffic_class() const { return class_; }
 
   /// Deep copy, used by the fault injector to deliver a duplicated
   /// message. The default (nullptr) marks a message the network must not
@@ -77,7 +131,36 @@ class Message {
 
   /// Filled in by the network on delivery.
   PeerAddress sender = kInvalidAddress;
+
+ protected:
+  Message(MessageKind kind, TrafficClass cls) : kind_(kind), class_(cls) {}
+
+ private:
+  // Both fit the padding after `sender`.
+  MessageKind kind_;
+  TrafficClass class_;
 };
+
+static_assert(sizeof(void*) != 8 || sizeof(Message) == 16,
+              "a message's kind and class must fit its header's padding");
+
+/// Base of a message type: names its kind and accounting class once.
+template <MessageKind K, TrafficClass C>
+class MessageOf : public Message {
+ public:
+  static constexpr MessageKind kKind = K;
+
+ protected:
+  MessageOf() : Message(K, C) {}
+};
+
+/// Hands over ownership of `msg` as its concrete type T. Callers switch on
+/// msg->type() first; Debug builds assert that it is T's kind.
+template <typename T>
+std::unique_ptr<T> MessageCast(MessagePtr msg) {
+  assert(msg != nullptr && msg->type() == T::kKind);
+  return std::unique_ptr<T>(static_cast<T*>(msg.release()));
+}
 
 /// Implements Duplicate() via the type's copy constructor. Use on message
 /// types whose members are all copyable.

@@ -64,13 +64,11 @@ void SquirrelNode::Deliver(Key key, MessagePtr payload,
                            const DeliveryInfo& info) {
   (void)key;
   (void)info;
-  Message* raw = payload.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    payload.release();
-    ProcessAsHome(std::unique_ptr<FlowerQueryMsg>(query));
+  if (payload->type() != MessageKind::kFlowerQuery) {
+    FLOWER_LOG(Warn) << "squirrel home got unknown routed payload";
     return;
   }
-  FLOWER_LOG(Warn) << "squirrel home got unknown routed payload";
+  ProcessAsHome(MessageCast<FlowerQueryMsg>(std::move(payload)));
 }
 
 void SquirrelNode::CacheObject(WebsiteId website, ObjectId object,
@@ -200,80 +198,78 @@ void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
 }
 
 void SquirrelNode::HandleMessage(MessagePtr msg) {
-  Message* raw = msg.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    // A home node redirected a requester to us.
-    msg.release();
-    auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    if (cache_.Contains(owned->object)) {
-      cache_.Touch(owned->object);
-      ServeClient(*owned);
-    } else {
+  const PeerAddress from = msg->sender;
+  switch (msg->type()) {
+    case MessageKind::kFlowerQuery: {
+      // A home node redirected a requester to us.
+      auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
+      if (cache_.Contains(query->object)) {
+        cache_.Touch(query->object);
+        ServeClient(*query);
+        return;
+      }
       // Count the wasted hop only when the pointer went stale because we
       // evicted the object. (Pointers can also miss because the home
       // remembers requesters optimistically — that pre-existing path
       // stays uncounted, keeping unbounded runs bit-identical with the
       // v1 baseline and the eviction-staleness metric exact.)
-      if (evicted_ids_.count(owned->object) > 0) {
+      if (evicted_ids_.count(query->object) > 0) {
         ctx_->metrics->OnStaleRedirect();
       }
-      PeerAddress home = owned->sender;
-      auto nf = std::make_unique<NotFoundMsg>(owned->object,
-                                              owned->website_hash,
-                                              owned->stage);
-      nf->query = std::move(owned);
-      ctx_->network->Send(this, home, std::move(nf));
+      auto nf = std::make_unique<NotFoundMsg>(query->object,
+                                              query->website_hash,
+                                              query->stage);
+      nf->query = std::move(query);
+      ctx_->network->Send(this, from, std::move(nf));
+      return;
     }
-    return;
-  }
-  if (auto* nf = dynamic_cast<NotFoundMsg*>(raw)) {
-    // A pointer was stale: drop it and retry as home.
-    if (nf->query != nullptr) {
-      auto& dir = home_dirs_[nf->object];
-      for (auto it = dir.begin(); it != dir.end(); ++it) {
-        if (*it == raw->sender) {
-          dir.erase(it);
-          break;
+    case MessageKind::kNotFound: {
+      // A pointer was stale: drop it and retry as home.
+      auto nf = MessageCast<NotFoundMsg>(std::move(msg));
+      if (nf->query != nullptr) {
+        auto& dir = home_dirs_[nf->object];
+        for (auto it = dir.begin(); it != dir.end(); ++it) {
+          if (*it == from) {
+            dir.erase(it);
+            break;
+          }
         }
+        ProcessAsHome(std::move(nf->query));
       }
-      ProcessAsHome(std::move(nf->query));
+      return;
     }
-    return;
+    case MessageKind::kServe:
+      HandleServe(MessageCast<ServeMsg>(std::move(msg)));
+      return;
+    default:
+      ChordNode::HandleMessage(std::move(msg));
   }
-  if (auto* serve = dynamic_cast<ServeMsg*>(raw)) {
-    msg.release();
-    HandleServe(std::unique_ptr<ServeMsg>(serve));
-    return;
-  }
-  ChordNode::HandleMessage(std::move(msg));
 }
 
 void SquirrelNode::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
-  Message* raw = msg.get();
-  if (auto* query = dynamic_cast<FlowerQueryMsg*>(raw)) {
-    msg.release();
-    auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    if (owned->stage == QueryStage::kDirRedirect) {
-      // Dead downloader: purge the pointer and retry.
-      auto& dir = home_dirs_[owned->object];
-      for (auto it = dir.begin(); it != dir.end(); ++it) {
-        if (*it == dest) {
-          dir.erase(it);
-          break;
-        }
-      }
-      ProcessAsHome(std::move(owned));
-      return;
-    }
-    if (owned->stage == QueryStage::kToServer) {
-      FLOWER_LOG(Warn) << "squirrel: origin server unreachable";
-      return;
-    }
-    // A routed query bounced: retry routing from here.
-    Route(space().Clamp(owned->object), std::move(owned));
+  if (msg->type() != MessageKind::kFlowerQuery) {
+    ChordNode::HandleUndeliverable(dest, std::move(msg));
     return;
   }
-  ChordNode::HandleUndeliverable(dest, std::move(msg));
+  auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
+  if (query->stage == QueryStage::kDirRedirect) {
+    // Dead downloader: purge the pointer and retry.
+    auto& dir = home_dirs_[query->object];
+    for (auto it = dir.begin(); it != dir.end(); ++it) {
+      if (*it == dest) {
+        dir.erase(it);
+        break;
+      }
+    }
+    ProcessAsHome(std::move(query));
+    return;
+  }
+  if (query->stage == QueryStage::kToServer) {
+    FLOWER_LOG(Warn) << "squirrel: origin server unreachable";
+    return;
+  }
+  // A routed query bounced: retry routing from here.
+  Route(space().Clamp(query->object), std::move(query));
 }
 
 }  // namespace flower

@@ -12,10 +12,9 @@
 namespace flower {
 namespace {
 
-class ProbeMsg : public Message {
+class ProbeMsg : public MessageOf<MessageKind::kProbe, TrafficClass::kDht> {
  public:
   uint64_t SizeBits() const override { return 64; }
-  TrafficClass traffic_class() const override { return TrafficClass::kDht; }
 };
 
 class RecordingApp : public KbrApp {

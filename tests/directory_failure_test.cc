@@ -1,6 +1,7 @@
 // Directory dynamicity (paper Sec 5): redirection failures, directory
-// crash + replacement race, voluntary leave with handoff, and silent
-// (bounce-less) crashes detected through keepalive-ack suspicion.
+// crash + replacement race, lost replacement requests, voluntary leave
+// with handoff, and silent (bounce-less) crashes detected through
+// keepalive-ack suspicion.
 #include <gtest/gtest.h>
 
 #include "core/flower_system.h"
@@ -86,6 +87,32 @@ TEST_F(DirectoryFailureTest, CrashedDirectoryIsReplacedByContentPeer) {
     if (replacement->node() == n) was_member = true;
   }
   EXPECT_TRUE(was_member);
+}
+
+// A replacement request (or its answer) can be lost. The attempt must not
+// block the member for good: one keepalive period later the next trigger
+// (here a bounced keepalive) tries again.
+TEST_F(DirectoryFailureTest, LostReplacementRequestIsRetried) {
+  Join(5);
+  DirectoryPeer* dir = system_.FindDirectory(0, 0);
+  ASSERT_NE(dir, nullptr);
+  Key dir_key = dir->id();
+  // Control traffic (JoinDirectoryReq/Resp) is lost for one keepalive
+  // period after the crash: every member's first attempt disappears.
+  FaultPlan plan;
+  plan.loss[static_cast<size_t>(TrafficClass::kControl)] = 1.0;
+  FaultInjector injector(plan, world_.sim(), world_.topology());
+  world_.network()->AttachFaultInjector(&injector);
+  dir->FailAbruptly();
+  world_.sim()->RunFor(world_.config().keepalive_period + kMinute);
+  world_.network()->AttachFaultInjector(nullptr);
+  ASSERT_GT(injector.injected_drops(), 0u);
+  ASSERT_EQ(system_.FindDirectory(0, 0), nullptr);
+
+  world_.sim()->RunFor(4 * world_.config().keepalive_period);
+  DirectoryPeer* replacement = system_.FindDirectory(0, 0);
+  ASSERT_NE(replacement, nullptr) << "members never retried the replacement";
+  EXPECT_EQ(replacement->id(), dir_key);
 }
 
 TEST_F(DirectoryFailureTest, SystemServesQueriesAfterReplacement) {

@@ -9,12 +9,10 @@
 namespace flower {
 namespace {
 
-class ProbeMsg : public Message {
+class ProbeMsg
+    : public MessageOf<MessageKind::kProbe, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override { return 64; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
 };
 
 class DRingTest : public ::testing::Test {

@@ -106,21 +106,16 @@ TEST(FaultSpecTest, FromConfigValidates) {
 
 class PlainMsg : public Message {
  public:
-  explicit PlainMsg(TrafficClass cls = TrafficClass::kControl) : cls_(cls) {}
+  explicit PlainMsg(TrafficClass cls = TrafficClass::kControl)
+      : Message(MessageKind::kProbe, cls) {}
   uint64_t SizeBits() const override { return 100; }
-  TrafficClass traffic_class() const override { return cls_; }
   // Deliberately no Duplicate(): the injector must not duplicate it.
-
- private:
-  TrafficClass cls_;
 };
 
-class CopyableMsg : public Message {
+class CopyableMsg
+    : public MessageOf<MessageKind::kProbe, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override { return 100; }
-  TrafficClass traffic_class() const override {
-    return TrafficClass::kControl;
-  }
   FLOWER_DUPLICATE_AS_COPY(CopyableMsg)
 };
 

@@ -4,7 +4,12 @@
 // bandwidth scale linearly in L and inversely in T.
 #include "core/flower_messages.h"
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "gossip/gossip_messages.h"
 
 namespace flower {
 namespace {
@@ -159,6 +164,121 @@ TEST(FlowerMessagesTest, RouteEnvelopeInheritsPayloadClass) {
   EXPECT_EQ(route.traffic_class(), TrafficClass::kQuery);
   EXPECT_GT(route.SizeBits(), qbits);
 }
+
+TEST(FlowerMessagesTest, EveryTypeHasItsKindAndTrafficClass) {
+  auto query = [] {
+    return std::make_unique<FlowerQueryMsg>(0, 1, 42, 7, 0, 100,
+                                            QueryStage::kViaDRing);
+  };
+  using K = MessageKind;
+  using C = TrafficClass;
+  struct Row {
+    const char* name;
+    MessagePtr msg;
+    MessageKind kind;
+    TrafficClass cls;
+  };
+  Row rows[] = {
+      // Chord substrate; the envelope accounts as its payload.
+      {"RouteMsg(query)", std::make_unique<RouteMsg>(1, query()), K::kRoute,
+       C::kQuery},
+      {"RouteMsg(join)",
+       std::make_unique<RouteMsg>(1, std::make_unique<JoinDirectoryReq>(1, 2)),
+       K::kRoute, C::kControl},
+      {"FindSuccessorReq", std::make_unique<FindSuccessorReq>(1, 2, 3),
+       K::kFindSuccessorReq, C::kDht},
+      {"FindSuccessorResp",
+       std::make_unique<FindSuccessorResp>(1, NodeRef{}, 3),
+       K::kFindSuccessorResp, C::kDht},
+      {"GetNeighborsReq", std::make_unique<GetNeighborsReq>(),
+       K::kGetNeighborsReq, C::kDht},
+      {"GetNeighborsResp", std::make_unique<GetNeighborsResp>(),
+       K::kGetNeighborsResp, C::kDht},
+      {"NotifyMsg", std::make_unique<NotifyMsg>(NodeRef{}), K::kNotify,
+       C::kDht},
+      {"PingReq", std::make_unique<PingReq>(), K::kPingReq, C::kDht},
+      {"PingResp", std::make_unique<PingResp>(), K::kPingResp, C::kDht},
+      // Flower-CDN protocols.
+      {"FlowerQueryMsg", query(), K::kFlowerQuery, C::kQuery},
+      {"ServeMsg", std::make_unique<ServeMsg>(42, 0, 1, 9, false, 100, 800),
+       K::kServe, C::kTransfer},
+      {"NotFoundMsg",
+       std::make_unique<NotFoundMsg>(42, 1, QueryStage::kDirRedirect),
+       K::kNotFound, C::kQuery},
+      {"WelcomeMsg", std::make_unique<WelcomeMsg>(1, 0), K::kWelcome,
+       C::kControl},
+      {"GossipRequestMsg", std::make_unique<GossipRequestMsg>(),
+       K::kGossipRequest, C::kGossip},
+      {"GossipReplyMsg", std::make_unique<GossipReplyMsg>(), K::kGossipReply,
+       C::kGossip},
+      {"PushMsg", std::make_unique<PushMsg>(), K::kPush, C::kPush},
+      {"KeepaliveMsg", std::make_unique<KeepaliveMsg>(), K::kKeepalive,
+       C::kKeepalive},
+      {"KeepaliveAckMsg", std::make_unique<KeepaliveAckMsg>(),
+       K::kKeepaliveAck, C::kKeepalive},
+      {"LeaveMsg", std::make_unique<LeaveMsg>(), K::kLeave, C::kControl},
+      {"DirectorySummaryMsg",
+       std::make_unique<DirectorySummaryMsg>(1, 0, 77, MakeSummary()),
+       K::kDirectorySummary, C::kPush},
+      {"DirectoryHandoffMsg", std::make_unique<DirectoryHandoffMsg>(),
+       K::kDirectoryHandoff, C::kControl},
+      {"JoinDirectoryReq", std::make_unique<JoinDirectoryReq>(1, 2),
+       K::kJoinDirectoryReq, C::kControl},
+      {"JoinDirectoryResp",
+       std::make_unique<JoinDirectoryResp>(1, true, NodeRef{}),
+       K::kJoinDirectoryResp, C::kControl},
+      {"ReplicationOfferMsg", std::make_unique<ReplicationOfferMsg>(),
+       K::kReplicationOffer, C::kControl},
+      {"ReplicationRequestMsg", std::make_unique<ReplicationRequestMsg>(),
+       K::kReplicationRequest, C::kControl},
+      {"ReplicaTransferMsg", std::make_unique<ReplicaTransferMsg>(42, 1, 800),
+       K::kReplicaTransfer, C::kTransfer},
+      {"ReplicaTransferCmd", std::make_unique<ReplicaTransferCmd>(42, 3),
+       K::kReplicaTransferCmd, C::kControl},
+      // HyParView + Plumtree.
+      {"HpvJoinMsg", std::make_unique<HpvJoinMsg>(), K::kHpvJoin, C::kGossip},
+      {"HpvForwardJoinMsg", std::make_unique<HpvForwardJoinMsg>(1, 6),
+       K::kHpvForwardJoin, C::kGossip},
+      {"HpvNeighborMsg", std::make_unique<HpvNeighborMsg>(true),
+       K::kHpvNeighbor, C::kGossip},
+      {"HpvNeighborRejectMsg", std::make_unique<HpvNeighborRejectMsg>(),
+       K::kHpvNeighborReject, C::kGossip},
+      {"HpvDisconnectMsg", std::make_unique<HpvDisconnectMsg>(),
+       K::kHpvDisconnect, C::kGossip},
+      {"HpvShuffleMsg", std::make_unique<HpvShuffleMsg>(1, 6), K::kHpvShuffle,
+       C::kGossip},
+      {"HpvShuffleReplyMsg", std::make_unique<HpvShuffleReplyMsg>(),
+       K::kHpvShuffleReply, C::kGossip},
+      {"PtGossipMsg", std::make_unique<PtGossipMsg>(1, 2, MakeSummary()),
+       K::kPtGossip, C::kGossip},
+      {"PtIHaveMsg", std::make_unique<PtIHaveMsg>(1, 2), K::kPtIHave,
+       C::kGossip},
+      {"PtGraftMsg", std::make_unique<PtGraftMsg>(1, 2), K::kPtGraft,
+       C::kGossip},
+      {"PtPruneMsg", std::make_unique<PtPruneMsg>(), K::kPtPrune, C::kGossip},
+  };
+  std::set<MessageKind> kinds;
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.msg->type(), row.kind) << row.name;
+    EXPECT_EQ(row.msg->traffic_class(), row.cls) << row.name;
+    const std::string name = row.name;
+    const bool membership = name.rfind("Hpv", 0) == 0 ||
+                            name.rfind("Pt", 0) == 0;
+    EXPECT_EQ(IsHyParViewKind(row.msg->type()), membership) << row.name;
+    kinds.insert(row.kind);
+  }
+  // 37 message types, one kind each.
+  EXPECT_EQ(kinds.size(), 37u);
+  EXPECT_EQ(kinds.count(MessageKind::kProbe), 0u);
+}
+
+#ifndef NDEBUG
+// A handler that takes a message as the wrong type aborts in Debug builds.
+TEST(FlowerMessagesDeathTest, MessageCastAssertsTheKind) {
+  EXPECT_DEATH(MessageCast<ServeMsg>(std::make_unique<KeepaliveMsg>()),
+               "kKind");
+}
+#endif
 
 }  // namespace
 }  // namespace flower

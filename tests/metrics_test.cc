@@ -58,12 +58,10 @@ TEST(MetricsTest, BackgroundBpsComputation) {
    public:
     void HandleMessage(MessagePtr) override {}
   };
-  class GossipBits : public Message {
+  class GossipBits
+      : public MessageOf<MessageKind::kProbe, TrafficClass::kGossip> {
    public:
     uint64_t SizeBits() const override { return 1000 - kMessageHeaderBits; }
-    TrafficClass traffic_class() const override {
-      return TrafficClass::kGossip;
-    }
   };
   NullPeer a, b;
   world.network()->RegisterPeer(&a, 0);

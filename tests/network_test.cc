@@ -9,13 +9,11 @@ class TestMsg : public Message {
  public:
   explicit TestMsg(uint64_t bits = 100,
                    TrafficClass cls = TrafficClass::kControl)
-      : bits_(bits), cls_(cls) {}
+      : Message(MessageKind::kProbe, cls), bits_(bits) {}
   uint64_t SizeBits() const override { return bits_; }
-  TrafficClass traffic_class() const override { return cls_; }
 
  private:
   uint64_t bits_;
-  TrafficClass cls_;
 };
 
 class RecordingPeer : public Peer {

@@ -103,7 +103,7 @@ TEST(ShardedDeterminismGolden, ExecutorsProduceIdenticalBytes) {
   SinkOutput serial = RunWithSinks(serial_cfg, "exec_serial");
 
   SimConfig threads_cfg = serial_cfg;
-  threads_cfg.shard_executor = "threads";
+  threads_cfg.shard_executor = "auto";
   SinkOutput threads = RunWithSinks(threads_cfg, "exec_threads");
 
   EXPECT_EQ(serial.text, threads.text);
@@ -217,7 +217,7 @@ TEST(ShardedDeterminismGolden, FaultInjectionStress) {
 
   // Executor independence with every fault dimension on.
   SimConfig threads_cfg = two;
-  threads_cfg.shard_executor = "threads";
+  threads_cfg.shard_executor = "auto";
   SinkOutput threads = RunWithSinks(threads_cfg, "fault_s2_threads");
   EXPECT_EQ(s2.text, threads.text);
   EXPECT_EQ(s2.json, threads.json);

@@ -29,12 +29,6 @@ wall-clock
     timing that is provably kept out of sinks may be allowlisted
     per line.)
 
-msg-traffic-class
-    Every ``Message`` subclass in a message header must declare (or
-    inherit) both ``SizeBits()`` and ``traffic_class()`` — size-bit
-    accounting with a ``TrafficClass`` is what keeps the paper's
-    background-traffic metric honest as protocols are added.
-
 raw-prob-draw
     A probability draw in lane-executed code (``src/net/``,
     ``src/core/``) taken from the simulator's master RNG
@@ -77,17 +71,14 @@ import sys
 
 RULE_UNORDERED = "unordered-iteration"
 RULE_WALLCLOCK = "wall-clock"
-RULE_TRAFFIC = "msg-traffic-class"
 RULE_RAWPROB = "raw-prob-draw"
 RULE_BAD_ALLOW = "allow-missing-reason"
 
-ALL_RULES = (RULE_UNORDERED, RULE_WALLCLOCK, RULE_TRAFFIC, RULE_RAWPROB,
-             RULE_BAD_ALLOW)
+ALL_RULES = (RULE_UNORDERED, RULE_WALLCLOCK, RULE_RAWPROB, RULE_BAD_ALLOW)
 
 RULE_HELP = {
     RULE_UNORDERED: "unordered-container iteration reaching an ordered output",
     RULE_WALLCLOCK: "wall-clock / ambient-entropy read inside the simulation",
-    RULE_TRAFFIC: "Message subclass without SizeBits()/traffic_class()",
     RULE_RAWPROB: "probability draw not from a lane-derived RNG stream",
     RULE_BAD_ALLOW: "detlint allow() comment without a justification",
 }
@@ -494,89 +485,6 @@ def check_rawprob(path, text, findings):
                 "lane-derived Rng streams")
 
 
-# --- rule: msg-traffic-class --------------------------------------------------
-
-CLASS_DECL_RE = re.compile(
-    r"\b(?:class|struct)\s+([A-Za-z_]\w*)\s*(?:final\s*)?"
-    r":\s*((?:public|private|protected)?\s*[A-Za-z_]\w*(?:\s*,\s*"
-    r"(?:public|private|protected)?\s*[A-Za-z_]\w*)*)\s*\{")
-MESSAGE_FILE_RE = re.compile(r"(?:^|/)(?:src/net/|src/gossip/)|message")
-
-
-def is_message_header(path):
-    norm = path.replace(os.sep, "/")
-    return norm.endswith((".h", ".hpp")) and (
-        "/net/" in norm or "/gossip/" in norm or "message" in
-        os.path.basename(norm).lower())
-
-
-def check_traffic_class(paths_texts, findings):
-    """Transitive Message-subclass discovery across all message headers,
-    then per-class accounting checks (declared or inherited)."""
-    classes = {}  # name -> (path, line, bases, body)
-    for path, text in paths_texts.items():
-        if not is_message_header(path):
-            continue
-        clean = strip_comments(text)
-        for m in CLASS_DECL_RE.finditer(clean):
-            name = m.group(1)
-            bases = [b.split()[-1] for b in m.group(2).split(",")]
-            body_start = m.end() - 1
-            body = clean[body_start:match_braces(clean, body_start)]
-            classes[name] = (path, line_of(clean, m.start()), bases, body)
-
-    def derives_message(name, seen=None):
-        if name == "Message":
-            return True
-        if seen is None:
-            seen = set()
-        if name in seen or name not in classes:
-            return False
-        seen.add(name)
-        return any(derives_message(b, seen) for b in classes[name][2])
-
-    def provides(name, member, seen=None):
-        if name not in classes:
-            return name == "Message"  # the base declares both (pure)
-        if seen is None:
-            seen = set()
-        if name in seen:
-            return False
-        seen.add(name)
-        _, _, bases, body = classes[name]
-        if re.search(r"\b%s\s*\(" % member, body):
-            return True
-        return any(b != "Message" and provides(b, member, seen)
-                   for b in bases)
-
-    bases_in_use = set()
-    for name in classes:
-        if derives_message(name):
-            bases_in_use.update(classes[name][2])
-
-    for name, (path, line, bases, body) in sorted(classes.items()):
-        if not derives_message(name):
-            continue
-        if name in bases_in_use:
-            # Intermediate base (e.g. a per-protocol envelope): the
-            # accounting obligation falls on its concrete subclasses,
-            # each of which is checked against the full chain.
-            continue
-        missing = []
-        for member in ("SizeBits", "traffic_class"):
-            have_own = re.search(r"\b%s\s*\(" % member, body)
-            have_inherited = any(provides(b, member) for b in bases
-                                 if b != "Message")
-            if not have_own and not have_inherited:
-                missing.append(member + "()")
-        if missing:
-            findings.add(
-                path, line, RULE_TRAFFIC,
-                "Message subclass '%s' must declare or inherit %s with a "
-                "TrafficClass so its bits are accounted" %
-                (name, " and ".join(missing)))
-
-
 # --- driver -------------------------------------------------------------------
 
 SCAN_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp")
@@ -640,7 +548,6 @@ def main(argv=None):
         check_unordered_iteration(path, text, direct, nested, findings)
         check_wallclock(path, text, findings)
         check_rawprob(path, text, findings)
-    check_traffic_class(texts, findings)
 
     findings.filter_allowed(
         {path: text.split("\n") for path, text in texts.items()})

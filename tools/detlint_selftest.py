@@ -5,8 +5,7 @@ Two assertions:
   1. Fixtures fire: detlint over tools/testdata/ must produce exactly
      the findings frozen in tools/testdata/expected_findings.txt —
      proving each rule detects its bug class and each negative case
-     (sorted harvest, ordered map, justified allow, intermediate
-     message base) stays silent.
+     (sorted harvest, ordered map, justified allow) stays silent.
   2. The tree is clean: detlint over src/ must report zero findings.
 
 Run from anywhere: paths are resolved relative to this file.
