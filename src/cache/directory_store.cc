@@ -28,13 +28,13 @@ DirectoryStore DirectoryStore::FromConfig(const SimConfig& config) {
 
 const DirectoryStore::Entry* DirectoryStore::Find(PeerAddress peer) const {
   size_t i = IndexOf(peer);
-  return i == kNpos ? nullptr : &entries_[i];
+  return i == kNpos ? nullptr : &EntryAt(i);
 }
 
 void DirectoryStore::Touch(PeerAddress peer) {
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
-  entries_[i].age = 0;
+  EntryAt(i).age = 0;
   engine_.Touch(peer);
 }
 
@@ -44,8 +44,9 @@ void DirectoryStore::SetEntryState(PeerAddress peer, int age,
                                    SimTime joined_at) {
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
-  entries_[i].age = age;
-  entries_[i].joined_at = joined_at;
+  Entry& entry = EntryAt(i);
+  entry.age = age;
+  entry.joined_at = joined_at;
 }
 
 bool DirectoryStore::Admit(PeerAddress peer, int age, SimTime joined_at,
@@ -60,14 +61,19 @@ bool DirectoryStore::Admit(PeerAddress peer, int age, SimTime joined_at,
     return false;
   }
   AbsorbEvictions(evicted, delta);
-  Entry entry;
-  entry.age = age;
-  entry.joined_at = joined_at;
-  auto pos = std::lower_bound(addrs_.begin(), addrs_.end(), peer);
-  size_t i = static_cast<size_t>(pos - addrs_.begin());
-  addrs_.insert(pos, peer);
-  entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
-                  std::move(entry));
+  uint32_t e;
+  if (free_entries_.empty()) {
+    e = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    e = free_entries_.back();
+    free_entries_.pop_back();
+  }
+  entries_[e].age = age;
+  entries_[e].joined_at = joined_at;
+  const auto i = static_cast<std::ptrdiff_t>(RankOf(peer));
+  addrs_.insert(addrs_.begin() + i, peer);
+  entry_of_.insert(entry_of_.begin() + i, e);
   return true;
 }
 
@@ -106,7 +112,7 @@ void DirectoryStore::Update(PeerAddress peer,
                             Delta* delta) {
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
-  Entry& entry = entries_[i];
+  Entry& entry = EntryAt(i);
   for (ObjectSlot slot : add) {
     if (slot == kInvalidSlot) continue;  // foreign id, not in this site
     auto pos = std::lower_bound(entry.objects.begin(), entry.objects.end(),
@@ -135,7 +141,7 @@ void DirectoryStore::Erase(PeerAddress peer, Delta* delta) {
 void DirectoryStore::AgeAll(int dead_age_limit, Delta* delta) {
   std::vector<PeerAddress> dead;
   for (size_t i = 0; i < addrs_.size(); ++i) {
-    if (++entries_[i].age >= dead_age_limit) dead.push_back(addrs_[i]);
+    if (++EntryAt(i).age >= dead_age_limit) dead.push_back(addrs_[i]);
   }
   for (PeerAddress addr : dead) Erase(addr, delta);
 }
@@ -176,11 +182,14 @@ void DirectoryStore::EraseSummariesFrom(PeerAddress addr) {
 void DirectoryStore::DropPayload(PeerAddress peer, Delta* delta) {
   size_t i = IndexOf(peer);
   assert(i != kNpos && "engine and payload table out of sync");
-  for (ObjectSlot slot : entries_[i].objects) {
+  const uint32_t e = entry_of_[i];
+  for (ObjectSlot slot : entries_[e].objects) {
     if (HolderUnref(slot, peer)) delta->orphaned_slots.push_back(slot);
   }
+  entries_[e] = Entry{};  // frees the claim list
+  free_entries_.push_back(e);
   addrs_.erase(addrs_.begin() + static_cast<std::ptrdiff_t>(i));
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+  entry_of_.erase(entry_of_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void DirectoryStore::AbsorbEvictions(const std::vector<PeerAddress>& evicted,

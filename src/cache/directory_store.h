@@ -20,12 +20,18 @@
 //
 // Flyweight layout (the 100k-peer substrate): object claims are dense
 // per-site ObjectSlot handles (4 bytes, common/interner.h) held in
-// sorted vectors, and the entry table itself is two parallel sorted
-// vectors — no per-member or per-claim tree nodes. Slot order equals id
-// order within a site, so every iteration is byte-identical to the
-// id-keyed std::map/std::set state this replaced. The DirectoryPeer
+// sorted vectors — no per-member or per-claim tree nodes. Slot order
+// equals id order within a site, so every iteration is byte-identical to
+// the id-keyed std::map/std::set state this replaced. The DirectoryPeer
 // converts ObjectId <-> ObjectSlot at its boundaries (queries arrive as
 // ids; Bloom summaries hash the original ids).
+//
+// The entry table is a sorted address array with a parallel array of
+// 4-byte positions into a pool of Entry records. An Entry stays at its
+// pool position for its whole life (freed positions are reused), so
+// admitting or erasing a member shifts only the two 4-byte arrays, never
+// an Entry; iteration still runs in ascending address order, which the
+// welcome draw, aging and the leave handoff depend on.
 //
 // With capacity 0 (the default) nothing is ever evicted and behavior is
 // bit-identical to the pre-refactor unbounded std::maps.
@@ -137,7 +143,7 @@ class DirectoryStore {
       const_iterator(const DirectoryStore* store, size_t i)
           : store_(store), i_(i) {}
       value_type operator*() const {
-        return {store_->addrs_[i_], store_->entries_[i_]};
+        return {store_->addrs_[i_], store_->EntryAt(i_)};
       }
       ArrowProxy operator->() const { return ArrowProxy{**this}; }
       const_iterator& operator++() {
@@ -194,6 +200,15 @@ class DirectoryStore {
   /// Entries in ascending PeerAddress order (the iteration order of the
   /// std::map this store replaced).
   EntryView entries() const { return EntryView(this); }
+
+  /// Number of entries whose address is below `peer`: its position in
+  /// entries() when resident.
+  size_t RankOf(PeerAddress peer) const {
+    return static_cast<size_t>(
+        std::lower_bound(addrs_.begin(), addrs_.end(), peer) - addrs_.begin());
+  }
+  /// Address of the entry at position `rank` of entries().
+  PeerAddress AddressAt(size_t rank) const { return addrs_[rank]; }
 
   /// Records a liveness contact with a resident entry (query, push or
   /// keepalive): resets its age and feeds the policy's recency/frequency
@@ -298,10 +313,11 @@ class DirectoryStore {
   static constexpr size_t kNpos = static_cast<size_t>(-1);
 
   size_t IndexOf(PeerAddress peer) const {
-    auto it = std::lower_bound(addrs_.begin(), addrs_.end(), peer);
-    if (it == addrs_.end() || *it != peer) return kNpos;
-    return static_cast<size_t>(it - addrs_.begin());
+    const size_t i = RankOf(peer);
+    return i < addrs_.size() && addrs_[i] == peer ? i : kNpos;
   }
+  const Entry& EntryAt(size_t i) const { return entries_[entry_of_[i]]; }
+  Entry& EntryAt(size_t i) { return entries_[entry_of_[i]]; }
   size_t HolderIndexOf(ObjectSlot slot) const {
     auto it =
         std::lower_bound(holder_slots_.begin(), holder_slots_.end(), slot);
@@ -325,9 +341,13 @@ class DirectoryStore {
   void AbsorbEvictions(const std::vector<PeerAddress>& evicted, Delta* delta);
 
   KeyedStore<PeerAddress> engine_;  // footprint accounting + policy
-  // Entry table: addrs_ ascending, entries_ parallel (the payloads).
+  // Entry table: addrs_ ascending, entry_of_ parallel (the position of
+  // addrs_[i]'s Entry in entries_). Positions are stable while resident;
+  // free_entries_ holds the vacated ones for reuse.
   std::vector<PeerAddress> addrs_;
+  std::vector<uint32_t> entry_of_;
   std::vector<Entry> entries_;
+  std::vector<uint32_t> free_entries_;
   // Inverted holder index: holder_slots_ ascending, holder_lists_
   // parallel (each list the claiming addresses, ascending).
   std::vector<ObjectSlot> holder_slots_;

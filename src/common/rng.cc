@@ -83,15 +83,33 @@ std::vector<size_t> Rng::SampleIndices(size_t n, size_t count) {
     Shuffle(&all);
     return all;
   }
-  // Partial Fisher-Yates over an index map (sparse for small count).
+  // Partial Fisher-Yates over a virtual pool: pool[k] == k except at the
+  // positions a swap displaced. Step i reads positions i and j >= i and
+  // writes only j (position i is never read again), so at most `count`
+  // positions are ever displaced. They live in an open-addressed table at
+  // load <= 1/2, which makes the cost O(count) whatever n is.
+  constexpr size_t kEmpty = static_cast<size_t>(-1);
+  int bits = 2;
+  while ((size_t{1} << bits) < 2 * count) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<std::pair<size_t, size_t>> moved(mask + 1, {kEmpty, 0});
+  auto slot = [&](size_t pos) -> std::pair<size_t, size_t>& {
+    size_t h = static_cast<size_t>((pos * 0x9e3779b97f4a7c15ULL) >>
+                                   (64 - bits));
+    while (moved[h].first != pos && moved[h].first != kEmpty) {
+      h = (h + 1) & mask;
+    }
+    return moved[h];
+  };
   std::vector<size_t> picked;
   picked.reserve(count);
-  std::vector<size_t> pool(n);
-  for (size_t i = 0; i < n; ++i) pool[i] = i;
   for (size_t i = 0; i < count; ++i) {
     size_t j = i + Index(n - i);
-    std::swap(pool[i], pool[j]);
-    picked.push_back(pool[i]);
+    const std::pair<size_t, size_t>& at_i = slot(i);
+    const size_t value_i = at_i.first == i ? at_i.second : i;
+    std::pair<size_t, size_t>& at_j = slot(j);
+    picked.push_back(at_j.first == j ? at_j.second : j);
+    at_j = {j, value_i};
   }
   return picked;
 }

@@ -53,7 +53,9 @@ class Rng {
   size_t Index(size_t n);
 
   /// Samples `count` distinct indices from [0, n) (count may exceed n, in
-  /// which case all n indices are returned). Order is random.
+  /// which case all n indices are returned). Order is random. Time and
+  /// memory are O(min(count, n)), so drawing a few indices from a large
+  /// range is cheap.
   std::vector<size_t> SampleIndices(size_t n, size_t count);
 
   /// Samples an index according to the given non-negative weights.

@@ -63,10 +63,8 @@ void ContentPeer::RequestObject(ObjectId object) {
     content_.Touch(object);
     return;
   }
-  if (pending_.count(object) > 0) {
-    ++duplicate_queries_;  // already in flight; piggyback on its result
-    return;
-  }
+  // Already in flight: piggyback on its result.
+  if (pending_.count(object) > 0) return;
   ++queries_started_;
   ctx_->metrics->OnQuerySubmitted(now);
   PendingQuery pq;

@@ -166,7 +166,6 @@ class ContentPeer : public Peer, public MembershipHost {
 
   std::map<ObjectId, PendingQuery> pending_;
   uint64_t queries_started_ = 0;
-  uint64_t duplicate_queries_ = 0;
 
   // Keepalive-ack suspicion (suspicion_keepalive_misses > 0): a silently
   // crashed directory shows up as consecutive unacknowledged keepalives.

@@ -177,18 +177,17 @@ void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
   if (!dir_store_.Contains(query.client)) return;  // evicted by its own grow
   MaybeRefreshNeighborSummaries();
 
-  // Welcome the client with initial contacts from the directory index.
+  // Welcome the client with initial contacts from the directory index:
+  // a draw over the other members in ascending address order, read in
+  // place by skipping the client's own rank.
   auto welcome = std::make_unique<WelcomeMsg>(site_->dring_hash, locality_);
-  std::vector<PeerAddress> members;
-  members.reserve(dir_store_.size());
-  for (const auto& [addr, e] : dir_store_.entries()) {
-    if (addr != query.client) members.push_back(addr);
-  }
-  size_t want = std::min<size_t>(members.size(),
+  const size_t others = dir_store_.size() - 1;
+  const size_t client_rank = dir_store_.RankOf(query.client);
+  size_t want = std::min<size_t>(others,
                                  static_cast<size_t>(ctx_->config->view_size));
-  for (size_t idx : rng_.SampleIndices(members.size(), want)) {
+  for (size_t idx : rng_.SampleIndices(others, want)) {
     ViewEntry ve;
-    ve.addr = members[idx];
+    ve.addr = dir_store_.AddressAt(idx < client_rank ? idx : idx + 1);
     ve.age = 0;
     welcome->contacts.push_back(ve);
   }
@@ -197,7 +196,8 @@ void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
 
 void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
   ++queries_processed_;
-  ++request_counts_[query->object];
+  // Only the replication extension reads popularity.
+  if (ctx_->config->active_replication) ++request_counts_[query->object];
   // Redirect budget: under churn, stale claims can chain (dead holders,
   // reborn nodes, inherited summaries). However the chain is formed, past
   // this budget the origin server resolves the query.
@@ -423,12 +423,8 @@ void DirectoryPeer::RequestObject(ObjectId object) {
     content_.Touch(object);
     return;
   }
-  if (pending_own_.count(object) > 0) {
-    pending_own_[object].push_back(now);
-    return;
-  }
+  if (!pending_own_.insert(object).second) return;  // already in flight
   ctx_->metrics->OnQuerySubmitted(now);
-  pending_own_[object] = {now};
   auto q = std::make_unique<FlowerQueryMsg>(
       site_->index, site_->dring_hash, object, address(), locality_, now,
       QueryStage::kToDirectory);
@@ -460,15 +456,13 @@ void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
 void DirectoryPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
   SimTime now = ctx_->sim->Now();
   SimTime distance = ctx_->network->Latency(serve->provider, address());
-  auto it = pending_own_.find(serve->object);
-  if (it != pending_own_.end()) {
+  if (pending_own_.erase(serve->object) > 0) {
     const Topology& topo = ctx_->network->topology();
     Metrics::ProviderKind kind =
         topo.LocalityOf(serve->provider) == topo.LocalityOf(node())
             ? Metrics::ProviderKind::kLocalPeer
             : Metrics::ProviderKind::kRemotePeer;
     ctx_->metrics->OnServed(now, !serve->from_server, distance, kind);
-    pending_own_.erase(it);
   }
   AddOwnObject(serve->object, cost_model_.OnFetch(serve->object, distance));
 }
@@ -565,10 +559,7 @@ void DirectoryPeer::HandleReplicationOffer(const ReplicationOfferMsg& offer,
   }
   if (req->wanted.empty()) return;
   if (!dir_store_.empty()) {
-    size_t pick = rng_.Index(dir_store_.size());
-    auto it = dir_store_.entries().begin();
-    std::advance(it, static_cast<long>(pick));
-    req->deposit_target = it->first;
+    req->deposit_target = dir_store_.AddressAt(rng_.Index(dir_store_.size()));
   } else {
     req->deposit_target = address();  // deposit into our own content
   }

@@ -162,9 +162,10 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   /// EWMA of observed refetch costs per object (cache_cost=distance).
   RefetchCostModel cost_model_;
   View view_;  // inherited view; answers first queries during takeover
-  std::map<ObjectId, std::vector<SimTime>> pending_own_;  // own requests
+  std::set<ObjectId> pending_own_;  // own requests in flight
 
-  // Popularity tracking for the replication extension.
+  // Popularity for the replication extension (Sec 8), counted only under
+  // `active_replication`: its one reader, ReplicationTick, runs only then.
   std::map<ObjectId, uint64_t> request_counts_;
 
   uint64_t queries_processed_ = 0;

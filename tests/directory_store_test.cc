@@ -4,12 +4,17 @@
 // victim choice, and the eviction/expiry attribution split.
 #include "cache/directory_store.h"
 
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bloom/summary.h"
 #include "common/config.h"
+#include "common/rng.h"
 
 namespace flower {
 namespace {
@@ -294,6 +299,212 @@ TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
   ASSERT_TRUE(c.Apply("directory_index_capacity", "unbounded").ok());
   DirectoryStore unbounded = DirectoryStore::FromConfig(c);
   EXPECT_FALSE(unbounded.bounded());
+}
+
+// Reference model for the randomized test below: a std::map from address
+// to entry, with holders derived by scanning it.
+// Capacity victims are the engine's choice, so the model takes them
+// from the store's Delta and checks that they were resident; everything
+// else it predicts on its own.
+class DirectoryStoreModel {
+ public:
+  struct Entry {
+    int age = 0;
+    SimTime joined_at = 0;
+    std::set<ObjectSlot> objects;
+  };
+
+  std::map<PeerAddress, Entry> entries;
+
+  int Holders(ObjectSlot slot) const {
+    int n = 0;
+    for (const auto& [addr, e] : entries) n += e.objects.count(slot) > 0;
+    return n;
+  }
+
+  /// Drops `peer`'s entry, appending its orphaned slots to `delta`.
+  void Drop(PeerAddress peer, DirectoryStore::Delta* delta) {
+    std::set<ObjectSlot> objects = std::move(entries.at(peer).objects);
+    entries.erase(peer);
+    for (ObjectSlot slot : objects) {
+      if (Holders(slot) == 0) delta->orphaned_slots.push_back(slot);
+    }
+  }
+
+  /// Applies the store-reported capacity victims to the model.
+  ::testing::AssertionResult Evict(const std::vector<PeerAddress>& victims,
+                                   DirectoryStore::Delta* delta) {
+    for (PeerAddress victim : victims) {
+      if (entries.count(victim) == 0) {
+        return ::testing::AssertionFailure()
+               << "evicted " << victim << ", which is not resident";
+      }
+      Drop(victim, delta);
+      delta->evicted.push_back(victim);
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+void ExpectDeltaEq(const DirectoryStore::Delta& actual,
+                   const DirectoryStore::Delta& expected) {
+  EXPECT_EQ(actual.new_slots, expected.new_slots);
+  EXPECT_EQ(actual.orphaned_slots, expected.orphaned_slots);
+  EXPECT_EQ(actual.evicted, expected.evicted);
+}
+
+/// Compares every observable of `store` against `model`.
+void ExpectMatchesModel(const DirectoryStore& store,
+                        const DirectoryStoreModel& model,
+                        PeerAddress max_addr, ObjectSlot max_slot) {
+  ASSERT_EQ(store.size(), model.entries.size());
+  auto it = model.entries.begin();
+  uint64_t bytes = 0;
+  for (const auto& [addr, entry] : store.entries()) {
+    ASSERT_EQ(addr, it->first);
+    EXPECT_EQ(entry.age, it->second.age) << "addr " << addr;
+    EXPECT_EQ(entry.joined_at, it->second.joined_at) << "addr " << addr;
+    EXPECT_EQ(entry.objects, (std::vector<ObjectSlot>(
+                                 it->second.objects.begin(),
+                                 it->second.objects.end())))
+        << "addr " << addr;
+    bytes += DirectoryStore::FootprintBytes(it->second.objects.size());
+    ++it;
+  }
+  EXPECT_EQ(store.bytes_used(), bytes);
+  if (store.bounded()) {
+    EXPECT_LE(store.bytes_used(), store.capacity_bytes());
+  }
+  for (PeerAddress addr = 0; addr <= max_addr; ++addr) {
+    const DirectoryStore::Entry* found = store.Find(addr);
+    auto m = model.entries.find(addr);
+    ASSERT_EQ(found != nullptr, m != model.entries.end()) << "addr " << addr;
+    if (found == nullptr) continue;
+    EXPECT_EQ(found->age, m->second.age) << "addr " << addr;
+    EXPECT_EQ(found->joined_at, m->second.joined_at) << "addr " << addr;
+    EXPECT_EQ(found->objects.size(), m->second.objects.size())
+        << "addr " << addr;
+  }
+  std::vector<ObjectSlot> held;
+  for (ObjectSlot slot = 0; slot <= max_slot; ++slot) {
+    std::vector<PeerAddress> holders;
+    for (const auto& [addr, e] : model.entries) {
+      if (e.objects.count(slot) > 0) holders.push_back(addr);
+    }
+    const std::vector<PeerAddress>* actual = store.HoldersOf(slot);
+    if (holders.empty()) {
+      EXPECT_EQ(actual, nullptr) << "slot " << slot;
+      continue;
+    }
+    held.push_back(slot);
+    ASSERT_NE(actual, nullptr) << "slot " << slot;
+    EXPECT_EQ(*actual, holders) << "slot " << slot;
+  }
+  EXPECT_EQ(store.holder_slots(), held);
+  ExpectHolderCountsConsistent(store);
+}
+
+/// A few thousand random Admit / Update / Erase / Touch / AgeAll
+/// operations over a small address space, so entries are erased and
+/// their pool positions reused many times over; on a bounded store the
+/// same mix also forces capacity evictions.
+void RunModelCheck(DirectoryStore* store, uint64_t seed) {
+  constexpr PeerAddress kMaxAddr = 79;
+  constexpr ObjectSlot kMaxSlot = 63;
+  constexpr int kDeadAge = 6;
+  Rng rng(seed);
+  DirectoryStoreModel model;
+  auto random_slots = [&](int max_len) {
+    std::vector<ObjectSlot> out;
+    const int len = static_cast<int>(rng.UniformInt(0, max_len));
+    for (int k = 0; k < len; ++k) {
+      out.push_back(rng.Bernoulli(0.05)
+                        ? kInvalidSlot
+                        : static_cast<ObjectSlot>(rng.Index(kMaxSlot + 1)));
+    }
+    return out;
+  };
+  uint64_t evictions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const PeerAddress peer =
+        static_cast<PeerAddress>(rng.Index(kMaxAddr + 1));
+    const uint64_t op = rng.Index(100);
+    DirectoryStore::Delta actual;
+    DirectoryStore::Delta expected;
+    std::string what;
+    if (op < 30) {
+      what = "Admit";
+      const int age = static_cast<int>(rng.Index(kDeadAge));
+      const SimTime joined = step;
+      const bool resident = model.entries.count(peer) > 0;
+      const bool admitted = store->Admit(peer, age, joined, &actual);
+      if (resident) {
+        EXPECT_TRUE(admitted);
+        model.entries[peer].age = 0;  // a re-admission is a touch
+      } else {
+        ASSERT_TRUE(model.Evict(actual.evicted, &expected)) << step;
+        if (admitted) model.entries[peer] = {age, joined, {}};
+      }
+    } else if (op < 75) {
+      what = "Update";
+      const std::vector<ObjectSlot> add = random_slots(10);
+      const std::vector<ObjectSlot> remove = random_slots(3);
+      store->Update(peer, add, remove, &actual);
+      auto it = model.entries.find(peer);
+      if (it != model.entries.end()) {
+        for (ObjectSlot slot : add) {
+          if (slot == kInvalidSlot || !it->second.objects.insert(slot).second) {
+            continue;
+          }
+          if (model.Holders(slot) == 1) expected.new_slots.push_back(slot);
+        }
+        for (ObjectSlot slot : remove) {
+          if (it->second.objects.erase(slot) == 0) continue;
+          if (model.Holders(slot) == 0) expected.orphaned_slots.push_back(slot);
+        }
+        ASSERT_TRUE(model.Evict(actual.evicted, &expected)) << step;
+      }
+    } else if (op < 83) {
+      what = "Erase";
+      store->Erase(peer, &actual);
+      if (model.entries.count(peer) > 0) model.Drop(peer, &expected);
+    } else if (op < 98) {
+      what = "Touch";
+      store->Touch(peer);
+      auto it = model.entries.find(peer);
+      if (it != model.entries.end()) it->second.age = 0;
+    } else {
+      what = "AgeAll";
+      store->AgeAll(kDeadAge, &actual);
+      std::vector<PeerAddress> dead;
+      for (auto& [addr, e] : model.entries) {
+        if (++e.age >= kDeadAge) dead.push_back(addr);
+      }
+      for (PeerAddress addr : dead) model.Drop(addr, &expected);
+    }
+    SCOPED_TRACE(testing::Message() << "step " << step << " " << what
+                                    << " peer " << peer);
+    evictions += actual.evicted.size();
+    ExpectDeltaEq(actual, expected);
+    ExpectMatchesModel(*store, model, kMaxAddr, kMaxSlot);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(store->stats().evictions, evictions);
+  if (store->bounded()) {
+    EXPECT_GT(evictions, 0u) << "the bounded run must reach capacity";
+  } else {
+    EXPECT_EQ(evictions, 0u);
+  }
+}
+
+TEST(DirectoryStoreTest, RandomOpsMatchMapModelUnbounded) {
+  DirectoryStore store;
+  RunModelCheck(&store, 2024);
+}
+
+TEST(DirectoryStoreTest, RandomOpsMatchMapModelWith4KbLruIndex) {
+  DirectoryStore store(CachePolicy::kLru, 4096);
+  RunModelCheck(&store, 2025);
 }
 
 }  // namespace

@@ -89,5 +89,47 @@ TEST(PeerTableTest, SlotsStayDenseAndConsistentUnderChurn) {
   }
 }
 
+// The NodeId index is a flat vector grown to the largest NodeId
+// inserted: lookups past its end, and at NodeIds whose peer was taken,
+// must read as vacant, and a taken NodeId must be reusable.
+TEST(PeerTableTest, LookupsAboveEveryInsertedNodeAreVacant) {
+  PeerTable<FakePeer> table;
+  EXPECT_FALSE(table.Contains(0));
+  EXPECT_EQ(table.Find(0), nullptr);
+  table.Insert(5, std::make_unique<FakePeer>(5));
+  table.Insert(2, std::make_unique<FakePeer>(2));
+  for (NodeId n : {6u, 7u, 1000u, 1u << 20, kInvalidNode}) {
+    EXPECT_FALSE(table.Contains(n)) << n;
+    EXPECT_EQ(table.Find(n), nullptr) << n;
+    EXPECT_EQ(table.Take(n), nullptr) << n;
+  }
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(PeerTableTest, TakenNodeIsVacantThenReinsertable) {
+  PeerTable<FakePeer> table;
+  table.Insert(4, std::make_unique<FakePeer>(4));
+  table.Insert(9, std::make_unique<FakePeer>(9));
+  // Take the highest NodeId: the index keeps its size but must not
+  // answer for the taken node.
+  ASSERT_NE(table.Take(9), nullptr);
+  EXPECT_FALSE(table.Contains(9));
+  EXPECT_EQ(table.Find(9), nullptr);
+  EXPECT_EQ(table.Take(9), nullptr);
+  ASSERT_NE(table.Take(4), nullptr);
+  EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(table.Contains(4));
+
+  // A new peer at a taken NodeId is found, and the other is untouched.
+  FakePeer* again = table.Insert(9, std::make_unique<FakePeer>(9));
+  EXPECT_TRUE(table.Contains(9));
+  EXPECT_EQ(table.Find(9), again);
+  EXPECT_FALSE(table.Contains(4));
+  FakePeer* four = table.Insert(4, std::make_unique<FakePeer>(4));
+  EXPECT_EQ(table.Find(4), four);
+  EXPECT_EQ(table.Find(9), again);
+  EXPECT_EQ(table.size(), 2u);
+}
+
 }  // namespace
 }  // namespace flower

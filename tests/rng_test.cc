@@ -1,7 +1,10 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +114,67 @@ TEST(RngTest, SampleIndicesCountExceedsN) {
 TEST(RngTest, SampleIndicesZero) {
   Rng rng(41);
   EXPECT_TRUE(rng.SampleIndices(10, 0).empty());
+}
+
+// Reference: partial Fisher-Yates over a dense n-element pool swapped in
+// place, O(n) time and memory. SampleIndices must reproduce it draw for
+// draw while storing only the positions a swap displaced.
+std::vector<size_t> DenseSampleIndices(Rng* rng, size_t n, size_t count) {
+  if (count >= n) {
+    std::vector<size_t> all(n);
+    for (size_t i = 0; i < n; ++i) all[i] = i;
+    rng->Shuffle(&all);
+    return all;
+  }
+  std::vector<size_t> picked;
+  picked.reserve(count);
+  std::vector<size_t> pool(n);
+  for (size_t i = 0; i < n; ++i) pool[i] = i;
+  for (size_t i = 0; i < count; ++i) {
+    size_t j = i + rng->Index(n - i);
+    std::swap(pool[i], pool[j]);
+    picked.push_back(pool[i]);
+  }
+  return picked;
+}
+
+TEST(RngTest, SampleIndicesMatchesDenseFisherYates) {
+  struct Case {
+    size_t n;
+    size_t count;
+  };
+  const std::vector<Case> cases = {
+      {20, 0},  {20, 1},   {20, 19},   {20, 20}, {20, 25},
+      {1, 0},   {1, 1},    {1, 6},     {50, 10},  // a gossip view's draw
+      {5000, 50},                                  // a welcome's draw
+  };
+  for (uint64_t seed : {1u, 7u, 42u, 101u, 9001u}) {
+    for (const Case& c : cases) {
+      Rng actual(seed);
+      Rng expected(seed);
+      // Draw twice from the same generator, so the second sample starts
+      // from whatever state the first one left behind.
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(actual.SampleIndices(c.n, c.count),
+                  DenseSampleIndices(&expected, c.n, c.count))
+            << "seed " << seed << " n " << c.n << " count " << c.count
+            << " round " << round;
+      }
+      EXPECT_EQ(actual.Next(), expected.Next())
+          << "seed " << seed << " n " << c.n << " count " << c.count;
+    }
+  }
+}
+
+TEST(RngTest, SampleIndicesFromHugeRangeIsCheap) {
+  // The dense pool would need 800 MB here.
+  const size_t n = 100'000'000;
+  Rng rng(61);
+  std::vector<size_t> sample = rng.SampleIndices(n, 50);
+  ASSERT_EQ(sample.size(), 50u);
+  std::set<size_t> unique(sample.begin(), sample.end());
+  EXPECT_EQ(unique.size(), 50u);
+  for (size_t s : sample) EXPECT_LT(s, n);
 }
 
 TEST(RngTest, WeightedIndexFollowsWeights) {
