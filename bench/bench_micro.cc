@@ -1,20 +1,16 @@
 // Microbenchmarks for the hot data structures of the simulator and the
 // protocols (google-benchmark: event queue, Bloom filters, view merges,
 // Zipf sampling, Chord routing steps, topology latency lookups), plus
-// two subcommands that need no google-benchmark:
+// one subcommand that needs no google-benchmark:
 //
 //   ./bench_micro sweep quick json   # end-to-end smoke run per system
 //                                    #   -> BENCH_micro.json
-//   ./bench_micro shards quick json  # sharded-engine scaling suite
-//                                    #   (shards x executor)
-//                                    #   -> BENCH_shards.json
 //   ./bench_micro                    # google-benchmark suite
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -253,156 +249,12 @@ int RunMicroSweep(int argc, char** argv) {
   return 0;
 }
 
-// --- Sharded-engine scaling suite ---------------------------------------------
-//
-// One end-to-end Flower run per (shards, executor) point: shards=1 is
-// the serial engine baseline; shards >= 2 runs the locality-lane engine
-// cooperatively and (where the system supports it) on the thread pool.
-// Metrics (hit ratio, events) are asserted stable across sharded points;
-// wall_ms/ev-s are host measurements -> BENCH_shards.json, uploaded by
-// the shards=2 CI job. Real speedups need real cores; on one core the
-// suite mainly tracks the sharding overhead.
-
-struct ShardsRecord {
-  std::string label;
-  int shards = 1;
-  std::string executor;
-  uint64_t events = 0;
-  double wall_ms = 0;
-  double events_per_sec = 0;
-  double hit_ratio = 0;
-  double speedup_vs_serial = 0;
-};
-
-void WriteShardsJson(const std::string& path,
-                     const std::vector<ShardsRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "[\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const ShardsRecord& r = records[i];
-    std::fprintf(f,
-                 "  {\"label\":\"%s\",\"shards\":%d,\"executor\":\"%s\","
-                 "\"events\":%llu,\"wall_ms\":%.3f,"
-                 "\"events_per_sec\":%.0f,\"hit_ratio\":%.6f,"
-                 "\"speedup_vs_serial\":%.2f}%s\n",
-                 r.label.c_str(), r.shards, r.executor.c_str(),
-                 static_cast<unsigned long long>(r.events), r.wall_ms,
-                 r.events_per_sec, r.hit_ratio, r.speedup_vs_serial,
-                 i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-}
-
-int RunShardsBench(int argc, char** argv) {
-  std::string json_path;
-  bool quick = false;
-  for (int a = 1; a < argc; ++a) {
-    std::string tok = argv[a];
-    if (tok == "quick") {
-      quick = true;
-      continue;
-    }
-    size_t eq = tok.find('=');
-    std::string key = eq == std::string::npos ? tok : tok.substr(0, eq);
-    std::string value = eq == std::string::npos ? "" : tok.substr(eq + 1);
-    if (key == "json") {
-      json_path = value.empty() ? "BENCH_shards.json" : value;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_micro shards [quick] [json[=PATH]]\n");
-      return 1;
-    }
-  }
-
-  SimConfig base = quick ? bench::QuickConfig() : bench::PaperConfig();
-  if (quick) base.duration = 2 * kHour;
-
-  struct Point {
-    int shards;
-    const char* executor;  // shard_executor value
-  };
-  const Point points[] = {{1, "serial"},
-                          {2, "serial"},
-                          {2, "auto"},
-                          {4, "auto"},
-                          {6, "auto"}};
-
-  std::printf("Sharded-engine scaling (flower, %s config, %lld h, "
-              "%u hardware threads)\n",
-              quick ? "quick" : "paper",
-              static_cast<long long>(base.duration / kHour),
-              std::thread::hardware_concurrency());
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf("  note: single hardware thread — expect the suite to "
-                "show sharding overhead, not speedup\n");
-  }
-  std::printf("  %-10s %-10s %-12s %-12s %-14s %-10s\n", "shards",
-              "executor", "events", "wall_ms", "events/sec", "speedup");
-
-  std::vector<ShardsRecord> records;
-  double serial_wall = 0;
-  for (const Point& p : points) {
-    SimConfig c = base;
-    c.shards = p.shards;
-    c.shard_executor = p.executor;
-    RunResult r = Experiment(c).WithSystem("flower").Run();
-    ShardsRecord rec;
-    rec.label = std::string("shards=") + std::to_string(p.shards) + "/" +
-                p.executor;
-    rec.shards = p.shards;
-    rec.executor = p.executor;
-    rec.events = r.events_processed;
-    rec.wall_ms = r.wall_ms;
-    rec.events_per_sec = r.EventsPerSec();
-    rec.hit_ratio = r.final_hit_ratio;
-    if (p.shards == 1) serial_wall = r.wall_ms;
-    rec.speedup_vs_serial =
-        serial_wall > 0 && r.wall_ms > 0 ? serial_wall / r.wall_ms : 0;
-    records.push_back(rec);
-    std::printf("  %-10d %-10s %-12llu %-12s %-14s %-10s\n", p.shards,
-                p.executor,
-                static_cast<unsigned long long>(rec.events),
-                bench::Fmt(rec.wall_ms, 1).c_str(),
-                bench::Fmt(rec.events_per_sec, 0).c_str(),
-                p.shards == 1
-                    ? "-"
-                    : (bench::Fmt(rec.speedup_vs_serial, 2) + "x").c_str());
-  }
-  // Cross-check: every sharded point must report the identical
-  // deterministic run (the executors/groupings may differ, the schedule
-  // may not).
-  for (size_t i = 2; i < records.size(); ++i) {
-    if (records[i].events != records[1].events ||
-        records[i].hit_ratio != records[1].hit_ratio) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: %s diverged from %s\n",
-                   records[i].label.c_str(), records[1].label.c_str());
-      return 1;
-    }
-  }
-  std::printf("  sharded points agree on events + hit ratio "
-              "(determinism cross-check passed)\n");
-  if (!json_path.empty()) {
-    WriteShardsJson(json_path, records);
-    std::printf("  wrote %s\n", json_path.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace flower
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "sweep") == 0) {
     return flower::RunMicroSweep(argc - 1, argv + 1);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "shards") == 0) {
-    return flower::RunShardsBench(argc - 1, argv + 1);
   }
 #ifdef FLOWER_HAVE_GOOGLE_BENCHMARK
   benchmark::Initialize(&argc, argv);
@@ -413,7 +265,7 @@ int main(int argc, char** argv) {
 #else
   std::fprintf(stderr,
                "google-benchmark unavailable at build time; only the "
-               "`sweep` and `shards` subcommands are supported\n");
+               "`sweep` subcommand is supported\n");
   return 2;
 #endif
 }

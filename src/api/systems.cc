@@ -43,11 +43,10 @@ bool FlowerAdapter::IsBlackedOut(NodeId node) const {
 
 bool FlowerAdapter::SupportsParallelShards() const {
   // Lane isolation holds while nothing mutates cross-locality shared
-  // structures mid-run: churn drives promotions through the (global)
-  // D-ring bookkeeping, and non-oracle Chord maintenance mutates ring
-  // state from protocol events. Both force the cooperative executor;
-  // the schedule (and output) is identical either way.
-  return !config_->churn_enabled && config_->chord_oracle_maintenance;
+  // structures mid-run. Churn does: its promotions and failures change
+  // the (global) D-ring membership, so it forces the cooperative
+  // executor; the schedule (and output) is identical either way.
+  return !config_->churn_enabled;
 }
 
 void FlowerAdapter::FillStats(RunResult* result) const {

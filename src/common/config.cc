@@ -216,7 +216,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   INT_KEY("max_content_overlay_size", max_content_overlay_size)
-  DOUBLE_KEY("new_client_probability", new_client_probability)
   DOUBLE_KEY("queries_per_second", queries_per_second)
   TIME_KEY("duration", duration)
   TIME_KEY("gossip_period", gossip_period)
@@ -264,9 +263,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY("scaleup_extra_bits", scaleup_extra_bits)
   INT_KEY("scaleup_instances", scaleup_instances)
   INT_KEY("chord_successor_list", chord_successor_list)
-  TIME_KEY("chord_stabilize_period", chord_stabilize_period)
-  TIME_KEY("chord_fix_fingers_period", chord_fix_fingers_period)
-  BOOL_KEY("chord_oracle_maintenance", chord_oracle_maintenance)
   BOOL_KEY("churn_enabled", churn_enabled)
   TIME_KEY("churn_mean_session", churn_mean_session)
   TIME_KEY("churn_mean_downtime", churn_mean_downtime)

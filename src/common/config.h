@@ -102,9 +102,6 @@ struct SimConfig {
 
   // --- Overlay / membership -------------------------------------------------
   int max_content_overlay_size = 100;  // S_co
-  /// Probability that a query originates at a not-yet-joined client while
-  /// the target overlay still has capacity (otherwise an existing member).
-  double new_client_probability = 0.5;
 
   // --- Workload --------------------------------------------------------------
   double queries_per_second = 6.0;
@@ -171,12 +168,6 @@ struct SimConfig {
   /// to the next instance's overlay (Sec 5.3).
   int scaleup_instances = 1;
   int chord_successor_list = 4;
-  SimTime chord_stabilize_period = 30 * kSecond;
-  SimTime chord_fix_fingers_period = 30 * kSecond;
-  /// If true, ring membership changes are applied structurally (oracle) and
-  /// finger tables refreshed exactly; if false, the full join/stabilize
-  /// protocol maintains the ring (slower, used by churn tests).
-  bool chord_oracle_maintenance = true;
 
   // --- Churn (disabled by default; used in churn experiments) -----------------
   bool churn_enabled = false;

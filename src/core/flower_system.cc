@@ -13,9 +13,6 @@ ChordConfig MakeChordConfig(const SimConfig& config) {
   ChordConfig cc;
   cc.id_bits = config.chord_id_bits;
   cc.successor_list_size = config.chord_successor_list;
-  cc.stabilize_period = config.chord_stabilize_period;
-  cc.fix_fingers_period = config.chord_fix_fingers_period;
-  cc.oracle = config.chord_oracle_maintenance;
   return cc;
 }
 

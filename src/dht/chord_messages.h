@@ -1,11 +1,10 @@
-// Wire messages of the Chord protocol and the key-based routing service.
+// Wire message of the key-based routing service, and the node reference.
 #ifndef FLOWERCDN_DHT_CHORD_MESSAGES_H_
 #define FLOWERCDN_DHT_CHORD_MESSAGES_H_
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/types.h"
 #include "net/message.h"
@@ -45,78 +44,6 @@ class RouteMsg : public Message {
   MessagePtr payload;
   int hops = 0;
   SimTime first_sent = -1;  // stamped by the first router
-};
-
-/// find_successor request, routed recursively; the responsible node answers
-/// the requester directly.
-class FindSuccessorReq
-    : public MessageOf<MessageKind::kFindSuccessorReq, TrafficClass::kDht> {
- public:
-  FindSuccessorReq(Key target_in, PeerAddress requester_in,
-                   uint64_t request_id_in)
-      : target(target_in),
-        requester(requester_in),
-        request_id(request_id_in) {}
-
-  uint64_t SizeBits() const override {
-    return 64 + kAddressBits + 64;
-  }
-
-  Key target;
-  PeerAddress requester;
-  uint64_t request_id;
-  int hops = 0;
-};
-
-class FindSuccessorResp
-    : public MessageOf<MessageKind::kFindSuccessorResp, TrafficClass::kDht> {
- public:
-  FindSuccessorResp(Key target_in, NodeRef result_in, uint64_t request_id_in)
-      : target(target_in), result(result_in), request_id(request_id_in) {}
-
-  uint64_t SizeBits() const override { return 64 + kNodeRefBits + 64; }
-
-  Key target;
-  NodeRef result;
-  uint64_t request_id;
-};
-
-/// Stabilization: ask a node for its predecessor and successor list.
-class GetNeighborsReq
-    : public MessageOf<MessageKind::kGetNeighborsReq, TrafficClass::kDht> {
- public:
-  uint64_t SizeBits() const override { return 0; }
-};
-
-class GetNeighborsResp
-    : public MessageOf<MessageKind::kGetNeighborsResp, TrafficClass::kDht> {
- public:
-  uint64_t SizeBits() const override {
-    return kNodeRefBits * (1 + successors.size());
-  }
-
-  NodeRef predecessor;  // may be invalid
-  std::vector<NodeRef> successors;
-};
-
-/// Chord notify(): "I believe I am your predecessor".
-class NotifyMsg : public MessageOf<MessageKind::kNotify, TrafficClass::kDht> {
- public:
-  explicit NotifyMsg(NodeRef self_in) : self(self_in) {}
-  uint64_t SizeBits() const override { return kNodeRefBits; }
-
-  NodeRef self;
-};
-
-/// Liveness probe used by check_predecessor.
-class PingReq : public MessageOf<MessageKind::kPingReq, TrafficClass::kDht> {
- public:
-  uint64_t SizeBits() const override { return 0; }
-};
-
-class PingResp : public MessageOf<MessageKind::kPingResp, TrafficClass::kDht> {
- public:
-  uint64_t SizeBits() const override { return 0; }
 };
 
 }  // namespace flower

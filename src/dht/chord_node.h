@@ -8,21 +8,17 @@
 //   - AcceptDelivery() : veto delivery at the standard responsible node
 //   - CorrectionHop()  : propose a better node when delivery was vetoed
 //
-// Ring maintenance runs in one of two modes (config.oracle):
-//   oracle   : membership changes apply instantly through ChordRing, and
-//              neighbor/finger reads consult the ring's sorted map. This is
-//              semantically a perfectly stabilized Chord (the paper's
-//              experiments "start with a stable D-ring") while routing still
-//              pays every per-hop message and its latency.
-//   protocol : join / stabilize / notify / fix-fingers / check-predecessor
-//              run as real timed message exchanges (used in churn tests).
+// The ring is a perfectly stabilized Chord (the paper's experiments "start
+// with a stable D-ring"): joins and failures apply instantly through
+// ChordRing, and a node reads its predecessor, successor list and fingers
+// from the ring's sorted membership rather than keeping copies. No
+// maintenance protocol runs; routing still pays every per-hop message and
+// its latency.
 #ifndef FLOWERCDN_DHT_CHORD_NODE_H_
 #define FLOWERCDN_DHT_CHORD_NODE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -38,10 +34,6 @@ class ChordRing;
 struct ChordConfig {
   int id_bits = 40;
   int successor_list_size = 4;
-  SimTime stabilize_period = 30 * kSecond;
-  SimTime fix_fingers_period = 30 * kSecond;
-  SimTime check_predecessor_period = 30 * kSecond;
-  bool oracle = true;
   int max_route_hops = 128;
 };
 
@@ -63,7 +55,6 @@ class KbrApp {
 class ChordNode : public Peer {
  public:
   ChordNode(Simulator* sim, Network* network, ChordRing* ring, Key id);
-  ~ChordNode() override;
 
   Key id() const { return id_; }
   const IdSpace& space() const;
@@ -77,21 +68,9 @@ class ChordNode : public Peer {
   /// Registers this peer on the network at the given topology node.
   void Activate(NodeId node);
 
-  /// Oracle-mode join: instant structural insertion. Returns false if the
+  /// Instant structural insertion into the ring. Returns false if the
   /// identifier is already taken by a live node.
   bool JoinStructural();
-
-  /// Protocol-mode join through a bootstrap member; on_joined fires when the
-  /// successor is resolved. Also starts the maintenance timers.
-  void JoinViaProtocol(PeerAddress bootstrap,
-                       std::function<void()> on_joined = nullptr);
-
-  /// Starts stabilize / fix-fingers / check-predecessor timers (protocol
-  /// mode; harmless in oracle mode).
-  void StartMaintenance();
-
-  /// Graceful departure: hands successor/predecessor over, leaves the ring.
-  void Leave();
 
   /// Crash: disappears without notice.
   void Fail();
@@ -107,10 +86,11 @@ class ChordNode : public Peer {
   NodeRef successor() const;
   NodeRef predecessor() const;
   std::vector<NodeRef> SuccessorList() const;
+  /// Finger i: the live successor of id + 2^i.
   NodeRef finger(int i) const;
 
-  /// All peers this node currently knows (fingers + successors +
-  /// predecessor). Used by D-ring's conditional local lookup.
+  /// All peers this node knows (fingers, predecessor, successor). Used by
+  /// D-ring's conditional local lookup.
   std::vector<NodeRef> KnownPeers() const;
 
   // --- Peer interface --------------------------------------------------------
@@ -142,28 +122,11 @@ class ChordNode : public Peer {
   ChordRing* ring() const { return ring_; }
 
  private:
-  friend class ChordRing;
-
   void HandleRoute(std::unique_ptr<RouteMsg> msg);
-  void HandleFindSuccessor(std::unique_ptr<FindSuccessorReq> req);
   void Deliver(std::unique_ptr<RouteMsg> msg);
 
   /// Closest known node preceding `key` (standard Chord greedy step).
   NodeRef ClosestPreceding(Key key) const;
-
-  /// Oracle-mode emulation of a perfect finger table entry: the live
-  /// successor of id_ + 2^i.
-  NodeRef OracleFinger(int i) const;
-
-  // Protocol maintenance.
-  void Stabilize();
-  void FixNextFinger();
-  void CheckPredecessor();
-  void RemoveDeadRef(PeerAddress addr);
-  void AdoptSuccessor(NodeRef candidate);
-
-  /// Issues a protocol find_successor; cb receives the result.
-  void FindSuccessor(Key target, std::function<void(NodeRef)> cb);
 
   Simulator* sim_;
   Network* network_;
@@ -171,18 +134,6 @@ class ChordNode : public Peer {
   Key id_;
   KbrApp* app_ = nullptr;
   bool joined_ = false;
-
-  // Protocol-mode state.
-  NodeRef predecessor_;
-  std::vector<NodeRef> successors_;  // successors_[0] is the successor
-  std::vector<NodeRef> fingers_;
-  int next_finger_ = 0;
-  uint64_t next_request_id_ = 1;
-  std::unordered_map<uint64_t, std::function<void(NodeRef)>> pending_finds_;
-  Simulator::PeriodicHandle stabilize_timer_;
-  Simulator::PeriodicHandle fix_fingers_timer_;
-  Simulator::PeriodicHandle check_pred_timer_;
-  std::function<void()> on_joined_;
 
   uint64_t routes_dropped_ = 0;
 };

@@ -44,11 +44,4 @@ ChordNode* ChordRing::AnyNode() const {
   return nodes_.empty() ? nullptr : nodes_.begin()->second;
 }
 
-std::vector<ChordNode*> ChordRing::NodesInOrder() const {
-  std::vector<ChordNode*> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) out.push_back(node);
-  return out;
-}
-
 }  // namespace flower

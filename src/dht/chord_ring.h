@@ -1,14 +1,10 @@
-// Bookkeeping of ring membership.
-//
-// In oracle mode the sorted node map *is* the authoritative ring: nodes read
-// their neighbors and (emulated) fingers from it, which models a perfectly
-// stabilized Chord. In protocol mode the map only tracks membership for
-// bootstrap selection and test assertions; nodes maintain their own state.
+// Ring membership: the sorted map of live nodes *is* the ring. Nodes read
+// their neighbors and fingers from it, which models a perfectly stabilized
+// Chord.
 #ifndef FLOWERCDN_DHT_CHORD_RING_H_
 #define FLOWERCDN_DHT_CHORD_RING_H_
 
 #include <map>
-#include <vector>
 
 #include "dht/chord_id.h"
 #include "dht/chord_messages.h"
@@ -22,7 +18,6 @@ class ChordRing {
 
   const ChordConfig& config() const { return config_; }
   const IdSpace& space() const { return space_; }
-  bool oracle() const { return config_.oracle; }
   size_t size() const { return nodes_.size(); }
 
   /// Inserts a node; false if the id is taken.
@@ -40,11 +35,8 @@ class ChordRing {
   /// Last live node with id strictly < k, wrapping.
   ChordNode* PredecessorOf(Key k) const;
 
-  /// A deterministic arbitrary member (bootstrap); nullptr when empty.
+  /// A deterministic arbitrary member; nullptr when empty.
   ChordNode* AnyNode() const;
-
-  /// All live nodes in id order (tests, diagnostics).
-  std::vector<ChordNode*> NodesInOrder() const;
 
  private:
   ChordConfig config_;

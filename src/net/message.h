@@ -11,13 +11,12 @@
 namespace flower {
 
 /// Traffic accounting classes. The paper's "background traffic" metric
-/// counts gossip + push (+ keepalive) traffic only; DHT maintenance, query
-/// routing and object transfers are tracked separately.
+/// counts gossip + push (+ keepalive) traffic only; query routing and
+/// object transfers are tracked separately.
 enum class TrafficClass : uint8_t {
   kGossip = 0,
   kPush,
   kKeepalive,
-  kDht,
   kQuery,
   kTransfer,
   kControl,
@@ -29,7 +28,6 @@ inline const char* TrafficClassName(TrafficClass c) {
     case TrafficClass::kGossip: return "gossip";
     case TrafficClass::kPush: return "push";
     case TrafficClass::kKeepalive: return "keepalive";
-    case TrafficClass::kDht: return "dht";
     case TrafficClass::kQuery: return "query";
     case TrafficClass::kTransfer: return "transfer";
     case TrafficClass::kControl: return "control";
@@ -63,13 +61,6 @@ inline constexpr uint64_t kVersionBits = 64;
 enum class MessageKind : uint8_t {
   // Chord substrate (dht/chord_messages.h).
   kRoute,
-  kFindSuccessorReq,
-  kFindSuccessorResp,
-  kGetNeighborsReq,
-  kGetNeighborsResp,
-  kNotify,
-  kPingReq,
-  kPingResp,
   // Flower-CDN protocols (core/flower_messages.h).
   kFlowerQuery,
   kServe,

@@ -1,5 +1,5 @@
-// Chord tests in oracle mode: neighbor reads, emulated fingers, recursive
-// routing correctness and hop complexity.
+// Chord tests: neighbor reads, fingers, recursive routing correctness and
+// hop complexity.
 #include "dht/chord_node.h"
 
 #include <cmath>
@@ -12,7 +12,8 @@
 namespace flower {
 namespace {
 
-class ProbeMsg : public MessageOf<MessageKind::kProbe, TrafficClass::kDht> {
+class ProbeMsg
+    : public MessageOf<MessageKind::kProbe, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override { return 64; }
 };
@@ -36,7 +37,6 @@ class ChordOracleTest : public ::testing::Test {
   ChordOracleTest() : world_(TinyConfig()) {
     ChordConfig cc;
     cc.id_bits = 16;
-    cc.oracle = true;
     ring_ = std::make_unique<ChordRing>(cc);
   }
 
@@ -156,7 +156,6 @@ TEST_P(ChordRoutingSweep, AllRoutesReachOwnerWithinLogHops) {
   TestWorld world(cfg, 7);
   ChordConfig cc;
   cc.id_bits = 24;
-  cc.oracle = true;
   ChordRing ring(cc);
   RecordingApp app;
   std::vector<std::unique_ptr<ChordNode>> nodes;
@@ -170,6 +169,15 @@ TEST_P(ChordRoutingSweep, AllRoutesReachOwnerWithinLogHops) {
     node->Activate(static_cast<NodeId>(i));
     ASSERT_TRUE(node->JoinStructural());
     nodes.push_back(std::move(node));
+  }
+  // Finger i of every node is the live successor of id + 2^i.
+  for (const auto& node : nodes) {
+    for (int i = 0; i < ring.space().bits(); ++i) {
+      ChordNode* want =
+          ring.SuccessorOf(ring.space().Add(node->id(), 1ULL << i));
+      ASSERT_EQ(node->finger(i), want->self_ref())
+          << "n=" << n << " finger " << i;
+    }
   }
   int max_hops = 0;
   const int probes = 200;

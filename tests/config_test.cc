@@ -1,5 +1,7 @@
 #include "common/config.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace flower {
@@ -59,6 +61,18 @@ TEST(ConfigTest, UnknownKeyRejected) {
   Status s = c.Apply("no_such_key", "1");
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  // Removed keys fail fast, even with values they used to accept.
+  const std::pair<const char*, const char*> removed[] = {
+      {"chord_oracle_maintenance", "false"},
+      {"chord_stabilize_period", "30s"},
+      {"chord_fix_fingers_period", "30s"},
+      {"new_client_probability", "0.5"},
+  };
+  for (const auto& [key, value] : removed) {
+    s = c.Apply(key, value);
+    EXPECT_FALSE(s.ok()) << key;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
+  }
 }
 
 TEST(ConfigTest, MalformedValueRejected) {

@@ -57,6 +57,7 @@ TEST(FaultSpecTest, ClassPairsAndWildcard) {
 TEST(FaultSpecTest, RejectsUnknownClassAndBadProbability) {
   std::array<double, FaultPlan::kNumClasses> out;
   EXPECT_FALSE(ParseClassProbSpec("fault_loss", "bogus:0.1", &out).ok());
+  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "dht:0.1", &out).ok());
   EXPECT_FALSE(ParseClassProbSpec("fault_loss", "query:1.5", &out).ok());
   EXPECT_FALSE(ParseClassProbSpec("fault_loss", "query:-0.1", &out).ok());
   EXPECT_FALSE(ParseClassProbSpec("fault_loss", "nonsense", &out).ok());

@@ -185,19 +185,6 @@ TEST(FlowerMessagesTest, EveryTypeHasItsKindAndTrafficClass) {
       {"RouteMsg(join)",
        std::make_unique<RouteMsg>(1, std::make_unique<JoinDirectoryReq>(1, 2)),
        K::kRoute, C::kControl},
-      {"FindSuccessorReq", std::make_unique<FindSuccessorReq>(1, 2, 3),
-       K::kFindSuccessorReq, C::kDht},
-      {"FindSuccessorResp",
-       std::make_unique<FindSuccessorResp>(1, NodeRef{}, 3),
-       K::kFindSuccessorResp, C::kDht},
-      {"GetNeighborsReq", std::make_unique<GetNeighborsReq>(),
-       K::kGetNeighborsReq, C::kDht},
-      {"GetNeighborsResp", std::make_unique<GetNeighborsResp>(),
-       K::kGetNeighborsResp, C::kDht},
-      {"NotifyMsg", std::make_unique<NotifyMsg>(NodeRef{}), K::kNotify,
-       C::kDht},
-      {"PingReq", std::make_unique<PingReq>(), K::kPingReq, C::kDht},
-      {"PingResp", std::make_unique<PingResp>(), K::kPingResp, C::kDht},
       // Flower-CDN protocols.
       {"FlowerQueryMsg", query(), K::kFlowerQuery, C::kQuery},
       {"ServeMsg", std::make_unique<ServeMsg>(42, 0, 1, 9, false, 100, 800),
@@ -267,8 +254,8 @@ TEST(FlowerMessagesTest, EveryTypeHasItsKindAndTrafficClass) {
     EXPECT_EQ(IsHyParViewKind(row.msg->type()), membership) << row.name;
     kinds.insert(row.kind);
   }
-  // 37 message types, one kind each.
-  EXPECT_EQ(kinds.size(), 37u);
+  // Every wire kind (all kinds before kProbe) has a row, one kind each.
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(MessageKind::kProbe));
   EXPECT_EQ(kinds.count(MessageKind::kProbe), 0u);
 }
 
