@@ -1,8 +1,8 @@
-// Ablation: robustness under injected faults (ISSUE 9 headline). Sweeps
-// message loss x membership protocol x churn with the hardened client
-// pipeline on (query timeouts, exponential-backoff retries, origin-server
-// fallback, keepalive-ack suspicion), plus a partition-heal scenario and
-// a no-hardening contrast arm.
+// Ablation: robustness under injected faults. Sweeps message loss x
+// churn with the hardened client pipeline on (query timeouts,
+// exponential-backoff retries, origin-server fallback, keepalive-ack
+// suspicion), plus a partition-heal scenario and a no-hardening contrast
+// arm.
 //
 // Shape to demonstrate: with retries the query success rate stays 1.0
 // at >= 5% loss while lookup latency degrades smoothly; without the
@@ -22,7 +22,6 @@ namespace {
 
 struct Arm {
   std::string label;
-  std::string protocol;
   double loss = 0;
   bool churn = false;
   bool partition = false;
@@ -42,14 +41,14 @@ void WriteJson(const std::string& path, const std::vector<Arm>& arms) {
     const flower::RunResult& r = a.result;
     std::fprintf(
         f,
-        "  {\"label\":\"%s\",\"protocol\":\"%s\",\"loss\":%.2f,"
+        "  {\"label\":\"%s\",\"loss\":%.2f,"
         "\"churn\":%s,\"partition\":%s,\"hardened\":%s,"
         "\"success_rate\":%.6f,\"hit_ratio\":%.6f,\"mean_lookup_ms\":%.3f,"
         "\"server_hits\":%llu,\"injected_drops\":%llu,"
         "\"partition_drops\":%llu,\"queries_timed_out\":%llu,"
         "\"query_retries\":%llu,\"silent_crashes\":%llu,"
         "\"suspicions_confirmed\":%llu}%s\n",
-        a.label.c_str(), a.protocol.c_str(), a.loss,
+        a.label.c_str(), a.loss,
         a.churn ? "true" : "false", a.partition ? "true" : "false",
         a.hardened ? "true" : "false", r.QuerySuccessRate(),
         r.final_hit_ratio, r.mean_lookup_ms,
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
     fwd.push_back(argv[a]);
   }
   bench::Driver driver("faults", static_cast<int>(fwd.size()), fwd.data());
-  driver.PrintHeader("Ablation: loss x protocol x churn (+ partitions)");
+  driver.PrintHeader("Ablation: loss x churn (+ partitions)");
   SimConfig base = driver.config();
 
   // The hardened client pipeline, shared by every arm except the
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
   };
 
   const double losses[] = {0.0, 0.01, 0.05, 0.10};
-  const char* protocols[] = {"flower", "hyparview"};
 
   std::vector<Arm> arms;
   auto enqueue = [&driver, &arms](const SimConfig& c, Arm arm) {
@@ -113,20 +111,16 @@ int main(int argc, char** argv) {
 
   for (bool churn : {false, true}) {
     for (double loss : losses) {
-      for (const char* protocol : protocols) {
-        SimConfig c = base;
-        harden(&c);
-        c.gossip_protocol = protocol;
-        if (loss > 0) c.fault_loss = bench::Fmt(loss, 2);
-        if (churn) add_churn(&c);
-        Arm arm;
-        arm.protocol = protocol;
-        arm.loss = loss;
-        arm.churn = churn;
-        arm.label = std::string(protocol) + "/loss=" +
-                    bench::Fmt(loss, 2) + (churn ? "/churn" : "");
-        enqueue(c, std::move(arm));
-      }
+      SimConfig c = base;
+      harden(&c);
+      if (loss > 0) c.fault_loss = bench::Fmt(loss, 2);
+      if (churn) add_churn(&c);
+      Arm arm;
+      arm.loss = loss;
+      arm.churn = churn;
+      arm.label = "flower/loss=" + bench::Fmt(loss, 2) +
+                  (churn ? "/churn" : "");
+      enqueue(c, std::move(arm));
     }
   }
   // Contrast arm: the same 5% loss with the hardening off — shows what
@@ -135,7 +129,6 @@ int main(int argc, char** argv) {
     SimConfig c = base;
     c.fault_loss = "0.05";
     Arm arm;
-    arm.protocol = "flower";
     arm.loss = 0.05;
     arm.hardened = false;
     arm.label = "flower/loss=0.05/no-hardening";
@@ -151,7 +144,6 @@ int main(int argc, char** argv) {
     c.fault_partitions = "0|*@" + std::to_string(start) + "ms-" +
                          std::to_string(end) + "ms";
     Arm arm;
-    arm.protocol = "flower";
     arm.partition = true;
     arm.label = "flower/partition-heal";
     enqueue(c, std::move(arm));

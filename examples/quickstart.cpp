@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
   }
   if (explicit_system) {
     flower::RunResult r = flower::Experiment(config).AddSink(&text).Run();
-    std::printf("\n  gossip           : %s, steady-state background "
-                "%.3f bps/peer\n",
-                r.gossip_protocol.c_str(), r.SteadyStateBackgroundBps());
+    std::printf("\n  gossip           : steady-state background %.3f "
+                "bps/peer\n",
+                r.SteadyStateBackgroundBps());
     std::printf("  lookup  < 150 ms : %.0f%%\n",
                 100 * r.LookupFractionBelow(150));
     std::printf("  transfer< 100 ms : %.0f%%\n",
@@ -64,12 +64,9 @@ int main(int argc, char** argv) {
                                        .Run();
   std::printf("\n");
 
-  // Membership protocol of the primary run plus its steady-state (tail
-  // windows) background traffic — the number the gossip_protocol knob
-  // actually moves once the startup flood has drained.
-  std::printf("  gossip           : %s, steady-state background "
-              "%.3f bps/peer\n",
-              flower_run.gossip_protocol.c_str(),
+  // Steady-state (tail windows) background traffic of the primary run,
+  // once the startup flood has drained.
+  std::printf("  gossip           : steady-state background %.3f bps/peer\n",
               flower_run.SteadyStateBackgroundBps());
   std::printf("  lookup  < 150 ms : flower %.0f%%  squirrel %.0f%%\n",
               100 * flower_run.LookupFractionBelow(150),

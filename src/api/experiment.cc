@@ -122,12 +122,6 @@ void CollectSeries(const Metrics& metrics, RunResult* result) {
   result->dir_index_evictions = metrics.dir_index_evictions();
   result->dir_summary_fallthroughs = metrics.dir_summary_fallthroughs();
   result->replica_declines = metrics.replica_declines();
-  result->hyparview_shuffles = metrics.hyparview_shuffles();
-  result->plumtree_grafts = metrics.plumtree_grafts();
-  result->plumtree_prunes = metrics.plumtree_prunes();
-  result->plumtree_eager_deliveries = metrics.plumtree_eager_deliveries();
-  result->plumtree_lazy_recoveries = metrics.plumtree_lazy_recoveries();
-  result->plumtree_duplicates = metrics.plumtree_duplicates();
   result->queries_timed_out = metrics.queries_timed_out();
   result->query_retries = metrics.query_retries();
   result->suspicions_confirmed = metrics.suspicions_confirmed();
@@ -311,7 +305,6 @@ Result<RunResult> Experiment::TryRun() {
   result.system = system->key();
   result.system_name = system->name();
   result.label = label_;
-  result.gossip_protocol = config_.gossip_protocol;
   // Fault/hardening block: emitted by sinks only when the subsystem was
   // on (injector active or a hardening knob set), so default records
   // stay byte-identical.

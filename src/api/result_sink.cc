@@ -49,16 +49,6 @@ std::string FormatRunSummary(const RunResult& r) {
        << " retries=" << r.query_retries
        << " suspicions=" << r.suspicions_confirmed;
   }
-  // Non-default membership protocol only: flower summaries must stay
-  // byte-identical to pre-subsystem builds.
-  if (r.gossip_protocol != "flower") {
-    os << " gossip=" << r.gossip_protocol
-       << " bg_steady=" << r.SteadyStateBackgroundBps() << "bps"
-       << " views=" << r.mean_active_view << "+" << r.mean_passive_view
-       << " summaries=" << r.mean_summaries_known
-       << " grafts=" << r.plumtree_grafts
-       << " prunes=" << r.plumtree_prunes;
-  }
   return os.str();
 }
 
@@ -180,22 +170,6 @@ void JsonResultSink::Write(const SimConfig& config, const RunResult& r) {
        << ",\"queries_timed_out\":" << r.queries_timed_out
        << ",\"query_retries\":" << r.query_retries
        << ",\"suspicions_confirmed\":" << r.suspicions_confirmed;
-  }
-  // Membership-subsystem record, emitted only for non-default protocols
-  // so flower records stay byte-identical to pre-subsystem builds.
-  if (r.gossip_protocol != "flower") {
-    os << ",\"gossip_protocol\":\"" << JsonEscape(r.gossip_protocol) << "\""
-       << ",\"steady_background_bps\":" << r.SteadyStateBackgroundBps()
-       << ",\"mean_active_view\":" << r.mean_active_view
-       << ",\"mean_passive_view\":" << r.mean_passive_view
-       << ",\"mean_summaries_known\":" << r.mean_summaries_known
-       << ",\"mean_summary_staleness\":" << r.mean_summary_staleness
-       << ",\"hyparview_shuffles\":" << r.hyparview_shuffles
-       << ",\"plumtree_grafts\":" << r.plumtree_grafts
-       << ",\"plumtree_prunes\":" << r.plumtree_prunes
-       << ",\"plumtree_eager_deliveries\":" << r.plumtree_eager_deliveries
-       << ",\"plumtree_lazy_recoveries\":" << r.plumtree_lazy_recoveries
-       << ",\"plumtree_duplicates\":" << r.plumtree_duplicates;
   }
   os << ",";
   AppendSeries(&os, "hit_ratio_by_window", r.hit_ratio_by_window);

@@ -95,26 +95,19 @@ struct RunResult {
   /// Keepalive-ack suspicion verdicts (directory declared silently dead).
   uint64_t suspicions_confirmed = 0;
 
-  // Scalable membership statistics (src/gossip/). Sinks emit them only
-  // when gossip_protocol != "flower", so default records stay
-  // byte-identical to pre-subsystem builds.
-  std::string gossip_protocol = "flower";
-  /// Mean contacts per joined content peer at end of run: flower counts
-  /// its full view, hyparview its active and passive views separately.
+  // End-of-run gossip state (flower only). No sink writes these; the
+  // flower_perf fingerprint reads all four.
+  /// Mean view size per joined content peer.
   double mean_active_view = 0;
+  /// Always 0: flower has no passive view. Kept because the flower_perf
+  /// fingerprint still reads it.
   double mean_passive_view = 0;
-  /// Mean contacts with a usable content summary per joined peer — the
-  /// state that actually serves peer-direct queries.
+  /// Mean view entries with a usable content summary per joined peer —
+  /// the state that actually serves peer-direct queries.
   double mean_summaries_known = 0;
-  /// Mean lag, in broadcast versions, of cached Plumtree summaries
-  /// behind their origin's latest version (0 for flower: unversioned).
+  /// Always 0: flower summaries carry no version to lag behind. Kept
+  /// because the flower_perf fingerprint still reads it.
   double mean_summary_staleness = 0;
-  uint64_t hyparview_shuffles = 0;
-  uint64_t plumtree_grafts = 0;
-  uint64_t plumtree_prunes = 0;
-  uint64_t plumtree_eager_deliveries = 0;
-  uint64_t plumtree_lazy_recoveries = 0;
-  uint64_t plumtree_duplicates = 0;
 
   // Engine counters (simulation-kernel performance, src/sim/).
   /// Events dispatched by the Simulator run loop. Deterministic: a
@@ -153,7 +146,7 @@ struct RunResult {
 
   /// Steady-state background traffic: mean bits/s per peer over the last
   /// `tail_windows` metric windows (the startup flood has drained by
-  /// then; this is where the membership protocols actually differ).
+  /// then).
   double SteadyStateBackgroundBps(size_t tail_windows = 2) const {
     const std::vector<double>& s = background_bps_by_window;
     // A run ending on a window boundary (or a churn lull) can leave

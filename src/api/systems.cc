@@ -56,10 +56,8 @@ void FlowerAdapter::FillStats(RunResult* result) const {
   }
   result->directory_promotions = system_.promotions();
   FlowerSystem::GossipStats gossip = system_.CollectGossipStats();
-  result->mean_active_view = gossip.mean_active_view;
-  result->mean_passive_view = gossip.mean_passive_view;
+  result->mean_active_view = gossip.mean_view_size;
   result->mean_summaries_known = gossip.mean_summaries_known;
-  result->mean_summary_staleness = gossip.mean_summary_staleness;
 }
 
 // --- SquirrelAdapter ----------------------------------------------------------

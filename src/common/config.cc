@@ -221,19 +221,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   TIME_KEY("gossip_period", gossip_period)
   INT_KEY("gossip_length", gossip_length)
   INT_KEY("view_size", view_size)
-  if (key == "gossip_protocol") {
-    if (value != "flower" && value != "hyparview") {
-      return UnknownEnumValue(key, value, {"flower", "hyparview"});
-    }
-    gossip_protocol = value;
-    return Status::Ok();
-  }
-  INT_KEY("hyparview_active_size", hyparview_active_size)
-  INT_KEY("hyparview_passive_size", hyparview_passive_size)
-  TIME_KEY("hyparview_shuffle_period", hyparview_shuffle_period)
-  TIME_KEY("plumtree_ihave_timeout", plumtree_ihave_timeout)
-  INT_KEY("plumtree_summary_capacity", plumtree_summary_capacity)
-  DOUBLE_KEY("plumtree_broadcast_threshold", plumtree_broadcast_threshold)
   DOUBLE_KEY("push_threshold", push_threshold)
   TIME_KEY("keepalive_period", keepalive_period)
   INT_KEY("dead_age_limit", dead_age_limit)
@@ -401,7 +388,6 @@ std::string SimConfig::ToString() const {
       os << "/" << directory_index_capacity_bytes << "B";
     }
   }
-  if (gossip_protocol != "flower") os << " gossip=" << gossip_protocol;
   if (system != "flower") os << " system=" << system;
   if (!workload_trace.empty()) os << " workload=trace:" << workload_trace;
   // The sharded engine is a different deterministic schedule, so the

@@ -119,36 +119,6 @@ struct SimConfig {
   /// exchanged view subsets indefinitely).
   int view_age_limit = 12;
 
-  // --- Scalable membership (src/gossip/) --------------------------------------
-  /// Overlay membership + dissemination protocol. "flower" is the paper's
-  /// Algorithm 4 (full locality views, summaries piggybacked on every
-  /// exchange; byte-identical to pre-subsystem builds). "hyparview" keeps
-  /// HyParView partial views (small active + larger passive) and
-  /// disseminates content-summary deltas over a Plumtree broadcast tree,
-  /// so membership state and background traffic stay near-constant as
-  /// the overlay grows.
-  std::string gossip_protocol = "flower";
-  /// HyParView active-view capacity (symmetric overlay links).
-  int hyparview_active_size = 5;
-  /// HyParView passive-view capacity (fallback contacts).
-  int hyparview_passive_size = 30;
-  /// Period of the HyParView shuffle round; 0 (default) = gossip_period.
-  SimTime hyparview_shuffle_period = 0;
-  /// How long Plumtree waits after an IHAVE before GRAFTing the announcer
-  /// into the eager tree to recover the missing summary delta.
-  SimTime plumtree_ihave_timeout = 2 * kSecond;
-  /// Bound on the Plumtree per-peer summary cache (origins); 0 =
-  /// unbounded. Keeps hyparview membership state sub-linear in the
-  /// overlay size.
-  int plumtree_summary_capacity = 64;
-  /// A peer rebroadcasts its summary only once this fraction of its
-  /// content changed since the last broadcast (mirrors push_threshold).
-  /// Keeps steady-state dissemination traffic near zero: an established
-  /// cache rarely changes by 10%, while a fresh joiner crosses the
-  /// threshold on nearly every fetch and becomes visible fast. 0 =
-  /// rebroadcast on any change.
-  double plumtree_broadcast_threshold = 0.1;
-
   // --- Summaries (Fan et al. sizing, paper Table 1) ---------------------------
   int summary_bits_per_object = 8;  // >= 1
   int summary_num_hashes = 5;       // 1..BloomProbe::kMaxHashes (16)

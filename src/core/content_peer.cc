@@ -15,11 +15,9 @@ ContentPeer::ContentPeer(FlowerContext* ctx, const Website* site,
       locality_(locality),
       rng_(rng_seed),
       content_(ContentStore::FromConfig(*ctx->config)),
-      cost_model_(*ctx->config) {
+      cost_model_(*ctx->config),
+      view_(ctx->config->view_size, ctx->config->view_age_limit) {
   assert(site != nullptr);
-  // Built in the body: the factory reads config through the
-  // MembershipHost interface, which needs this object constructed.
-  membership_ = MakeMembership(this);
 }
 
 ContentPeer::~ContentPeer() {
@@ -30,25 +28,6 @@ ContentPeer::~ContentPeer() {
 void ContentPeer::Activate(NodeId node) {
   ctx_->network->RegisterPeer(this, node);
   alive_ = true;
-}
-
-const View& ContentPeer::view() const {
-  if (const View* v = membership_->DebugView()) return *v;
-  // Never written to, so it stays empty; View only needs a capacity > 0.
-  static const View kEmpty(1);
-  return kEmpty;
-}
-
-void ContentPeer::HostSend(PeerAddress to, MessagePtr msg) {
-  ctx_->network->Send(this, to, std::move(msg));
-}
-
-std::shared_ptr<const ContentSummary> ContentPeer::HostSummary() {
-  return CurrentSummary();
-}
-
-void ContentPeer::HostMergeDirPointer(const DirectoryPointer& incoming) {
-  MergeDirPointer(incoming);
 }
 
 // --- Query pipeline -----------------------------------------------------------
@@ -113,7 +92,7 @@ void ContentPeer::OnQueryTimeout(ObjectId object) {
       case QueryStage::kPeerDirect:
         // The contact never answered (lost message or silent crash):
         // evict it from the view and move to the next candidate.
-        if (!pq->tried.empty()) membership_->OnContactDead(pq->tried.back());
+        if (!pq->tried.empty()) view_.Remove(pq->tried.back());
         ContinueQuery(object);
         break;
       case QueryStage::kToDirectory:
@@ -159,11 +138,19 @@ std::unique_ptr<FlowerQueryMsg> ContentPeer::MakeQuery(
 }
 
 bool ContentPeer::TryPeerDirect(ObjectId object, PendingQuery* pq) {
-  // Candidates: contacts whose summary may contain the object and that we
-  // have not asked yet this query; the membership enumerates them in a
-  // deterministic order and this peer's RNG draws the pick.
+  // Candidates: view entries whose summary may contain the object and that
+  // we have not asked yet this query.
   std::vector<PeerAddress> candidates;
-  membership_->AppendHolderCandidates(object, pq->tried, &candidates);
+  const BloomProbe probe(object);
+  for (const ViewEntry& e : view_.entries()) {
+    if (!e.summary || e.addr == address()) continue;
+    if (!e.summary->MaybeContains(probe)) continue;
+    if (std::find(pq->tried.begin(), pq->tried.end(), e.addr) !=
+        pq->tried.end()) {
+      continue;
+    }
+    candidates.push_back(e.addr);
+  }
   if (candidates.empty()) return false;
   PeerAddress target = candidates[rng_.Index(candidates.size())];
   pq->tried.push_back(target);
@@ -216,7 +203,13 @@ void ContentPeer::HandleIncomingQuery(std::unique_ptr<FlowerQueryMsg> query) {
       // when the client joins *our* overlay; a cross-locality client gets
       // its contacts from its own directory instead, so views never leak
       // across overlays.
-      serve->view_subset = membership_->NewClientSeed(query->client);
+      serve->view_subset = view_.SelectSubset(ctx_->config->gossip_length,
+                                              &rng_, query->client);
+      ViewEntry self_entry;
+      self_entry.addr = address();
+      self_entry.age = 0;
+      self_entry.summary = CurrentSummary();
+      serve->view_subset.push_back(self_entry);
     }
     ctx_->network->Send(this, query->client, std::move(serve));
     return;
@@ -259,12 +252,12 @@ void ContentPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
   // the query was already counted served once; just keep the object.
   AddObject(serve->object, cost_model_.OnFetch(serve->object, distance));
   if (!serve->view_subset.empty()) {
-    membership_->OnViewSeed(serve->view_subset);
+    view_.Merge(serve->view_subset, std::nullopt, address());
   }
 }
 
 void ContentPeer::HandleWelcome(std::unique_ptr<WelcomeMsg> welcome) {
-  membership_->OnWelcomeContacts(welcome->contacts);
+  view_.Merge(welcome->contacts, std::nullopt, address());
   MergeDirPointer(DirectoryPointer{welcome->sender, 0});
   if (!joined_) {
     joined_ = true;
@@ -284,11 +277,10 @@ void ContentPeer::HandleNotFound(std::unique_ptr<NotFoundMsg> nf) {
 void ContentPeer::StartOverlayTimers() {
   const SimConfig& cfg = *ctx_->config;
   // Random phase so the overlay's gossip rounds are desynchronized.
-  SimTime round_period = membership_->RoundPeriod();
   SimTime gossip_offset =
-      static_cast<SimTime>(rng_.UniformInt(0, round_period - 1));
-  gossip_timer_ = ctx_->sim->SchedulePeriodic(gossip_offset, round_period,
-                                              [this]() { GossipTick(); });
+      static_cast<SimTime>(rng_.UniformInt(0, cfg.gossip_period - 1));
+  gossip_timer_ = ctx_->sim->SchedulePeriodic(
+      gossip_offset, cfg.gossip_period, [this]() { ActiveGossipRound(); });
   SimTime ka_offset =
       static_cast<SimTime>(rng_.UniformInt(0, cfg.keepalive_period - 1));
   keepalive_timer_ = ctx_->sim->SchedulePeriodic(
@@ -308,10 +300,46 @@ std::shared_ptr<const ContentSummary> ContentPeer::CurrentSummary() {
   return summary_;
 }
 
-void ContentPeer::GossipTick() {
+void ContentPeer::ActiveGossipRound() {
   if (!alive_ || !joined_) return;
   ++dir_pointer_.age;
-  membership_->PeriodicRound();
+  view_.IncrementAges();
+  view_.DropOlderThan(ctx_->config->view_age_limit);
+  const ViewEntry* oldest = view_.SelectOldest();
+  if (oldest == nullptr) return;
+  auto req = std::make_unique<GossipRequestMsg>();
+  req->own_summary = CurrentSummary();
+  req->view_subset =
+      view_.SelectSubset(ctx_->config->gossip_length, &rng_, oldest->addr);
+  req->dir_pointer = dir_pointer_;
+  ctx_->network->Send(this, oldest->addr, std::move(req));
+}
+
+void ContentPeer::HandleGossipRequest(std::unique_ptr<GossipRequestMsg> req) {
+  // Passive behavior: answer with our own summary + subset + dir pointer,
+  // then merge what we received.
+  auto reply = std::make_unique<GossipReplyMsg>();
+  reply->own_summary = CurrentSummary();
+  reply->view_subset =
+      view_.SelectSubset(ctx_->config->gossip_length, &rng_, req->sender);
+  reply->dir_pointer = dir_pointer_;
+  ctx_->network->Send(this, req->sender, std::move(reply));
+
+  ViewEntry fresh;
+  fresh.addr = req->sender;
+  fresh.age = 0;
+  fresh.summary = req->own_summary;
+  view_.Merge(req->view_subset, fresh, address());
+  MergeDirPointer(req->dir_pointer);
+}
+
+void ContentPeer::HandleGossipReply(std::unique_ptr<GossipReplyMsg> reply) {
+  ViewEntry fresh;
+  fresh.addr = reply->sender;
+  fresh.age = 0;
+  fresh.summary = reply->own_summary;
+  view_.Merge(reply->view_subset, fresh, address());
+  MergeDirPointer(reply->dir_pointer);
 }
 
 void ContentPeer::MergeDirPointer(const DirectoryPointer& incoming) {
@@ -354,7 +382,6 @@ void ContentPeer::AddObject(ObjectId object, double cost) {
       push_removed_.push_back(vslot);
     }
     summary_dirty_ = true;
-    content_changes_ += evicted.size();
   }
   if (!inserted) {
     if (!evicted.empty()) MaybePush();
@@ -366,7 +393,6 @@ void ContentPeer::AddObject(ObjectId object, double cost) {
   const ObjectSlot slot = site_->SlotOf(object);
   DropDelta(&push_removed_, slot);
   summary_dirty_ = true;
-  ++content_changes_;
   push_delta_.push_back(slot);
   MaybePush();
 }
@@ -517,7 +543,6 @@ void ContentPeer::Fail() {
   gossip_timer_.Cancel();
   keepalive_timer_.Cancel();
   CancelPendingTimeouts();
-  membership_->Stop();
   alive_ = false;
   ctx_->network->UnregisterPeer(this);
 }
@@ -526,11 +551,9 @@ ContentPeer::PromotionState ContentPeer::PrepareForPromotion() {
   gossip_timer_.Cancel();
   keepalive_timer_.Cancel();
   CancelPendingTimeouts();
-  membership_->Stop();
   alive_ = false;
   ctx_->network->UnregisterPeer(this);
-  PromotionState state{std::move(content_), membership_->ExportView(),
-                       joined_at_};
+  PromotionState state{std::move(content_), std::move(view_), joined_at_};
   return state;
 }
 
@@ -550,6 +573,12 @@ void ContentPeer::HandleMessage(MessagePtr msg) {
       return;
     case MessageKind::kNotFound:
       HandleNotFound(MessageCast<NotFoundMsg>(std::move(msg)));
+      return;
+    case MessageKind::kGossipRequest:
+      HandleGossipRequest(MessageCast<GossipRequestMsg>(std::move(msg)));
+      return;
+    case MessageKind::kGossipReply:
+      HandleGossipReply(MessageCast<GossipReplyMsg>(std::move(msg)));
       return;
     case MessageKind::kKeepaliveAck:
       keepalive_misses_ = 0;
@@ -571,7 +600,6 @@ void ContentPeer::HandleMessage(MessagePtr msg) {
       HandleReplicaTransfer(MessageCast<ReplicaTransferMsg>(std::move(msg)));
       return;
     default:
-      if (membership_->ConsumeMessage(msg)) return;
       FLOWER_LOG(Debug) << "content peer " << address()
                         << " ignoring unknown message";
   }
@@ -580,6 +608,10 @@ void ContentPeer::HandleMessage(MessagePtr msg) {
 void ContentPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
   if (!alive_) return;
   switch (msg->type()) {
+    case MessageKind::kGossipRequest:
+    case MessageKind::kGossipReply:
+      view_.Remove(dest);  // dead contact (Sec 5.4: treated like dead peers)
+      return;
     case MessageKind::kPush: {
       // Re-queue the delta and start directory replacement. The cache may
       // have moved on while the push was in flight: only re-queue entries
@@ -617,7 +649,7 @@ void ContentPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
       auto q = MessageCast<FlowerQueryMsg>(std::move(msg));
       switch (q->stage) {
         case QueryStage::kPeerDirect:
-          membership_->OnContactDead(dest);
+          view_.Remove(dest);
           ContinueQuery(q->object);
           return;
         case QueryStage::kToDirectory: {
@@ -650,7 +682,6 @@ void ContentPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
       return;
     }
     default:
-      if (membership_->OnUndeliverable(dest, msg->type())) return;
       // Anything else is deliberately dropped; the base logs it in debug
       // builds so silently ignored bounces stay visible.
       Peer::HandleUndeliverable(dest, std::move(msg));

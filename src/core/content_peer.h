@@ -19,13 +19,12 @@
 #include "common/rng.h"
 #include "core/flower_context.h"
 #include "core/flower_messages.h"
-#include "gossip/membership.h"
 #include "gossip/view.h"
 #include "net/network.h"
 
 namespace flower {
 
-class ContentPeer : public Peer, public MembershipHost {
+class ContentPeer : public Peer {
  public:
   ContentPeer(FlowerContext* ctx, const Website* site, LocalityId locality,
               uint64_t rng_seed);
@@ -48,10 +47,7 @@ class ContentPeer : public Peer, public MembershipHost {
   bool joined() const { return joined_; }
   SimTime joined_at() const { return joined_at_; }
   PeerAddress directory() const { return dir_pointer_.addr; }
-  /// The flower View (gossip_protocol=flower); an empty sentinel view for
-  /// other protocols, whose state is behind membership().
-  const View& view() const;
-  const Membership& membership() const { return *membership_; }
+  const View& view() const { return view_; }
   const ContentStore& content() const { return content_; }
   bool alive() const { return alive_; }
   uint64_t queries_started() const { return queries_started_; }
@@ -68,21 +64,6 @@ class ContentPeer : public Peer, public MembershipHost {
   // --- Peer interface ----------------------------------------------------------
   void HandleMessage(MessagePtr msg) override;
   void HandleUndeliverable(PeerAddress dest, MessagePtr msg) override;
-
-  // --- MembershipHost interface -------------------------------------------------
-  PeerAddress HostAddress() const override { return address(); }
-  const SimConfig& HostConfig() const override { return *ctx_->config; }
-  Rng* HostRng() override { return &rng_; }
-  Simulator* HostSim() override { return ctx_->sim; }
-  Metrics* HostMetrics() override { return ctx_->metrics; }
-  void HostSend(PeerAddress to, MessagePtr msg) override;
-  std::shared_ptr<const ContentSummary> HostSummary() override;
-  uint64_t HostContentChanges() const override { return content_changes_; }
-  size_t HostContentSize() const override { return content_.size(); }
-  const DirectoryPointer& HostDirPointer() const override {
-    return dir_pointer_;
-  }
-  void HostMergeDirPointer(const DirectoryPointer& incoming) override;
 
  private:
   struct PendingQuery {
@@ -114,9 +95,11 @@ class ContentPeer : public Peer, public MembershipHost {
   void HandleWelcome(std::unique_ptr<WelcomeMsg> welcome);
   void HandleNotFound(std::unique_ptr<NotFoundMsg> nf);
 
-  // Gossip machinery (Algorithm 4, behind the Membership strategy).
+  // Gossip machinery (Algorithm 4).
   void StartOverlayTimers();
-  void GossipTick();
+  void ActiveGossipRound();
+  void HandleGossipRequest(std::unique_ptr<GossipRequestMsg> req);
+  void HandleGossipReply(std::unique_ptr<GossipReplyMsg> reply);
   void MergeDirPointer(const DirectoryPointer& incoming);
   std::shared_ptr<const ContentSummary> CurrentSummary();
 
@@ -155,9 +138,8 @@ class ContentPeer : public Peer, public MembershipHost {
   std::vector<ObjectSlot> push_removed_;  // evictions since the last push
   std::shared_ptr<const ContentSummary> summary_;  // current snapshot
   bool summary_dirty_ = true;
-  uint64_t content_changes_ = 0;  // inserts + evictions, monotone
 
-  std::unique_ptr<Membership> membership_;
+  View view_;
   DirectoryPointer dir_pointer_;
   /// A directory replacement attempt blocks new ones until this time, one
   /// keepalive_period after it started, or until its JoinDirectoryResp

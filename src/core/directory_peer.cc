@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "core/flower_system.h"
-#include "gossip/gossip_messages.h"
 
 namespace flower {
 
@@ -706,15 +705,6 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
       return;
     }
     default:
-      if (IsHyParViewKind(msg->type())) {
-        // A promoted directory no longer runs overlay membership: decline
-        // the chatter so the sender demotes us out of its active view.
-        if (msg->type() != MessageKind::kHpvDisconnect) {
-          ctx_->network->Send(this, from,
-                              std::make_unique<HpvDisconnectMsg>());
-        }
-        return;
-      }
       // Everything else is DHT traffic.
       ChordNode::HandleMessage(std::move(msg));
   }

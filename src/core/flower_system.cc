@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "common/logging.h"
 
@@ -282,42 +281,20 @@ uint64_t FlowerSystem::promotions() const {
 
 FlowerSystem::GossipStats FlowerSystem::CollectGossipStats() const {
   GossipStats out;
-  uint64_t active_sum = 0;
-  uint64_t passive_sum = 0;
+  uint64_t view_sum = 0;
   uint64_t summaries_sum = 0;
-  // own_version by address of every joined peer, to measure how far the
-  // cached copies of its summary lag behind.
-  std::map<PeerAddress, uint64_t> own_versions;
-  std::vector<Membership::Stats> collected;
   for (ContentPeer* p : LiveContentPeers()) {
     if (!p->joined()) continue;
-    Membership::Stats s = p->membership().CollectStats();
     ++out.joined_peers;
-    active_sum += s.active_size;
-    passive_sum += s.passive_size;
-    summaries_sum += s.summaries_known;
-    own_versions[p->address()] = s.own_version;
-    collected.push_back(std::move(s));
-  }
-  uint64_t lag_sum = 0;
-  uint64_t lag_pairs = 0;
-  for (const Membership::Stats& s : collected) {
-    for (const auto& [origin, version] : s.cached_versions) {
-      auto it = own_versions.find(origin);
-      if (it == own_versions.end()) continue;  // origin gone or demoted
-      if (it->second > version) lag_sum += it->second - version;
-      ++lag_pairs;
+    view_sum += p->view().size();
+    for (const ViewEntry& e : p->view().entries()) {
+      if (e.summary != nullptr) ++summaries_sum;
     }
   }
   if (out.joined_peers > 0) {
     double n = static_cast<double>(out.joined_peers);
-    out.mean_active_view = static_cast<double>(active_sum) / n;
-    out.mean_passive_view = static_cast<double>(passive_sum) / n;
+    out.mean_view_size = static_cast<double>(view_sum) / n;
     out.mean_summaries_known = static_cast<double>(summaries_sum) / n;
-  }
-  if (lag_pairs > 0) {
-    out.mean_summary_staleness =
-        static_cast<double>(lag_sum) / static_cast<double>(lag_pairs);
   }
   return out;
 }

@@ -112,18 +112,14 @@ class FlowerSystem {
   uint64_t clients_created() const;
   uint64_t promotions() const;
 
-  /// Aggregated end-of-run membership state over joined content peers.
-  /// All accumulation is integral, so the result is independent of peer
+  /// Aggregated end-of-run view state over joined content peers. All
+  /// accumulation is integral, so the result is independent of peer
   /// iteration order (and therefore of the shard partitioning).
   struct GossipStats {
     size_t joined_peers = 0;
-    double mean_active_view = 0;
-    double mean_passive_view = 0;
+    double mean_view_size = 0;
+    /// View entries that carry a content summary.
     double mean_summaries_known = 0;
-    /// Mean lag (broadcast versions) of cached Plumtree summaries behind
-    /// their origin's current version, over cached pairs whose origin is
-    /// still a live joined peer. 0 under flower (unversioned).
-    double mean_summary_staleness = 0;
   };
   GossipStats CollectGossipStats() const;
 

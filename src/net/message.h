@@ -47,14 +47,6 @@ inline constexpr uint64_t kObjectIdBits = 64;
 /// Size of an age field on the wire, in bits.
 inline constexpr uint64_t kAgeBits = 16;
 
-/// Size of a random-walk TTL field on the wire, in bits (HyParView
-/// JOIN/SHUFFLE walks).
-inline constexpr uint64_t kTtlBits = 8;
-
-/// Size of a broadcast version counter on the wire, in bits (Plumtree
-/// per-origin message ids).
-inline constexpr uint64_t kVersionBits = 64;
-
 /// Identity of every wire message type. Receivers dispatch with a
 /// `switch` on Message::type() and take the concrete type with
 /// MessageCast<T>.
@@ -80,19 +72,6 @@ enum class MessageKind : uint8_t {
   kReplicationRequest,
   kReplicaTransfer,
   kReplicaTransferCmd,
-  // HyParView + Plumtree (gossip/gossip_messages.h). Keep kHpvJoin first
-  // and kPtPrune last: IsHyParViewKind tests that range.
-  kHpvJoin,
-  kHpvForwardJoin,
-  kHpvNeighbor,
-  kHpvNeighborReject,
-  kHpvDisconnect,
-  kHpvShuffle,
-  kHpvShuffleReply,
-  kPtGossip,
-  kPtIHave,
-  kPtGraft,
-  kPtPrune,
   /// A payload no protocol handles (network and routing probes in tests):
   /// every dispatch sends it to its default branch.
   kProbe,

@@ -104,23 +104,6 @@ class Metrics {
   /// within the configured admission headroom of its capacity.
   void OnReplicaDeclined() { ++Self().replica_declines_; }
 
-  // --- Scalable membership hooks (src/gossip/, gossip_protocol=hyparview) -------
-
-  /// A HyParView peer initiated a passive-view SHUFFLE walk.
-  void OnHyParViewShuffle() { ++Self().hpv_shuffles_; }
-  /// A Plumtree peer GRAFTed an announcer back into its eager tree after
-  /// an IHAVE timed out (tree repair).
-  void OnPlumtreeGraft() { ++Self().pt_grafts_; }
-  /// A Plumtree peer PRUNEd a redundant eager edge after a duplicate.
-  void OnPlumtreePrune() { ++Self().pt_prunes_; }
-  /// A fresh summary delta arrived over the eager tree.
-  void OnPlumtreeEagerDelivery() { ++Self().pt_eager_deliveries_; }
-  /// A fresh summary delta arrived as a GRAFT retransmission (the lazy
-  /// IHAVE path recovered a tree break).
-  void OnPlumtreeLazyRecovery() { ++Self().pt_lazy_recoveries_; }
-  /// A duplicate delta arrived (redundant tree edge, triggers PRUNE).
-  void OnPlumtreeDuplicate() { ++Self().pt_duplicates_; }
-
   // --- Query-hardening hooks (query_timeout / suspicion, src/core/) ------------
 
   /// A pending query hit its client-side timeout (query_timeout > 0).
@@ -163,20 +146,6 @@ class Metrics {
   }
   uint64_t replica_declines() const {
     return SumScalar(&Metrics::replica_declines_);
-  }
-  uint64_t hyparview_shuffles() const {
-    return SumScalar(&Metrics::hpv_shuffles_);
-  }
-  uint64_t plumtree_grafts() const { return SumScalar(&Metrics::pt_grafts_); }
-  uint64_t plumtree_prunes() const { return SumScalar(&Metrics::pt_prunes_); }
-  uint64_t plumtree_eager_deliveries() const {
-    return SumScalar(&Metrics::pt_eager_deliveries_);
-  }
-  uint64_t plumtree_lazy_recoveries() const {
-    return SumScalar(&Metrics::pt_lazy_recoveries_);
-  }
-  uint64_t plumtree_duplicates() const {
-    return SumScalar(&Metrics::pt_duplicates_);
   }
   uint64_t queries_timed_out() const {
     return SumScalar(&Metrics::queries_timed_out_);
@@ -283,12 +252,6 @@ class Metrics {
   uint64_t dir_index_evictions_ = 0;
   uint64_t dir_summary_fallthroughs_ = 0;
   uint64_t replica_declines_ = 0;
-  uint64_t hpv_shuffles_ = 0;
-  uint64_t pt_grafts_ = 0;
-  uint64_t pt_prunes_ = 0;
-  uint64_t pt_eager_deliveries_ = 0;
-  uint64_t pt_lazy_recoveries_ = 0;
-  uint64_t pt_duplicates_ = 0;
   uint64_t queries_timed_out_ = 0;
   uint64_t query_retries_ = 0;
   uint64_t suspicions_confirmed_ = 0;

@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -67,12 +68,46 @@ TEST(ConfigTest, UnknownKeyRejected) {
       {"chord_stabilize_period", "30s"},
       {"chord_fix_fingers_period", "30s"},
       {"new_client_probability", "0.5"},
+      {"gossip_protocol", "hyparview"},
+      {"hyparview_active_size", "7"},
+      {"hyparview_passive_size", "40"},
+      {"hyparview_shuffle_period", "2min"},
+      {"plumtree_ihave_timeout", "5s"},
+      {"plumtree_summary_capacity", "128"},
+      {"plumtree_broadcast_threshold", "0.25"},
   };
   for (const auto& [key, value] : removed) {
     s = c.Apply(key, value);
     EXPECT_FALSE(s.ok()) << key;
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
   }
+}
+
+TEST(ConfigTest, UnknownEnumValuesListAccepted) {
+  SimConfig c;
+  Status s = c.Apply("shard_executor", "fibers");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("accepted: auto, serial"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(c.Apply("shard_executor", "threads").ok());
+
+  s = c.Apply("object_size_distribution", "zipf");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("accepted: fixed, pareto"), std::string::npos)
+      << s.ToString();
+
+  s = c.Apply("cache_cost", "hops");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("accepted: uniform, distance"),
+            std::string::npos)
+      << s.ToString();
+
+  s = c.Apply("cache_policy", "mru");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("accepted: unbounded, lru, lfu, gdsf"),
+            std::string::npos)
+      << s.ToString();
 }
 
 TEST(ConfigTest, MalformedValueRejected) {

@@ -165,6 +165,12 @@ TEST(DirIndexIntegrationTest, UnboundedIndexReproducesQuickstartMetrics) {
   EXPECT_NEAR(r.mean_lookup_ms, 145.743, 1e-3);
   EXPECT_NEAR(r.mean_transfer_ms, 102.49, 1e-2);
   EXPECT_NEAR(r.background_bps, 67.948, 1e-3);
+  // End-of-run gossip state, which no sink writes: 772 joined peers hold
+  // 25,747 view entries, 25,711 of them with a content summary.
+  EXPECT_DOUBLE_EQ(r.mean_active_view, 25747.0 / 772);
+  EXPECT_DOUBLE_EQ(r.mean_summaries_known, 25711.0 / 772);
+  EXPECT_EQ(r.mean_passive_view, 0.0);
+  EXPECT_EQ(r.mean_summary_staleness, 0.0);
 
   // Spelling the defaults out (`directory_index_capacity=unbounded`)
   // must run the identical experiment, bit for bit.

@@ -5,11 +5,8 @@
 #include "core/flower_messages.h"
 
 #include <set>
-#include <string>
 
 #include <gtest/gtest.h>
-
-#include "gossip/gossip_messages.h"
 
 namespace flower {
 namespace {
@@ -222,36 +219,11 @@ TEST(FlowerMessagesTest, EveryTypeHasItsKindAndTrafficClass) {
        K::kReplicaTransfer, C::kTransfer},
       {"ReplicaTransferCmd", std::make_unique<ReplicaTransferCmd>(42, 3),
        K::kReplicaTransferCmd, C::kControl},
-      // HyParView + Plumtree.
-      {"HpvJoinMsg", std::make_unique<HpvJoinMsg>(), K::kHpvJoin, C::kGossip},
-      {"HpvForwardJoinMsg", std::make_unique<HpvForwardJoinMsg>(1, 6),
-       K::kHpvForwardJoin, C::kGossip},
-      {"HpvNeighborMsg", std::make_unique<HpvNeighborMsg>(true),
-       K::kHpvNeighbor, C::kGossip},
-      {"HpvNeighborRejectMsg", std::make_unique<HpvNeighborRejectMsg>(),
-       K::kHpvNeighborReject, C::kGossip},
-      {"HpvDisconnectMsg", std::make_unique<HpvDisconnectMsg>(),
-       K::kHpvDisconnect, C::kGossip},
-      {"HpvShuffleMsg", std::make_unique<HpvShuffleMsg>(1, 6), K::kHpvShuffle,
-       C::kGossip},
-      {"HpvShuffleReplyMsg", std::make_unique<HpvShuffleReplyMsg>(),
-       K::kHpvShuffleReply, C::kGossip},
-      {"PtGossipMsg", std::make_unique<PtGossipMsg>(1, 2, MakeSummary()),
-       K::kPtGossip, C::kGossip},
-      {"PtIHaveMsg", std::make_unique<PtIHaveMsg>(1, 2), K::kPtIHave,
-       C::kGossip},
-      {"PtGraftMsg", std::make_unique<PtGraftMsg>(1, 2), K::kPtGraft,
-       C::kGossip},
-      {"PtPruneMsg", std::make_unique<PtPruneMsg>(), K::kPtPrune, C::kGossip},
   };
   std::set<MessageKind> kinds;
   for (const Row& row : rows) {
     EXPECT_EQ(row.msg->type(), row.kind) << row.name;
     EXPECT_EQ(row.msg->traffic_class(), row.cls) << row.name;
-    const std::string name = row.name;
-    const bool membership = name.rfind("Hpv", 0) == 0 ||
-                            name.rfind("Pt", 0) == 0;
-    EXPECT_EQ(IsHyParViewKind(row.msg->type()), membership) << row.name;
     kinds.insert(row.kind);
   }
   // Every wire kind (all kinds before kProbe) has a row, one kind each.
