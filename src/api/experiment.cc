@@ -121,7 +121,6 @@ void CollectSeries(const Metrics& metrics, RunResult* result) {
       metrics.StaleRedirectsBy(Metrics::StaleSource::kDirIndex);
   result->dir_index_evictions = metrics.dir_index_evictions();
   result->dir_summary_fallthroughs = metrics.dir_summary_fallthroughs();
-  result->replica_declines = metrics.replica_declines();
   result->queries_timed_out = metrics.queries_timed_out();
   result->query_retries = metrics.query_retries();
   result->suspicions_confirmed = metrics.suspicions_confirmed();

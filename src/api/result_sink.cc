@@ -33,9 +33,6 @@ std::string FormatRunSummary(const RunResult& r) {
   if (r.dir_index_evictions > 0) {
     os << " dir_index_evictions=" << r.dir_index_evictions;
   }
-  if (r.replica_declines > 0) {
-    os << " replica_declines=" << r.replica_declines;
-  }
   // Fault-injection / hardening segment, only when some fault_* or
   // hardening knob is on: default summaries must stay byte-identical to
   // pre-fault-layer builds.
@@ -137,7 +134,6 @@ void JsonResultSink::Write(const SimConfig& config, const RunResult& r) {
      << ",\"stale_redirects_dir_index\":" << r.stale_redirects_dir_index
      << ",\"dir_index_evictions\":" << r.dir_index_evictions
      << ",\"dir_summary_fallthroughs\":" << r.dir_summary_fallthroughs
-     << ",\"replica_declines\":" << r.replica_declines
      << ",\"churn_failures\":" << r.churn_failures
      << ",\"churn_leaves\":" << r.churn_leaves
      << ",\"directory_promotions\":" << r.directory_promotions
@@ -209,9 +205,8 @@ constexpr const char* kCsvHeader =
     "server_hits,final_hit_ratio,cumulative_hit_ratio,mean_lookup_ms,"
     "mean_transfer_ms,background_bps,cache_evictions,stale_redirects,"
     "stale_redirects_peer_summary,stale_redirects_dir_index,"
-    "dir_index_evictions,dir_summary_fallthroughs,"
-    "replica_declines,churn_failures,churn_leaves,directory_promotions,"
-    "events_processed,events_cancelled,"
+    "dir_index_evictions,dir_summary_fallthroughs,churn_failures,"
+    "churn_leaves,directory_promotions,events_processed,events_cancelled,"
     // Fault-layer columns: CSV headers are fixed per file, so these are
     // unconditional (all zero on a reliable network).
     "query_success_rate,injected_drops,injected_duplicates,partition_drops,"
@@ -245,9 +240,9 @@ void CsvResultSink::Write(const SimConfig& config, const RunResult& r) {
      << r.cache_evictions << "," << r.stale_redirects << ","
      << r.stale_redirects_peer_summary << "," << r.stale_redirects_dir_index
      << "," << r.dir_index_evictions << "," << r.dir_summary_fallthroughs
-     << "," << r.replica_declines << "," << r.churn_failures << ","
-     << r.churn_leaves << "," << r.directory_promotions << ","
-     << r.events_processed << "," << r.events_cancelled << ","
+     << "," << r.churn_failures << "," << r.churn_leaves << ","
+     << r.directory_promotions << "," << r.events_processed << ","
+     << r.events_cancelled << ","
      << r.QuerySuccessRate() << "," << r.injected_drops << ","
      << r.injected_duplicates << "," << r.partition_drops << ","
      << r.silent_crashes << "," << r.queries_timed_out << ","

@@ -64,8 +64,8 @@ struct RunResult {
   /// Dir-to-dir redirected queries that fell through to the origin server
   /// because nothing backed the neighbor's summary claim anymore.
   uint64_t dir_summary_fallthroughs = 0;
-  /// Offered replicas declined by the admission hook because the peer's
-  /// store was within `replication_admission_headroom` of its budget.
+  /// Always 0: there is no replication to decline. Kept because the
+  /// flower_perf fingerprint still reads it.
   uint64_t replica_declines = 0;
 
   // Churn statistics (zero without churn).

@@ -19,22 +19,19 @@ ContentStore ContentStore::FromConfig(const SimConfig& config) {
   return ContentStore(policy.value(), config.cache_capacity_bytes);
 }
 
+namespace {
+
 bool DistanceCostEnabled(const SimConfig& config) {
   return config.cache_cost == "distance";
 }
 
-namespace {
 /// The one place the raw distance-to-cost rule lives: the measured
 /// latency floored at 1 (an object is never cheaper than local).
 double DistanceSample(SimTime distance) {
   return distance > 1 ? static_cast<double>(distance) : 1.0;
 }
-}  // namespace
 
-double GdsfInsertCost(const SimConfig& config, SimTime distance) {
-  if (!DistanceCostEnabled(config)) return 1.0;
-  return DistanceSample(distance);
-}
+}  // namespace
 
 RefetchCostModel::RefetchCostModel(const SimConfig& config)
     : distance_enabled_(DistanceCostEnabled(config)),

@@ -11,9 +11,9 @@
 // inserts evict victims chosen by the policy; callers receive the evicted
 // ids so deletions can propagate as deltas (PushMsg.removed, summary
 // rebuilds) instead of letting gossip summaries and directory indexes
-// silently lie. The engine itself — byte accounting, admission/headroom
-// hooks, LRU/LFU/GDSF victim choice — lives in KeyedStore and is shared
-// with the DirectoryStore (directory_store.h).
+// silently lie. The engine itself — byte accounting and LRU/LFU/GDSF
+// victim choice — lives in KeyedStore and is shared with the
+// DirectoryStore (directory_store.h).
 #ifndef FLOWERCDN_CACHE_CONTENT_STORE_H_
 #define FLOWERCDN_CACHE_CONTENT_STORE_H_
 
@@ -40,28 +40,20 @@ class ContentStore : public KeyedStore<ObjectId> {
   std::vector<ObjectId> Objects() const { return Keys(); }
 };
 
-/// True when `cache_cost=distance`: GDSF weighs the measured
-/// provider->client transfer distance into its priority, so far-fetched
-/// (expensive to re-fetch) objects outlive equally popular local ones.
-bool DistanceCostEnabled(const SimConfig& config);
-
-/// The instantaneous GDSF cost of one fetch over `distance` (one-way
-/// provider->client latency): the measured distance (floored at 1) under
-/// `cache_cost=distance`, exactly 1 otherwise. This is the raw sample;
-/// insert paths smooth it through a per-peer RefetchCostModel.
-double GdsfInsertCost(const SimConfig& config, SimTime distance);
-
-/// Per-peer smoothing of GDSF retrieval costs (cache_cost=distance):
-/// every observed (re)fetch of an object folds its measured distance
-/// into an EWMA with `cache_cost_ewma_alpha`, and inserts price at the
-/// smoothed value instead of the single latest sample — one lucky
-/// nearby re-fetch no longer erases an object's history of being
-/// expensive to obtain. alpha=1 reproduces the raw per-fetch cost.
-/// Under cache_cost=uniform the model stores nothing and returns 1.
+/// Per-peer smoothing of GDSF retrieval costs. Under `cache_cost=distance`
+/// GDSF weighs the measured provider->client transfer distance into its
+/// priority, so far-fetched (expensive to re-fetch) objects outlive
+/// equally popular local ones. Every observed (re)fetch of an object
+/// folds its measured distance (floored at 1) into an EWMA with
+/// `cache_cost_ewma_alpha`, and inserts price at the smoothed value
+/// instead of the single latest sample — one lucky nearby re-fetch no
+/// longer erases an object's history of being expensive to obtain.
+/// alpha=1 reproduces the raw per-fetch cost. Under cache_cost=uniform
+/// the model stores nothing and returns 1.
 ///
-/// Every insert path — serves and replica deposits, content, directory
-/// and Squirrel peers — must price through its peer's model so the cost
-/// rule cannot diverge between them.
+/// Every insert path — the serves of content, directory and Squirrel
+/// peers — must price through its peer's model so the cost rule cannot
+/// diverge between them.
 class RefetchCostModel {
  public:
   RefetchCostModel() = default;

@@ -1,6 +1,6 @@
 // The generic eviction engine behind every capacity-bounded map in the
 // system: a byte-accounted store of Key -> size with a pluggable
-// replacement policy and an optional admission hook.
+// replacement policy.
 //
 // Two stores run on this engine today:
 //  - ContentStore (content_store.h): ObjectId-keyed peer storage, the
@@ -26,7 +26,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -265,19 +264,14 @@ struct CacheStats {
   uint64_t hits = 0;              // Touch() calls on resident keys
   uint64_t evictions = 0;         // victims removed for capacity
   uint64_t bytes_evicted = 0;
-  uint64_t admission_rejects = 0; // inserts refused (hook, size, no victim)
+  uint64_t admission_rejects = 0; // inserts refused (size, no victim)
 };
 
-/// The keyed eviction engine: residency, byte accounting, admission
-/// control and capacity enforcement around a pluggable policy.
+/// The keyed eviction engine: residency, byte accounting and capacity
+/// enforcement around a pluggable policy.
 template <typename K>
 class KeyedStore {
  public:
-  /// Admission control: called before a non-resident key is inserted
-  /// into a *bounded* store; returning false rejects the insert. (The
-  /// capacity check still applies after admission.)
-  using AdmissionHook = std::function<bool(const K& key, uint64_t size_bytes)>;
-
   /// capacity_bytes == 0 means unlimited storage. The Unbounded policy
   /// is stateless (no OnInsert/OnAccess bookkeeping, never a victim), so
   /// it is represented by a null policy_ — one fewer heap chunk per peer
@@ -314,9 +308,9 @@ class KeyedStore {
   /// `*evicted` (never containing `key` itself). Re-inserting a resident
   /// key counts as a Touch; a differing `size_bytes` is ignored (the
   /// original accounting stands — use Resize for mutable footprints). An
-  /// insert is rejected — resident set unchanged — when the admission
-  /// hook refuses it, when the key alone exceeds capacity, or when the
-  /// policy cannot name a victim (Unbounded on a full bounded store).
+  /// insert is rejected — resident set unchanged — when the key alone
+  /// exceeds capacity, or when the policy cannot name a victim (Unbounded
+  /// on a full bounded store).
   /// `cost` feeds the GDSF priority (1 = plain GDSF).
   bool Insert(const K& key, uint64_t size_bytes,
               std::vector<K>* evicted = nullptr, double cost = 1.0) {
@@ -326,10 +320,6 @@ class KeyedStore {
     }
     if (bounded()) {
       if (size_bytes + reserved_bytes_ > capacity_bytes_) {
-        ++stats_.admission_rejects;
-        return false;
-      }
-      if (admission_hook_ && !admission_hook_(key, size_bytes)) {
         ++stats_.admission_rejects;
         return false;
       }
@@ -499,38 +489,6 @@ class KeyedStore {
   /// key -> size_bytes pairs, ordered by key.
   EntryView entries() const { return EntryView(this); }
 
-  void set_admission_hook(AdmissionHook hook) {
-    admission_hook_ = std::move(hook);
-  }
-
-  /// Installs `hook` and returns the previously installed one, so scoped
-  /// hooks (replica admission) can restore instead of clobbering.
-  AdmissionHook swap_admission_hook(AdmissionHook hook) {
-    AdmissionHook prev = std::move(admission_hook_);
-    admission_hook_ = std::move(hook);
-    return prev;
-  }
-
-  /// An admission hook refusing any insert that would leave `store`
-  /// within `headroom` (a fraction of capacity) of its budget;
-  /// `on_decline` is invoked per refusal. Shared by the replica-admission
-  /// paths of content and directory peers so the budget rule cannot
-  /// diverge between them. Only meaningful on bounded stores (unbounded
-  /// stores never consult their hook).
-  static AdmissionHook HeadroomHook(const KeyedStore* store, double headroom,
-                                    std::function<void()> on_decline) {
-    return [store, headroom, on_decline = std::move(on_decline)](
-               const K& /*key*/, uint64_t size_bytes) {
-      const double budget =
-          static_cast<double>(store->capacity_bytes()) * (1.0 - headroom);
-      if (static_cast<double>(store->bytes_used() + size_bytes) > budget) {
-        if (on_decline) on_decline();
-        return false;
-      }
-      return true;
-    };
-  }
-
  private:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
 
@@ -586,7 +544,6 @@ class KeyedStore {
   uint64_t bytes_used_ = 0;
   uint64_t reserved_bytes_ = 0;  // capacity carved out (SetReservedBytes)
   CacheStats stats_;
-  AdmissionHook admission_hook_;
 };
 
 }  // namespace flower

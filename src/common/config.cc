@@ -103,6 +103,15 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     field = static_cast<decltype(field)>(i);                             \
     return Status::Ok();                                                 \
   }
+// Integer keys with a floor: a value below `lo` has no meaning (or would
+// crash the run), so it dies at parse time.
+#define INT_KEY_AT_LEAST(name, field, lo)                                \
+  if (key == name) {                                                     \
+    if (!ParseInt(value, &i) || i < lo)                                  \
+      return Status::InvalidArgument(key + " wants an integer >= " #lo); \
+    field = static_cast<decltype(field)>(i);                             \
+    return Status::Ok();                                                 \
+  }
 #define DOUBLE_KEY(name, field)                                          \
   if (key == name) {                                                     \
     if (!ParseDouble(value, &d))                                         \
@@ -139,13 +148,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     workload_trace = value;
     return Status::Ok();
   }
-  if (key == "shards") {
-    if (!ParseInt(value, &i) || i < 1) {
-      return Status::InvalidArgument("shards wants an integer >= 1");
-    }
-    shards = static_cast<int>(i);
-    return Status::Ok();
-  }
+  INT_KEY_AT_LEAST("shards", shards, 1)
   if (key == "shard_executor") {
     if (value != "auto" && value != "serial") {
       return UnknownEnumValue(key, value, {"auto", "serial"});
@@ -154,14 +157,14 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   INT_KEY("num_topology_nodes", num_topology_nodes)
-  INT_KEY("num_localities", num_localities)
+  INT_KEY_AT_LEAST("num_localities", num_localities, 1)
   TIME_KEY("min_intra_latency", min_intra_latency)
   TIME_KEY("max_intra_latency", max_intra_latency)
   TIME_KEY("min_inter_latency", min_inter_latency)
   TIME_KEY("max_inter_latency", max_inter_latency)
-  INT_KEY("num_websites", num_websites)
-  INT_KEY("num_active_websites", num_active_websites)
-  INT_KEY("num_objects_per_website", num_objects_per_website)
+  INT_KEY_AT_LEAST("num_websites", num_websites, 1)
+  INT_KEY_AT_LEAST("num_active_websites", num_active_websites, 1)
+  INT_KEY_AT_LEAST("num_objects_per_website", num_objects_per_website, 1)
   DOUBLE_KEY("zipf_alpha", zipf_alpha)
   INT_KEY("object_size_bits", object_size_bits)
   if (key == "object_size_distribution") {
@@ -215,7 +218,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     directory_index_capacity_bytes = static_cast<uint64_t>(i);
     return Status::Ok();
   }
-  INT_KEY("max_content_overlay_size", max_content_overlay_size)
+  INT_KEY_AT_LEAST("max_content_overlay_size", max_content_overlay_size, 1)
   DOUBLE_KEY("queries_per_second", queries_per_second)
   TIME_KEY("duration", duration)
   TIME_KEY("gossip_period", gossip_period)
@@ -225,14 +228,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   TIME_KEY("keepalive_period", keepalive_period)
   INT_KEY("dead_age_limit", dead_age_limit)
   INT_KEY("view_age_limit", view_age_limit)
-  if (key == "summary_bits_per_object") {
-    if (!ParseInt(value, &i) || i < 1) {
-      return Status::InvalidArgument(
-          "summary_bits_per_object wants an integer >= 1");
-    }
-    summary_bits_per_object = static_cast<int>(i);
-    return Status::Ok();
-  }
+  INT_KEY_AT_LEAST("summary_bits_per_object", summary_bits_per_object, 1)
   if (key == "summary_num_hashes") {
     // Bloom probes cache their bit positions inline, up to kMaxHashes.
     if (!ParseInt(value, &i) || i < 1 || i > BloomProbe::kMaxHashes) {
@@ -254,9 +250,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   TIME_KEY("churn_mean_session", churn_mean_session)
   TIME_KEY("churn_mean_downtime", churn_mean_downtime)
   DOUBLE_KEY("churn_fail_probability", churn_fail_probability)
-  BOOL_KEY("active_replication", active_replication)
-  INT_KEY("replication_top_objects", replication_top_objects)
-  TIME_KEY("replication_period", replication_period)
   if (key == "fault_loss" || key == "fault_duplicate") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.
@@ -298,14 +291,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     query_timeout = t;
     return Status::Ok();
   }
-  if (key == "query_max_retries") {
-    if (!ParseInt(value, &i) || i < 0) {
-      return Status::InvalidArgument(
-          "query_max_retries wants an integer >= 0");
-    }
-    query_max_retries = static_cast<int>(i);
-    return Status::Ok();
-  }
+  INT_KEY_AT_LEAST("query_max_retries", query_max_retries, 0)
   if (key == "query_backoff_base") {
     if (!ParseDouble(value, &d) || d < 1.0) {
       return Status::InvalidArgument("query_backoff_base must be >= 1");
@@ -313,33 +299,19 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     query_backoff_base = d;
     return Status::Ok();
   }
-  if (key == "suspicion_keepalive_misses") {
-    if (!ParseInt(value, &i) || i < 0) {
-      return Status::InvalidArgument(
-          "suspicion_keepalive_misses wants an integer >= 0");
+  INT_KEY_AT_LEAST("suspicion_keepalive_misses", suspicion_keepalive_misses,
+                   0)
+  if (key == "metrics_window") {
+    if (!ParseTime(value, &t) || t <= 0) {
+      return Status::InvalidArgument("metrics_window wants a time > 0");
     }
-    suspicion_keepalive_misses = static_cast<int>(i);
+    metrics_window = t;
     return Status::Ok();
   }
-  if (key == "replication_admission_headroom") {
-    if (!ParseDouble(value, &d) || d < 0.0 || d >= 1.0) {
-      return Status::InvalidArgument(
-          "replication_admission_headroom must be in [0, 1)");
-    }
-    replication_admission_headroom = d;
-    return Status::Ok();
-  }
-  TIME_KEY("metrics_window", metrics_window)
-  if (key == "metrics_max_points") {
-    if (!ParseInt(value, &i) || i < 0) {
-      return Status::InvalidArgument(
-          "metrics_max_points wants an integer >= 0");
-    }
-    metrics_max_points = static_cast<size_t>(i);
-    return Status::Ok();
-  }
+  INT_KEY_AT_LEAST("metrics_max_points", metrics_max_points, 0)
 
 #undef INT_KEY
+#undef INT_KEY_AT_LEAST
 #undef DOUBLE_KEY
 #undef BOOL_KEY
 #undef TIME_KEY

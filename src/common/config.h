@@ -145,16 +145,6 @@ struct SimConfig {
   SimTime churn_mean_downtime = 30 * kMinute;
   double churn_fail_probability = 0.5;  // fail vs. graceful leave
 
-  // --- Extensions --------------------------------------------------------------
-  bool active_replication = false;        // Sec 8 future work
-  int replication_top_objects = 10;
-  SimTime replication_period = 1 * kHour;
-  /// Admission headroom for offered replicas: a peer with a bounded store
-  /// declines a replica that would leave it within this fraction of
-  /// `cache_capacity_bytes`, protecting its own working set from
-  /// replication-induced evictions. Ignored by unbounded stores.
-  double replication_admission_headroom = 0.1;
-
   // --- Fault injection (src/net/fault_injector.h; all defaults off) ---------
   /// Per-traffic-class message loss probability: a bare probability
   /// ("0.05", every class) or comma-separated "class:prob" pairs with

@@ -499,34 +499,6 @@ void ContentPeer::HandleDirectoryHandoff(
   }
 }
 
-// --- Replication extension -----------------------------------------------------------
-
-void ContentPeer::HandleReplicaTransferCmd(const ReplicaTransferCmd& cmd) {
-  if (!content_.Contains(cmd.object)) return;
-  content_.Touch(cmd.object);
-  ctx_->network->Send(this, cmd.target,
-                      std::make_unique<ReplicaTransferMsg>(
-                          cmd.object, site_->dring_hash,
-                          site_->ObjectSizeBits(cmd.object)));
-}
-
-void ContentPeer::HandleReplicaTransfer(
-    std::unique_ptr<ReplicaTransferMsg> msg) {
-  // Offered replicas are opportunistic: a bounded store declines them
-  // while it sits within `replication_admission_headroom` of its budget,
-  // so replication cannot evict the peer's own working set (the hook is
-  // never consulted by unbounded stores). Query-driven inserts stay
-  // unconditional — a peer always caches what it asked for.
-  ContentStore::AdmissionHook prev =
-      content_.swap_admission_hook(ContentStore::HeadroomHook(
-          &content_, ctx_->config->replication_admission_headroom,
-          [this]() { ctx_->metrics->OnReplicaDeclined(); }));
-  AddObject(msg->object,
-            ReplicaInsertCost(*ctx_, &cost_model_, msg->object, msg->sender,
-                              address()));
-  content_.swap_admission_hook(std::move(prev));
-}
-
 // --- Lifecycle ---------------------------------------------------------------------
 
 void ContentPeer::Leave() {
@@ -591,13 +563,6 @@ void ContentPeer::HandleMessage(MessagePtr msg) {
     case MessageKind::kDirectoryHandoff:
       HandleDirectoryHandoff(
           MessageCast<DirectoryHandoffMsg>(std::move(msg)));
-      return;
-    case MessageKind::kReplicaTransferCmd:
-      HandleReplicaTransferCmd(
-          *MessageCast<ReplicaTransferCmd>(std::move(msg)));
-      return;
-    case MessageKind::kReplicaTransfer:
-      HandleReplicaTransfer(MessageCast<ReplicaTransferMsg>(std::move(msg)));
       return;
     default:
       FLOWER_LOG(Debug) << "content peer " << address()

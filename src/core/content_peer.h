@@ -106,7 +106,7 @@ class ContentPeer : public Peer {
   // Push & keepalive (Algorithm 5 / Sec 5.1).
   /// `cost` is the GDSF retrieval-cost term (the measured transfer
   /// distance under `cache_cost=distance`, 1 otherwise).
-  void AddObject(ObjectId object, double cost = 1.0);
+  void AddObject(ObjectId object, double cost);
   static void DropDelta(std::vector<ObjectSlot>* delta, ObjectSlot slot);
   void MaybePush();
   void SendKeepalive();
@@ -115,10 +115,6 @@ class ContentPeer : public Peer {
   void OnDirectoryUnreachable();
   void HandleJoinDirectoryResp(const JoinDirectoryResp& resp);
   void HandleDirectoryHandoff(std::unique_ptr<DirectoryHandoffMsg> handoff);
-
-  // Replication extension.
-  void HandleReplicaTransferCmd(const ReplicaTransferCmd& cmd);
-  void HandleReplicaTransfer(std::unique_ptr<ReplicaTransferMsg> msg);
 
   FlowerContext* ctx_;
   const Website* site_;

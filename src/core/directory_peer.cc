@@ -24,10 +24,7 @@ DirectoryPeer::DirectoryPeer(FlowerContext* ctx, const Website* site,
   set_app(this);
 }
 
-DirectoryPeer::~DirectoryPeer() {
-  age_timer_.Cancel();
-  replication_timer_.Cancel();
-}
+DirectoryPeer::~DirectoryPeer() { age_timer_.Cancel(); }
 
 bool DirectoryPeer::Start(NodeId node) {
   Activate(node);
@@ -40,12 +37,6 @@ bool DirectoryPeer::Start(NodeId node) {
   SimTime offset = static_cast<SimTime>(rng_.UniformInt(0, cfg.gossip_period - 1));
   age_timer_ = ctx_->sim->SchedulePeriodic(offset, cfg.gossip_period,
                                            [this]() { AgeTick(); });
-  if (cfg.active_replication) {
-    SimTime roffset =
-        static_cast<SimTime>(rng_.UniformInt(0, cfg.replication_period - 1));
-    replication_timer_ = ctx_->sim->SchedulePeriodic(
-        roffset, cfg.replication_period, [this]() { ReplicationTick(); });
-  }
   return true;
 }
 
@@ -195,8 +186,6 @@ void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
 
 void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
   ++queries_processed_;
-  // Only the replication extension reads popularity.
-  if (ctx_->config->active_replication) ++request_counts_[query->object];
   // Redirect budget: under churn, stale claims can chain (dead holders,
   // reborn nodes, inherited summaries). However the chain is formed, past
   // this budget the origin server resolves the query.
@@ -516,76 +505,7 @@ void DirectoryPeer::FailAbruptly() {
   if (!alive_) return;
   alive_ = false;
   age_timer_.Cancel();
-  replication_timer_.Cancel();
   Fail();  // leaves the ring and the network
-}
-
-// --- Replication extension (Sec 8) ------------------------------------------------------------
-
-void DirectoryPeer::ReplicationTick() {
-  if (!alive_ || request_counts_.empty()) return;
-  std::vector<std::pair<uint64_t, ObjectId>> ranked;
-  ranked.reserve(request_counts_.size());
-  for (const auto& [obj, count] : request_counts_) {
-    // Offer only objects actually present in this overlay.
-    if (!dir_store_.AnyHolder(site_->SlotOf(obj)) && !content_.Contains(obj)) {
-      continue;
-    }
-    ranked.emplace_back(count, obj);
-  }
-  if (ranked.empty()) return;
-  std::sort(ranked.rbegin(), ranked.rend());
-  auto offer = std::make_unique<ReplicationOfferMsg>();
-  int top = ctx_->config->replication_top_objects;
-  for (const auto& [count, obj] : ranked) {
-    if (static_cast<int>(offer->objects.size()) >= top) break;
-    offer->objects.push_back(obj);
-  }
-  for (const NodeRef& n : SameWebsiteNeighbors()) {
-    auto copy = std::make_unique<ReplicationOfferMsg>();
-    copy->objects = offer->objects;
-    ctx_->network->Send(this, n.addr, std::move(copy));
-  }
-}
-
-void DirectoryPeer::HandleReplicationOffer(const ReplicationOfferMsg& offer,
-                                           PeerAddress from) {
-  auto req = std::make_unique<ReplicationRequestMsg>();
-  for (ObjectId o : offer.objects) {
-    if (!dir_store_.AnyHolder(site_->SlotOf(o)) && !content_.Contains(o)) {
-      req->wanted.push_back(o);
-    }
-  }
-  if (req->wanted.empty()) return;
-  if (!dir_store_.empty()) {
-    req->deposit_target = dir_store_.AddressAt(rng_.Index(dir_store_.size()));
-  } else {
-    req->deposit_target = address();  // deposit into our own content
-  }
-  ctx_->network->Send(this, from, std::move(req));
-}
-
-void DirectoryPeer::HandleReplicationRequest(
-    const ReplicationRequestMsg& req) {
-  for (ObjectId o : req.wanted) {
-    // Prefer a content peer holding the object; fall back to own content.
-    // The inverted index lists holders in the same ascending-address
-    // order the entry scan produced, so the draw is unchanged.
-    const ObjectSlot slot = site_->SlotOf(o);
-    const std::vector<PeerAddress>* holders = dir_store_.HoldersOf(slot);
-    if (holders != nullptr && !holders->empty()) {
-      PeerAddress holder = (*holders)[rng_.Index(holders->size())];
-      ctx_->network->Send(this, holder,
-                          std::make_unique<ReplicaTransferCmd>(
-                              o, req.deposit_target));
-    } else if (content_.Contains(o)) {
-      content_.Touch(o);
-      ctx_->network->Send(this, req.deposit_target,
-                          std::make_unique<ReplicaTransferMsg>(
-                              o, site_->dring_hash,
-                              site_->ObjectSizeBits(o)));
-    }
-  }
 }
 
 // --- Message dispatch ---------------------------------------------------------------------------
@@ -682,28 +602,6 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
       view_.Merge(gr->view_subset, fresh, address());
       return;
     }
-    case MessageKind::kReplicationOffer:
-      HandleReplicationOffer(
-          *MessageCast<ReplicationOfferMsg>(std::move(msg)), from);
-      return;
-    case MessageKind::kReplicationRequest:
-      HandleReplicationRequest(
-          *MessageCast<ReplicationRequestMsg>(std::move(msg)));
-      return;
-    case MessageKind::kReplicaTransfer: {
-      // Deposited replicas obey the same admission rule as content peers:
-      // a bounded own-content store declines them within the configured
-      // headroom of its budget (unbounded stores never consult the hook).
-      auto rt = MessageCast<ReplicaTransferMsg>(std::move(msg));
-      ContentStore::AdmissionHook prev =
-          content_.swap_admission_hook(ContentStore::HeadroomHook(
-              &content_, ctx_->config->replication_admission_headroom,
-              [this]() { ctx_->metrics->OnReplicaDeclined(); }));
-      AddOwnObject(rt->object, ReplicaInsertCost(*ctx_, &cost_model_,
-                                                 rt->object, from, address()));
-      content_.swap_admission_hook(std::move(prev));
-      return;
-    }
     default:
       // Everything else is DHT traffic.
       ChordNode::HandleMessage(std::move(msg));
@@ -744,8 +642,6 @@ void DirectoryPeer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
       RemoveEntry(dest);  // the client vanished before we reached it
       return;
     case MessageKind::kDirectorySummary:
-    case MessageKind::kReplicationOffer:
-    case MessageKind::kReplicationRequest:
       dir_store_.EraseSummariesFrom(dest);
       return;
     default:

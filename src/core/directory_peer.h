@@ -24,7 +24,6 @@
 #ifndef FLOWERCDN_CORE_DIRECTORY_PEER_H_
 #define FLOWERCDN_CORE_DIRECTORY_PEER_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -130,17 +129,11 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   std::shared_ptr<const ContentSummary> BuildIndexSummary();
 
   // Own-content handling (directories are clients too).
-  void AddOwnObject(ObjectId object, double cost = 1.0);
+  void AddOwnObject(ObjectId object, double cost);
   void HandleServe(std::unique_ptr<ServeMsg> serve);
 
   // Replacement adjudication (Sec 5.2).
   void HandleJoinDirectoryReq(const JoinDirectoryReq& req);
-
-  // Replication extension (Sec 8).
-  void ReplicationTick();
-  void HandleReplicationOffer(const ReplicationOfferMsg& offer,
-                              PeerAddress from);
-  void HandleReplicationRequest(const ReplicationRequestMsg& req);
 
   const Website* site_;
   LocalityId locality_;
@@ -164,15 +157,10 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   View view_;  // inherited view; answers first queries during takeover
   std::set<ObjectId> pending_own_;  // own requests in flight
 
-  // Popularity for the replication extension (Sec 8), counted only under
-  // `active_replication`: its one reader, ReplicationTick, runs only then.
-  std::map<ObjectId, uint64_t> request_counts_;
-
   uint64_t queries_processed_ = 0;
   uint64_t redirect_failures_ = 0;
 
   Simulator::PeriodicHandle age_timer_;
-  Simulator::PeriodicHandle replication_timer_;
 };
 
 }  // namespace flower

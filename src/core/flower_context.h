@@ -2,7 +2,6 @@
 #ifndef FLOWERCDN_CORE_FLOWER_CONTEXT_H_
 #define FLOWERCDN_CORE_FLOWER_CONTEXT_H_
 
-#include "cache/content_store.h"
 #include "common/config.h"
 #include "core/flower_ids.h"
 #include "core/website.h"
@@ -25,20 +24,6 @@ struct FlowerContext {
   Metrics* metrics = nullptr;
   FlowerSystem* system = nullptr;
 };
-
-/// GDSF cost of a replica deposited by `sender` into the peer at `self`:
-/// the deposit is an observed transfer of the object, so its measured
-/// sender->self latency feeds the receiving peer's RefetchCostModel and
-/// the insert prices at the smoothed value. Locally injected transfers
-/// (no sender to measure to) price as local without perturbing the
-/// EWMA. Shared by the replica paths of content and directory peers so
-/// the cost rule cannot diverge between them.
-inline double ReplicaInsertCost(const FlowerContext& ctx,
-                                RefetchCostModel* model, ObjectId object,
-                                PeerAddress sender, PeerAddress self) {
-  if (sender == kInvalidAddress) return 1.0;
-  return model->OnFetch(object, ctx.network->Latency(sender, self));
-}
 
 }  // namespace flower
 

@@ -1,5 +1,5 @@
 // Wire messages of the Flower-CDN protocols (queries, serving, gossip,
-// push, keepalive, directory maintenance, replication extension).
+// push, keepalive, directory maintenance).
 #ifndef FLOWERCDN_CORE_FLOWER_MESSAGES_H_
 #define FLOWERCDN_CORE_FLOWER_MESSAGES_H_
 
@@ -351,71 +351,6 @@ class JoinDirectoryResp
   Key dir_key;
   bool granted;
   NodeRef current_dir;  // valid when !granted
-};
-
-// --- Active replication extension (paper Sec 8 future work) -----------------
-
-/// Directory -> sibling directory: "these are my most requested objects".
-class ReplicationOfferMsg
-    : public MessageOf<MessageKind::kReplicationOffer, TrafficClass::kControl> {
- public:
-  uint64_t SizeBits() const override {
-    return objects.size() * kObjectIdBits;
-  }
-
-  std::vector<ObjectId> objects;
-
-  FLOWER_DUPLICATE_AS_COPY(ReplicationOfferMsg)
-};
-
-/// Sibling directory -> offering directory: "send these to this member".
-class ReplicationRequestMsg
-    : public MessageOf<MessageKind::kReplicationRequest,
-                       TrafficClass::kControl> {
- public:
-  uint64_t SizeBits() const override {
-    return wanted.size() * kObjectIdBits + kAddressBits;
-  }
-
-  std::vector<ObjectId> wanted;
-  PeerAddress deposit_target = kInvalidAddress;
-
-  FLOWER_DUPLICATE_AS_COPY(ReplicationRequestMsg)
-};
-
-/// Holder content peer -> deposit target in the sibling overlay.
-class ReplicaTransferMsg
-    : public MessageOf<MessageKind::kReplicaTransfer, TrafficClass::kTransfer> {
- public:
-  ReplicaTransferMsg(ObjectId object_in, uint64_t website_hash_in,
-                     uint64_t object_size_bits_in)
-      : object(object_in),
-        website_hash(website_hash_in),
-        object_size_bits(object_size_bits_in) {}
-
-  uint64_t SizeBits() const override {
-    return object_size_bits + kObjectIdBits;
-  }
-
-  ObjectId object;
-  uint64_t website_hash;
-  uint64_t object_size_bits;
-
-  FLOWER_DUPLICATE_AS_COPY(ReplicaTransferMsg)
-};
-
-/// Offering directory -> one of its holders: "transfer this object there".
-class ReplicaTransferCmd
-    : public MessageOf<MessageKind::kReplicaTransferCmd,
-                       TrafficClass::kControl> {
- public:
-  ReplicaTransferCmd(ObjectId object_in, PeerAddress target_in)
-      : object(object_in), target(target_in) {}
-
-  uint64_t SizeBits() const override { return kObjectIdBits + kAddressBits; }
-
-  ObjectId object;
-  PeerAddress target;
 };
 
 }  // namespace flower

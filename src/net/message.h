@@ -68,10 +68,6 @@ enum class MessageKind : uint8_t {
   kDirectoryHandoff,
   kJoinDirectoryReq,
   kJoinDirectoryResp,
-  kReplicationOffer,
-  kReplicationRequest,
-  kReplicaTransfer,
-  kReplicaTransferCmd,
   /// A payload no protocol handles (network and routing probes in tests):
   /// every dispatch sends it to its default branch.
   kProbe,

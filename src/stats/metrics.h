@@ -100,10 +100,6 @@ class Metrics {
   /// re-attribution of the existing one).
   void OnDirSummaryFallthrough() { ++Self().dir_summary_fallthroughs_; }
 
-  /// A peer declined an offered replica because its bounded store was
-  /// within the configured admission headroom of its capacity.
-  void OnReplicaDeclined() { ++Self().replica_declines_; }
-
   // --- Query-hardening hooks (query_timeout / suspicion, src/core/) ------------
 
   /// A pending query hit its client-side timeout (query_timeout > 0).
@@ -143,9 +139,6 @@ class Metrics {
   }
   uint64_t dir_summary_fallthroughs() const {
     return SumScalar(&Metrics::dir_summary_fallthroughs_);
-  }
-  uint64_t replica_declines() const {
-    return SumScalar(&Metrics::replica_declines_);
   }
   uint64_t queries_timed_out() const {
     return SumScalar(&Metrics::queries_timed_out_);
@@ -251,7 +244,6 @@ class Metrics {
       stale_redirects_by_source_{};
   uint64_t dir_index_evictions_ = 0;
   uint64_t dir_summary_fallthroughs_ = 0;
-  uint64_t replica_declines_ = 0;
   uint64_t queries_timed_out_ = 0;
   uint64_t query_retries_ = 0;
   uint64_t suspicions_confirmed_ = 0;

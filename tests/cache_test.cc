@@ -45,14 +45,6 @@ TEST(CachePolicyTest, ConfigRejectsBadValues) {
   EXPECT_EQ(c.object_size_distribution, "fixed");
 }
 
-TEST(CachePolicyTest, GdsfInsertCostFollowsConfig) {
-  SimConfig c;
-  EXPECT_DOUBLE_EQ(GdsfInsertCost(c, 400), 1.0) << "uniform: always 1";
-  ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
-  EXPECT_DOUBLE_EQ(GdsfInsertCost(c, 400), 400.0);
-  EXPECT_DOUBLE_EQ(GdsfInsertCost(c, 0), 1.0) << "floored at 1";
-}
-
 TEST(RefetchCostModelTest, EwmaSmoothingPinned) {
   SimConfig c;
   ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
@@ -221,16 +213,6 @@ TEST(ContentStoreTest, OversizedObjectRejected) {
   EXPECT_TRUE(evicted.empty()) << "a hopeless insert must not evict anyone";
   EXPECT_TRUE(store.Contains(1));
   EXPECT_EQ(store.stats().admission_rejects, 1u);
-}
-
-TEST(ContentStoreTest, AdmissionHookFilters) {
-  ContentStore store(CachePolicy::kLru, 100);
-  store.set_admission_hook(
-      [](ObjectId id, uint64_t) { return id % 2 == 0; });
-  EXPECT_TRUE(store.Insert(2, 10));
-  EXPECT_FALSE(store.Insert(3, 10));
-  EXPECT_EQ(store.stats().admission_rejects, 1u);
-  EXPECT_FALSE(store.Contains(3));
 }
 
 TEST(ContentStoreTest, ObjectsIterateInIdOrder) {

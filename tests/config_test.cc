@@ -75,6 +75,10 @@ TEST(ConfigTest, UnknownKeyRejected) {
       {"plumtree_ihave_timeout", "5s"},
       {"plumtree_summary_capacity", "128"},
       {"plumtree_broadcast_threshold", "0.25"},
+      {"active_replication", "true"},
+      {"replication_top_objects", "10"},
+      {"replication_period", "1h"},
+      {"replication_admission_headroom", "0.1"},
   };
   for (const auto& [key, value] : removed) {
     s = c.Apply(key, value);
@@ -133,6 +137,34 @@ TEST(ConfigTest, SummaryGeometryKeysValidated) {
   EXPECT_FALSE(c.Apply("summary_bits_per_object", "-8").ok());
   EXPECT_EQ(c.summary_num_hashes, 16);  // rejected values leave it alone
   EXPECT_EQ(c.summary_bits_per_object, 1);
+}
+
+TEST(ConfigTest, ValuesThatCrashOrHangARunRejected) {
+  // Past Apply, each of these would segfault, abort with
+  // std::length_error, or spin forever (metrics_window=0) once the run
+  // starts.
+  const std::pair<const char*, const char*> bad[] = {
+      {"num_localities", "0"},
+      {"num_localities", "-1"},
+      {"num_websites", "0"},
+      {"num_active_websites", "0"},
+      {"num_objects_per_website", "0"},
+      {"max_content_overlay_size", "0"},
+      {"metrics_window", "0"},
+      {"metrics_window", "-1"},
+  };
+  SimConfig c;
+  for (const auto& [key, value] : bad) {
+    Status s = c.Apply(key, value);
+    EXPECT_FALSE(s.ok()) << key << "=" << value;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << value;
+  }
+  // The smallest legal values still apply.
+  for (const char* key : {"num_localities", "num_websites",
+                          "num_active_websites", "num_objects_per_website",
+                          "max_content_overlay_size", "metrics_window"}) {
+    EXPECT_TRUE(c.Apply(key, "1").ok()) << key;
+  }
 }
 
 TEST(ConfigTest, ApplyArgs) {

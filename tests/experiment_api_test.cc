@@ -1,6 +1,5 @@
 // Experiment API v2 (src/api/): registry resolution, builder defaults,
-// result sinks, trace record/replay equivalence, and the replica
-// admission headroom satellite.
+// result sinks, and trace record/replay equivalence.
 #include "api/experiment.h"
 
 #include <gtest/gtest.h>
@@ -268,78 +267,6 @@ TEST(SquirrelCacheTest, BoundedBaselineEvictsAndStillServes) {
   EXPECT_GE(bounded.queries_served + 5, bounded.queries_submitted);
   EXPECT_LE(bounded.cumulative_hit_ratio,
             unbounded.cumulative_hit_ratio + 1e-9);
-}
-
-// --- Replication admission headroom -------------------------------------------
-
-class ReplicaAdmissionTest : public ::testing::Test {
- protected:
-  /// Builds a world whose content peers hold at most `capacity_objects`
-  /// 10 KB objects, and joins one member peer holding a single object.
-  void Start(const std::string& policy, uint64_t capacity_bytes) {
-    SimConfig c = TinyConfig();
-    c.cache_policy = policy;
-    c.cache_capacity_bytes = capacity_bytes;
-    world_ = std::make_unique<TestWorld>(c);
-    metrics_ = std::make_unique<Metrics>(c);
-    system_ = std::make_unique<FlowerSystem>(
-        c, world_->sim(), world_->network(), world_->topology(),
-        metrics_.get());
-    system_->Setup();
-    const auto& pool = system_->deployment().client_pools[0][0];
-    system_->SubmitQuery(pool[0], 0, system_->catalog().site(0).objects[0]);
-    world_->sim()->RunFor(kMinute);
-    member_ = system_->FindContentPeer(pool[0]);
-    ASSERT_NE(member_, nullptr);
-    ASSERT_EQ(member_->content().size(), 1u);
-  }
-
-  void OfferReplica(ObjectId object) {
-    const Website& site = system_->catalog().site(0);
-    member_->HandleMessage(std::make_unique<ReplicaTransferMsg>(
-        object, site.dring_hash, site.ObjectSizeBits(object)));
-  }
-
-  std::unique_ptr<TestWorld> world_;
-  std::unique_ptr<Metrics> metrics_;
-  std::unique_ptr<FlowerSystem> system_;
-  ContentPeer* member_ = nullptr;
-};
-
-TEST_F(ReplicaAdmissionTest, BoundedStoreDeclinesReplicasNearBudget) {
-  // Room for three 10 KB objects; with the default 10% headroom the
-  // admission budget is 0.9 * 30720 = 27648 bytes.
-  Start("lru", 3 * 10 * 1024);
-  const auto& objects = system_->catalog().site(0).objects;
-  OfferReplica(objects[10]);  // 10240 + 10240 <= 27648: admitted
-  EXPECT_EQ(member_->content().size(), 2u);
-  EXPECT_EQ(metrics_->replica_declines(), 0u);
-
-  OfferReplica(objects[11]);  // 20480 + 10240 > 27648: declined
-  EXPECT_EQ(member_->content().size(), 2u);
-  EXPECT_FALSE(member_->content().Contains(objects[11]));
-  EXPECT_EQ(metrics_->replica_declines(), 1u);
-  EXPECT_EQ(member_->content().stats().admission_rejects, 1u);
-}
-
-TEST_F(ReplicaAdmissionTest, QueryDrivenInsertsIgnoreTheHeadroom) {
-  Start("lru", 3 * 10 * 1024);
-  const auto& objects = system_->catalog().site(0).objects;
-  OfferReplica(objects[10]);
-  ASSERT_EQ(member_->content().size(), 2u);
-  // A third *requested* object is always cached (it may evict).
-  system_->SubmitQuery(member_->node(), 0, objects[12]);
-  world_->sim()->RunFor(kMinute);
-  EXPECT_TRUE(member_->content().Contains(objects[12]));
-  EXPECT_EQ(metrics_->replica_declines(), 0u);
-}
-
-TEST_F(ReplicaAdmissionTest, UnboundedStoreAcceptsEveryReplica) {
-  Start("unbounded", 0);
-  const auto& objects = system_->catalog().site(0).objects;
-  for (int i = 10; i < 20; ++i) OfferReplica(objects[i]);
-  EXPECT_EQ(member_->content().size(), 11u);
-  EXPECT_EQ(metrics_->replica_declines(), 0u);
 }
 
 }  // namespace

@@ -133,24 +133,16 @@ TEST(FlowerMessagesTest, HandoffSizeCoversIndexAndSummaries) {
   EXPECT_EQ(h.traffic_class(), TrafficClass::kControl);
 }
 
-TEST(FlowerMessagesTest, ReplicaTransferCountsAsTransfer) {
-  ReplicaTransferMsg m(42, 1, 80000);
-  EXPECT_EQ(m.traffic_class(), TrafficClass::kTransfer);
-  EXPECT_GE(m.SizeBits(), 80000u);
-}
-
 TEST(FlowerMessagesTest, ControlMessagesAreNotBackgroundTraffic) {
   // Background traffic = gossip + push + keepalive; these must be control.
   JoinDirectoryReq jr(1, 2);
   JoinDirectoryResp js(1, true, NodeRef{});
   WelcomeMsg w(1, 0);
   LeaveMsg leave;
-  ReplicationOfferMsg offer;
   EXPECT_EQ(jr.traffic_class(), TrafficClass::kControl);
   EXPECT_EQ(js.traffic_class(), TrafficClass::kControl);
   EXPECT_EQ(w.traffic_class(), TrafficClass::kControl);
   EXPECT_EQ(leave.traffic_class(), TrafficClass::kControl);
-  EXPECT_EQ(offer.traffic_class(), TrafficClass::kControl);
 }
 
 TEST(FlowerMessagesTest, RouteEnvelopeInheritsPayloadClass) {
@@ -211,14 +203,6 @@ TEST(FlowerMessagesTest, EveryTypeHasItsKindAndTrafficClass) {
       {"JoinDirectoryResp",
        std::make_unique<JoinDirectoryResp>(1, true, NodeRef{}),
        K::kJoinDirectoryResp, C::kControl},
-      {"ReplicationOfferMsg", std::make_unique<ReplicationOfferMsg>(),
-       K::kReplicationOffer, C::kControl},
-      {"ReplicationRequestMsg", std::make_unique<ReplicationRequestMsg>(),
-       K::kReplicationRequest, C::kControl},
-      {"ReplicaTransferMsg", std::make_unique<ReplicaTransferMsg>(42, 1, 800),
-       K::kReplicaTransfer, C::kTransfer},
-      {"ReplicaTransferCmd", std::make_unique<ReplicaTransferCmd>(42, 3),
-       K::kReplicaTransferCmd, C::kControl},
   };
   std::set<MessageKind> kinds;
   for (const Row& row : rows) {

@@ -8,8 +8,8 @@
 //  - For shards >= 2, text and JSON sink output is byte-identical
 //    across shard counts, across repeated runs, and across the serial
 //    and threaded lane executors.
-//  - Stress: the same holds with churn + active replication enabled
-//    (cooperative executor), including equal events_processed totals.
+//  - Stress: the same holds with churn enabled (cooperative executor),
+//    including equal events_processed totals.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -131,18 +131,16 @@ TEST(ShardedDeterminismGolden, ShardsOneIsTheSerialEngine) {
 }
 
 // Satellite: cross-shard determinism under churn. Same seed at
-// shards=1,2,4 with churn + replication; the sharded runs must byte-match
+// shards=1,2,4 with churn; the sharded runs must byte-match
 // each other and report equal events_processed; shards=1 must still be
 // the serial engine (different schedule, so only its self-consistency is
 // asserted here).
-TEST(ShardedDeterminismGolden, ChurnAndReplicationStress) {
+TEST(ShardedDeterminismGolden, ChurnStress) {
   SimConfig base = ShardConfig();
   base.duration = 2 * kHour;
   base.churn_enabled = true;
   base.churn_mean_session = 30 * kMinute;
   base.churn_mean_downtime = 10 * kMinute;
-  base.active_replication = true;
-  base.replication_period = 30 * kMinute;
 
   SimConfig one = base;
   one.shards = 1;
