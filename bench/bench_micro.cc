@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
+#include "bloom/summary.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "dht/chord_ring.h"
@@ -85,12 +86,13 @@ BENCHMARK(BM_BloomQuery);
 // hashes it once per query through a shared BloomProbe.
 void BM_BloomViewProbe(benchmark::State& state) {
   const bool shared_probe = state.range(0) != 0;
-  std::vector<ContentSummary> view;
+  std::vector<SummaryRef> view;
   for (uint64_t s = 0; s < 50; ++s) {
-    view.emplace_back(500, 8, 5);
+    auto summary = std::make_unique<ContentSummary>(500, 8, 5);
     for (uint64_t k = 0; k < 100; ++k) {
-      view.back().Add(Mix64(s * 1000 + k) % 500);
+      summary->Add(Mix64(s * 1000 + k) % 500);
     }
+    view.emplace_back(std::move(summary));
   }
   uint64_t object = 0;
   for (auto _ : state) {
@@ -98,9 +100,9 @@ void BM_BloomViewProbe(benchmark::State& state) {
     int hits = 0;
     if (shared_probe) {
       const BloomProbe probe(id);
-      for (const ContentSummary& s : view) hits += s.MaybeContains(probe);
+      for (const SummaryRef& s : view) hits += s->MaybeContains(probe);
     } else {
-      for (const ContentSummary& s : view) hits += s.MaybeContains(id);
+      for (const SummaryRef& s : view) hits += s->MaybeContains(id);
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -134,7 +136,7 @@ BENCHMARK(BM_ZipfSample);
 
 void BM_ViewMerge(benchmark::State& state) {
   Rng rng(1);
-  auto summary = std::make_shared<ContentSummary>(500, 8, 5);
+  SummaryRef summary(std::make_unique<ContentSummary>(500, 8, 5));
   std::vector<ViewEntry> incoming;
   for (int i = 0; i < 10; ++i) {
     ViewEntry e;
@@ -158,6 +160,26 @@ void BM_ViewMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewMerge);
+
+// A joining client's first merge: the directory's welcome, 50 age-0
+// contacts without summaries in random order, into an empty view of 50.
+void BM_ViewWelcomeMerge(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<ViewEntry> contacts;
+  for (int i = 0; i < 50; ++i) {
+    ViewEntry e;
+    e.addr = static_cast<PeerAddress>(100 + 7 * i);
+    e.age = 0;
+    contacts.push_back(e);
+  }
+  rng.Shuffle(&contacts);
+  for (auto _ : state) {
+    View view(50);
+    view.Merge(contacts, std::nullopt, 9999);
+    benchmark::DoNotOptimize(view.entries().data());
+  }
+}
+BENCHMARK(BM_ViewWelcomeMerge);
 
 void BM_TopologyLatency(benchmark::State& state) {
   SimConfig config;

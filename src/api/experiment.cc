@@ -1,12 +1,17 @@
 #include "api/experiment.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/mem_stats.h"
+#include "core/deployment.h"
+#include "core/flower_ids.h"
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -132,6 +137,30 @@ void CollectSeries(const Metrics& metrics, RunResult* result) {
   result->transfer_hist = metrics.transfer_histogram();
 }
 
+/// The checks that need every override applied: key combinations that
+/// would crash a run. The D-ring ids must name every locality and
+/// directory instance, and the topology must hold the origin servers and
+/// the initial directories.
+Status CheckWorld(const SimConfig& c) {
+  const int instances = std::max(c.scaleup_instances, 1);
+  Status ids = DRingIdScheme::Check(
+      c.chord_id_bits, c.locality_id_bits, c.scaleup_extra_bits,
+      static_cast<uint64_t>(c.num_localities),
+      static_cast<uint64_t>(instances));
+  if (!ids.ok()) return ids;
+  const uint64_t needed = Deployment::NodesNeeded(c);
+  if (c.num_topology_nodes < 0 ||
+      needed > static_cast<uint64_t>(c.num_topology_nodes)) {
+    return Status::InvalidArgument(
+        "num_topology_nodes=" + std::to_string(c.num_topology_nodes) +
+        " cannot hold num_websites=" + std::to_string(c.num_websites) +
+        " origin servers plus num_websites x num_localities=" +
+        std::to_string(c.num_localities) + " x scaleup_instances=" +
+        std::to_string(instances) + " directories");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Experiment::Experiment(SimConfig config) : config_(std::move(config)) {}
@@ -174,6 +203,7 @@ Experiment& Experiment::Every(SimTime period, ObserverFn fn) {
 }
 
 Result<RunResult> Experiment::TryRun() {
+  if (Status valid = CheckWorld(config_); !valid.ok()) return valid;
   // The construction order below (simulator, topology, network, metrics,
   // system, churn-in-Setup, workload, driver, sampler) is exactly the v1
   // runner's; preserving it keeps every RNG draw, and therefore every

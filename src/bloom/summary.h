@@ -3,7 +3,11 @@
 #ifndef FLOWERCDN_BLOOM_SUMMARY_H_
 #define FLOWERCDN_BLOOM_SUMMARY_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -11,8 +15,14 @@
 
 namespace flower {
 
+class SummaryRef;
+
 /// A snapshot summary of a set of object ids, as carried in gossip and
 /// directory-summary messages. Knows its own wire size.
+///
+/// Snapshots are shared: view entries across an overlay and directory
+/// summaries on several lanes hold the same filter through SummaryRef
+/// handles, whose reference count lives here.
 class ContentSummary {
  public:
   /// capacity: the maximum number of objects the summarized set may hold
@@ -41,7 +51,62 @@ class ContentSummary {
   const BloomFilter& filter() const { return filter_; }
 
  private:
+  friend class SummaryRef;
+
   BloomFilter filter_;
+  /// Handles referring to this summary. Atomic: in a sharded run a
+  /// directory summary is copied and dropped on several lanes at once.
+  mutable std::atomic<uint32_t> refs_{0};
+};
+
+/// A shared, owning handle to an immutable ContentSummary: one pointer
+/// (8 bytes, against std::shared_ptr's 16), counted inside the summary.
+/// A builder fills a std::unique_ptr<ContentSummary>, then hands it to a
+/// handle; copies share the summary, and the last handle released
+/// deletes it.
+class SummaryRef {
+ public:
+  SummaryRef() = default;
+  SummaryRef(std::nullptr_t) {}
+  explicit SummaryRef(std::unique_ptr<ContentSummary> summary)
+      : ptr_(summary.release()) {
+    Acquire();
+  }
+
+  SummaryRef(const SummaryRef& other) : ptr_(other.ptr_) { Acquire(); }
+  SummaryRef(SummaryRef&& other) noexcept
+      : ptr_(std::exchange(other.ptr_, nullptr)) {}
+  SummaryRef& operator=(SummaryRef other) noexcept {
+    std::swap(ptr_, other.ptr_);
+    return *this;
+  }
+
+  ~SummaryRef() {
+    if (ptr_ != nullptr && ptr_->refs_.fetch_sub(1) == 1) delete ptr_;
+  }
+
+  const ContentSummary* get() const { return ptr_; }
+  const ContentSummary* operator->() const { return ptr_; }
+  explicit operator bool() const { return ptr_ != nullptr; }
+
+  /// Handles sharing this summary, this one included (0 when empty).
+  uint32_t use_count() const {
+    return ptr_ == nullptr ? 0 : ptr_->refs_.load();
+  }
+
+  friend bool operator==(const SummaryRef& a, const SummaryRef& b) {
+    return a.ptr_ == b.ptr_;
+  }
+  friend bool operator!=(const SummaryRef& a, const SummaryRef& b) {
+    return a.ptr_ != b.ptr_;
+  }
+
+ private:
+  void Acquire() {
+    if (ptr_ != nullptr) ptr_->refs_.fetch_add(1);
+  }
+
+  const ContentSummary* ptr_ = nullptr;
 };
 
 }  // namespace flower

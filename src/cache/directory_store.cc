@@ -149,7 +149,7 @@ void DirectoryStore::AgeAll(int dead_age_limit, Delta* delta) {
 uint64_t DirectoryStore::SummaryFootprintBytes(
     const NeighborSummary& summary) {
   const uint64_t filter_bytes =
-      summary.summary == nullptr ? 0 : (summary.summary->SizeBits() + 7) / 8;
+      !summary.summary ? 0 : (summary.summary->SizeBits() + 7) / 8;
   return kSummaryBaseBytes + filter_bytes;
 }
 

@@ -41,17 +41,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "bloom/summary.h"
 #include "cache/keyed_store.h"
 #include "common/types.h"
 
 namespace flower {
 
 struct SimConfig;
-class ContentSummary;
 
 class DirectoryStore {
  public:
@@ -72,7 +71,7 @@ class DirectoryStore {
   struct NeighborSummary {
     PeerAddress addr = kInvalidAddress;
     LocalityId locality = 0;
-    std::shared_ptr<const ContentSummary> summary;
+    SummaryRef summary;
   };
 
   /// What a mutation changed, for summary-refresh bookkeeping and

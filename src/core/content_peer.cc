@@ -287,14 +287,14 @@ void ContentPeer::StartOverlayTimers() {
       ka_offset, cfg.keepalive_period, [this]() { SendKeepalive(); });
 }
 
-std::shared_ptr<const ContentSummary> ContentPeer::CurrentSummary() {
-  if (summary_dirty_ || summary_ == nullptr) {
-    auto s = std::make_shared<ContentSummary>(
+SummaryRef ContentPeer::CurrentSummary() {
+  if (summary_dirty_ || !summary_) {
+    auto s = std::make_unique<ContentSummary>(
         ctx_->config->num_objects_per_website,
         ctx_->config->summary_bits_per_object,
         ctx_->config->summary_num_hashes);
     for (const auto& [o, size] : content_.entries()) s->Add(o);
-    summary_ = std::move(s);
+    summary_ = SummaryRef(std::move(s));
     summary_dirty_ = false;
   }
   return summary_;

@@ -101,7 +101,7 @@ class ContentPeer : public Peer {
   void HandleGossipRequest(std::unique_ptr<GossipRequestMsg> req);
   void HandleGossipReply(std::unique_ptr<GossipReplyMsg> reply);
   void MergeDirPointer(const DirectoryPointer& incoming);
-  std::shared_ptr<const ContentSummary> CurrentSummary();
+  SummaryRef CurrentSummary();
 
   // Push & keepalive (Algorithm 5 / Sec 5.1).
   /// `cost` is the GDSF retrieval-cost term (the measured transfer
@@ -132,7 +132,7 @@ class ContentPeer : public Peer {
   // (convert via site_->SlotOf / IdAtSlot at the cache boundary).
   std::vector<ObjectSlot> push_delta_;    // additions since the last push
   std::vector<ObjectSlot> push_removed_;  // evictions since the last push
-  std::shared_ptr<const ContentSummary> summary_;  // current snapshot
+  SummaryRef summary_;  // current snapshot
   bool summary_dirty_ = true;
 
   View view_;

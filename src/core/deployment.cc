@@ -2,11 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace flower {
 
+uint64_t Deployment::NodesNeeded(const SimConfig& config) {
+  const uint64_t sites =
+      static_cast<uint64_t>(std::max(config.num_websites, 1));
+  const uint64_t localities =
+      static_cast<uint64_t>(std::max(config.num_localities, 1));
+  const uint64_t instances =
+      static_cast<uint64_t>(std::max(config.scaleup_instances, 1));
+  // Below 2^63: both factors are ints.
+  const uint64_t per_site = 1 + localities * instances;
+  if (per_site > std::numeric_limits<uint64_t>::max() / sites) {
+    return std::numeric_limits<uint64_t>::max();
+  }
+  return sites * per_site;
+}
+
 Deployment Deployment::Plan(const SimConfig& config,
                             const Topology& topology, Rng* rng) {
+  assert(NodesNeeded(config) <= static_cast<uint64_t>(topology.num_nodes()));
   Deployment d;
   Rng gen = rng->Fork();
   const int k = topology.num_localities();

@@ -4,6 +4,7 @@
 #ifndef FLOWERCDN_CORE_DEPLOYMENT_H_
 #define FLOWERCDN_CORE_DEPLOYMENT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/config.h"
@@ -32,9 +33,15 @@ struct Deployment {
   /// Detected locality per topology node (landmark technique), [node].
   std::vector<LocalityId> detected_locality;
 
-  /// Plans a deployment. Deterministic given the rng state.
+  /// Plans a deployment. Deterministic given the rng state. Requires
+  /// NodesNeeded(config) <= topology.num_nodes().
   static Deployment Plan(const SimConfig& config, const Topology& topology,
                          Rng* rng);
+
+  /// Topology nodes Plan() takes before the client pools: one origin
+  /// server per website and max(scaleup_instances, 1) directories per
+  /// (website, locality). Saturates at UINT64_MAX.
+  static uint64_t NodesNeeded(const SimConfig& config);
 };
 
 }  // namespace flower

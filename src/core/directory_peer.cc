@@ -371,8 +371,8 @@ std::vector<NodeRef> DirectoryPeer::SameWebsiteNeighbors() const {
   return out;
 }
 
-std::shared_ptr<const ContentSummary> DirectoryPeer::BuildIndexSummary() {
-  auto s = std::make_shared<ContentSummary>(
+SummaryRef DirectoryPeer::BuildIndexSummary() {
+  auto s = std::make_unique<ContentSummary>(
       ctx_->config->num_objects_per_website,
       ctx_->config->summary_bits_per_object,
       ctx_->config->summary_num_hashes);
@@ -382,7 +382,7 @@ std::shared_ptr<const ContentSummary> DirectoryPeer::BuildIndexSummary() {
     s->Add(site_->IdAtSlot(slot));
   }
   for (const auto& [o, size] : content_.entries()) s->Add(o);
-  return s;
+  return SummaryRef(std::move(s));
 }
 
 void DirectoryPeer::MaybeRefreshNeighborSummaries() {
@@ -584,12 +584,12 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
       auto gr = MessageCast<GossipRequestMsg>(std::move(msg));
       auto reply = std::make_unique<GossipReplyMsg>();
       if (!content_.empty()) {
-        auto s = std::make_shared<ContentSummary>(
+        auto s = std::make_unique<ContentSummary>(
             ctx_->config->num_objects_per_website,
             ctx_->config->summary_bits_per_object,
             ctx_->config->summary_num_hashes);
         for (const auto& [o, size] : content_.entries()) s->Add(o);
-        reply->own_summary = std::move(s);
+        reply->own_summary = SummaryRef(std::move(s));
       }
       reply->view_subset =
           view_.SelectSubset(ctx_->config->gossip_length, &rng_, from);
@@ -602,6 +602,13 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
       view_.Merge(gr->view_subset, fresh, address());
       return;
     }
+    case MessageKind::kGossipReply:
+    case MessageKind::kJoinDirectoryResp:
+      // Late answers to the content peer this directory was promoted
+      // from: it sent a gossip request or a replacement request, and a
+      // granted replacement or a handoff promoted it before the answer
+      // arrived. The state they would update went with that peer.
+      return;
     default:
       // Everything else is DHT traffic.
       ChordNode::HandleMessage(std::move(msg));

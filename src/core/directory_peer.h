@@ -81,6 +81,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   }
   const DirectoryStore& dir_store() const { return dir_store_; }
   const ContentStore& own_content() const { return content_; }
+  const View& view() const { return view_; }
   uint64_t queries_processed() const { return queries_processed_; }
   uint64_t redirect_failures() const { return redirect_failures_; }
   bool alive() const { return alive_; }
@@ -126,7 +127,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   void NoteRemovedObjectId(ObjectId id);
   void MaybeRefreshNeighborSummaries();
   std::vector<NodeRef> SameWebsiteNeighbors() const;
-  std::shared_ptr<const ContentSummary> BuildIndexSummary();
+  SummaryRef BuildIndexSummary();
 
   // Own-content handling (directories are clients too).
   void AddOwnObject(ObjectId object, double cost);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace flower {
@@ -19,8 +20,16 @@ namespace flower {
 class DRingIdScheme {
  public:
   /// id_bits = m (total), locality_bits = m1, extra_bits = b.
-  /// Requires m > m1 + b.
+  /// Requires Check(m, m1, b, 1, 1) to pass.
   DRingIdScheme(int id_bits, int locality_bits, int extra_bits);
+
+  /// Whether ids of these widths can name `localities` localities with
+  /// `instances` directory instances each: 1 <= m1, 0 <= b, m1 + b < m <=
+  /// 64, localities <= 2^m1 and instances <= 2^b. The errors name the
+  /// SimConfig keys the widths come from (chord_id_bits,
+  /// locality_id_bits, scaleup_extra_bits).
+  static Status Check(int id_bits, int locality_bits, int extra_bits,
+                      uint64_t localities, uint64_t instances);
 
   int id_bits() const { return id_bits_; }
   int locality_bits() const { return locality_bits_; }

@@ -185,7 +185,7 @@ class GossipRequestMsg
     return bits + dir_pointer.WireBits();
   }
 
-  std::shared_ptr<const ContentSummary> own_summary;
+  SummaryRef own_summary;
   std::vector<ViewEntry> view_subset;
   DirectoryPointer dir_pointer;
 
@@ -202,7 +202,7 @@ class GossipReplyMsg
     return bits + dir_pointer.WireBits();
   }
 
-  std::shared_ptr<const ContentSummary> own_summary;
+  SummaryRef own_summary;
   std::vector<ViewEntry> view_subset;
   DirectoryPointer dir_pointer;
 
@@ -269,8 +269,7 @@ class DirectorySummaryMsg
     : public MessageOf<MessageKind::kDirectorySummary, TrafficClass::kPush> {
  public:
   DirectorySummaryMsg(uint64_t website_hash_in, LocalityId from_loc_in,
-                      Key from_dir_id_in,
-                      std::shared_ptr<const ContentSummary> summary_in)
+                      Key from_dir_id_in, SummaryRef summary_in)
       : website_hash(website_hash_in),
         from_loc(from_loc_in),
         from_dir_id(from_dir_id_in),
@@ -283,7 +282,7 @@ class DirectorySummaryMsg
   uint64_t website_hash;
   LocalityId from_loc;
   Key from_dir_id;
-  std::shared_ptr<const ContentSummary> summary;
+  SummaryRef summary;
 
   FLOWER_DUPLICATE_AS_COPY(DirectorySummaryMsg)
 };
@@ -318,7 +317,7 @@ class DirectoryHandoffMsg
   struct SummaryWire {
     Key dir_id;
     PeerAddress addr;
-    std::shared_ptr<const ContentSummary> summary;
+    SummaryRef summary;
   };
   std::vector<SummaryWire> summaries;
 };

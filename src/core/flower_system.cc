@@ -288,7 +288,7 @@ FlowerSystem::GossipStats FlowerSystem::CollectGossipStats() const {
     ++out.joined_peers;
     view_sum += p->view().size();
     for (const ViewEntry& e : p->view().entries()) {
-      if (e.summary != nullptr) ++summaries_sum;
+      if (e.summary) ++summaries_sum;
     }
   }
   if (out.joined_peers > 0) {

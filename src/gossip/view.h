@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -28,14 +27,20 @@ namespace flower {
 struct ViewEntry {
   PeerAddress addr = kInvalidAddress;
   int age = 0;
-  std::shared_ptr<const ContentSummary> summary;  // may be null
+  SummaryRef summary;  // may be null
 
   /// Wire size of this entry inside a gossip message.
   uint64_t WireBits() const {
     return kAddressBits + kAgeBits + (summary ? summary->SizeBits() : 0);
   }
 };
+// Views hold V_gossip of these per content peer: keep them at two words.
+static_assert(sizeof(ViewEntry) == 16, "ViewEntry grew");
 
+/// The entries of a view are kept sorted by (age, addr) — freshest first,
+/// ties by address — and never exceed `capacity()`. Addresses are unique
+/// within a view, so the order is total: every selection below is a pure
+/// function of the entry set.
 class View {
  public:
   /// capacity: V_gossip. max_age: entries older than this are dead contacts
@@ -46,6 +51,7 @@ class View {
   int capacity() const { return capacity_; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  /// Sorted by (age, addr).
   const std::vector<ViewEntry>& entries() const { return entries_; }
 
   /// Algorithm 4: view.increment_age().
@@ -62,13 +68,14 @@ class View {
 
   /// Algorithm 4: merge() + select_recent(). Combines the current view, the
   /// received subset and an optional fresh entry for the gossip partner,
-  /// dropping duplicates (keeping the smallest age) and entries for `self`,
-  /// then keeps the `capacity` most recent entries.
+  /// dropping duplicates (keeping the smallest age, or on a tie the first
+  /// instance carrying a summary) and entries for `self`, then keeps the
+  /// `capacity` most recent entries.
   void Merge(const std::vector<ViewEntry>& received,
              const std::optional<ViewEntry>& fresh, PeerAddress self);
 
-  /// Inserts or refreshes a single entry (e.g. initial contacts from the
-  /// directory's welcome message), evicting the oldest if at capacity.
+  /// Inserts or refreshes a single entry in its sorted slot, by the rules
+  /// of Merge(), evicting the oldest if at capacity.
   void Insert(const ViewEntry& entry, PeerAddress self);
 
   /// Removes the entry for a (dead) contact. Returns true if present.
@@ -88,7 +95,7 @@ class View {
   bool Contains(PeerAddress addr) const { return Find(addr) != nullptr; }
 
  private:
-  void SortAndTruncate();
+  bool Admissible(const ViewEntry& e, PeerAddress self) const;
 
   int capacity_;
   int max_age_;

@@ -6,17 +6,21 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bloom/summary.h"
 #include "common/rng.h"
+#include "gossip/view.h"
 
-// Counts global allocations so a test can assert that a code path makes
-// none. Only this test binary replaces the global operator new. Kept out
-// of line so gcc does not pair an inlined new with the free() below and
-// warn about a mismatch.
+// Counts global allocations and frees so a test can assert that a code
+// path makes none, or when memory is released. Only this test binary
+// replaces the global operator new. Kept out of line so gcc does not pair
+// an inlined new with the free() below and warn about a mismatch.
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_deallocations{0};
 }  // namespace
 
 [[gnu::noinline]] void* operator new(std::size_t size) {
@@ -24,8 +28,12 @@ std::atomic<long> g_allocations{0};
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) g_deallocations.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  if (p != nullptr) g_deallocations.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
 
@@ -172,13 +180,13 @@ TEST(BloomProbeTest, OneProbeAcrossGeometriesMatchesFreshProbes) {
 
 TEST(BloomProbeTest, ProbesAndAddsDoNotAllocate) {
   // The query path's shape: one object against a view of 50 summaries.
-  std::vector<std::shared_ptr<const ContentSummary>> view;
+  std::vector<SummaryRef> view;
   for (int s = 0; s < 50; ++s) {
-    auto summary = std::make_shared<ContentSummary>(500, 8, 5);
+    auto summary = std::make_unique<ContentSummary>(500, 8, 5);
     for (uint64_t k = 0; k < 100; ++k) {
       summary->Add(static_cast<uint64_t>(s) * 1000 + k);
     }
-    view.push_back(summary);
+    view.emplace_back(std::move(summary));
   }
   BloomFilter scratch(4000, 5);
   const long before = g_allocations.load();
@@ -212,6 +220,111 @@ TEST(ContentSummaryTest, MinimumCapacityIsSafe) {
   ContentSummary s(0, 8, 5);  // degenerate capacity clamps to 1 object
   s.Add(42);
   EXPECT_TRUE(s.MaybeContains(42));
+}
+
+static_assert(sizeof(SummaryRef) == sizeof(void*));
+
+TEST(SummaryRefTest, CopiesShareOneSummary) {
+  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  EXPECT_EQ(a.use_count(), 1u);
+  SummaryRef b = a;
+  SummaryRef c;
+  c = b;
+  EXPECT_EQ(b.get(), a.get());
+  EXPECT_EQ(c.get(), a.get());
+  EXPECT_EQ(a.use_count(), 3u);
+  c = nullptr;
+  EXPECT_FALSE(c);
+  EXPECT_EQ(a.use_count(), 2u);
+}
+
+TEST(SummaryRefTest, MoveEmptiesItsSource) {
+  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  const ContentSummary* raw = a.get();
+  SummaryRef b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): the point
+  EXPECT_EQ(a.use_count(), 0u);
+  EXPECT_EQ(b.get(), raw);
+  EXPECT_EQ(b.use_count(), 1u);
+  SummaryRef c;
+  c = std::move(b);
+  EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.get(), raw);
+  EXPECT_EQ(c.use_count(), 1u);
+}
+
+TEST(SummaryRefTest, LastReleaseFreesTheSummary) {
+  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  const long frees = g_deallocations.load();
+  {
+    SummaryRef b = a;
+    SummaryRef c = b;
+    EXPECT_EQ(a.use_count(), 3u);
+  }
+  // Every other handle is gone; the summary is not.
+  EXPECT_EQ(g_deallocations.load() - frees, 0);
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(a->SizeBits(), 4000u);
+  a = nullptr;
+  // The summary object and its filter's bit vector.
+  EXPECT_EQ(g_deallocations.load() - frees, 2);
+}
+
+ViewEntry Contact(PeerAddress addr, int age, SummaryRef summary = nullptr) {
+  ViewEntry e;
+  e.addr = addr;
+  e.age = age;
+  e.summary = std::move(summary);
+  return e;
+}
+
+TEST(ViewAllocationTest, GossipRoundOnAFullViewDoesNotAllocate) {
+  // A content peer's steady state: a full view of V_gossip = 50, rounds
+  // of age, expire, pick the partner, and merge a reply of L_gossip = 10
+  // entries plus the partner's fresh entry.
+  const PeerAddress self = 1000;
+  View view(50, /*max_age=*/12);
+  SummaryRef summary(std::make_unique<ContentSummary>(500, 8, 5));
+  std::vector<ViewEntry> seed;
+  for (PeerAddress a = 0; a < 50; ++a) {
+    seed.push_back(Contact(a, static_cast<int>(a % 7),
+                           a % 3 == 0 ? summary : nullptr));
+  }
+  view.Merge(seed, std::nullopt, self);
+  ASSERT_EQ(view.size(), 50u);
+
+  // Replies prepared up front: new contacts that evict, refreshes of held
+  // ones, summary-on-tie swaps, self and dead entries.
+  std::vector<std::vector<ViewEntry>> replies;
+  std::vector<std::optional<ViewEntry>> partners;
+  Rng rng(7);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<ViewEntry> reply;
+    for (int i = 0; i < 10; ++i) {
+      const PeerAddress addr = static_cast<PeerAddress>(rng.Index(120));
+      reply.push_back(Contact(addr == 99 ? self : addr,
+                              static_cast<int>(rng.Index(16)),
+                              rng.Index(2) == 0 ? summary : nullptr));
+    }
+    replies.push_back(std::move(reply));
+    partners.emplace_back(
+        Contact(static_cast<PeerAddress>(rng.Index(120)), 0, summary));
+  }
+
+  const long before = g_allocations.load();
+  int picked = 0;
+  int full_merges = 0;
+  for (size_t round = 0; round < replies.size(); ++round) {
+    view.IncrementAges();
+    view.DropOlderThan(12);
+    picked += view.SelectOldest() != nullptr;
+    full_merges += view.size() == 50;
+    view.Merge(replies[round], partners[round], self);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(picked, 40);
+  EXPECT_GT(full_merges, 10);  // 17 with this seed; the rest lost a few
+  EXPECT_LE(view.entries().capacity(), 50u);
 }
 
 }  // namespace

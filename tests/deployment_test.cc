@@ -1,5 +1,7 @@
 #include "core/deployment.h"
 
+#include <climits>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -73,6 +75,27 @@ TEST(DeploymentTest, DetectedLocalityMatchesGroundTruthWithoutNoise) {
   for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
     EXPECT_EQ(d.detected_locality[n], topo.LocalityOf(n));
   }
+}
+
+TEST(DeploymentTest, NodesNeededCountsServersAndDirectories) {
+  SimConfig c = TinyConfig();
+  c.scaleup_instances = 2;
+  c.scaleup_extra_bits = 1;
+  Rng rng(1);
+  Topology topo(c, &rng);
+  Rng plan_rng(2);
+  Deployment d = Deployment::Plan(c, topo, &plan_rng);
+  uint64_t placed = d.server_nodes.size();
+  for (const auto& per_site : d.dir_nodes) {
+    for (const auto& per_loc : per_site) placed += per_loc.size();
+  }
+  EXPECT_EQ(Deployment::NodesNeeded(c), placed);
+  EXPECT_EQ(placed, 5u * (1 + 3 * 2));
+
+  c.num_websites = INT_MAX;
+  c.num_localities = INT_MAX;
+  c.scaleup_instances = INT_MAX;
+  EXPECT_EQ(Deployment::NodesNeeded(c), UINT64_MAX);
 }
 
 TEST(DeploymentTest, DeterministicGivenSeeds) {

@@ -4,6 +4,10 @@
 // keepalive-ack suspicion.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/logging.h"
 #include "core/flower_system.h"
 #include "net/fault_injector.h"
 #include "test_util.h"
@@ -282,6 +286,60 @@ TEST_F(DirectoryFailureTest, PromotedDirectoryKeepsServingItsContent) {
   world_.sim()->RunFor(kMinute);
   EXPECT_EQ(metrics_.server_hits(), server_before);
   EXPECT_EQ(requester->content().count(obj), 1u);
+}
+
+TEST_F(DirectoryFailureTest, LateRepliesToAPromotedPeerAreDropped) {
+  // A content peer that asked a contact for gossip, or the D-ring for its
+  // directory's position, can be promoted before the answer arrives; the
+  // answer then reaches the directory at its address.
+  auto peers = Join(5);
+  system_.FindDirectory(0, 0)->LeaveGracefully();  // promotes peers[0]
+  world_.sim()->RunFor(kMinute);
+  DirectoryPeer* heir = system_.FindDirectory(0, 0);
+  ASSERT_NE(heir, nullptr);
+  ASSERT_FALSE(heir->view().empty());
+  ContentPeer* contact = system_.FindContentPeer(peers[1]->node());
+  ASSERT_NE(contact, nullptr);
+
+  const std::vector<ViewEntry> view_before = heir->view().entries();
+  std::vector<std::pair<PeerAddress, std::vector<ObjectSlot>>> index_before;
+  for (const auto& [addr, entry] : heir->dir_store().entries()) {
+    index_before.emplace_back(addr, entry.objects);
+  }
+
+  auto reply = std::make_unique<GossipReplyMsg>();
+  reply->sender = contact->address();
+  reply->own_summary =
+      SummaryRef(std::make_unique<ContentSummary>(50, 8, 5));
+  ViewEntry stranger;
+  stranger.addr = 12345;
+  reply->view_subset.push_back(stranger);
+  reply->dir_pointer = DirectoryPointer{contact->address(), 0};
+  auto resp = std::make_unique<JoinDirectoryResp>(heir->id(), true,
+                                                  heir->self_ref());
+  resp->sender = contact->address();
+
+  const LogLevel level = GlobalLogLevel();
+  SetGlobalLogLevel(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  heir->HandleMessage(std::move(reply));
+  heir->HandleMessage(std::move(resp));
+  const std::string log = testing::internal::GetCapturedStderr();
+  SetGlobalLogLevel(level);
+  EXPECT_EQ(log, "");
+
+  const std::vector<ViewEntry>& view_after = heir->view().entries();
+  ASSERT_EQ(view_after.size(), view_before.size());
+  for (size_t i = 0; i < view_before.size(); ++i) {
+    EXPECT_EQ(view_after[i].addr, view_before[i].addr);
+    EXPECT_EQ(view_after[i].age, view_before[i].age);
+    EXPECT_EQ(view_after[i].summary, view_before[i].summary);
+  }
+  std::vector<std::pair<PeerAddress, std::vector<ObjectSlot>>> index_after;
+  for (const auto& [addr, entry] : heir->dir_store().entries()) {
+    index_after.emplace_back(addr, entry.objects);
+  }
+  EXPECT_EQ(index_after, index_before);
 }
 
 }  // namespace

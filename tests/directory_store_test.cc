@@ -254,7 +254,7 @@ TEST(DirectoryStoreTest, SummariesByteAccountedAgainstIndexBudget) {
 
   // 32 objects x 8 bits = 256 filter bits = 32 bytes; footprint 64 —
   // exactly one entry's worth of budget.
-  auto summary = std::make_shared<ContentSummary>(32, 8, 5);
+  SummaryRef summary(std::make_unique<ContentSummary>(32, 8, 5));
   DirectoryStore::Delta put;
   store.PutSummary(7, DirectoryStore::NeighborSummary{42, 1, summary},
                    &put);

@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/systems.h"
 #include "common/hash.h"
@@ -52,6 +55,46 @@ TEST(SystemRegistryTest, UnknownSystemFailsGracefully) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   // The error names the known keys so CLI typos are self-explaining.
   EXPECT_NE(r.status().message().find("flower"), std::string::npos);
+}
+
+// Key combinations that once crashed a run (SIGFPE, a segfault, or
+// directories that failed to start) must fail fast with INVALID_ARGUMENT
+// naming the key. Each override passes SimConfig::Apply on its own.
+TEST(ExperimentTest, CrossKeyConfigErrorsAreRejectedBeforeTheRun) {
+  struct Case {
+    std::vector<std::pair<std::string, std::string>> overrides;
+    std::string names;  // the key the message must name
+  };
+  const std::vector<Case> cases = {
+      {{{"num_topology_nodes", "0"}}, "num_topology_nodes"},
+      {{{"num_topology_nodes", "50"}}, "num_topology_nodes"},
+      {{{"num_topology_nodes", "139"}}, "num_topology_nodes"},
+      {{{"num_localities", "300"}}, "num_localities"},
+      {{{"locality_id_bits", "2"}}, "num_localities"},
+      {{{"scaleup_instances", "4"}}, "scaleup_instances"},
+      {{{"scaleup_extra_bits", "1"}, {"scaleup_instances", "3"}},
+       "scaleup_instances"},
+      {{{"chord_id_bits", "9"}, {"scaleup_extra_bits", "1"}}, "chord_id_bits"},
+      {{{"locality_id_bits", "0"}}, "locality_id_bits"},
+  };
+  for (const Case& c : cases) {
+    // The quickstart example's world: 20 websites over 6 localities need
+    // 20 x (1 + 6) = 140 nodes.
+    SimConfig config;
+    config.num_topology_nodes = 1200;
+    config.num_websites = 20;
+    config.duration = kHour;
+    std::string label;
+    for (const auto& [key, value] : c.overrides) {
+      ASSERT_TRUE(config.Apply(key, value).ok()) << key << "=" << value;
+      label += key + "=" + value + " ";
+    }
+    Result<RunResult> r = Experiment(config).TryRun();
+    ASSERT_FALSE(r.ok()) << label;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(r.status().message().find(c.names), std::string::npos)
+        << label << ": " << r.status().message();
+  }
 }
 
 TEST(SystemRegistryTest, EmbedderCanRegisterACustomSystem) {

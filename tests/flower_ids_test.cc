@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace flower {
@@ -81,6 +84,32 @@ TEST(DRingIdSchemeTest, MakeKeyEqualsInstanceZero) {
   DRingIdScheme scheme(40, 8, 2);
   uint64_t ws = scheme.HashWebsite("www.a.org");
   EXPECT_EQ(scheme.MakeKey(ws, 4), scheme.MakeDirectoryId(ws, 4, 0));
+}
+
+TEST(DRingIdSchemeTest, CheckAcceptsItsLimitsAndNamesTheKeyItRejects) {
+  EXPECT_TRUE(DRingIdScheme::Check(64, 8, 0, 256, 1).ok());
+  EXPECT_TRUE(DRingIdScheme::Check(11, 8, 2, 256, 4).ok());
+  struct Case {
+    int id_bits, locality_bits, extra_bits;
+    uint64_t localities, instances;
+    std::string key;  // the key the message must name
+  };
+  const std::vector<Case> cases = {
+      {10, 8, 2, 1, 1, "chord_id_bits"},
+      {65, 8, 0, 1, 1, "chord_id_bits"},
+      {64, 0, 0, 1, 1, "locality_id_bits"},
+      {64, 8, -1, 1, 1, "scaleup_extra_bits"},
+      {64, 8, 0, 257, 1, "num_localities"},
+      {64, 8, 0, 6, 2, "scaleup_instances"},
+      {64, 8, 2, 6, 5, "scaleup_instances"},
+  };
+  for (const Case& c : cases) {
+    const Status s = DRingIdScheme::Check(c.id_bits, c.locality_bits,
+                                          c.extra_bits, c.localities,
+                                          c.instances);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.key;
+    EXPECT_NE(s.message().find(c.key), std::string::npos) << s.ToString();
+  }
 }
 
 }  // namespace

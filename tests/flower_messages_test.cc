@@ -11,9 +11,9 @@
 namespace flower {
 namespace {
 
-std::shared_ptr<const ContentSummary> MakeSummary() {
+SummaryRef MakeSummary() {
   // Paper sizing: 500 objects x 8 bits.
-  return std::make_shared<ContentSummary>(500, 8, 5);
+  return SummaryRef(std::make_unique<ContentSummary>(500, 8, 5));
 }
 
 ViewEntry EntryWithSummary(PeerAddress a) {

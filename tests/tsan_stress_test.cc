@@ -17,11 +17,14 @@
 // check: the per-lane event fingerprints must be bit-identical across
 // threaded reruns and against the serial executor.
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bloom/summary.h"
 #include "sim/shard_plan.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
@@ -169,6 +172,99 @@ TEST(TsanStressTest, RepeatedShortWindowsChurnTheBarrier) {
       ShardedSimulator::Executor::kSerial);
   EXPECT_EQ(fp_threads, fp_serial)
       << "threaded executor diverges under barrier-heavy stop patterns";
+}
+
+/// Directory summaries crossing localities, in miniature. Every lane
+/// builds a summary per tick and posts handles to it into two other
+/// lanes' mailboxes, where each displaces an older handle (sometimes the
+/// last one, so the summary is freed on the receiving lane). Every tick
+/// also copies and drops handles to summaries all lanes share. Reference
+/// counts therefore move on several threads at once: a count that is not
+/// atomic is a data race here.
+struct SummaryExchange {
+  static constexpr size_t kSlots = 4;
+
+  Simulator sim;
+  std::vector<SummaryRef> shared;  // read-only, on every lane
+  std::vector<std::vector<SummaryRef>> held;  // lane-confined slots
+  std::vector<LaneTrace> traces;
+
+  explicit SummaryExchange(uint64_t seed)
+      : sim(seed),
+        held(kLanes, std::vector<SummaryRef>(kSlots)),
+        traces(kLanes) {
+    for (uint64_t i = 0; i < 3; ++i) {
+      auto s = std::make_unique<ContentSummary>(64, 8, 3);
+      for (uint64_t k = 0; k < 16; ++k) s->Add(i * 100 + k);
+      shared.emplace_back(std::move(s));
+    }
+  }
+
+  void Keep(int lane, uint64_t round, SummaryRef summary) {
+    std::vector<SummaryRef>& slots = held[static_cast<size_t>(lane)];
+    slots[round % kSlots] = std::move(summary);
+    uint64_t hits = 0;
+    for (const SummaryRef& s : slots) hits += s && s->MaybeContains(round);
+    traces[static_cast<size_t>(lane)].Absorb(sim.Now(), 1000 + hits);
+  }
+
+  void Tick(int lane, uint64_t round) {
+    auto fresh = std::make_unique<ContentSummary>(64, 8, 3);
+    for (uint64_t k = 0; k < 8; ++k) fresh->Add(round + k * kLanes);
+    const SummaryRef built(std::move(fresh));
+    const std::vector<SummaryRef> copies = shared;
+    uint64_t hits = 0;
+    for (const SummaryRef& s : copies) hits += s->MaybeContains(round);
+    for (int hop : {1, 3}) {
+      const int dest = (lane + hop) % kLanes;
+      sim.RouteToLane(dest, sim.Now() + kLookahead,
+                      [this, dest, round, built,
+                       hot = shared[round % shared.size()]]() {
+                        Keep(dest, round + hot->MaybeContains(round), built);
+                      });
+    }
+    Keep(lane, round + hits, built);
+    const SimTime step = 5 + lane;
+    if (sim.Now() + step <= kHorizon) {
+      sim.Schedule(step, [this, lane, round]() { Tick(lane, round + 1); });
+    }
+  }
+
+  std::string Run(ShardedSimulator::Executor executor) {
+    sim.EnableSharding(StormPlan());
+    for (int lane = 0; lane < kLanes; ++lane) {
+      sim.ScheduleOnLane(lane, 1 + lane, [this, lane]() { Tick(lane, 0); });
+    }
+    ShardedSimulator coordinator(&sim, executor);
+    coordinator.RunUntil(kHorizon + 2 * kLookahead);
+    std::string fingerprint;
+    for (const LaneTrace& t : traces) {
+      fingerprint += std::to_string(t.hash) + ":" +
+                     std::to_string(t.events) + "/";
+    }
+    return fingerprint;
+  }
+};
+
+TEST(TsanStressTest, LanesCopyAndDropSharedSummaryHandles) {
+  SummaryExchange threads(3);
+  SummaryExchange serial(3);
+  const std::string fp_threads =
+      threads.Run(ShardedSimulator::Executor::kThreads);
+  const std::string fp_serial =
+      serial.Run(ShardedSimulator::Executor::kSerial);
+  EXPECT_EQ(fp_threads, fp_serial);
+  for (const LaneTrace& t : threads.traces) EXPECT_GT(t.events, 0u);
+  // Every handle the lanes copied or carried in mailboxes was dropped.
+  for (const SummaryRef& s : threads.shared) EXPECT_EQ(s.use_count(), 1u);
+  // A lane's summary lives in its own slot and up to two receivers'.
+  for (const auto& slots : threads.held) {
+    for (const SummaryRef& s : slots) {
+      ASSERT_TRUE(s);
+      EXPECT_GE(s.use_count(), 1u);
+      EXPECT_LE(s.use_count(), 3u);
+    }
+  }
 }
 
 }  // namespace
