@@ -6,8 +6,9 @@
 // Expected: hit ratio grows monotonically with capacity for every policy
 // and converges to the unbounded (paper) behavior once the budget covers
 // a peer's working set; evictions and the stale redirects they induce
-// shrink accordingly. Size-aware GDSF matters once object sizes are
-// heterogeneous (object_size_distribution=pareto).
+// shrink accordingly. Every object has the same size (paper Table 1), so
+// GDSF's size term is a constant: it ranks by frequency and aging, and
+// under cache_cost=distance by refetch distance too.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   auto harden = [](SimConfig* c) {
     c->query_timeout = 5 * kSecond;
     c->query_max_retries = 4;
-    c->query_backoff_base = 2.0;
     c->suspicion_keepalive_misses = 2;
   };
   auto add_churn = [](SimConfig* c) {

@@ -303,11 +303,10 @@ Result<RunResult> Experiment::TryRun() {
   // detlint: allow(wall-clock) — diagnostics-only wall_ms timing
   const auto wall_start = std::chrono::steady_clock::now();
   if (sharded) {
-    // Threads need lane-isolated system state, so "auto" asks the
-    // system. Either executor runs the identical deterministic schedule.
-    const bool want_threads = config_.shard_executor != "serial";
+    // Threads need lane-isolated system state, so the system decides.
+    // Either executor runs the identical deterministic schedule.
     const ShardedSimulator::Executor executor =
-        want_threads && system->SupportsParallelShards()
+        system->SupportsParallelShards()
             ? ShardedSimulator::Executor::kThreads
             : ShardedSimulator::Executor::kSerial;
     ShardedSimulator coordinator(&sim, executor);
@@ -341,7 +340,6 @@ Result<RunResult> Experiment::TryRun() {
                           config_.query_timeout > 0 ||
                           config_.suspicion_keepalive_misses > 0;
   result.injected_drops = fault_injector.injected_drops();
-  result.injected_duplicates = fault_injector.injected_duplicates();
   result.partition_drops = fault_injector.partition_drops();
   result.bounces_suppressed = fault_injector.bounces_suppressed();
   result.silent_crashes = fault_injector.silent_crashes();

@@ -39,7 +39,6 @@ std::string FormatRunSummary(const RunResult& r) {
   if (r.faults_enabled) {
     os << " success=" << r.QuerySuccessRate()
        << " drops=" << r.injected_drops
-       << " dups=" << r.injected_duplicates
        << " partition_drops=" << r.partition_drops
        << " silent=" << r.silent_crashes
        << " timeouts=" << r.queries_timed_out
@@ -159,7 +158,6 @@ void JsonResultSink::Write(const SimConfig& config, const RunResult& r) {
   if (r.faults_enabled) {
     os << ",\"query_success_rate\":" << r.QuerySuccessRate()
        << ",\"injected_drops\":" << r.injected_drops
-       << ",\"injected_duplicates\":" << r.injected_duplicates
        << ",\"partition_drops\":" << r.partition_drops
        << ",\"bounces_suppressed\":" << r.bounces_suppressed
        << ",\"silent_crashes\":" << r.silent_crashes
@@ -209,8 +207,8 @@ constexpr const char* kCsvHeader =
     "churn_leaves,directory_promotions,events_processed,events_cancelled,"
     // Fault-layer columns: CSV headers are fixed per file, so these are
     // unconditional (all zero on a reliable network).
-    "query_success_rate,injected_drops,injected_duplicates,partition_drops,"
-    "silent_crashes,queries_timed_out,query_retries,suspicions_confirmed";
+    "query_success_rate,injected_drops,partition_drops,silent_crashes,"
+    "queries_timed_out,query_retries,suspicions_confirmed";
 
 /// CSV-quotes a field when it contains a comma or quote.
 std::string CsvField(const std::string& s) {
@@ -244,9 +242,9 @@ void CsvResultSink::Write(const SimConfig& config, const RunResult& r) {
      << r.directory_promotions << "," << r.events_processed << ","
      << r.events_cancelled << ","
      << r.QuerySuccessRate() << "," << r.injected_drops << ","
-     << r.injected_duplicates << "," << r.partition_drops << ","
-     << r.silent_crashes << "," << r.queries_timed_out << ","
-     << r.query_retries << "," << r.suspicions_confirmed;
+     << r.partition_drops << "," << r.silent_crashes << ","
+     << r.queries_timed_out << "," << r.query_retries << ","
+     << r.suspicions_confirmed;
   rows_.push_back(os.str());
   dirty_ = true;
 }

@@ -80,8 +80,6 @@ struct RunResult {
   bool faults_enabled = false;
   /// Messages dropped by the per-class loss model.
   uint64_t injected_drops = 0;
-  /// Messages duplicated in flight (a copy was actually materialized).
-  uint64_t injected_duplicates = 0;
   /// Messages swallowed by an active partition window.
   uint64_t partition_drops = 0;
   /// Undeliverable bounces suppressed because the destination crashed

@@ -4,8 +4,8 @@
 //
 // Two built-in sources: SyntheticSource wraps the paper's Poisson/Zipf
 // generator (Sec 6.1); TraceReplaySource replays a recorded trace file —
-// v2 (with per-object sizes) or v1 — against any system, so modified
-// systems can be measured under bit-identical workloads.
+// v1, or v2 with its unread size column — against any system, so
+// modified systems can be measured under bit-identical workloads.
 #ifndef FLOWERCDN_API_WORKLOAD_SOURCE_H_
 #define FLOWERCDN_API_WORKLOAD_SOURCE_H_
 

@@ -34,15 +34,14 @@ double DistanceSample(SimTime distance) {
 }  // namespace
 
 RefetchCostModel::RefetchCostModel(const SimConfig& config)
-    : distance_enabled_(DistanceCostEnabled(config)),
-      alpha_(config.cache_cost_ewma_alpha) {}
+    : distance_enabled_(DistanceCostEnabled(config)) {}
 
 double RefetchCostModel::OnFetch(ObjectId object, SimTime distance) {
   if (!distance_enabled_) return 1.0;
   const double sample = DistanceSample(distance);
   auto [it, inserted] = ewma_.emplace(object, sample);
   if (!inserted) {
-    it->second = alpha_ * sample + (1.0 - alpha_) * it->second;
+    it->second = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * it->second;
   }
   return it->second;
 }

@@ -34,28 +34,27 @@ class ContentStore : public KeyedStore<ObjectId> {
   /// Builds a store from the `cache_policy` / `cache_capacity_bytes`
   /// config keys (falls back to Unbounded on an unknown policy name).
   static ContentStore FromConfig(const SimConfig& config);
-
-  /// Resident ids in ascending ObjectId order (matches the iteration
-  /// order of the std::set this store replaced).
-  std::vector<ObjectId> Objects() const { return Keys(); }
 };
 
 /// Per-peer smoothing of GDSF retrieval costs. Under `cache_cost=distance`
 /// GDSF weighs the measured provider->client transfer distance into its
 /// priority, so far-fetched (expensive to re-fetch) objects outlive
 /// equally popular local ones. Every observed (re)fetch of an object
-/// folds its measured distance (floored at 1) into an EWMA with
-/// `cache_cost_ewma_alpha`, and inserts price at the smoothed value
-/// instead of the single latest sample — one lucky nearby re-fetch no
-/// longer erases an object's history of being expensive to obtain.
-/// alpha=1 reproduces the raw per-fetch cost. Under cache_cost=uniform
-/// the model stores nothing and returns 1.
+/// folds its measured distance (floored at 1) into an EWMA,
+/// kEwmaAlpha * latest + (1 - kEwmaAlpha) * previous, and inserts price
+/// at the smoothed value instead of the single latest sample — one lucky
+/// nearby re-fetch no longer erases an object's history of being
+/// expensive to obtain. Under cache_cost=uniform the model stores nothing
+/// and returns 1.
 ///
 /// Every insert path — the serves of content, directory and Squirrel
 /// peers — must price through its peer's model so the cost rule cannot
 /// diverge between them.
 class RefetchCostModel {
  public:
+  /// Weight of the latest sample in the smoothed cost.
+  static constexpr double kEwmaAlpha = 0.3;
+
   RefetchCostModel() = default;
   explicit RefetchCostModel(const SimConfig& config);
 
@@ -69,7 +68,6 @@ class RefetchCostModel {
 
  private:
   bool distance_enabled_ = false;
-  double alpha_ = 1.0;
   std::unordered_map<ObjectId, double> ewma_;
 };
 

@@ -98,8 +98,8 @@ class DirectoryStore {
   /// Accounted footprint of one neighbor directory summary: a base
   /// record plus the Bloom filter's wire bytes. Summaries share the
   /// `directory_index_capacity` budget with index entries (as a
-  /// reservation carved off the engine's capacity), so growing
-  /// `directory_summary_neighbors` visibly squeezes the index.
+  /// reservation carved off the engine's capacity), so every summary
+  /// received from a neighbor visibly squeezes the index.
   static constexpr uint64_t kSummaryBaseBytes = 32;
   static uint64_t SummaryFootprintBytes(const NeighborSummary& summary);
 

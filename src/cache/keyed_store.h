@@ -411,83 +411,9 @@ class KeyedStore {
   const CacheStats& stats() const { return stats_; }
 
   /// Resident keys in ascending order (matches the iteration order of
-  /// the std::set / std::map state this engine replaced).
-  std::vector<K> Keys() const { return keys_; }
-
-  /// Ascending-ordered view of (key, size_bytes) pairs, iterable like
-  /// the std::map this engine once exposed (range-for with structured
-  /// bindings, begin()/end(), std::advance). Pairs materialize by value
-  /// on dereference; the view borrows the store, so it must not outlive
-  /// it or span mutations.
-  class EntryView {
-   public:
-    class const_iterator {
-     public:
-      using iterator_category = std::random_access_iterator_tag;
-      using value_type = std::pair<K, uint64_t>;
-      using difference_type = std::ptrdiff_t;
-      /// operator-> support for a by-value dereference.
-      struct ArrowProxy {
-        value_type pair;
-        const value_type* operator->() const { return &pair; }
-      };
-      using pointer = ArrowProxy;
-      using reference = value_type;
-
-      const_iterator(const KeyedStore* store, size_t i)
-          : store_(store), i_(i) {}
-      value_type operator*() const {
-        return {store_->keys_[i_], store_->sizes_[i_]};
-      }
-      ArrowProxy operator->() const { return ArrowProxy{**this}; }
-      const_iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      const_iterator operator++(int) {
-        const_iterator t = *this;
-        ++i_;
-        return t;
-      }
-      const_iterator& operator--() {
-        --i_;
-        return *this;
-      }
-      const_iterator& operator+=(difference_type d) {
-        i_ = static_cast<size_t>(static_cast<difference_type>(i_) + d);
-        return *this;
-      }
-      friend const_iterator operator+(const_iterator a, difference_type d) {
-        a += d;
-        return a;
-      }
-      friend difference_type operator-(const const_iterator& a,
-                                       const const_iterator& b) {
-        return static_cast<difference_type>(a.i_) -
-               static_cast<difference_type>(b.i_);
-      }
-      bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-      bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-     private:
-      const KeyedStore* store_;
-      size_t i_;
-    };
-
-    explicit EntryView(const KeyedStore* store) : store_(store) {}
-    const_iterator begin() const { return const_iterator(store_, 0); }
-    const_iterator end() const {
-      return const_iterator(store_, store_->keys_.size());
-    }
-    size_t size() const { return store_->keys_.size(); }
-    bool empty() const { return store_->keys_.empty(); }
-
-   private:
-    const KeyedStore* store_;
-  };
-
-  /// key -> size_bytes pairs, ordered by key.
-  EntryView entries() const { return EntryView(this); }
+  /// the std::set / std::map state this engine replaced). Borrowed: it
+  /// must not be held across a mutation of the store.
+  const std::vector<K>& keys() const { return keys_; }
 
  private:
   static constexpr size_t kNpos = static_cast<size_t>(-1);

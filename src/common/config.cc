@@ -133,6 +133,14 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     field = t;                                                           \
     return Status::Ok();                                                 \
   }
+// Periods and windows: a time <= 0 would crash or hang the run.
+#define POSITIVE_TIME_KEY(name, field)                                   \
+  if (key == name) {                                                     \
+    if (!ParseTime(value, &t) || t <= 0)                                 \
+      return Status::InvalidArgument(key + " wants a time > 0");         \
+    field = t;                                                           \
+    return Status::Ok();                                                 \
+  }
 
   INT_KEY("seed", seed)
   if (key == "system") {
@@ -149,13 +157,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   INT_KEY_AT_LEAST("shards", shards, 1)
-  if (key == "shard_executor") {
-    if (value != "auto" && value != "serial") {
-      return UnknownEnumValue(key, value, {"auto", "serial"});
-    }
-    shard_executor = value;
-    return Status::Ok();
-  }
   INT_KEY("num_topology_nodes", num_topology_nodes)
   INT_KEY_AT_LEAST("num_localities", num_localities, 1)
   TIME_KEY("min_intra_latency", min_intra_latency)
@@ -167,16 +168,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY_AT_LEAST("num_objects_per_website", num_objects_per_website, 1)
   DOUBLE_KEY("zipf_alpha", zipf_alpha)
   INT_KEY("object_size_bits", object_size_bits)
-  if (key == "object_size_distribution") {
-    if (value != "fixed" && value != "pareto") {
-      return UnknownEnumValue(key, value, {"fixed", "pareto"});
-    }
-    object_size_distribution = value;
-    return Status::Ok();
-  }
-  INT_KEY("object_size_min_bytes", object_size_min_bytes)
-  INT_KEY("object_size_max_bytes", object_size_max_bytes)
-  DOUBLE_KEY("object_size_pareto_alpha", object_size_pareto_alpha)
   if (key == "cache_policy") {
     Result<CachePolicy> parsed = ParseCachePolicy(value);
     if (!parsed.ok()) return parsed.status();
@@ -189,15 +180,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
       return UnknownEnumValue(key, value, {"uniform", "distance"});
     }
     cache_cost = value;
-    return Status::Ok();
-  }
-  if (key == "cache_cost_ewma_alpha") {
-    double a;
-    if (!ParseDouble(value, &a) || a <= 0 || a > 1) {
-      return Status::InvalidArgument(
-          "cache_cost_ewma_alpha wants a value in (0, 1]");
-    }
-    cache_cost_ewma_alpha = a;
     return Status::Ok();
   }
   if (key == "directory_index_policy") {
@@ -219,13 +201,21 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   INT_KEY_AT_LEAST("max_content_overlay_size", max_content_overlay_size, 1)
-  DOUBLE_KEY("queries_per_second", queries_per_second)
+  if (key == "queries_per_second") {
+    // A rate <= 0 gives a negative or infinite mean gap, and the first
+    // arrival lands in the past.
+    if (!ParseDouble(value, &d) || !(d > 0)) {
+      return Status::InvalidArgument("queries_per_second wants a rate > 0");
+    }
+    queries_per_second = d;
+    return Status::Ok();
+  }
   TIME_KEY("duration", duration)
-  TIME_KEY("gossip_period", gossip_period)
+  POSITIVE_TIME_KEY("gossip_period", gossip_period)
   INT_KEY("gossip_length", gossip_length)
-  INT_KEY("view_size", view_size)
+  INT_KEY_AT_LEAST("view_size", view_size, 1)
   DOUBLE_KEY("push_threshold", push_threshold)
-  TIME_KEY("keepalive_period", keepalive_period)
+  POSITIVE_TIME_KEY("keepalive_period", keepalive_period)
   INT_KEY("dead_age_limit", dead_age_limit)
   INT_KEY("view_age_limit", view_age_limit)
   INT_KEY_AT_LEAST("summary_bits_per_object", summary_bits_per_object, 1)
@@ -240,23 +230,21 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   DOUBLE_KEY("directory_summary_threshold", directory_summary_threshold)
-  INT_KEY("directory_summary_neighbors", directory_summary_neighbors)
   INT_KEY("chord_id_bits", chord_id_bits)
   INT_KEY("locality_id_bits", locality_id_bits)
   INT_KEY("scaleup_extra_bits", scaleup_extra_bits)
   INT_KEY("scaleup_instances", scaleup_instances)
-  INT_KEY("chord_successor_list", chord_successor_list)
   BOOL_KEY("churn_enabled", churn_enabled)
   TIME_KEY("churn_mean_session", churn_mean_session)
   TIME_KEY("churn_mean_downtime", churn_mean_downtime)
   DOUBLE_KEY("churn_fail_probability", churn_fail_probability)
-  if (key == "fault_loss" || key == "fault_duplicate") {
+  if (key == "fault_loss") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.
     std::array<double, FaultPlan::kNumClasses> probs;
     Status s = ParseClassProbSpec(key, value, &probs);
     if (!s.ok()) return s;
-    (key == "fault_loss" ? fault_loss : fault_duplicate) = value;
+    fault_loss = value;
     return Status::Ok();
   }
   if (key == "fault_partitions") {
@@ -266,22 +254,12 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     fault_partitions = value;
     return Status::Ok();
   }
-  if (key == "fault_delay_jitter" || key == "fault_delay_spike") {
-    if (!ParseTime(value, &t) || t < 0) {
-      return Status::InvalidArgument(key + " wants a time >= 0");
-    }
-    (key == "fault_delay_jitter" ? fault_delay_jitter : fault_delay_spike) = t;
-    return Status::Ok();
-  }
-  if (key == "fault_delay_spike_probability" ||
-      key == "fault_silent_crash_probability") {
+  if (key == "fault_silent_crash_probability") {
     if (!ParseDouble(value, &d) || d < 0.0 || d > 1.0) {
       return Status::InvalidArgument(key +
                                      " wants a probability in [0, 1]");
     }
-    (key == "fault_delay_spike_probability" ? fault_delay_spike_probability
-                                            : fault_silent_crash_probability) =
-        d;
+    fault_silent_crash_probability = d;
     return Status::Ok();
   }
   if (key == "query_timeout") {
@@ -292,22 +270,9 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   INT_KEY_AT_LEAST("query_max_retries", query_max_retries, 0)
-  if (key == "query_backoff_base") {
-    if (!ParseDouble(value, &d) || d < 1.0) {
-      return Status::InvalidArgument("query_backoff_base must be >= 1");
-    }
-    query_backoff_base = d;
-    return Status::Ok();
-  }
   INT_KEY_AT_LEAST("suspicion_keepalive_misses", suspicion_keepalive_misses,
                    0)
-  if (key == "metrics_window") {
-    if (!ParseTime(value, &t) || t <= 0) {
-      return Status::InvalidArgument("metrics_window wants a time > 0");
-    }
-    metrics_window = t;
-    return Status::Ok();
-  }
+  POSITIVE_TIME_KEY("metrics_window", metrics_window)
   INT_KEY_AT_LEAST("metrics_max_points", metrics_max_points, 0)
 
 #undef INT_KEY
@@ -315,6 +280,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
 #undef DOUBLE_KEY
 #undef BOOL_KEY
 #undef TIME_KEY
+#undef POSITIVE_TIME_KEY
 
   return Status::InvalidArgument("unknown config key: " + key);
 }
@@ -351,7 +317,7 @@ std::string SimConfig::ToString() const {
   // Non-default knobs only: the default line must stay byte-identical
   // across PRs so trajectory diffs catch real drift.
   if (cache_cost != "uniform") {
-    os << " cache_cost=" << cache_cost << "/a=" << cache_cost_ewma_alpha;
+    os << " cache_cost=" << cache_cost;
   }
   if (directory_index_policy != "unbounded" ||
       directory_index_capacity_bytes > 0) {
@@ -363,21 +329,13 @@ std::string SimConfig::ToString() const {
   if (system != "flower") os << " system=" << system;
   if (!workload_trace.empty()) os << " workload=trace:" << workload_trace;
   // The sharded engine is a different deterministic schedule, so the
-  // config line must say so — but neither the shard count nor the
-  // executor changes any output byte, so neither is printed (a shards=2
-  // and a shards=4 trajectory must diff clean).
+  // config line must say so — but the shard count changes no output
+  // byte, so it is not printed (a shards=2 and a shards=4 trajectory
+  // must diff clean).
   if (shards > 1) os << " sharded=on";
   // Fault-injection / hardening knobs, non-default only (the default
   // line must not move).
   if (!fault_loss.empty()) os << " fault_loss=" << fault_loss;
-  if (!fault_duplicate.empty()) os << " fault_dup=" << fault_duplicate;
-  if (fault_delay_jitter > 0) {
-    os << " fault_jitter=" << fault_delay_jitter << "ms";
-  }
-  if (fault_delay_spike_probability > 0 && fault_delay_spike > 0) {
-    os << " fault_spike=" << fault_delay_spike << "ms/p="
-       << fault_delay_spike_probability;
-  }
   if (!fault_partitions.empty()) {
     os << " fault_partitions=" << fault_partitions;
   }
@@ -385,8 +343,7 @@ std::string SimConfig::ToString() const {
     os << " fault_silent=" << fault_silent_crash_probability;
   }
   if (query_timeout > 0) {
-    os << " query_timeout=" << query_timeout << "ms/r=" << query_max_retries
-       << "/b=" << query_backoff_base;
+    os << " query_timeout=" << query_timeout << "ms/r=" << query_max_retries;
   }
   if (suspicion_keepalive_misses > 0) {
     os << " suspicion=" << suspicion_keepalive_misses;

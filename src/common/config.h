@@ -30,17 +30,15 @@ struct SimConfig {
   /// >= 2 partitions one run into per-locality event lanes executed in
   /// conservative lookahead windows, packed into min(shards, localities)
   /// executor groups. 1 (default) is the historical serial engine,
-  /// bit-identical to pre-sharding builds. Sharded output is a pure
-  /// function of (config, seed): byte-identical for every shards >= 2,
-  /// every executor, and every repetition — but it is a *different*
-  /// deterministic schedule than shards=1 (window-phased dispatch,
-  /// per-lane RNG streams), so compare sharded runs with sharded runs.
+  /// bit-identical to pre-sharding builds. Shard groups run on a worker
+  /// pool exactly when the system keeps lane state isolated (Flower
+  /// without churn) and in lane order on one thread otherwise. Sharded
+  /// output is a pure function of (config, seed): byte-identical for
+  /// every shards >= 2, either executor, and every repetition — but it is
+  /// a *different* deterministic schedule than shards=1 (window-phased
+  /// dispatch, per-lane RNG streams), so compare sharded runs with
+  /// sharded runs.
   int shards = 1;
-  /// Lane executor under shards >= 2: "serial" runs lanes in lane order
-  /// on one thread; "auto" (default) runs shard groups on a worker pool
-  /// exactly when the system keeps lane state isolated (Flower without
-  /// churn) and serially otherwise. Both produce byte-identical output.
-  std::string shard_executor = "auto";
 
   // --- Underlying topology (paper Table 1 / BRITE-inspired model) ----------
   int num_topology_nodes = 5000;
@@ -58,17 +56,8 @@ struct SimConfig {
   int num_active_websites = 6;        // websites receiving queries
   int num_objects_per_website = 500;  // paper text Sec 6.1 (Table 1 says 100)
   double zipf_alpha = 0.8;            // object popularity skew
-  uint64_t object_size_bits = 10 * 8 * 1024;  // nominal 10 KB web page
-  /// Per-object size model. "fixed" gives every object object_size_bits
-  /// (the paper's setup); "pareto" draws one bounded-Pareto size per object
-  /// in [object_size_min_bytes, object_size_max_bytes] with tail index
-  /// object_size_pareto_alpha (heavy-tailed web object sizes). Sizes are
-  /// derived from the object URL hash, so they are stable across runs and
-  /// consume no RNG.
-  std::string object_size_distribution = "fixed";
-  uint64_t object_size_min_bytes = 1 * 1024;
-  uint64_t object_size_max_bytes = 1024 * 1024;
-  double object_size_pareto_alpha = 1.2;
+  /// Size of every object: a 10 KB web page (paper Table 1).
+  uint64_t object_size_bits = 10 * 8 * 1024;
 
   // --- Peer cache (src/cache/; bounded peer storage) ------------------------
   /// Replacement policy of every peer's content store:
@@ -78,16 +67,11 @@ struct SimConfig {
   /// Per-peer storage budget in bytes; 0 = unlimited (seed behavior).
   uint64_t cache_capacity_bytes = 0;
   /// GDSF cost term: "uniform" (cost 1, plain GDSF) or "distance" (the
-  /// measured provider->client transfer latency — far-fetched objects are
-  /// expensive to re-fetch and outlive equally popular local ones).
-  /// Ignored by every policy except gdsf.
+  /// measured provider->client transfer latency, smoothed per object by
+  /// RefetchCostModel — far-fetched objects are expensive to re-fetch and
+  /// outlive equally popular local ones). Ignored by every policy except
+  /// gdsf.
   std::string cache_cost = "uniform";
-  /// EWMA weight for observed refetch costs under `cache_cost=distance`
-  /// (RefetchCostModel, src/cache/): each peer smooths an object's cost
-  /// as alpha * latest_sample + (1 - alpha) * previous, per object.
-  /// 1.0 = no smoothing (the latest measured distance alone, the
-  /// pre-EWMA behavior); must be in (0, 1].
-  double cache_cost_ewma_alpha = 0.3;
 
   // --- Directory index (src/cache/; bounded directory-side storage) ----------
   /// Replacement policy of every directory peer's index of its overlay:
@@ -125,9 +109,6 @@ struct SimConfig {
   /// Directory summary refresh threshold: fraction of new object ids not yet
   /// reflected in the last summary sent to neighbors.
   double directory_summary_threshold = 0.1;
-  /// How many same-website D-ring neighbors a directory peer exchanges
-  /// directory summaries with (paper Fig 4 shows the two direct neighbors).
-  int directory_summary_neighbors = 2;
 
   // --- DHT -------------------------------------------------------------------
   int chord_id_bits = 40;        // m (website bits + locality bits + extra)
@@ -137,7 +118,6 @@ struct SimConfig {
   /// <= 2^scaleup_extra_bits. With >1, a full overlay forwards new clients
   /// to the next instance's overlay (Sec 5.3).
   int scaleup_instances = 1;
-  int chord_successor_list = 4;
 
   // --- Churn (disabled by default; used in churn experiments) -----------------
   bool churn_enabled = false;
@@ -150,17 +130,6 @@ struct SimConfig {
   /// ("0.05", every class) or comma-separated "class:prob" pairs with
   /// TrafficClassName names ("query:0.05,push:0.1"). Empty = no loss.
   std::string fault_loss;
-  /// Per-traffic-class duplication probability; same spec as fault_loss.
-  /// Only messages implementing Message::Duplicate() are copied.
-  std::string fault_duplicate;
-  /// Uniform extra delivery delay in [0, fault_delay_jitter] added per
-  /// message. Jitter only ever adds latency, so the sharded engine's
-  /// conservative lookahead stays sound.
-  SimTime fault_delay_jitter = 0;
-  /// With this probability a delivery additionally waits fault_delay_spike
-  /// (a congestion burst). Both must be > 0 to take effect.
-  double fault_delay_spike_probability = 0;
-  SimTime fault_delay_spike = 0;
   /// Scheduled partition windows: ";"-separated "A|B@START-END" cuts where
   /// each side is a locality id, "*" (everyone else) or an "n"-prefixed
   /// node list ("n5,n7"), e.g. "0|1@30min-1h;n5,n7|*@10min-20min".
@@ -173,15 +142,14 @@ struct SimConfig {
 
   // --- Query hardening (timeout/retry; 0 = off, the paper's model) ----------
   /// Client-side query timeout: a pending query unanswered for this long
-  /// is retried with exponential backoff (stage-aware: re-pick a contact,
-  /// re-route via the D-ring) and finally sent to the origin server after
+  /// is retried with exponential backoff (attempt k waits
+  /// query_timeout * 2^k; stage-aware: re-pick a contact, re-route via
+  /// the D-ring) and finally sent to the origin server after
   /// query_max_retries attempts. 0 disables timeouts (bounce-driven
   /// failure handling only, the seed behavior).
   SimTime query_timeout = 0;
   /// Retries before falling back to the origin server.
   int query_max_retries = 3;
-  /// Timeout of attempt k is query_timeout * query_backoff_base^k.
-  double query_backoff_base = 2.0;
   /// After this many consecutive unacknowledged keepalives a content peer
   /// suspects its directory has silently crashed and starts replacement
   /// (keepalives request acks only when this is > 0). 0 = off.

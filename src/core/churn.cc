@@ -56,7 +56,6 @@ bool ChurnManager::IsBlackedOut(NodeId node) const {
 
 void ChurnManager::Tick(int lane, Rng* rng) {
   Simulator* sim = system_->context()->sim;
-  const bool sharded = sim->sharded();
   // Silent-crash draws come from the injector's own lane streams (not the
   // churn streams), so enabling fault_silent_crash_probability perturbs
   // no churn decision, and disabling it leaves the injector unconsulted.
@@ -67,10 +66,8 @@ void ChurnManager::Tick(int lane, Rng* rng) {
                              static_cast<double>(config_.churn_mean_downtime)));
   auto& blackout = blackout_until_[static_cast<size_t>(lane)];
 
-  const std::vector<ContentPeer*> peers =
-      sharded ? system_->LiveContentPeersIn(lane)
-              : system_->LiveContentPeers();
-  for (ContentPeer* peer : peers) {
+  // A serial system holds one partition, lane 0.
+  for (ContentPeer* peer : system_->LiveContentPeersIn(lane)) {
     if (!peer->joined()) continue;  // only established members churn
     if (!rng->Bernoulli(p_death)) continue;
     blackout[peer->node()] = blackout_end;
@@ -87,10 +84,7 @@ void ChurnManager::Tick(int lane, Rng* rng) {
       ++leaves_;
     }
   }
-  const std::vector<DirectoryPeer*> dirs =
-      sharded ? system_->LiveDirectoriesIn(lane)
-              : system_->LiveDirectories();
-  for (DirectoryPeer* dir : dirs) {
+  for (DirectoryPeer* dir : system_->LiveDirectoriesIn(lane)) {
     if (!rng->Bernoulli(p_death)) continue;
     blackout[dir->node()] = blackout_end;
     ++directory_deaths_;

@@ -8,6 +8,11 @@
 
 namespace flower {
 
+namespace {
+/// Each query timeout doubles the wait of the one before it.
+constexpr double kQueryBackoffBase = 2.0;
+}  // namespace
+
 ContentPeer::ContentPeer(FlowerContext* ctx, const Website* site,
                          LocalityId locality, uint64_t rng_seed)
     : ctx_(ctx),
@@ -63,7 +68,7 @@ void ContentPeer::ArmQueryTimeout(ObjectId object, PendingQuery* pq) {
   if (cfg.query_timeout <= 0) return;
   // Exponential backoff: attempt k waits query_timeout * base^k.
   double scale = 1.0;
-  for (int k = 0; k < pq->attempts; ++k) scale *= cfg.query_backoff_base;
+  for (int k = 0; k < pq->attempts; ++k) scale *= kQueryBackoffBase;
   SimTime wait =
       static_cast<SimTime>(static_cast<double>(cfg.query_timeout) * scale);
   pq->timeout = ctx_->sim->Schedule(
@@ -79,8 +84,8 @@ void ContentPeer::OnQueryTimeout(ObjectId object) {
   const SimConfig& cfg = *ctx_->config;
   if (pq->attempts >= cfg.query_max_retries) {
     // Retries exhausted: the origin server always answers (it never
-    // churns), so keep re-asking it under backoff until the serve (or a
-    // duplicate of it) gets through even on a lossy link.
+    // churns), so keep re-asking it under backoff until the serve gets
+    // through even on a lossy link.
     ++pq->attempts;
     pq->stage = QueryStage::kToServer;
     ctx_->network->Send(this, site_->server_addr,
@@ -197,7 +202,7 @@ void ContentPeer::HandleIncomingQuery(std::unique_ptr<FlowerQueryMsg> query) {
     auto serve = std::make_unique<ServeMsg>(
         query->object, query->website, query->website_hash, address(),
         /*from_server=*/false, query->submit_time,
-        site_->ObjectSizeBits(query->object));
+        ctx_->config->object_size_bits);
     if (!query->client_is_member && query->client_loc == locality_) {
       // Seed the new client's contacts from ours (paper Sec 4.2) — only
       // when the client joins *our* overlay; a cross-locality client gets
@@ -248,8 +253,8 @@ void ContentPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
     it->second.timeout.Cancel();
     pending_.erase(it);
   }
-  // else: a duplicated delivery, or a retry raced the original answer —
-  // the query was already counted served once; just keep the object.
+  // else: a retry raced the original answer — the query was already
+  // counted served once; just keep the object.
   AddObject(serve->object, cost_model_.OnFetch(serve->object, distance));
   if (!serve->view_subset.empty()) {
     view_.Merge(serve->view_subset, std::nullopt, address());
@@ -261,7 +266,6 @@ void ContentPeer::HandleWelcome(std::unique_ptr<WelcomeMsg> welcome) {
   MergeDirPointer(DirectoryPointer{welcome->sender, 0});
   if (!joined_) {
     joined_ = true;
-    joined_at_ = ctx_->sim->Now();
     StartOverlayTimers();
   }
 }
@@ -293,7 +297,7 @@ SummaryRef ContentPeer::CurrentSummary() {
         ctx_->config->num_objects_per_website,
         ctx_->config->summary_bits_per_object,
         ctx_->config->summary_num_hashes);
-    for (const auto& [o, size] : content_.entries()) s->Add(o);
+    for (ObjectId o : content_.keys()) s->Add(o);
     summary_ = SummaryRef(std::move(s));
     summary_dirty_ = false;
   }
@@ -367,7 +371,7 @@ void ContentPeer::AddObject(ObjectId object, double cost) {
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted = content_.Insert(object, site_->ObjectSizeBits(object) / 8,
+  bool inserted = content_.Insert(object, ctx_->config->object_size_bits / 8,
                                   &evicted, cost);
   if (!evicted.empty()) {
     // Evictions invalidate our gossiped summary and the directory's index
@@ -482,7 +486,7 @@ void ContentPeer::HandleJoinDirectoryResp(const JoinDirectoryResp& resp) {
     // too (slot order == id order within a site).
     auto push = std::make_unique<PushMsg>();
     push->added.reserve(content_.size());
-    for (ObjectId o : content_.Objects()) {
+    for (ObjectId o : content_.keys()) {
       push->added.push_back(site_->SlotOf(o));
     }
     ctx_->network->Send(this, dir_pointer_.addr, std::move(push));
@@ -525,8 +529,7 @@ ContentPeer::PromotionState ContentPeer::PrepareForPromotion() {
   CancelPendingTimeouts();
   alive_ = false;
   ctx_->network->UnregisterPeer(this);
-  PromotionState state{std::move(content_), std::move(view_), joined_at_};
-  return state;
+  return PromotionState{std::move(content_), std::move(view_)};
 }
 
 // --- Message dispatch -----------------------------------------------------------------

@@ -45,7 +45,6 @@ class ContentPeer : public Peer {
   const Website* site() const { return site_; }
   LocalityId locality() const { return locality_; }
   bool joined() const { return joined_; }
-  SimTime joined_at() const { return joined_at_; }
   PeerAddress directory() const { return dir_pointer_.addr; }
   const View& view() const { return view_; }
   const ContentStore& content() const { return content_; }
@@ -57,7 +56,6 @@ class ContentPeer : public Peer {
   struct PromotionState {
     ContentStore content;
     View view;
-    SimTime joined_at = -1;
   };
   PromotionState PrepareForPromotion();
 
@@ -123,7 +121,6 @@ class ContentPeer : public Peer {
 
   bool alive_ = false;
   bool joined_ = false;
-  SimTime joined_at_ = -1;
 
   ContentStore content_;
   /// EWMA of observed refetch costs per object (cache_cost=distance).

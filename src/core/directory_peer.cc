@@ -40,12 +40,10 @@ bool DirectoryPeer::Start(NodeId node) {
   return true;
 }
 
-void DirectoryPeer::SeedFromPromotion(ContentStore content, View view,
-                                      SimTime member_since) {
-  (void)member_since;
+void DirectoryPeer::SeedFromPromotion(ContentStore content, View view) {
   content_ = std::move(content);
   view_ = std::move(view);
-  for (const auto& [o, size] : content_.entries()) NoteNewObjectId(o);
+  new_ids_since_summary_ += content_.size();
   MaybeRefreshNeighborSummaries();
 }
 
@@ -80,7 +78,7 @@ void DirectoryPeer::InstallHandoff(const DirectoryHandoffMsg& handoff) {
   for (ObjectSlot slot : dir_store_.holder_slots()) {
     distinct.insert(site_->IdAtSlot(slot));
   }
-  for (const auto& [o, size] : content_.entries()) distinct.insert(o);
+  for (ObjectId o : content_.keys()) distinct.insert(o);
   ids_in_last_sent_summary_ = distinct.size();
   new_ids_since_summary_ = 0;
 }
@@ -217,7 +215,7 @@ void DirectoryPeer::ServeFromOwnContent(const FlowerQueryMsg& query) {
   auto serve = std::make_unique<ServeMsg>(
       query.object, query.website, query.website_hash, address(),
       /*from_server=*/false, query.submit_time,
-      site_->ObjectSizeBits(query.object));
+      ctx_->config->object_size_bits);
   if (!query.client_is_member && query.client_loc == locality_ &&
       !view_.empty()) {
     serve->view_subset = view_.SelectSubset(ctx_->config->gossip_length,
@@ -295,10 +293,10 @@ void DirectoryPeer::RedirectToServer(std::unique_ptr<FlowerQueryMsg> query) {
 // --- Index maintenance ----------------------------------------------------------------
 
 void DirectoryPeer::ApplyDelta(const DirectoryStore::Delta& delta) {
-  for (ObjectSlot s : delta.new_slots) NoteNewObjectId(site_->IdAtSlot(s));
-  for (ObjectSlot s : delta.orphaned_slots) {
-    NoteRemovedObjectId(site_->IdAtSlot(s));
-  }
+  // Only new ids count toward a summary refresh: removals do not trigger
+  // one (Sec 4.2.1: summaries tolerate slightly stale positives), and
+  // counts rebuild at the next refresh.
+  new_ids_since_summary_ += delta.new_slots.size();
   if (!delta.evicted.empty()) {
     ctx_->metrics->OnDirIndexEvictions(delta.evicted.size());
   }
@@ -338,24 +336,12 @@ void DirectoryPeer::AgeTick() {
 
 // --- Directory summaries ---------------------------------------------------------------
 
-void DirectoryPeer::NoteNewObjectId(ObjectId id) {
-  (void)id;
-  ++new_ids_since_summary_;
-}
-
-void DirectoryPeer::NoteRemovedObjectId(ObjectId id) {
-  (void)id;
-  // Removals do not trigger refreshes (Sec 4.2.1: summaries tolerate
-  // slightly stale positives); counts rebuild at the next refresh.
-}
-
 std::vector<NodeRef> DirectoryPeer::SameWebsiteNeighbors() const {
+  // Paper Fig 4: a directory exchanges summaries with its two neighbors.
+  constexpr size_t kNeighbors = 2;
   std::vector<NodeRef> out;
-  size_t limit =
-      static_cast<size_t>(std::max(ctx_->config->directory_summary_neighbors,
-                                   0));
   auto push_unique = [&](const NodeRef& r) {
-    if (out.size() >= limit) return;
+    if (out.size() >= kNeighbors) return;
     if (!r.valid() || r.addr == address()) return;
     if (!ctx_->scheme->SameWebsite(r.id, id())) return;
     for (const NodeRef& e : out) {
@@ -363,8 +349,8 @@ std::vector<NodeRef> DirectoryPeer::SameWebsiteNeighbors() const {
     }
     out.push_back(r);
   };
-  // Direct ring neighbors first (paper Fig 4), then the successor list if a
-  // wider exchange is configured.
+  // Direct ring neighbors first, then the successor list fills a slot that
+  // a missing neighbor or one of another website left open.
   push_unique(predecessor());
   push_unique(successor());
   for (const NodeRef& r : SuccessorList()) push_unique(r);
@@ -381,7 +367,7 @@ SummaryRef DirectoryPeer::BuildIndexSummary() {
   for (ObjectSlot slot : dir_store_.holder_slots()) {
     s->Add(site_->IdAtSlot(slot));
   }
-  for (const auto& [o, size] : content_.entries()) s->Add(o);
+  for (ObjectId o : content_.keys()) s->Add(o);
   return SummaryRef(std::move(s));
 }
 
@@ -426,7 +412,7 @@ void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted = content_.Insert(object, site_->ObjectSizeBits(object) / 8,
+  bool inserted = content_.Insert(object, ctx_->config->object_size_bits / 8,
                                   &evicted, cost);
   if (!evicted.empty()) {
     // Own-content evictions leave the next rebuilt index summary; per
@@ -436,7 +422,7 @@ void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
   }
   if (!inserted) return;
   if (!dir_store_.AnyHolder(site_->SlotOf(object))) {
-    NoteNewObjectId(object);
+    ++new_ids_since_summary_;
     MaybeRefreshNeighborSummaries();
   }
 }
@@ -588,7 +574,7 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
             ctx_->config->num_objects_per_website,
             ctx_->config->summary_bits_per_object,
             ctx_->config->summary_num_hashes);
-        for (const auto& [o, size] : content_.entries()) s->Add(o);
+        for (ObjectId o : content_.keys()) s->Add(o);
         reply->own_summary = SummaryRef(std::move(s));
       }
       reply->view_subset =

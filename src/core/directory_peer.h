@@ -50,8 +50,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   /// Seeds state when this directory was promoted from a content peer:
   /// its cached content and its view (used to answer first queries from
   /// content summaries while the index rebuilds, Sec 5.2).
-  void SeedFromPromotion(ContentStore content, View view,
-                         SimTime member_since);
+  void SeedFromPromotion(ContentStore content, View view);
 
   /// Installs a handed-over directory (voluntary leave of the predecessor).
   void InstallHandoff(const DirectoryHandoffMsg& handoff);
@@ -119,12 +118,10 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   void RemoveEntry(PeerAddress peer);
   void AgeTick();  // Algorithm 6 active behavior + T_dead expiry
   /// Folds a DirectoryStore::Delta into summary bookkeeping and metrics
-  /// (new ids, orphaned ids, index evictions).
+  /// (new ids, index evictions).
   void ApplyDelta(const DirectoryStore::Delta& delta);
 
   // Directory summaries.
-  void NoteNewObjectId(ObjectId id);
-  void NoteRemovedObjectId(ObjectId id);
   void MaybeRefreshNeighborSummaries();
   std::vector<NodeRef> SameWebsiteNeighbors() const;
   SummaryRef BuildIndexSummary();

@@ -69,19 +69,6 @@ class FlowerQueryMsg
   /// attribution split (Metrics::StaleSource) — part of the 16 flag bits
   /// already counted in SizeBits.
   bool claim_from_index = false;
-
-  FLOWER_DUPLICATE_AS_COPY(FlowerQueryMsg)
-
-  std::unique_ptr<FlowerQueryMsg> Clone() const {
-    auto c = std::make_unique<FlowerQueryMsg>(website, website_hash, object,
-                                              client, client_loc, submit_time,
-                                              stage);
-    c->client_is_member = client_is_member;
-    c->dir_redirects = dir_redirects;
-    c->total_hops = total_hops;
-    c->claim_from_index = claim_from_index;
-    return c;
-  }
 };
 
 /// Object delivery from a provider (content peer, directory peer or origin
@@ -116,8 +103,6 @@ class ServeMsg
   /// When a content peer serves a new client, it seeds the client's view
   /// with a subset of its own view (paper Sec 4.2).
   std::vector<ViewEntry> view_subset;
-
-  FLOWER_DUPLICATE_AS_COPY(ServeMsg)
 };
 
 /// A peer asked directly for an object it does not hold (Bloom false
@@ -136,12 +121,6 @@ class NotFoundMsg
   /// Query context echoed back so the fallback can continue (set when a
   /// directory redirect fails and the directory must re-process).
   std::unique_ptr<FlowerQueryMsg> query;
-
-  MessagePtr Duplicate() const override {
-    auto d = std::make_unique<NotFoundMsg>(object, website_hash, stage);
-    if (query != nullptr) d->query = query->Clone();
-    return d;
-  }
 };
 
 /// Directory -> new content peer: you are admitted to the overlay; here are
@@ -161,8 +140,6 @@ class WelcomeMsg
   uint64_t website_hash;
   LocalityId locality;
   std::vector<ViewEntry> contacts;
-
-  FLOWER_DUPLICATE_AS_COPY(WelcomeMsg)
 };
 
 /// The directory-peer entry every content peer maintains and gossips
@@ -188,8 +165,6 @@ class GossipRequestMsg
   SummaryRef own_summary;
   std::vector<ViewEntry> view_subset;
   DirectoryPointer dir_pointer;
-
-  FLOWER_DUPLICATE_AS_COPY(GossipRequestMsg)
 };
 
 /// The passive side's answer (same contents).
@@ -205,8 +180,6 @@ class GossipReplyMsg
   SummaryRef own_summary;
   std::vector<ViewEntry> view_subset;
   DirectoryPointer dir_pointer;
-
-  FLOWER_DUPLICATE_AS_COPY(GossipReplyMsg)
 };
 
 /// Content peer -> directory peer: delta of the content list since the last
@@ -225,8 +198,6 @@ class PushMsg : public MessageOf<MessageKind::kPush, TrafficClass::kPush> {
 
   std::vector<ObjectSlot> added;
   std::vector<ObjectSlot> removed;
-
-  FLOWER_DUPLICATE_AS_COPY(PushMsg)
 };
 
 /// Content peer -> directory peer liveness signal (paper Sec 5.1).
@@ -240,8 +211,6 @@ class KeepaliveMsg
   /// as consecutive missing acks. The flag bit only hits the wire when
   /// set, so default runs account identical traffic.
   bool want_ack = false;
-
-  FLOWER_DUPLICATE_AS_COPY(KeepaliveMsg)
 };
 
 /// Directory peer -> content peer: keepalive acknowledgement (only sent
@@ -250,8 +219,6 @@ class KeepaliveAckMsg
     : public MessageOf<MessageKind::kKeepaliveAck, TrafficClass::kKeepalive> {
  public:
   uint64_t SizeBits() const override { return 0; }
-
-  FLOWER_DUPLICATE_AS_COPY(KeepaliveAckMsg)
 };
 
 /// Content peer -> directory peer: graceful goodbye, so the entry can be
@@ -259,8 +226,6 @@ class KeepaliveAckMsg
 class LeaveMsg : public MessageOf<MessageKind::kLeave, TrafficClass::kControl> {
  public:
   uint64_t SizeBits() const override { return 0; }
-
-  FLOWER_DUPLICATE_AS_COPY(LeaveMsg)
 };
 
 /// Directory peer -> same-website neighbor directory: refreshed directory
@@ -283,8 +248,6 @@ class DirectorySummaryMsg
   LocalityId from_loc;
   Key from_dir_id;
   SummaryRef summary;
-
-  FLOWER_DUPLICATE_AS_COPY(DirectorySummaryMsg)
 };
 
 /// Voluntary directory leave: full directory state handed to the chosen

@@ -11,7 +11,6 @@ namespace {
 ChordConfig MakeChordConfig(const SimConfig& config) {
   ChordConfig cc;
   cc.id_bits = config.chord_id_bits;
-  cc.successor_list_size = config.chord_successor_list;
   return cc;
 }
 
@@ -76,8 +75,8 @@ void FlowerSystem::Setup() {
   servers_.reserve(static_cast<size_t>(catalog_->size()));
   for (int w = 0; w < catalog_->size(); ++w) {
     Website& site = catalog_->mutable_site(static_cast<WebsiteId>(w));
-    auto server = std::make_unique<OriginServer>(sim_, network_, metrics_,
-                                                 &site);
+    auto server = std::make_unique<OriginServer>(
+        sim_, network_, metrics_, &site, config_.object_size_bits);
     server->Activate(deployment_.server_nodes[static_cast<size_t>(w)]);
     site.server_addr = server->address();
     servers_.push_back(std::move(server));
@@ -322,8 +321,7 @@ PeerAddress FlowerSystem::PromoteReplacement(ContentPeer* candidate,
   bool ok = dir->Start(node);
   assert(ok && "directory position raced within one event");
   (void)ok;
-  dir->SeedFromPromotion(std::move(state.content), std::move(state.view),
-                         state.joined_at);
+  dir->SeedFromPromotion(std::move(state.content), std::move(state.view));
   ++promotions_[lane];
 
   std::unique_ptr<ContentPeer> buried = content_peers_[lane].Take(node);

@@ -95,7 +95,8 @@ class FlowerSystem {
   /// the population over which background traffic is averaged.
   std::vector<PeerAddress> ParticipantAddresses() const;
 
-  /// All live content peers (for churn driving and tests).
+  /// All live content peers / directories, ordered by node (for view
+  /// statistics and tests).
   std::vector<ContentPeer*> LiveContentPeers() const;
   std::vector<DirectoryPeer*> LiveDirectories() const;
 
@@ -104,8 +105,8 @@ class FlowerSystem {
   /// partitioned by this index so lane events only touch their own
   /// partition.
   int LaneOf(NodeId node) const;
-  /// Live peers of one lane partition (sharded churn drives each lane's
-  /// sessions independently).
+  /// Live peers of one lane partition, ordered by node (churn drives each
+  /// lane's sessions independently; a serial system has one partition).
   std::vector<ContentPeer*> LiveContentPeersIn(int lane) const;
   std::vector<DirectoryPeer*> LiveDirectoriesIn(int lane) const;
 

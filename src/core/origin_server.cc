@@ -7,8 +7,12 @@
 namespace flower {
 
 OriginServer::OriginServer(Simulator* sim, Network* network, Metrics* metrics,
-                           const Website* site)
-    : sim_(sim), network_(network), metrics_(metrics), site_(site) {
+                           const Website* site, uint64_t object_size_bits)
+    : sim_(sim),
+      network_(network),
+      metrics_(metrics),
+      site_(site),
+      object_size_bits_(object_size_bits) {
   assert(site != nullptr);
   objects_.insert(site->objects.begin(), site->objects.end());
 }
@@ -37,7 +41,7 @@ void OriginServer::HandleMessage(MessagePtr msg) {
   auto serve = std::make_unique<ServeMsg>(
       query->object, query->website, query->website_hash, address(),
       /*from_server=*/true, query->submit_time,
-      site_->ObjectSizeBits(query->object));
+      object_size_bits_);
   network_->Send(this, query->client, std::move(serve));
 }
 

@@ -19,7 +19,7 @@ namespace flower {
 class OriginServer : public Peer {
  public:
   OriginServer(Simulator* sim, Network* network, Metrics* metrics,
-               const Website* site);
+               const Website* site, uint64_t object_size_bits);
 
   void Activate(NodeId node) { network_->RegisterPeer(this, node); }
 
@@ -33,6 +33,7 @@ class OriginServer : public Peer {
   Network* network_;
   Metrics* metrics_;
   const Website* site_;
+  uint64_t object_size_bits_;
   std::unordered_set<ObjectId> objects_;
   uint64_t queries_served_ = 0;
 };

@@ -1,47 +1,8 @@
 #include "core/website.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/hash.h"
 
 namespace flower {
-
-namespace {
-
-/// One deterministic object size in bits. Uniform [0,1) is derived from
-/// the object URL hash, so sizes never perturb any RNG stream and a given
-/// object keeps its size across runs and machines.
-uint64_t DrawSizeBits(const SimConfig& config, const std::string& object_url) {
-  if (config.object_size_distribution == "fixed") {
-    return config.object_size_bits;
-  }
-  // Bounded Pareto on [min, max] bytes via inverse-CDF.
-  double u = static_cast<double>(Mix64(Fnv1a64(object_url + "#size")) >> 11) /
-             static_cast<double>(1ULL << 53);
-  double lo = static_cast<double>(std::max<uint64_t>(config.object_size_min_bytes, 1));
-  double hi = static_cast<double>(
-      std::max(config.object_size_max_bytes, config.object_size_min_bytes));
-  double alpha = config.object_size_pareto_alpha > 0
-                     ? config.object_size_pareto_alpha
-                     : 1.0;
-  double bytes =
-      lo / std::pow(1.0 - u * (1.0 - std::pow(lo / hi, alpha)), 1.0 / alpha);
-  bytes = std::min(std::max(bytes, lo), hi);
-  return static_cast<uint64_t>(bytes) * 8;
-}
-
-}  // namespace
-
-void Website::BuildIdTable(
-    const std::vector<std::pair<ObjectId, uint64_t>>& sizes) {
-  id_table.Build(objects);
-  size_bits_by_slot.assign(id_table.size(), default_size_bits);
-  for (const auto& [id, bits] : sizes) {
-    ObjectSlot slot = SlotOf(id);
-    if (slot != kInvalidSlot) size_bits_by_slot[slot] = bits;
-  }
-}
 
 WebsiteCatalog::WebsiteCatalog(const SimConfig& config,
                                const DRingIdScheme& scheme) {
@@ -51,17 +12,12 @@ WebsiteCatalog::WebsiteCatalog(const SimConfig& config,
     site.index = static_cast<WebsiteId>(w);
     site.url = "www.site" + std::to_string(w) + ".org";
     site.dring_hash = scheme.HashWebsite(site.url);
-    site.default_size_bits = config.object_size_bits;
     site.objects.reserve(static_cast<size_t>(config.num_objects_per_website));
-    std::vector<std::pair<ObjectId, uint64_t>> sizes;
-    sizes.reserve(static_cast<size_t>(config.num_objects_per_website));
     for (int o = 0; o < config.num_objects_per_website; ++o) {
-      std::string object_url = site.url + "/obj" + std::to_string(o);
-      ObjectId id = Fnv1a64(object_url);
-      site.objects.push_back(id);
-      sizes.emplace_back(id, DrawSizeBits(config, object_url));
+      site.objects.push_back(
+          Fnv1a64(site.url + "/obj" + std::to_string(o)));
     }
-    site.BuildIdTable(sizes);
+    site.id_table.Build(site.objects);
   }
 }
 

@@ -1,10 +1,10 @@
 // The simulated universe of websites and their objects, shared by
 // Flower-CDN and the Squirrel baseline so both run identical workloads.
+// Every object has the same size, config.object_size_bits.
 #ifndef FLOWERCDN_CORE_WEBSITE_H_
 #define FLOWERCDN_CORE_WEBSITE_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -24,27 +24,12 @@ struct Website {
   /// Network address of the origin server (filled by the deployment).
   PeerAddress server_addr = kInvalidAddress;
 
-  /// Nominal object size, used for ids missing from the size table
-  /// (defensive: malformed traces, hand-built Websites in tests). Set
-  /// from config.object_size_bits by WebsiteCatalog.
-  uint64_t default_size_bits = 10 * 8 * 1024;
-
   /// Flyweight table of this site's object ids: dense ObjectSlot
-  /// handles in ascending-id order (see common/interner.h). Directory
-  /// index entries and push/handoff payloads carry slots; ids convert
-  /// at the Bloom-summary and wire boundaries.
+  /// handles in ascending-id order (see common/interner.h), built by the
+  /// catalog from `objects`. Directory index entries and push/handoff
+  /// payloads carry slots; ids convert at the Bloom-summary and wire
+  /// boundaries.
   ObjectIdTable id_table;
-  /// Per-object wire/storage sizes in bits, indexed by ObjectSlot;
-  /// drawn from config.object_size_distribution, derived from the
-  /// object URL hash, not an RNG stream. Single source of truth for
-  /// sizes.
-  std::vector<uint64_t> size_bits_by_slot;
-
-  /// Rebuilds `id_table` / re-indexes `size_bits_by_slot` from the
-  /// current `objects` list and an id -> size_bits mapping. Called by
-  /// the catalog after populating objects; hand-built Websites in tests
-  /// must call it before slot-based lookups.
-  void BuildIdTable(const std::vector<std::pair<ObjectId, uint64_t>>& sizes);
 
   /// Dense slot of an object id (kInvalidSlot for foreign ids).
   ObjectSlot SlotOf(ObjectId id) const {
@@ -54,23 +39,6 @@ struct Website {
   ObjectId IdAtSlot(ObjectSlot slot) const { return id_table.ValueOf(slot); }
   /// Number of distinct objects (slots are exactly [0, num_slots())).
   size_t num_slots() const { return id_table.size(); }
-
-  /// Size of an object by slot.
-  uint64_t SizeBitsAtSlot(ObjectSlot slot) const {
-    return slot < size_bits_by_slot.size() ? size_bits_by_slot[slot]
-                                           : default_size_bits;
-  }
-
-  /// Size of an object by id.
-  uint64_t ObjectSizeBits(ObjectId id) const {
-    return SizeBitsAtSlot(SlotOf(id));
-  }
-
-  /// Size of an object by popularity rank.
-  uint64_t SizeBitsOfRank(size_t rank) const {
-    return rank < objects.size() ? ObjectSizeBits(objects[rank])
-                                 : default_size_bits;
-  }
 };
 
 class WebsiteCatalog {

@@ -7,6 +7,10 @@
 
 namespace flower {
 
+namespace {
+constexpr int kSuccessorListSize = 4;
+}  // namespace
+
 ChordNode::ChordNode(Simulator* sim, Network* network, ChordRing* ring,
                      Key id)
     : sim_(sim), network_(network), ring_(ring), id_(ring->space().Clamp(id)) {
@@ -45,8 +49,7 @@ NodeRef ChordNode::predecessor() const {
 std::vector<NodeRef> ChordNode::SuccessorList() const {
   std::vector<NodeRef> out;
   Key from = space().Add(id_, 1);
-  int want = ring_->config().successor_list_size;
-  for (int i = 0; i < want; ++i) {
+  for (int i = 0; i < kSuccessorListSize; ++i) {
     ChordNode* s = ring_->SuccessorOf(from);
     if (s == nullptr || s == this) break;
     out.push_back(s->self_ref());

@@ -33,7 +33,6 @@ class ChordRing;
 
 struct ChordConfig {
   int id_bits = 40;
-  int successor_list_size = 4;
   int max_route_hops = 128;
 };
 
@@ -85,6 +84,8 @@ class ChordNode : public Peer {
   NodeRef self_ref() const { return NodeRef{id_, address()}; }
   NodeRef successor() const;
   NodeRef predecessor() const;
+  /// The next four live nodes clockwise (fewer on a smaller ring), self
+  /// excluded.
   std::vector<NodeRef> SuccessorList() const;
   /// Finger i: the live successor of id + 2^i.
   NodeRef finger(int i) const;

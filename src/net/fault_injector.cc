@@ -206,25 +206,8 @@ Result<FaultPlan> FaultPlan::FromConfig(const SimConfig& config) {
   FaultPlan plan;
   Status s = ParseClassProbSpec("fault_loss", config.fault_loss, &plan.loss);
   if (!s.ok()) return s;
-  s = ParseClassProbSpec("fault_duplicate", config.fault_duplicate,
-                         &plan.duplicate);
-  if (!s.ok()) return s;
   s = ParsePartitionSpec(config.fault_partitions, &plan.partitions);
   if (!s.ok()) return s;
-  if (config.fault_delay_jitter < 0) {
-    return Status::InvalidArgument("fault_delay_jitter must be >= 0");
-  }
-  plan.delay_jitter = config.fault_delay_jitter;
-  if (config.fault_delay_spike < 0) {
-    return Status::InvalidArgument("fault_delay_spike must be >= 0");
-  }
-  plan.delay_spike = config.fault_delay_spike;
-  if (config.fault_delay_spike_probability < 0 ||
-      config.fault_delay_spike_probability > 1) {
-    return Status::InvalidArgument(
-        "fault_delay_spike_probability wants a probability in [0, 1]");
-  }
-  plan.delay_spike_probability = config.fault_delay_spike_probability;
   if (config.fault_silent_crash_probability < 0 ||
       config.fault_silent_crash_probability > 1) {
     return Status::InvalidArgument(
@@ -241,17 +224,8 @@ bool FaultPlan::AnyLoss() const {
   return false;
 }
 
-bool FaultPlan::AnyDuplication() const {
-  for (double p : duplicate) {
-    if (p > 0) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::Active() const {
-  return AnyLoss() || AnyDuplication() || delay_jitter > 0 ||
-         (delay_spike_probability > 0 && delay_spike > 0) ||
-         !partitions.empty() || silent_crash_probability > 0;
+  return AnyLoss() || !partitions.empty() || silent_crash_probability > 0;
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, Simulator* sim,
@@ -297,24 +271,6 @@ bool FaultInjector::DrawLoss(TrafficClass cls) {
   return true;
 }
 
-bool FaultInjector::DrawDuplicate(TrafficClass cls) {
-  const double p = plan_.duplicate[static_cast<size_t>(cls)];
-  if (p <= 0) return false;
-  return SelfRng().Bernoulli(p);
-}
-
-SimTime FaultInjector::DrawExtraDelay() {
-  SimTime extra = 0;
-  if (plan_.delay_jitter > 0) {
-    extra += SelfRng().UniformInt(0, plan_.delay_jitter);
-  }
-  if (plan_.delay_spike_probability > 0 && plan_.delay_spike > 0 &&
-      SelfRng().Bernoulli(plan_.delay_spike_probability)) {
-    extra += plan_.delay_spike;
-  }
-  return extra;
-}
-
 bool FaultInjector::DrawSilentCrash() {
   const double p = plan_.silent_crash_probability;
   if (p <= 0) return false;
@@ -345,9 +301,6 @@ uint64_t FaultInjector::Fold(uint64_t LaneCounters::* member) const {
 
 uint64_t FaultInjector::injected_drops() const {
   return Fold(&LaneCounters::injected_drops);
-}
-uint64_t FaultInjector::injected_duplicates() const {
-  return Fold(&LaneCounters::injected_duplicates);
 }
 uint64_t FaultInjector::partition_drops() const {
   return Fold(&LaneCounters::partition_drops);

@@ -1,5 +1,5 @@
 // Deterministic fault injection for the simulated network (loss,
-// duplication, delay jitter, partition windows, silent crash-stop).
+// partition windows, silent crash-stop).
 //
 // All probabilistic draws come from per-lane RNG streams derived from the
 // master seed (Mix64(seed ^ (kFaultLaneTag + slot))), never from the
@@ -55,11 +55,7 @@ struct FaultPlan {
   static constexpr size_t kNumClasses =
       static_cast<size_t>(TrafficClass::kNumClasses);
 
-  std::array<double, kNumClasses> loss{};       // per-class drop prob
-  std::array<double, kNumClasses> duplicate{};  // per-class dup prob
-  SimTime delay_jitter = 0;                     // uniform [0, jitter] add-on
-  double delay_spike_probability = 0;
-  SimTime delay_spike = 0;  // extra delay when a spike fires
+  std::array<double, kNumClasses> loss{};  // per-class drop prob
   std::vector<PartitionWindow> partitions;
   double silent_crash_probability = 0;  // churn fail -> no bounce
 
@@ -71,10 +67,9 @@ struct FaultPlan {
   /// True if any fault dimension is enabled.
   bool Active() const;
   bool AnyLoss() const;
-  bool AnyDuplication() const;
 };
 
-/// Parses a loss/duplication spec: either a bare probability ("0.05",
+/// Parses a loss spec: either a bare probability ("0.05",
 /// all classes) or comma-separated "class:prob" pairs
 /// ("query:0.05,push:0.1") with TrafficClassName class names.
 Status ParseClassProbSpec(const std::string& key, const std::string& spec,
@@ -108,17 +103,6 @@ class FaultInjector {
   /// counts the drop.
   bool DrawLoss(TrafficClass cls);
 
-  /// Draws (only when duplicate[cls] > 0) whether to duplicate this
-  /// message. The caller counts via CountDuplicate() only when a copy
-  /// was actually materialized (Message::Duplicate() non-null).
-  bool DrawDuplicate(TrafficClass cls);
-  void CountDuplicate() { ++Self().injected_duplicates; }
-
-  /// Extra latency for one delivery: uniform jitter plus an occasional
-  /// spike. Always >= 0, so the sharded engine's conservative lookahead
-  /// (a lower bound on cross-lane delay) stays sound.
-  SimTime DrawExtraDelay();
-
   /// Draws (only when silent_crash_probability > 0) whether an upcoming
   /// churn crash-failure goes dark silently (no undeliverable bounce).
   bool DrawSilentCrash();
@@ -134,7 +118,6 @@ class FaultInjector {
   /// Fault counters, folded over lanes. Stable at barriers, like the
   /// Network's totals.
   uint64_t injected_drops() const;
-  uint64_t injected_duplicates() const;
   uint64_t partition_drops() const;
   uint64_t bounces_suppressed() const;
   uint64_t silent_crashes() const;
@@ -142,7 +125,6 @@ class FaultInjector {
  private:
   struct LaneCounters {
     uint64_t injected_drops = 0;
-    uint64_t injected_duplicates = 0;
     uint64_t partition_drops = 0;
     uint64_t bounces_suppressed = 0;
     uint64_t silent_crashes = 0;

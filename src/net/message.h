@@ -90,11 +90,6 @@ class Message {
   /// Accounting class of this message.
   TrafficClass traffic_class() const { return class_; }
 
-  /// Deep copy, used by the fault injector to deliver a duplicated
-  /// message. The default (nullptr) marks a message the network must not
-  /// duplicate — types that own move-only payloads opt out by keeping it.
-  virtual MessagePtr Duplicate() const { return nullptr; }
-
   /// Filled in by the network on delivery.
   PeerAddress sender = kInvalidAddress;
 
@@ -127,11 +122,6 @@ std::unique_ptr<T> MessageCast(MessagePtr msg) {
   assert(msg != nullptr && msg->type() == T::kKind);
   return std::unique_ptr<T>(static_cast<T*>(msg.release()));
 }
-
-/// Implements Duplicate() via the type's copy constructor. Use on message
-/// types whose members are all copyable.
-#define FLOWER_DUPLICATE_AS_COPY(T) \
-  MessagePtr Duplicate() const override { return std::make_unique<T>(*this); }
 
 }  // namespace flower
 

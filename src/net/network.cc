@@ -100,7 +100,6 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
   ++messages_sent_[LaneSlot()];
 
   msg->sender = sender;
-  SimTime latency = Latency(sender, to);
 
   // Fault-injection hooks. The entire block is skipped — no draw, no
   // extra branch in the delivery path — when no active injector is
@@ -114,30 +113,12 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
       return;
     }
     if (injector_->DrawLoss(cls)) return;
-    latency += injector_->DrawExtraDelay();
-    if (injector_->DrawDuplicate(cls)) {
-      MessagePtr dup = msg->Duplicate();
-      // Move-only payload carriers return nullptr: the draw was made
-      // (stream layout is type-independent) but no copy materializes.
-      if (dup != nullptr) {
-        dup->sender = sender;
-        injector_->CountDuplicate();
-        DeliverAfter(sender, to, ci, bits,
-                     Latency(sender, to) + injector_->DrawExtraDelay(),
-                     std::move(dup));
-      }
-    }
   }
 
-  DeliverAfter(sender, to, ci, bits, latency, std::move(msg));
-}
-
-void Network::DeliverAfter(PeerAddress sender, PeerAddress to, size_t ci,
-                           uint64_t bits, SimTime latency, MessagePtr msg) {
   // EventFn closures are move-only-friendly, so the message rides in the
   // closure directly — no shared_ptr holder allocation per send.
-  RouteAfter(to, latency, [this, sender, to, ci, bits,
-                           m = std::move(msg)]() mutable {
+  RouteAfter(to, Latency(sender, to), [this, sender, to, ci, bits,
+                                       m = std::move(msg)]() mutable {
     Peer* dest = to < peers_.size() ? peers_[to] : nullptr;
     if (dest != nullptr) {
       counters_[to].received_bits[ci] += bits;

@@ -88,8 +88,8 @@ class Network {
   /// travel through the stamped window exchange.
   ///
   /// With an active fault injector attached, a send may additionally be
-  /// dropped (loss / partition window), duplicated, or delayed by jitter;
-  /// bounces to silently-crashed destinations are suppressed.
+  /// dropped (loss / partition window); bounces to silently-crashed
+  /// destinations are suppressed.
   void Send(Peer* from, PeerAddress to, MessagePtr msg);
 
   /// Attaches a fault injector (nullptr detaches). The injector must
@@ -126,11 +126,6 @@ class Network {
 
   /// Schedules fn after `delay` on the lane owning `dest`.
   void RouteAfter(PeerAddress dest, SimTime delay, EventFn fn);
-
-  /// Schedules the delivery (or undeliverable bounce) of msg to `to`
-  /// after `latency`.
-  void DeliverAfter(PeerAddress sender, PeerAddress to, size_t ci,
-                    uint64_t bits, SimTime latency, MessagePtr msg);
 
   Simulator* sim_;
   const Topology* topology_;

@@ -71,17 +71,14 @@ void SquirrelNode::Deliver(Key key, MessagePtr payload,
   ProcessAsHome(MessageCast<FlowerQueryMsg>(std::move(payload)));
 }
 
-void SquirrelNode::CacheObject(WebsiteId website, ObjectId object,
-                               double cost) {
+void SquirrelNode::CacheObject(ObjectId object, double cost) {
   if (cache_.Contains(object)) {
     cache_.Touch(object);
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted =
-      cache_.Insert(object,
-                    ctx_->catalog->site(website).ObjectSizeBits(object) / 8,
-                    &evicted, cost);
+  bool inserted = cache_.Insert(object, ctx_->config->object_size_bits / 8,
+                                &evicted, cost);
   if (inserted) evicted_ids_.erase(object);
   // Evictions leave stale downloader pointers at the objects' home nodes;
   // those heal through the existing NotFound retry path when followed.
@@ -111,7 +108,7 @@ void SquirrelNode::ServeClient(const FlowerQueryMsg& query) {
   auto serve = std::make_unique<ServeMsg>(
       query.object, query.website, query.website_hash, address(),
       /*from_server=*/false, query.submit_time,
-      SiteOf(query)->ObjectSizeBits(query.object));
+      ctx_->config->object_size_bits);
   ctx_->network->Send(this, query.client, std::move(serve));
 }
 
@@ -176,7 +173,7 @@ void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
   }
   // Same cost model as Flower peers, so cross-system cache ablations
   // under cache_cost=distance stay fair.
-  CacheObject(serve->website, object, cost_model_.OnFetch(object, distance));
+  CacheObject(object, cost_model_.OnFetch(object, distance));
 
   // Home-store: the object just arrived from the server; serve the queue.
   auto wit = awaiting_fetch_.find(object);
@@ -189,7 +186,7 @@ void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
       auto out = std::make_unique<ServeMsg>(
           object, q->website, q->website_hash, address(),
           /*from_server=*/first, q->submit_time,
-          SiteOf(*q)->ObjectSizeBits(object));
+          ctx_->config->object_size_bits);
       ctx_->network->Send(this, q->client, std::move(out));
       first = false;
     }

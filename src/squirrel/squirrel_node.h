@@ -76,7 +76,7 @@ class SquirrelNode : public ChordNode, public KbrApp {
   /// Caches an object under the store's policy/budget, counting evictions.
   /// `cost` is the GDSF retrieval-cost term (RefetchCostModel::OnFetch;
   /// 1 under the default uniform model).
-  void CacheObject(WebsiteId website, ObjectId object, double cost = 1.0);
+  void CacheObject(ObjectId object, double cost = 1.0);
   void RememberDownloader(ObjectId object, PeerAddress peer);
   void ServeClient(const FlowerQueryMsg& query);
   void HandleServe(std::unique_ptr<ServeMsg> serve);

@@ -11,7 +11,6 @@ namespace {
 ChordConfig MakeChordConfig(const SimConfig& config) {
   ChordConfig cc;
   cc.id_bits = config.chord_id_bits;
-  cc.successor_list_size = config.chord_successor_list;
   return cc;
 }
 }  // namespace
@@ -47,8 +46,8 @@ void SquirrelSystem::Setup() {
   servers_.reserve(static_cast<size_t>(catalog_->size()));
   for (int w = 0; w < catalog_->size(); ++w) {
     Website& site = catalog_->mutable_site(static_cast<WebsiteId>(w));
-    auto server = std::make_unique<OriginServer>(sim_, network_, metrics_,
-                                                 &site);
+    auto server = std::make_unique<OriginServer>(
+        sim_, network_, metrics_, &site, config_.object_size_bits);
     server->Activate(deployment_.server_nodes[static_cast<size_t>(w)]);
     site.server_addr = server->address();
     servers_.push_back(std::move(server));

@@ -14,11 +14,10 @@ Status Trace::Save(const std::string& path) const {
   if (f == nullptr) {
     return Status::Unavailable("cannot open " + path + " for writing");
   }
-  std::fprintf(f, "flower-trace v2 %zu\n", events_.size());
+  std::fprintf(f, "flower-trace v1 %zu\n", events_.size());
   for (const QueryEvent& e : events_) {
-    std::fprintf(f, "%" PRId64 " %u %zu %" PRIu64 " %u %u %" PRIu64 "\n",
-                 e.time, e.website, e.object_rank, e.object, e.node,
-                 e.locality, e.size_bits);
+    std::fprintf(f, "%" PRId64 " %u %zu %" PRIu64 " %u %u\n", e.time,
+                 e.website, e.object_rank, e.object, e.node, e.locality);
   }
   std::fclose(f);
   return Status::Ok();
@@ -47,9 +46,9 @@ Result<Trace> Trace::Load(const std::string& path) {
       return Status::InvalidArgument("truncated trace at event " +
                                      std::to_string(i));
     }
-    if (version >= 2 &&
-        std::fscanf(f, "%" SCNu64, &e.size_bits) != 1) {
-      // v1 events carry no size; a v2 row without one is malformed.
+    uint64_t size_bits;
+    if (version == 2 && std::fscanf(f, "%" SCNu64, &size_bits) != 1) {
+      // A v2 row without its (unread) size column is malformed.
       std::fclose(f);
       return Status::InvalidArgument("missing size_bits at event " +
                                      std::to_string(i));

@@ -25,15 +25,15 @@ class Trace {
   /// Records the full output of a generator.
   static Trace Record(WorkloadGenerator* generator);
 
-  /// Saves as a line-oriented text file (current format):
-  ///   header line  "flower-trace v2 <count>"
-  ///   event lines  "<time> <website> <rank> <object> <node> <locality>
-  ///                 <size_bits>"
+  /// Saves as a line-oriented text file (format v1):
+  ///   header line  "flower-trace v1 <count>"
+  ///   event lines  "<time> <website> <rank> <object> <node> <locality>"
   Status Save(const std::string& path) const;
 
   /// Loads a file produced by Save. Validates the header and field
-  /// counts. v1 files (no per-object sizes) still load; their events
-  /// carry size_bits = 0.
+  /// counts. v2 files, written while objects had per-object sizes, still
+  /// load: each event line carries a seventh column, <size_bits>, which
+  /// is read and dropped (every object has config.object_size_bits).
   static Result<Trace> Load(const std::string& path);
 
  private:

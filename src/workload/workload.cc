@@ -54,7 +54,6 @@ bool WorkloadGenerator::Next(QueryEvent* out) {
   out->object_rank = zipf_.Sample(&rng_);
   const Website& site = catalog_->site(out->website);
   out->object = site.objects[out->object_rank];
-  out->size_bits = site.SizeBitsOfRank(out->object_rank);
   ++events_generated_;
   return true;
 }

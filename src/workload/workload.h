@@ -27,9 +27,6 @@ struct QueryEvent {
   ObjectId object = 0;
   NodeId node = kInvalidNode;
   LocalityId locality = 0;
-  /// Object size from the website catalog (bits). Zero when unknown
-  /// (events loaded from a v1 trace, which predates sizes).
-  uint64_t size_bits = 0;
 };
 
 class WorkloadGenerator {

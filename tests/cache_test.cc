@@ -28,10 +28,8 @@ TEST(CachePolicyTest, ConfigKeysApply) {
   SimConfig c;
   ASSERT_TRUE(c.Apply("cache_policy", "gdsf").ok());
   ASSERT_TRUE(c.Apply("cache_capacity_bytes", "65536").ok());
-  ASSERT_TRUE(c.Apply("object_size_distribution", "pareto").ok());
   EXPECT_EQ(c.cache_policy, "gdsf");
   EXPECT_EQ(c.cache_capacity_bytes, 65536u);
-  EXPECT_EQ(c.object_size_distribution, "pareto");
   ContentStore store = ContentStore::FromConfig(c);
   EXPECT_EQ(store.policy(), CachePolicy::kGdsf);
   EXPECT_EQ(store.capacity_bytes(), 65536u);
@@ -40,33 +38,22 @@ TEST(CachePolicyTest, ConfigKeysApply) {
 TEST(CachePolicyTest, ConfigRejectsBadValues) {
   SimConfig c;
   EXPECT_FALSE(c.Apply("cache_policy", "bogus").ok());
-  EXPECT_FALSE(c.Apply("object_size_distribution", "paretoo").ok());
+  EXPECT_FALSE(c.Apply("cache_capacity_bytes", "lots").ok());
   EXPECT_EQ(c.cache_policy, "unbounded") << "a bad value must not stick";
-  EXPECT_EQ(c.object_size_distribution, "fixed");
+  EXPECT_EQ(c.cache_capacity_bytes, 0u);
 }
 
 TEST(RefetchCostModelTest, EwmaSmoothingPinned) {
   SimConfig c;
   ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
-  ASSERT_TRUE(c.Apply("cache_cost_ewma_alpha", "0.5").ok());
   RefetchCostModel model(c);
   EXPECT_DOUBLE_EQ(model.CostOf(7), 1.0) << "never observed";
   EXPECT_DOUBLE_EQ(model.OnFetch(7, 100), 100.0) << "first sample seeds";
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 200), 150.0) << "0.5*200 + 0.5*100";
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 50), 100.0) << "0.5*50 + 0.5*150";
-  EXPECT_DOUBLE_EQ(model.CostOf(7), 100.0) << "CostOf reads, no update";
+  EXPECT_DOUBLE_EQ(model.OnFetch(7, 200), 130.0) << "0.3*200 + 0.7*100";
+  EXPECT_DOUBLE_EQ(model.OnFetch(7, 50), 106.0) << "0.3*50 + 0.7*130";
+  EXPECT_DOUBLE_EQ(model.CostOf(7), 106.0) << "CostOf reads, no update";
   EXPECT_DOUBLE_EQ(model.OnFetch(8, 0), 1.0) << "samples floored at 1";
   EXPECT_DOUBLE_EQ(model.CostOf(9), 1.0) << "per-object state";
-}
-
-TEST(RefetchCostModelTest, AlphaOneIsLatestSample) {
-  SimConfig c;
-  ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
-  ASSERT_TRUE(c.Apply("cache_cost_ewma_alpha", "1.0").ok());
-  RefetchCostModel model(c);
-  model.OnFetch(3, 400);
-  EXPECT_DOUBLE_EQ(model.OnFetch(3, 20), 20.0)
-      << "alpha=1 reproduces the pre-EWMA single-sample cost";
 }
 
 TEST(RefetchCostModelTest, UniformStaysStateless) {
@@ -74,14 +61,6 @@ TEST(RefetchCostModelTest, UniformStaysStateless) {
   RefetchCostModel model(c);
   EXPECT_DOUBLE_EQ(model.OnFetch(7, 500), 1.0);
   EXPECT_DOUBLE_EQ(model.CostOf(7), 1.0);
-}
-
-TEST(RefetchCostModelTest, AlphaConfigValidated) {
-  SimConfig c;
-  EXPECT_FALSE(c.Apply("cache_cost_ewma_alpha", "0").ok());
-  EXPECT_FALSE(c.Apply("cache_cost_ewma_alpha", "1.5").ok());
-  EXPECT_TRUE(c.Apply("cache_cost_ewma_alpha", "0.25").ok());
-  EXPECT_DOUBLE_EQ(c.cache_cost_ewma_alpha, 0.25);
 }
 
 TEST(ContentStoreTest, CapacityAccounting) {
@@ -223,7 +202,7 @@ TEST(ContentStoreTest, ObjectsIterateInIdOrder) {
   EXPECT_TRUE(store.Insert(10, 1));
   EXPECT_TRUE(store.Insert(20, 1));
   std::vector<ObjectId> expected = {10, 20, 30};
-  EXPECT_EQ(store.Objects(), expected);
+  EXPECT_EQ(store.keys(), expected);
   EXPECT_EQ(store.count(10), 1u);
   EXPECT_EQ(store.count(11), 0u);
 }

@@ -269,7 +269,6 @@ TEST(TraceReplayTest, V1FixtureStillLoadsAndRuns) {
   ASSERT_TRUE(source.value()->Next(&first));
   EXPECT_EQ(first.time, trace.events()[0].time);
   EXPECT_EQ(first.object, trace.events()[0].object);
-  EXPECT_EQ(first.size_bits, 0u);  // v1 predates per-object sizes
 
   RunResult r = Experiment(c)
                     .WithSystem("flower")

@@ -30,22 +30,6 @@ TEST(FlowerMessagesTest, QuerySizeIsSmallAndConstant) {
   EXPECT_EQ(q.traffic_class(), TrafficClass::kQuery);
 }
 
-TEST(FlowerMessagesTest, QueryCloneCopiesEverything) {
-  FlowerQueryMsg q(3, 99, 42, 7, 2, 100, QueryStage::kDirToDir);
-  q.client_is_member = true;
-  q.dir_redirects = 2;
-  auto c = q.Clone();
-  EXPECT_EQ(c->website, 3u);
-  EXPECT_EQ(c->website_hash, 99u);
-  EXPECT_EQ(c->object, 42u);
-  EXPECT_EQ(c->client, 7u);
-  EXPECT_EQ(c->client_loc, 2u);
-  EXPECT_EQ(c->submit_time, 100);
-  EXPECT_EQ(c->stage, QueryStage::kDirToDir);
-  EXPECT_TRUE(c->client_is_member);
-  EXPECT_EQ(c->dir_redirects, 2);
-}
-
 TEST(FlowerMessagesTest, GossipMessageCarriesOnePlusLSummaries) {
   GossipRequestMsg msg;
   msg.own_summary = MakeSummary();

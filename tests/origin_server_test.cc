@@ -29,7 +29,8 @@ class OriginServerTest : public ::testing::Test {
                          world_.config().locality_id_bits, 0);
     catalog_ = std::make_unique<WebsiteCatalog>(world_.config(), scheme);
     server_ = std::make_unique<OriginServer>(
-        world_.sim(), world_.network(), &metrics_, &catalog_->site(0));
+        world_.sim(), world_.network(), &metrics_, &catalog_->site(0),
+        world_.config().object_size_bits);
     server_->Activate(0);
     world_.network()->RegisterPeer(&client_, 1);
   }

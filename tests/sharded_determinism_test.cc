@@ -19,6 +19,7 @@
 
 #include "api/experiment.h"
 #include "api/sweep.h"
+#include "api/systems.h"
 #include "test_util.h"
 
 namespace flower {
@@ -41,8 +42,10 @@ struct SinkOutput {
   RunResult result;
 };
 
-/// One flower run over `config` with text + JSON sinks attached.
-SinkOutput RunWithSinks(const SimConfig& config, const std::string& tag) {
+/// One run over `config` with text + JSON sinks attached, of the system
+/// `factory` builds (default: the config's registry key).
+SinkOutput RunWithSinks(const SimConfig& config, const std::string& tag,
+                        SystemFactory factory = nullptr) {
   SinkOutput out;
   const std::string text_path = TempPath("shard_" + tag + ".txt");
   const std::string json_path = TempPath("shard_" + tag + ".json");
@@ -51,11 +54,13 @@ SinkOutput RunWithSinks(const SimConfig& config, const std::string& tag) {
     EXPECT_NE(text_file, nullptr);
     TextSummarySink text(text_file);
     JsonResultSink json(json_path);
-    out.result = Experiment(config)
-                     .WithSystem(config.system)
-                     .AddSink(&text)
-                     .AddSink(&json)
-                     .Run();
+    Experiment experiment(config);
+    if (factory) {
+      experiment.WithSystem(std::move(factory));
+    } else {
+      experiment.WithSystem(config.system);
+    }
+    out.result = experiment.AddSink(&text).AddSink(&json).Run();
     json.Flush();
     std::fclose(text_file);
   }
@@ -96,15 +101,23 @@ TEST(ShardedDeterminismGolden, OutputIdenticalAcrossShardCounts) {
   EXPECT_EQ(s2.json, again.json);
 }
 
-TEST(ShardedDeterminismGolden, ExecutorsProduceIdenticalBytes) {
-  SimConfig serial_cfg = ShardConfig();
-  serial_cfg.shards = 3;
-  serial_cfg.shard_executor = "serial";
-  SinkOutput serial = RunWithSinks(serial_cfg, "exec_serial");
+/// Flower with its lane threads refused: the Experiment runs its lanes
+/// on the cooperative executor, in lane order on one thread.
+class CooperativeFlower : public FlowerAdapter {
+ public:
+  using FlowerAdapter::FlowerAdapter;
+  bool SupportsParallelShards() const override { return false; }
+};
 
-  SimConfig threads_cfg = serial_cfg;
-  threads_cfg.shard_executor = "auto";
-  SinkOutput threads = RunWithSinks(threads_cfg, "exec_threads");
+TEST(ShardedDeterminismGolden, ExecutorsProduceIdenticalBytes) {
+  SimConfig config = ShardConfig();
+  config.shards = 3;
+  ASSERT_FALSE(config.churn_enabled) << "churn would refuse threads too";
+  SinkOutput serial = RunWithSinks(
+      config, "exec_serial", [](const SystemContext& ctx) {
+        return std::unique_ptr<CdnSystem>(new CooperativeFlower(ctx));
+      });
+  SinkOutput threads = RunWithSinks(config, "exec_threads");
 
   EXPECT_EQ(serial.text, threads.text);
   EXPECT_EQ(serial.json, threads.json);
@@ -170,11 +183,11 @@ TEST(ShardedDeterminismGolden, ChurnStress) {
 }
 
 // Cross-shard determinism with the fault-injection layer fully lit up —
-// loss, duplication, jitter, a partition window, silent crashes under
-// churn, plus query timeouts and keepalive-ack suspicion. All injector
-// draws come from per-lane derived streams, so shards=2 and shards=4
-// must stay byte-identical across executors and reruns; shards=1 is the
-// serial engine (own schedule, asserted self-consistent only).
+// loss, a partition window, silent crashes under churn, plus query
+// timeouts and keepalive-ack suspicion. All injector draws come from
+// per-lane derived streams, so shards=2 and shards=4 must stay
+// byte-identical across reruns; shards=1 is the serial engine (own
+// schedule, asserted self-consistent only).
 TEST(ShardedDeterminismGolden, FaultInjectionStress) {
   SimConfig base = ShardConfig();
   base.duration = 2 * kHour;
@@ -182,8 +195,6 @@ TEST(ShardedDeterminismGolden, FaultInjectionStress) {
   base.churn_mean_session = 30 * kMinute;
   base.churn_mean_downtime = 10 * kMinute;
   base.fault_loss = "0.05";
-  base.fault_duplicate = "query:0.05,gossip:0.02";
-  base.fault_delay_jitter = 20;
   base.fault_partitions = "0|*@30min-45min";
   base.fault_silent_crash_probability = 0.5;
   base.query_timeout = 5 * kSecond;
@@ -212,13 +223,6 @@ TEST(ShardedDeterminismGolden, FaultInjectionStress) {
   EXPECT_GT(s2.result.injected_drops, 0u) << "loss must actually fire";
   EXPECT_GT(s2.result.partition_drops, 0u) << "the window must cut traffic";
   EXPECT_GT(s2.result.queries_timed_out, 0u);
-
-  // Executor independence with every fault dimension on.
-  SimConfig threads_cfg = two;
-  threads_cfg.shard_executor = "auto";
-  SinkOutput threads = RunWithSinks(threads_cfg, "fault_s2_threads");
-  EXPECT_EQ(s2.text, threads.text);
-  EXPECT_EQ(s2.json, threads.json);
 
   // Rerun determinism of the sharded faulty schedule.
   SinkOutput s2b = RunWithSinks(two, "fault_s2_again");

@@ -1,6 +1,8 @@
 #include "workload/trace.h"
 
 #include <cstdio>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -54,26 +56,28 @@ TEST_F(TraceTest, SaveLoadRoundTrip) {
     EXPECT_EQ(a.object, b.object);
     EXPECT_EQ(a.node, b.node);
     EXPECT_EQ(a.locality, b.locality);
-    EXPECT_EQ(a.size_bits, b.size_bits);
   }
   std::remove(path_.c_str());
 }
 
-TEST_F(TraceTest, SaveWritesV2WithSizes) {
+TEST_F(TraceTest, SaveWritesV1) {
   WorkloadGenerator gen(config_, deployment_, *catalog_, 7);
   Trace trace = Trace::Record(&gen);
   ASSERT_FALSE(trace.empty());
-  // Generated events carry catalog sizes (fixed distribution by default).
-  for (const QueryEvent& e : trace.events()) {
-    EXPECT_EQ(e.size_bits, config_.object_size_bits);
-  }
   ASSERT_TRUE(trace.Save(path_).ok());
   std::FILE* f = std::fopen(path_.c_str(), "r");
   ASSERT_NE(f, nullptr);
-  char header[64] = {0};
-  ASSERT_NE(std::fgets(header, sizeof(header), f), nullptr);
+  char line[128] = {0};
+  ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
+  EXPECT_EQ(std::string(line).rfind("flower-trace v1 ", 0), 0u);
+  // Six fields per event line: no size column.
+  ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   std::fclose(f);
-  EXPECT_EQ(std::string(header).rfind("flower-trace v2 ", 0), 0u);
+  std::istringstream fields(line);
+  std::string field;
+  int count = 0;
+  while (fields >> field) ++count;
+  EXPECT_EQ(count, 6) << line;
   std::remove(path_.c_str());
 }
 
@@ -88,9 +92,36 @@ TEST_F(TraceTest, LoadsV1FilesWithoutSizes) {
   ASSERT_EQ(r.value().size(), 2u);
   EXPECT_EQ(r.value().events()[0].time, 100);
   EXPECT_EQ(r.value().events()[0].object, 42u);
-  EXPECT_EQ(r.value().events()[0].size_bits, 0u)
-      << "v1 traces predate sizes; events must load with size_bits = 0";
   EXPECT_EQ(r.value().events()[1].locality, 2u);
+  std::remove(path_.c_str());
+}
+
+TEST_F(TraceTest, LoadsV2FilesDroppingTheSizeColumn) {
+  // A v2 fixture: the six v1 fields plus a per-object size in bits.
+  std::FILE* f = std::fopen(path_.c_str(), "w");
+  std::fprintf(f, "flower-trace v2 2\n");
+  std::fprintf(f, "100 0 1 42 7 0 81920\n");
+  std::fprintf(f, "250 1 3 99 8 2 16384\n");
+  std::fclose(f);
+  Result<Trace> r = Trace::Load(path_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().size(), 2u);
+  const QueryEvent& second = r.value().events()[1];
+  EXPECT_EQ(second.time, 250);
+  EXPECT_EQ(second.website, 1u);
+  EXPECT_EQ(second.object_rank, 3u);
+  EXPECT_EQ(second.object, 99u);
+  EXPECT_EQ(second.node, 8u);
+  EXPECT_EQ(second.locality, 2u);
+
+  // A v2 row without its size column is malformed.
+  f = std::fopen(path_.c_str(), "w");
+  std::fprintf(f, "flower-trace v2 1\n");
+  std::fprintf(f, "100 0 1 42 7 0\n");
+  std::fclose(f);
+  r = Trace::Load(path_);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path_.c_str());
 }
 

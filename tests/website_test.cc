@@ -48,41 +48,18 @@ TEST(WebsiteCatalogTest, FindByDRingHash) {
   EXPECT_EQ(catalog.FindByDRingHash(0xDEADBEEF), -1);
 }
 
-TEST(WebsiteCatalogTest, FixedDistributionUsesNominalSize) {
+TEST(WebsiteCatalogTest, SlotTableCoversEveryObject) {
   SimConfig c = TinyConfig();
   DRingIdScheme scheme(c.chord_id_bits, c.locality_id_bits, 0);
   WebsiteCatalog catalog(c, scheme);
   const Website& s = catalog.site(0);
-  ASSERT_EQ(s.size_bits_by_slot.size(), s.objects.size());
   ASSERT_EQ(s.num_slots(), s.objects.size());
-  for (size_t r = 0; r < s.objects.size(); ++r) {
-    EXPECT_EQ(s.SizeBitsOfRank(r), c.object_size_bits);
-    EXPECT_EQ(s.ObjectSizeBits(s.objects[r]), c.object_size_bits);
+  for (ObjectId id : s.objects) {
+    ObjectSlot slot = s.SlotOf(id);
+    ASSERT_NE(slot, kInvalidSlot);
+    EXPECT_EQ(s.IdAtSlot(slot), id);
   }
-  // Unknown ids fall back to the catalog's nominal size, not a constant.
-  EXPECT_EQ(s.ObjectSizeBits(0xDEADBEEF), c.object_size_bits);
-}
-
-TEST(WebsiteCatalogTest, ParetoSizesBoundedAndDeterministic) {
-  SimConfig c = TinyConfig();
-  c.object_size_distribution = "pareto";
-  c.object_size_min_bytes = 2 * 1024;
-  c.object_size_max_bytes = 64 * 1024;
-  DRingIdScheme scheme(c.chord_id_bits, c.locality_id_bits, 0);
-  WebsiteCatalog a(c, scheme), b(c, scheme);
-  std::set<uint64_t> distinct;
-  for (int w = 0; w < a.size(); ++w) {
-    const Website& s = a.site(static_cast<WebsiteId>(w));
-    for (size_t r = 0; r < s.objects.size(); ++r) {
-      uint64_t bits = s.SizeBitsOfRank(r);
-      EXPECT_GE(bits, c.object_size_min_bytes * 8);
-      EXPECT_LE(bits, c.object_size_max_bytes * 8);
-      EXPECT_EQ(bits, b.site(static_cast<WebsiteId>(w)).SizeBitsOfRank(r))
-          << "sizes are hash-derived and must not vary across builds";
-      distinct.insert(bits);
-    }
-  }
-  EXPECT_GT(distinct.size(), 10u) << "pareto draw should spread sizes";
+  EXPECT_EQ(s.SlotOf(0xDEADBEEF), kInvalidSlot) << "foreign ids have none";
 }
 
 TEST(WebsiteCatalogTest, DeterministicAcrossConstructions) {
