@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,21 +41,24 @@ class WorkloadDriver {
   void ScheduleNext() {
     QueryEvent ev;
     if (!source_->Next(&ev)) return;
-    sim_->ScheduleAt(ev.time, [this, ev]() {
+    auto inject = [this, ev]() {
       if (!system_->IsBlackedOut(ev.node)) {
         if (sim_->sharded()) {
           CdnSystem* system = system_;
+          auto submit = [system, ev]() {
+            system->SubmitQuery(ev.node, ev.website, ev.object);
+          };
+          static_assert(EventFn::FitsInline<decltype(submit)>());
           sim_->ScheduleOnLane(sim_->LaneForNode(ev.node), ev.time,
-                               [system, ev]() {
-                                 system->SubmitQuery(ev.node, ev.website,
-                                                     ev.object);
-                               });
+                               std::move(submit));
         } else {
           system_->SubmitQuery(ev.node, ev.website, ev.object);
         }
       }
       ScheduleNext();
-    });
+    };
+    static_assert(EventFn::FitsInline<decltype(inject)>());
+    sim_->ScheduleAt(ev.time, std::move(inject));
   }
 
   Simulator* sim_;
@@ -68,11 +72,9 @@ class BackgroundSampler {
   BackgroundSampler(Simulator* sim, const Network* network, SimTime window,
                     CdnSystem* system)
       : network_(network), system_(system) {
-    timer_ = sim->SchedulePeriodic(window, window, [this, window]() {
+    sim->SchedulePeriodic(&timer_, window, window, [this, window]() {
       std::vector<PeerAddress> peers = system_->ParticipantAddresses();
-      uint64_t bits = network_->SumBits(
-          peers, {TrafficClass::kGossip, TrafficClass::kPush,
-                  TrafficClass::kKeepalive});
+      uint64_t bits = network_->BackgroundBits(peers);
       double window_s = static_cast<double>(window) / kSecond;
       double bps = 0;
       if (!peers.empty()) {
@@ -84,7 +86,6 @@ class BackgroundSampler {
       samples_.push_back(bps);
     });
   }
-  ~BackgroundSampler() { timer_.Cancel(); }
 
   const std::vector<double>& samples() const { return samples_; }
 
@@ -93,7 +94,7 @@ class BackgroundSampler {
   CdnSystem* system_;
   uint64_t prev_bits_ = 0;
   std::vector<double> samples_;
-  Simulator::PeriodicHandle timer_;
+  Simulator::PeriodicTimer timer_;
 };
 
 void CollectSeries(const Metrics& metrics, RunResult* result) {
@@ -280,7 +281,8 @@ Result<RunResult> Experiment::TryRun() {
   octx.metrics = &metrics;
   octx.system = system.get();
   octx.network = &network;
-  std::vector<Simulator::PeriodicHandle> observer_timers;
+  // A deque: each scheduled tick points at its timer.
+  std::deque<Simulator::PeriodicTimer> observer_timers;
   Simulator* sim_ptr = &sim;
   for (const auto& obs : at_observers_) {
     ObserverFn fn = obs.second;
@@ -291,11 +293,11 @@ Result<RunResult> Experiment::TryRun() {
   }
   for (const auto& obs : every_observers_) {
     ObserverFn fn = obs.second;
-    observer_timers.push_back(sim.SchedulePeriodic(
-        obs.first, obs.first, [octx, sim_ptr, fn]() mutable {
-          octx.now = sim_ptr->Now();
-          fn(octx);
-        }));
+    sim.SchedulePeriodic(&observer_timers.emplace_back(), obs.first,
+                         obs.first, [octx, sim_ptr, fn]() mutable {
+                           octx.now = sim_ptr->Now();
+                           fn(octx);
+                         });
   }
 
   // wall_ms is a diagnostic (engine line / RunResult.wall_ms only); it
@@ -316,7 +318,7 @@ Result<RunResult> Experiment::TryRun() {
   }
   // detlint: allow(wall-clock) — same wall_ms diagnostic as above.
   const auto wall_end = std::chrono::steady_clock::now();
-  for (Simulator::PeriodicHandle& timer : observer_timers) timer.Cancel();
+  for (Simulator::PeriodicTimer& timer : observer_timers) timer.Cancel();
 
   RunResult result;
   result.events_processed = sim.events_processed();

@@ -93,17 +93,16 @@ bool DirectoryStore::HolderRef(ObjectSlot slot, PeerAddress peer) {
   return true;
 }
 
-bool DirectoryStore::HolderUnref(ObjectSlot slot, PeerAddress peer) {
+void DirectoryStore::HolderUnref(ObjectSlot slot, PeerAddress peer) {
   size_t i = HolderIndexOf(slot);
-  if (i == kNpos) return false;
+  if (i == kNpos) return;
   std::vector<PeerAddress>& holders = holder_lists_[i];
   auto pos = std::lower_bound(holders.begin(), holders.end(), peer);
-  if (pos == holders.end() || *pos != peer) return false;
+  if (pos == holders.end() || *pos != peer) return;
   holders.erase(pos);
-  if (!holders.empty()) return false;
+  if (!holders.empty()) return;
   holder_slots_.erase(holder_slots_.begin() + static_cast<std::ptrdiff_t>(i));
   holder_lists_.erase(holder_lists_.begin() + static_cast<std::ptrdiff_t>(i));
-  return true;
 }
 
 void DirectoryStore::Update(PeerAddress peer,
@@ -126,24 +125,24 @@ void DirectoryStore::Update(PeerAddress peer,
                                 slot);
     if (pos == entry.objects.end() || *pos != slot) continue;
     entry.objects.erase(pos);
-    if (HolderUnref(slot, peer)) delta->orphaned_slots.push_back(slot);
+    HolderUnref(slot, peer);
   }
   std::vector<PeerAddress> evicted;
   engine_.Resize(peer, FootprintBytes(entry.objects.size()), &evicted);
   AbsorbEvictions(evicted, delta);
 }
 
-void DirectoryStore::Erase(PeerAddress peer, Delta* delta) {
+void DirectoryStore::Erase(PeerAddress peer) {
   if (!engine_.Erase(peer)) return;
-  DropPayload(peer, delta);
+  DropPayload(peer);
 }
 
-void DirectoryStore::AgeAll(int dead_age_limit, Delta* delta) {
+void DirectoryStore::AgeAll(int dead_age_limit) {
   std::vector<PeerAddress> dead;
   for (size_t i = 0; i < addrs_.size(); ++i) {
     if (++EntryAt(i).age >= dead_age_limit) dead.push_back(addrs_[i]);
   }
-  for (PeerAddress addr : dead) Erase(addr, delta);
+  for (PeerAddress addr : dead) Erase(addr);
 }
 
 uint64_t DirectoryStore::SummaryFootprintBytes(
@@ -179,13 +178,11 @@ void DirectoryStore::EraseSummariesFrom(PeerAddress addr) {
   engine_.SetReservedBytes(summary_bytes_, nullptr);
 }
 
-void DirectoryStore::DropPayload(PeerAddress peer, Delta* delta) {
+void DirectoryStore::DropPayload(PeerAddress peer) {
   size_t i = IndexOf(peer);
   assert(i != kNpos && "engine and payload table out of sync");
   const uint32_t e = entry_of_[i];
-  for (ObjectSlot slot : entries_[e].objects) {
-    if (HolderUnref(slot, peer)) delta->orphaned_slots.push_back(slot);
-  }
+  for (ObjectSlot slot : entries_[e].objects) HolderUnref(slot, peer);
   entries_[e] = Entry{};  // frees the claim list
   free_entries_.push_back(e);
   addrs_.erase(addrs_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -195,7 +192,7 @@ void DirectoryStore::DropPayload(PeerAddress peer, Delta* delta) {
 void DirectoryStore::AbsorbEvictions(const std::vector<PeerAddress>& evicted,
                                      Delta* delta) {
   for (PeerAddress victim : evicted) {
-    DropPayload(victim, delta);
+    DropPayload(victim);
     delta->evicted.push_back(victim);
   }
 }

@@ -76,12 +76,11 @@ class DirectoryStore {
 
   /// What a mutation changed, for summary-refresh bookkeeping and
   /// metrics. `new_slots` are object slots whose holder count went
-  /// 0 -> 1, `orphaned_slots` slots whose count dropped to 0 (removal,
-  /// expiry or eviction), `evicted` the index entries removed for
-  /// capacity (expiry and explicit erases are NOT evictions).
+  /// 0 -> 1, `evicted` the index entries removed for capacity (expiry
+  /// and explicit erases are NOT evictions). Slots whose last holder
+  /// left simply drop out of holder_slots().
   struct Delta {
     std::vector<ObjectSlot> new_slots;
-    std::vector<ObjectSlot> orphaned_slots;
     std::vector<PeerAddress> evicted;
   };
 
@@ -240,13 +239,12 @@ class DirectoryStore {
               const std::vector<ObjectSlot>& remove, Delta* delta);
 
   /// Explicit removal (T_dead expiry, LeaveMsg, undeliverable client):
-  /// not counted as an eviction. Orphaned slots land in `*delta`.
-  void Erase(PeerAddress peer, Delta* delta);
+  /// not counted as an eviction.
+  void Erase(PeerAddress peer);
 
   /// Algorithm 6 active behavior: ages every entry, then erases those
-  /// reaching `dead_age_limit` (expiry, not eviction — the expired
-  /// entries' orphaned slots land in `*delta`).
-  void AgeAll(int dead_age_limit, Delta* delta);
+  /// reaching `dead_age_limit` (expiry, not eviction).
+  void AgeAll(int dead_age_limit);
 
   // --- Holder counts (summary source) ----------------------------------------
 
@@ -327,14 +325,13 @@ class DirectoryStore {
   /// Records that `peer` claims `slot`; true when the slot went 0 -> 1
   /// holders.
   bool HolderRef(ObjectSlot slot, PeerAddress peer);
-  /// Drops `peer`'s claim on `slot`; true when the last holder left
-  /// (slot removed).
-  bool HolderUnref(ObjectSlot slot, PeerAddress peer);
+  /// Drops `peer`'s claim on `slot`, removing the slot with its last
+  /// holder.
+  void HolderUnref(ObjectSlot slot, PeerAddress peer);
 
   /// Detaches an entry's payload after the engine dropped it: releases
-  /// its holder counts into `delta->orphaned_slots` and erases the
-  /// Entry.
-  void DropPayload(PeerAddress peer, Delta* delta);
+  /// its holder counts and erases the Entry.
+  void DropPayload(PeerAddress peer);
 
   /// Folds engine-reported evictions into `delta`, dropping payloads.
   void AbsorbEvictions(const std::vector<PeerAddress>& evicted, Delta* delta);

@@ -19,8 +19,8 @@ void ChurnManager::Start() {
   Simulator* sim = system_->context()->sim;
   if (!sim->sharded()) {
     blackout_until_.resize(1);
-    timers_.push_back(sim->SchedulePeriodic(
-        kTick, kTick, [this]() { Tick(0, &rng_); }));
+    sim->SchedulePeriodic(&timers_.emplace_back(), kTick, kTick,
+                          [this]() { Tick(0, &rng_); });
     return;
   }
   // Shard-local churn: one tick process per locality lane, pinned to the
@@ -35,14 +35,14 @@ void ChurnManager::Start() {
   }
   for (int l = 0; l < lanes; ++l) {
     Simulator::LaneScope scope(sim, l);
-    timers_.push_back(sim->SchedulePeriodic(kTick, kTick, [this, l]() {
+    sim->SchedulePeriodic(&timers_.emplace_back(), kTick, kTick, [this, l]() {
       Tick(l, &lane_rngs_[static_cast<size_t>(l)]);
-    }));
+    });
   }
 }
 
 void ChurnManager::Stop() {
-  for (Simulator::PeriodicHandle& timer : timers_) timer.Cancel();
+  for (Simulator::PeriodicTimer& timer : timers_) timer.Cancel();
 }
 
 bool ChurnManager::IsBlackedOut(NodeId node) const {

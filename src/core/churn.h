@@ -17,6 +17,7 @@
 #ifndef FLOWERCDN_CORE_CHURN_H_
 #define FLOWERCDN_CORE_CHURN_H_
 
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -55,7 +56,9 @@ class ChurnManager {
   // Sharded mode: one stream per lane, drawn from only by that lane's
   // tick process.
   LANE_CONFINED std::vector<Rng> lane_rngs_;
-  std::vector<Simulator::PeriodicHandle> timers_;
+  // One tick timer per lane (one on a serial simulator); a deque, because
+  // the scheduled ticks point at their timers.
+  std::deque<Simulator::PeriodicTimer> timers_;
   // Blackout bookkeeping partitioned like the peers: lane ticks write
   // only their own partition.
   LANE_CONFINED std::vector<std::unordered_map<NodeId, SimTime>>

@@ -25,11 +25,6 @@ ContentPeer::ContentPeer(FlowerContext* ctx, const Website* site,
   assert(site != nullptr);
 }
 
-ContentPeer::~ContentPeer() {
-  gossip_timer_.Cancel();
-  keepalive_timer_.Cancel();
-}
-
 void ContentPeer::Activate(NodeId node) {
   ctx_->network->RegisterPeer(this, node);
   alive_ = true;
@@ -71,8 +66,9 @@ void ContentPeer::ArmQueryTimeout(ObjectId object, PendingQuery* pq) {
   for (int k = 0; k < pq->attempts; ++k) scale *= kQueryBackoffBase;
   SimTime wait =
       static_cast<SimTime>(static_cast<double>(cfg.query_timeout) * scale);
-  pq->timeout = ctx_->sim->Schedule(
-      wait, [this, object]() { OnQueryTimeout(object); });
+  auto on_timeout = [this, object]() { OnQueryTimeout(object); };
+  static_assert(EventFn::FitsInline<decltype(on_timeout)>());
+  pq->timeout = ctx_->sim->Schedule(wait, std::move(on_timeout));
 }
 
 void ContentPeer::OnQueryTimeout(ObjectId object) {
@@ -283,12 +279,14 @@ void ContentPeer::StartOverlayTimers() {
   // Random phase so the overlay's gossip rounds are desynchronized.
   SimTime gossip_offset =
       static_cast<SimTime>(rng_.UniformInt(0, cfg.gossip_period - 1));
-  gossip_timer_ = ctx_->sim->SchedulePeriodic(
-      gossip_offset, cfg.gossip_period, [this]() { ActiveGossipRound(); });
+  ctx_->sim->SchedulePeriodic(&gossip_timer_, gossip_offset,
+                              cfg.gossip_period,
+                              [this]() { ActiveGossipRound(); });
   SimTime ka_offset =
       static_cast<SimTime>(rng_.UniformInt(0, cfg.keepalive_period - 1));
-  keepalive_timer_ = ctx_->sim->SchedulePeriodic(
-      ka_offset, cfg.keepalive_period, [this]() { SendKeepalive(); });
+  ctx_->sim->SchedulePeriodic(&keepalive_timer_, ka_offset,
+                              cfg.keepalive_period,
+                              [this]() { SendKeepalive(); });
 }
 
 SummaryRef ContentPeer::CurrentSummary() {

@@ -28,7 +28,6 @@ class ContentPeer : public Peer {
  public:
   ContentPeer(FlowerContext* ctx, const Website* site, LocalityId locality,
               uint64_t rng_seed);
-  ~ContentPeer() override;
 
   void Activate(NodeId node);
 
@@ -147,8 +146,8 @@ class ContentPeer : public Peer {
   int keepalive_misses_ = 0;
   bool keepalive_awaiting_ack_ = false;
 
-  Simulator::PeriodicHandle gossip_timer_;
-  Simulator::PeriodicHandle keepalive_timer_;
+  Simulator::PeriodicTimer gossip_timer_;
+  Simulator::PeriodicTimer keepalive_timer_;
 };
 
 }  // namespace flower

@@ -24,8 +24,6 @@ DirectoryPeer::DirectoryPeer(FlowerContext* ctx, const Website* site,
   set_app(this);
 }
 
-DirectoryPeer::~DirectoryPeer() { age_timer_.Cancel(); }
-
 bool DirectoryPeer::Start(NodeId node) {
   Activate(node);
   if (!JoinStructural()) {
@@ -35,8 +33,8 @@ bool DirectoryPeer::Start(NodeId node) {
   alive_ = true;
   const SimConfig& cfg = *ctx_->config;
   SimTime offset = static_cast<SimTime>(rng_.UniformInt(0, cfg.gossip_period - 1));
-  age_timer_ = ctx_->sim->SchedulePeriodic(offset, cfg.gossip_period,
-                                           [this]() { AgeTick(); });
+  ctx_->sim->SchedulePeriodic(&age_timer_, offset, cfg.gossip_period,
+                              [this]() { AgeTick(); });
   return true;
 }
 
@@ -321,17 +319,11 @@ void DirectoryPeer::AddObjectsToEntry(PeerAddress peer,
   MaybeRefreshNeighborSummaries();
 }
 
-void DirectoryPeer::RemoveEntry(PeerAddress peer) {
-  DirectoryStore::Delta delta;
-  dir_store_.Erase(peer, &delta);
-  ApplyDelta(delta);
-}
+void DirectoryPeer::RemoveEntry(PeerAddress peer) { dir_store_.Erase(peer); }
 
 void DirectoryPeer::AgeTick() {
   if (!alive_) return;
-  DirectoryStore::Delta delta;
-  dir_store_.AgeAll(ctx_->config->dead_age_limit, &delta);
-  ApplyDelta(delta);
+  dir_store_.AgeAll(ctx_->config->dead_age_limit);
 }
 
 // --- Directory summaries ---------------------------------------------------------------

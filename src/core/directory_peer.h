@@ -41,7 +41,6 @@ class DirectoryPeer : public DRingNode, public KbrApp {
  public:
   DirectoryPeer(FlowerContext* ctx, const Website* site, LocalityId locality,
                 uint32_t instance, uint64_t rng_seed);
-  ~DirectoryPeer() override;
 
   /// Registers on the network, joins the D-ring (structural), starts the
   /// aging timer. Returns false if the directory position is taken.
@@ -158,7 +157,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   uint64_t queries_processed_ = 0;
   uint64_t redirect_failures_ = 0;
 
-  Simulator::PeriodicHandle age_timer_;
+  Simulator::PeriodicTimer age_timer_;
 };
 
 }  // namespace flower

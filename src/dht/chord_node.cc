@@ -1,5 +1,6 @@
 #include "dht/chord_node.h"
 
+#include <array>
 #include <cassert>
 
 #include "common/logging.h"
@@ -66,19 +67,26 @@ NodeRef ChordNode::finger(int i) const {
   return s == nullptr ? NodeRef{} : s->self_ref();
 }
 
-std::vector<NodeRef> ChordNode::KnownPeers() const {
-  std::vector<NodeRef> out;
-  auto push_unique = [&out](const NodeRef& r) {
+const std::vector<NodeRef>& ChordNode::KnownPeers() const {
+  if (known_peers_version_ == ring_->version()) return known_peers_;
+  known_peers_version_ = ring_->version();
+  // Collected on the stack first (at most 64 fingers, the predecessor and
+  // the successor), so the member is sized exactly and a rebuild with no
+  // more peers than before reuses its buffer.
+  std::array<NodeRef, 64 + 2> found;
+  size_t n = 0;
+  auto push_unique = [&found, &n](const NodeRef& r) {
     if (!r.valid()) return;
-    for (const NodeRef& e : out) {
-      if (e.addr == r.addr) return;
+    for (size_t i = 0; i < n; ++i) {
+      if (found[i].addr == r.addr) return;
     }
-    out.push_back(r);
+    found[n++] = r;
   };
   for (int i = 0; i < space().bits(); ++i) push_unique(finger(i));
   push_unique(predecessor());
   push_unique(successor());
-  return out;
+  known_peers_.assign(found.begin(), found.begin() + n);
+  return known_peers_;
 }
 
 // --- Routing -----------------------------------------------------------------

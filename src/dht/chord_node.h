@@ -11,9 +11,11 @@
 // The ring is a perfectly stabilized Chord (the paper's experiments "start
 // with a stable D-ring"): joins and failures apply instantly through
 // ChordRing, and a node reads its predecessor, successor list and fingers
-// from the ring's sorted membership rather than keeping copies. No
-// maintenance protocol runs; routing still pays every per-hop message and
-// its latency.
+// from the ring's sorted membership rather than keeping copies. The one
+// exception is KnownPeers(), which reads every finger and which D-ring's
+// local lookup (Algorithm 2) calls on each hop: it is kept until the
+// ring's version moves. No maintenance protocol runs; routing still pays
+// every per-hop message and its latency.
 #ifndef FLOWERCDN_DHT_CHORD_NODE_H_
 #define FLOWERCDN_DHT_CHORD_NODE_H_
 
@@ -90,9 +92,10 @@ class ChordNode : public Peer {
   /// Finger i: the live successor of id + 2^i.
   NodeRef finger(int i) const;
 
-  /// All peers this node knows (fingers, predecessor, successor). Used by
-  /// D-ring's conditional local lookup.
-  std::vector<NodeRef> KnownPeers() const;
+  /// All peers this node knows (fingers, predecessor, successor), each
+  /// once, in that order of first appearance. Used by D-ring's
+  /// conditional local lookup. Valid until the ring changes.
+  const std::vector<NodeRef>& KnownPeers() const;
 
   // --- Peer interface --------------------------------------------------------
   void HandleMessage(MessagePtr msg) override;
@@ -137,6 +140,11 @@ class ChordNode : public Peer {
   bool joined_ = false;
 
   uint64_t routes_dropped_ = 0;
+  // KnownPeers() as of ring version known_peers_version_. Read and rebuilt
+  // only on this node's lane; the ring changes (setup, churn, Squirrel's
+  // lazy joins) only while lanes run on one thread.
+  mutable std::vector<NodeRef> known_peers_;
+  mutable uint64_t known_peers_version_ = ~uint64_t{0};
 };
 
 }  // namespace flower

@@ -11,13 +11,17 @@ bool ChordRing::Insert(ChordNode* node) {
   assert(node != nullptr);
   auto [it, inserted] = nodes_.emplace(node->id(), node);
   (void)it;
+  if (inserted) ++version_;
   return inserted;
 }
 
 void ChordRing::Remove(ChordNode* node) {
   assert(node != nullptr);
   auto it = nodes_.find(node->id());
-  if (it != nodes_.end() && it->second == node) nodes_.erase(it);
+  if (it != nodes_.end() && it->second == node) {
+    nodes_.erase(it);
+    ++version_;
+  }
 }
 
 ChordNode* ChordRing::Find(Key id) const {

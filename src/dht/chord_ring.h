@@ -1,9 +1,11 @@
 // Ring membership: the sorted map of live nodes *is* the ring. Nodes read
 // their neighbors and fingers from it, which models a perfectly stabilized
-// Chord.
+// Chord. A version counter moves with every membership change, so nodes
+// can cache what they read until the ring changes.
 #ifndef FLOWERCDN_DHT_CHORD_RING_H_
 #define FLOWERCDN_DHT_CHORD_RING_H_
 
+#include <cstdint>
 #include <map>
 
 #include "dht/chord_id.h"
@@ -38,10 +40,14 @@ class ChordRing {
   /// A deterministic arbitrary member; nullptr when empty.
   ChordNode* AnyNode() const;
 
+  /// Changes with every successful Insert and every Remove of a member.
+  uint64_t version() const { return version_; }
+
  private:
   ChordConfig config_;
   IdSpace space_;
   std::map<Key, ChordNode*> nodes_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace flower

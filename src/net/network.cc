@@ -8,8 +8,6 @@
 
 namespace flower {
 
-TrafficCounters Network::empty_counters_;
-
 void Peer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
   (void)dest;
   (void)msg;
@@ -24,24 +22,12 @@ void Peer::HandleUndeliverable(PeerAddress dest, MessagePtr msg) {
 #endif
 }
 
-uint64_t TrafficCounters::TotalSent() const {
-  uint64_t t = 0;
-  for (uint64_t b : sent_bits) t += b;
-  return t;
-}
-
-uint64_t TrafficCounters::TotalReceived() const {
-  uint64_t t = 0;
-  for (uint64_t b : received_bits) t += b;
-  return t;
-}
-
 Network::Network(Simulator* sim, const Topology* topology)
     : sim_(sim), topology_(topology) {
   assert(sim != nullptr && topology != nullptr);
   const size_t n = static_cast<size_t>(topology->num_nodes());
   peers_.assign(n, nullptr);
-  counters_.assign(n, TrafficCounters{});
+  background_bits_.assign(n, 0);
   const size_t lane_slots =
       sim->sharded() ? static_cast<size_t>(sim->shard_plan().num_lanes) + 1
                      : 1;
@@ -93,10 +79,11 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
   assert(sender != kInvalidAddress && "sender not registered");
   const uint64_t bits = msg->SizeBits() + kMessageHeaderBits;
   const TrafficClass cls = msg->traffic_class();
-  const size_t ci = static_cast<size_t>(cls);
+  // Bits the receiver adds to its background counter on delivery.
+  const uint64_t background = IsBackground(cls) ? bits : 0;
 
-  counters_[sender].sent_bits[ci] += bits;
-  total_bits_[LaneSlot()][ci] += bits;
+  background_bits_[sender] += background;
+  total_bits_[LaneSlot()][static_cast<size_t>(cls)] += bits;
   ++messages_sent_[LaneSlot()];
 
   msg->sender = sender;
@@ -117,11 +104,11 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
 
   // EventFn closures are move-only-friendly, so the message rides in the
   // closure directly — no shared_ptr holder allocation per send.
-  RouteAfter(to, Latency(sender, to), [this, sender, to, ci, bits,
-                                       m = std::move(msg)]() mutable {
+  auto deliver = [this, sender, to, background,
+                  m = std::move(msg)]() mutable {
     Peer* dest = to < peers_.size() ? peers_[to] : nullptr;
     if (dest != nullptr) {
-      counters_[to].received_bits[ci] += bits;
+      background_bits_[to] += background;
       dest->HandleMessage(std::move(m));
       return;
     }
@@ -132,22 +119,21 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
     ++messages_undeliverable_[LaneSlot()];
     if (injector_ != nullptr && injector_->SuppressBounce(to)) return;
     SimTime back = Latency(to, sender);
-    RouteAfter(sender, back, [this, sender, to, m = std::move(m)]() mutable {
+    auto bounce = [this, sender, to, m = std::move(m)]() mutable {
       Peer* src = sender < peers_.size() ? peers_[sender] : nullptr;
       if (src != nullptr) {
         src->HandleUndeliverable(to, std::move(m));
       }
-    });
-  });
+    };
+    static_assert(EventFn::FitsInline<decltype(bounce)>());
+    RouteAfter(sender, back, std::move(bounce));
+  };
+  static_assert(EventFn::FitsInline<decltype(deliver)>());
+  RouteAfter(to, Latency(sender, to), std::move(deliver));
 }
 
 SimTime Network::Latency(PeerAddress a, PeerAddress b) const {
   return topology_->Latency(static_cast<NodeId>(a), static_cast<NodeId>(b));
-}
-
-const TrafficCounters& Network::CountersFor(PeerAddress address) const {
-  if (address >= counters_.size()) return empty_counters_;
-  return counters_[address];
 }
 
 uint64_t Network::TotalBits(TrafficClass c) const {
@@ -169,16 +155,11 @@ uint64_t Network::messages_undeliverable() const {
   return total;
 }
 
-uint64_t Network::SumBits(const std::vector<PeerAddress>& peers,
-                          const std::vector<TrafficClass>& classes) const {
+uint64_t Network::BackgroundBits(
+    const std::vector<PeerAddress>& peers) const {
   uint64_t total = 0;
   for (PeerAddress p : peers) {
-    if (p >= counters_.size()) continue;
-    const TrafficCounters& c = counters_[p];
-    for (TrafficClass cls : classes) {
-      size_t ci = static_cast<size_t>(cls);
-      total += c.sent_bits[ci] + c.received_bits[ci];
-    }
+    if (p < background_bits_.size()) total += background_bits_[p];
   }
   return total;
 }

@@ -1,6 +1,11 @@
-// Message-passing network over the topology, with per-peer traffic
-// accounting and undeliverable-message notification (the mechanism behind
-// the paper's redirection-failure handling, Sec 5.1).
+// Message-passing network over the topology, with traffic accounting and
+// undeliverable-message notification (the mechanism behind the paper's
+// redirection-failure handling, Sec 5.1).
+//
+// Accounting keeps totals per traffic class and, per address, one
+// counter of background bits: the gossip, push and keepalive bits the
+// peer sent plus those it received (the paper's "background traffic",
+// Table 2 and Fig 5). Nothing reads per-peer bits of any other class.
 //
 // Storage is partitioned for the sharded engine (sim/shard_plan.h): peer
 // slots and per-address counters are plain address-indexed vectors whose
@@ -51,17 +56,6 @@ class Peer {
   NodeId node_ = kInvalidNode;
 };
 
-/// Per-peer cumulative traffic counters (bits), indexed by TrafficClass.
-struct TrafficCounters {
-  std::array<uint64_t, static_cast<size_t>(TrafficClass::kNumClasses)>
-      sent_bits{};
-  std::array<uint64_t, static_cast<size_t>(TrafficClass::kNumClasses)>
-      received_bits{};
-
-  uint64_t TotalSent() const;
-  uint64_t TotalReceived() const;
-};
-
 class Network {
  public:
   /// With a sharded simulator, enable sharding before constructing the
@@ -105,16 +99,21 @@ class Network {
   const Topology& topology() const { return *topology_; }
   Simulator* sim() { return sim_; }
 
+  /// Gossip, push and keepalive: the classes counted as background.
+  static constexpr bool IsBackground(TrafficClass c) {
+    return c == TrafficClass::kGossip || c == TrafficClass::kPush ||
+           c == TrafficClass::kKeepalive;
+  }
+
   /// Traffic accounting. Reads fold the per-lane splits; in sharded mode
   /// they are only stable at barriers (control phase / after the run).
-  const TrafficCounters& CountersFor(PeerAddress address) const;
   uint64_t TotalBits(TrafficClass c) const;
   uint64_t messages_sent() const;
   uint64_t messages_undeliverable() const;
 
-  /// Sum over given peers of (sent+received) bits in the given classes.
-  uint64_t SumBits(const std::vector<PeerAddress>& peers,
-                   const std::vector<TrafficClass>& classes) const;
+  /// Sum over the given peers of the background bits each sent plus
+  /// those it received.
+  uint64_t BackgroundBits(const std::vector<PeerAddress>& peers) const;
 
  private:
   static constexpr size_t kNumClasses =
@@ -133,15 +132,13 @@ class Network {
   // Entries written only by the lane owning that address (registration
   // and delivery both run on the owner's lane).
   LANE_CONFINED std::vector<Peer*> peers_;  // address -> live peer
-  LANE_CONFINED mutable std::vector<TrafficCounters>
-      counters_;  // address-indexed
+  // Address-indexed background bits, sent plus received.
+  LANE_CONFINED std::vector<uint64_t> background_bits_;
   // Scalar totals, one slot per execution lane (+ control), folded on
   // read so lane events never write shared accumulators.
   LANE_CONFINED std::vector<std::array<uint64_t, kNumClasses>> total_bits_;
   LANE_CONFINED std::vector<uint64_t> messages_sent_;
   LANE_CONFINED std::vector<uint64_t> messages_undeliverable_;
-
-  static TrafficCounters empty_counters_;
 };
 
 }  // namespace flower

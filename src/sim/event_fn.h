@@ -3,7 +3,7 @@
 // Every scheduled event used to cost a type-erased std::function heap
 // allocation (plus a shared state block). EventFn stores the closure
 // inline when it fits kInlineBytes — sized for the captures the hot
-// scheduling paths in core/, squirrel/ and gossip-driven timers actually
+// scheduling paths in core/, squirrel/ and the periodic timers actually
 // build — and falls back to the heap otherwise. Being move-only (unlike
 // std::function) also lets closures own unique_ptrs directly, so the
 // network delivery path no longer needs a shared_ptr holder per message.
@@ -20,11 +20,16 @@ namespace flower {
 
 class EventFn {
  public:
-  /// Inline capture budget. 64 bytes covers the periodic-timer closure
-  /// (this + shared state + period + a std::function) and every message
-  /// delivery / protocol timer closure in core/ and squirrel/; larger
-  /// captures (the rare observer closures) take the heap path.
-  static constexpr size_t kInlineBytes = 64;
+  /// Inline capture budget: 48 bytes of 8-byte-aligned storage plus the
+  /// ops pointer make an EventFn 56 bytes, so a queue slot (the callable,
+  /// its 32-bit seq and free-list link) is exactly one 64-byte cache line
+  /// (event_queue.h asserts it). 48 bytes hold `WorkloadDriver`'s
+  /// closure (this + a QueryEvent), every message delivery and protocol
+  /// timer closure in core/ and squirrel/, and a periodic tick over an
+  /// owner's `this` (timer + simulator + callable); larger captures (the
+  /// rare observer closures) take the heap path.
+  static constexpr size_t kInlineBytes = 48;
+  static constexpr size_t kInlineAlign = alignof(void*);
 
   EventFn() = default;
 
@@ -95,8 +100,7 @@ class EventFn {
   template <typename F>
   static constexpr bool FitsInline() {
     using Fn = std::decay_t<F>;
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -148,7 +152,7 @@ class EventFn {
                                  &Destroy};
   };
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 

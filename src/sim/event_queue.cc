@@ -1,6 +1,8 @@
 #include "sim/event_queue.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace flower {
 
@@ -79,8 +81,16 @@ void EventQueue::PopRoot() const {
 
 EventHandle EventQueue::Push(SimTime t, EventFn fn) {
   assert(t >= 0);
+  if (__builtin_expect(next_seq_ == kFreeSeq, 0)) {
+    // Reusing a seq would let a stale handle cancel a live event.
+    std::fprintf(stderr,
+                 "EventQueue: %u event sequence numbers used up; a queue "
+                 "holds at most that many pushes\n",
+                 kFreeSeq);
+    std::abort();
+  }
   const uint32_t index = AllocSlot();
-  const uint64_t seq = next_seq_++;
+  const uint32_t seq = next_seq_++;
   Slot& slot = SlotAt(index);
   slot.fn = std::move(fn);
   slot.seq = seq;
@@ -106,8 +116,8 @@ EventFn EventQueue::Pop(SimTime* t) {
   assert(!heap_.empty());
   const Item item = heap_[0];
   PopRoot();
-  EventFn fn = std::move(SlotAt(item.slot).fn);
-  FreeSlot(item.slot);  // invalidates the seq: handles go stale (fired)
+  EventFn fn = std::move(SlotAt(item.Slot()).fn);
+  FreeSlot(item.Slot());  // invalidates the seq: handles go stale (fired)
   --live_;
   *t = item.Time();
   return fn;

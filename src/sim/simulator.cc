@@ -43,40 +43,6 @@ EventHandle Simulator::ScheduleAt(SimTime t, EventFn fn) {
   return queue_.Push(t, std::move(fn));
 }
 
-void Simulator::PeriodicHandle::Cancel() {
-  if (!state_) return;
-  state_->cancelled = true;
-  state_->next.Cancel();
-}
-
-bool Simulator::PeriodicHandle::active() const {
-  return state_ && !state_->cancelled;
-}
-
-void Simulator::ScheduleNextPeriodic(
-    std::shared_ptr<PeriodicHandle::State> state, SimTime period,
-    std::function<void()> fn) {
-  state->next = Schedule(period, [this, state, period, fn]() {
-    if (state->cancelled) return;
-    fn();
-    if (!state->cancelled) ScheduleNextPeriodic(state, period, fn);
-  });
-}
-
-Simulator::PeriodicHandle Simulator::SchedulePeriodic(
-    SimTime initial_delay, SimTime period, std::function<void()> fn) {
-  assert(period > 0);
-  PeriodicHandle handle;
-  handle.state_ = std::make_shared<PeriodicHandle::State>();
-  auto state = handle.state_;
-  state->next = Schedule(initial_delay, [this, state, period, fn]() {
-    if (state->cancelled) return;
-    fn();
-    if (!state->cancelled) ScheduleNextPeriodic(state, period, fn);
-  });
-  return handle;
-}
-
 void Simulator::RunLoop(SimTime bound) {
   stop_requested_ = false;
   // The clock advances in the `before` hook, so callbacks observe their

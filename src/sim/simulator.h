@@ -20,9 +20,10 @@
 #define FLOWERCDN_SIM_SIMULATOR_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -67,24 +68,66 @@ class Simulator {
   /// Schedules fn at an absolute time (>= Now()) on the executing lane.
   EventHandle ScheduleAt(SimTime t, EventFn fn);
 
-  /// Schedules fn every `period`, first firing after `initial_delay`.
-  /// The returned handle cancels the *next* occurrence and all others.
-  class PeriodicHandle {
+  template <typename F>
+  struct PeriodicTick;
+
+  /// A periodic timer, embedded in its owner: the handle of the next
+  /// occurrence plus the period, 24 bytes and no heap state. Cancel()
+  /// stops it, also from inside its own callback, and so does
+  /// destruction. Neither copyable nor movable: the scheduled closure
+  /// points at the timer, so owners keep timers where they never move (a
+  /// member, a std::deque), must not outlive the simulator, and must not
+  /// be destroyed from inside their own timer's callback.
+  class PeriodicTimer {
    public:
-    PeriodicHandle() = default;
-    void Cancel();
-    bool active() const;
+    PeriodicTimer() = default;
+    ~PeriodicTimer() { Cancel(); }
+    PeriodicTimer(const PeriodicTimer&) = delete;
+    PeriodicTimer& operator=(const PeriodicTimer&) = delete;
+
+    void Cancel() {
+      period_ = 0;
+      next_.Cancel();
+    }
+    bool active() const { return period_ > 0; }
 
    private:
     friend class Simulator;
-    struct State {
-      bool cancelled = false;
-      EventHandle next;
-    };
-    std::shared_ptr<State> state_;
+    template <typename F>
+    friend struct PeriodicTick;
+    EventHandle next_;
+    SimTime period_ = 0;  // 0 once cancelled
   };
-  PeriodicHandle SchedulePeriodic(SimTime initial_delay, SimTime period,
-                                  std::function<void()> fn);
+
+  /// The closure of one periodic occurrence: it runs the callable, then
+  /// moves itself into the next occurrence, so a firing neither copies
+  /// nor allocates (when it fits EventFn's inline budget, as a tick over
+  /// an owner's `this` does).
+  template <typename F>
+  struct PeriodicTick {
+    PeriodicTimer* timer;
+    Simulator* sim;
+    F fn;
+
+    void operator()() {
+      fn();
+      // Cancelled, or restarted, from inside fn: this chain ends.
+      if (!timer->active() || timer->next_.pending()) return;
+      timer->next_ = sim->Schedule(timer->period_, std::move(*this));
+    }
+  };
+
+  /// Starts `timer` (cancelling any run it had): fn fires every `period`
+  /// on the lane executing this call, first after `initial_delay`.
+  template <typename F>
+  void SchedulePeriodic(PeriodicTimer* timer, SimTime initial_delay,
+                        SimTime period, F fn) {
+    assert(period > 0);
+    timer->Cancel();
+    timer->period_ = period;
+    timer->next_ = Schedule(
+        initial_delay, PeriodicTick<F>{timer, this, std::move(fn)});
+  }
 
   /// Runs events until the queue is empty or a stop was requested.
   /// Serial mode only; sharded runs go through ShardedSimulator.
@@ -203,8 +246,6 @@ class Simulator {
   void AdvanceAllClocksTo(SimTime t);
 
  private:
-  void ScheduleNextPeriodic(std::shared_ptr<PeriodicHandle::State> state,
-                            SimTime period, std::function<void()> fn);
   /// Dispatches events with time <= bound until drained or stopped.
   void RunLoop(SimTime bound);
 

@@ -103,9 +103,7 @@ double Metrics::BackgroundBps(const Network& network,
                               const std::vector<PeerAddress>& peers,
                               SimTime elapsed) {
   if (peers.empty() || elapsed <= 0) return 0.0;
-  uint64_t bits = network.SumBits(
-      peers, {TrafficClass::kGossip, TrafficClass::kPush,
-              TrafficClass::kKeepalive});
+  uint64_t bits = network.BackgroundBits(peers);
   double seconds = static_cast<double>(elapsed) / kSecond;
   return static_cast<double>(bits) / seconds /
          static_cast<double>(peers.size());

@@ -171,8 +171,8 @@ class Metrics {
   double MeanLookupLatency() const { return lookup_histogram().Mean(); }
   double MeanTransferDistance() const { return transfer_histogram().Mean(); }
 
-  /// Background traffic in bits/s per peer: (gossip + push + keepalive)
-  /// bits sent+received by the given peers, averaged over elapsed time.
+  /// Background traffic in bits/s per peer: the given peers'
+  /// Network::BackgroundBits, averaged over elapsed time.
   static double BackgroundBps(const Network& network,
                               const std::vector<PeerAddress>& peers,
                               SimTime elapsed);

@@ -23,8 +23,16 @@ WorkloadGenerator::WorkloadGenerator(const SimConfig& config,
 }
 
 bool WorkloadGenerator::Next(QueryEvent* out) {
-  next_time_ += static_cast<SimTime>(rng_.Exponential(mean_gap_ms_)) + 1;
-  if (next_time_ >= config_->duration) return false;
+  // The gap is checked against the run's end before the cast: a tiny
+  // rate draws gaps past SimTime's range. `next_time_ + floor(gap) + 1 >=
+  // duration` holds exactly when `gap >= duration - next_time_ - 1`, so
+  // every stream that fits ends where it always did.
+  const double gap = rng_.Exponential(mean_gap_ms_);
+  if (!(gap < static_cast<double>(config_->duration - next_time_ - 1))) {
+    next_time_ = config_->duration;
+    return false;
+  }
+  next_time_ += static_cast<SimTime>(gap) + 1;
 
   out->time = next_time_;
   int num_active =

@@ -1,5 +1,5 @@
-// Chord tests: neighbor reads, fingers, recursive routing correctness and
-// hop complexity.
+// Chord tests: neighbor reads, fingers, the known-peers cache across joins
+// and leaves, recursive routing correctness and hop complexity.
 #include "dht/chord_node.h"
 
 #include <cmath>
@@ -143,6 +143,69 @@ TEST_F(ChordOracleTest, KnownPeersIncludesNeighbors) {
   }
   EXPECT_TRUE(has_succ);
   EXPECT_TRUE(has_pred);
+}
+
+/// KnownPeers() as a node computed it before it was cached: straight from
+/// the ring, fingers first, then the predecessor and the successor.
+std::vector<NodeRef> KnownPeersFromRing(const ChordRing& ring,
+                                        const ChordNode& node) {
+  const IdSpace& sp = ring.space();
+  std::vector<NodeRef> known;
+  auto push_unique = [&known](const ChordNode* n) {
+    if (n == nullptr || !n->self_ref().valid()) return;
+    for (const NodeRef& e : known) {
+      if (e.addr == n->address()) return;
+    }
+    known.push_back(n->self_ref());
+  };
+  for (int i = 0; i < sp.bits(); ++i) {
+    push_unique(ring.SuccessorOf(sp.Add(node.id(), 1ULL << i)));
+  }
+  push_unique(ring.PredecessorOf(node.id()));
+  const ChordNode* s = ring.SuccessorOf(sp.Add(node.id(), 1));
+  push_unique(s == nullptr ? &node : s);  // alone: its own successor
+  return known;
+}
+
+TEST(ChordNeighborCacheTest, CachedReadsMatchRingReadsAcrossJoinsAndLeaves) {
+  // Members and failed nodes alike read KnownPeers() (the one cached read)
+  // after joins and leaves; each read must equal a fresh read of the ring.
+  SimConfig cfg = TinyConfig();
+  TestWorld world(cfg, 3);
+  ChordConfig cc;
+  cc.id_bits = 12;  // a crowded space, so fingers collide and wrap
+  ChordRing ring(cc);
+  Rng rng(29);
+  std::vector<std::unique_ptr<ChordNode>> nodes;
+  for (int i = 0; i < 120; ++i) {
+    nodes.push_back(std::make_unique<ChordNode>(
+        world.sim(), world.network(), &ring,
+        ring.space().Clamp(rng.Next())));
+  }
+  size_t checks = 0;
+  for (int step = 0; step < 600; ++step) {
+    const size_t i = rng.Index(nodes.size());
+    ChordNode* node = nodes[i].get();
+    if (node->joined()) {
+      node->Fail();
+    } else {
+      node->Activate(static_cast<NodeId>(i));
+      if (!node->JoinStructural()) {
+        world.network()->UnregisterPeer(node);  // id taken: stays out
+      }
+    }
+    // Every few steps read every node (warm caches must notice the
+    // change); otherwise a random handful.
+    const bool all = step % 10 == 0;
+    for (size_t k = 0; k < (all ? nodes.size() : 5); ++k) {
+      const ChordNode& n = *nodes[all ? k : rng.Index(nodes.size())];
+      ASSERT_EQ(n.KnownPeers(), KnownPeersFromRing(ring, n))
+          << "step " << step;
+      ++checks;
+    }
+  }
+  EXPECT_GT(checks, 7000u);
+  EXPECT_GT(ring.size(), 10u);
 }
 
 // Property sweep: on rings of various sizes, every (start, key) pair routes

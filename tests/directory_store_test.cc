@@ -44,12 +44,12 @@ TEST(DirectoryStoreTest, FootprintAccounting) {
   EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(3));
   store.Update(1, {}, {101}, &d);
   EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(2));
-  store.Erase(1, &d);
+  store.Erase(1);
   EXPECT_EQ(store.bytes_used(), 0u);
   EXPECT_EQ(store.stats().evictions, 0u) << "erase is not an eviction";
 }
 
-TEST(DirectoryStoreTest, DeltaReportsNewAndOrphanedIds) {
+TEST(DirectoryStoreTest, DeltaReportsNewIdsAndLastUnrefDropsTheSlot) {
   DirectoryStore store;  // unbounded
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
@@ -63,9 +63,12 @@ TEST(DirectoryStoreTest, DeltaReportsNewAndOrphanedIds) {
 
   d = {};
   store.Update(1, {}, {100}, &d);
-  EXPECT_TRUE(d.orphaned_slots.empty()) << "peer 2 still claims 100";
+  EXPECT_TRUE(store.AnyHolder(100)) << "peer 2 still claims 100";
   store.Update(2, {}, {100}, &d);
-  EXPECT_EQ(d.orphaned_slots, (std::vector<ObjectSlot>{100}));
+  EXPECT_FALSE(store.AnyHolder(100));
+  EXPECT_EQ(store.holder_slots(), (std::vector<ObjectSlot>{101}));
+  EXPECT_TRUE(d.new_slots.empty());
+  EXPECT_TRUE(d.evicted.empty());
   ExpectHolderCountsConsistent(store);
 }
 
@@ -102,7 +105,7 @@ TEST(DirectoryStoreTest, EvictionReleasesHolderCounts) {
   d = {};
   ASSERT_TRUE(store.Admit(3, 0, 0, &d));
   EXPECT_EQ(d.evicted, (std::vector<PeerAddress>{1}));
-  EXPECT_EQ(d.orphaned_slots, (std::vector<ObjectSlot>{101}));
+  EXPECT_EQ(store.holder_slots(), (std::vector<ObjectSlot>{100}));
   EXPECT_TRUE(store.AnyHolder(100));
   EXPECT_FALSE(store.AnyHolder(101));
   ExpectHolderCountsConsistent(store);
@@ -163,11 +166,9 @@ TEST(DirectoryStoreTest, ExpiryIsNotAnEviction) {
   store.Update(1, {100}, {}, &d);
   ASSERT_TRUE(store.Admit(2, 3, 0, &d));  // one tick from T_dead = 4
 
-  d = {};
-  store.AgeAll(4, &d);
+  store.AgeAll(4);
   EXPECT_FALSE(store.Contains(2)) << "entry 2 reached T_dead";
-  EXPECT_TRUE(d.evicted.empty()) << "T_dead expiry is not an eviction";
-  EXPECT_EQ(store.stats().evictions, 0u);
+  EXPECT_EQ(store.stats().evictions, 0u) << "T_dead expiry is not an eviction";
   EXPECT_EQ(store.Find(1)->age, 1) << "survivors aged by one tick";
   ExpectHolderCountsConsistent(store);
 }
@@ -302,7 +303,9 @@ TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
 }
 
 // Reference model for the randomized test below: a std::map from address
-// to entry, with holders derived by scanning it.
+// to entry, with holders derived by scanning it (ExpectMatchesModel
+// compares them with the store's holder index, so a slot whose last
+// holder left must be gone from holder_slots()).
 // Capacity victims are the engine's choice, so the model takes them
 // from the store's Delta and checks that they were resident; everything
 // else it predicts on its own.
@@ -322,14 +325,7 @@ class DirectoryStoreModel {
     return n;
   }
 
-  /// Drops `peer`'s entry, appending its orphaned slots to `delta`.
-  void Drop(PeerAddress peer, DirectoryStore::Delta* delta) {
-    std::set<ObjectSlot> objects = std::move(entries.at(peer).objects);
-    entries.erase(peer);
-    for (ObjectSlot slot : objects) {
-      if (Holders(slot) == 0) delta->orphaned_slots.push_back(slot);
-    }
-  }
+  void Drop(PeerAddress peer) { entries.erase(peer); }
 
   /// Applies the store-reported capacity victims to the model.
   ::testing::AssertionResult Evict(const std::vector<PeerAddress>& victims,
@@ -339,7 +335,7 @@ class DirectoryStoreModel {
         return ::testing::AssertionFailure()
                << "evicted " << victim << ", which is not resident";
       }
-      Drop(victim, delta);
+      Drop(victim);
       delta->evicted.push_back(victim);
     }
     return ::testing::AssertionSuccess();
@@ -349,7 +345,6 @@ class DirectoryStoreModel {
 void ExpectDeltaEq(const DirectoryStore::Delta& actual,
                    const DirectoryStore::Delta& expected) {
   EXPECT_EQ(actual.new_slots, expected.new_slots);
-  EXPECT_EQ(actual.orphaned_slots, expected.orphaned_slots);
   EXPECT_EQ(actual.evicted, expected.evicted);
 }
 
@@ -458,16 +453,13 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
           }
           if (model.Holders(slot) == 1) expected.new_slots.push_back(slot);
         }
-        for (ObjectSlot slot : remove) {
-          if (it->second.objects.erase(slot) == 0) continue;
-          if (model.Holders(slot) == 0) expected.orphaned_slots.push_back(slot);
-        }
+        for (ObjectSlot slot : remove) it->second.objects.erase(slot);
         ASSERT_TRUE(model.Evict(actual.evicted, &expected)) << step;
       }
     } else if (op < 83) {
       what = "Erase";
-      store->Erase(peer, &actual);
-      if (model.entries.count(peer) > 0) model.Drop(peer, &expected);
+      store->Erase(peer);
+      model.Drop(peer);
     } else if (op < 98) {
       what = "Touch";
       store->Touch(peer);
@@ -475,12 +467,12 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
       if (it != model.entries.end()) it->second.age = 0;
     } else {
       what = "AgeAll";
-      store->AgeAll(kDeadAge, &actual);
+      store->AgeAll(kDeadAge);
       std::vector<PeerAddress> dead;
       for (auto& [addr, e] : model.entries) {
         if (++e.age >= kDeadAge) dead.push_back(addr);
       }
-      for (PeerAddress addr : dead) model.Drop(addr, &expected);
+      for (PeerAddress addr : dead) model.Drop(addr);
     }
     SCOPED_TRACE(testing::Message() << "step " << step << " " << what
                                     << " peer " << peer);

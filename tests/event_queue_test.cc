@@ -3,11 +3,13 @@
 // times, and drifting hot spots with a far-future tail), (time, seq)
 // tie-breaking across slot reuse, cancelled bursts and callback pushes,
 // seq staleness of handles, the in-place dispatch path, EventFn
-// inline/heap storage, and ASan-clean teardown with pending
-// self-referential timers.
+// inline/heap storage and footprint, sequence exhaustion, and ASan-clean
+// teardown with pending periodic timers.
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -20,6 +22,12 @@
 
 namespace flower {
 namespace {
+
+// --- Footprint ----------------------------------------------------------------
+
+// The item, slot and handle sizes are pinned in event_queue.h itself.
+static_assert(sizeof(EventFn) == EventFn::kInlineBytes + sizeof(void*),
+              "EventFn is its inline buffer plus one ops pointer");
 
 // --- EventFn ------------------------------------------------------------------
 
@@ -374,23 +382,57 @@ TEST(EventQueueTest, CallbackMayPushDuringInPlaceDispatch) {
 // --- Teardown with pending self-referential timers ----------------------------
 
 TEST(EventQueueTeardown, PendingSelfReferentialTimersDoNotLeak) {
-  // Periodic timers capture their own handle state; events capture
-  // handles to other pending events and owned heap payloads. Destroying
-  // the simulator with all of it pending must release every capture
-  // (the ASan job fails on leaks).
+  // Periodic ticks point at their timers and own their captures; events
+  // capture handles to other pending events and owned heap payloads.
+  // Timers die before their simulator (their owners' rule): that must
+  // release each pending tick's captures, and destroying the simulator
+  // with the rest pending must release everything else (the ASan job
+  // fails on leaks).
   auto sim = std::make_unique<Simulator>(1);
-  std::vector<Simulator::PeriodicHandle> timers;
+  auto payload = std::make_shared<int>(0);
+  auto timers = std::make_unique<std::deque<Simulator::PeriodicTimer>>();
   for (int i = 0; i < 50; ++i) {
-    timers.push_back(sim->SchedulePeriodic(
-        10, 10, [payload = std::make_shared<int>(i)]() { (void)*payload; }));
+    sim->SchedulePeriodic(&timers->emplace_back(), 10, 10,
+                          [payload]() { (void)*payload; });
   }
   EventHandle target = sim->Schedule(500, []() {});
   sim->Schedule(600, [target]() mutable { target.Cancel(); });
   sim->Schedule(700, [owned = std::make_unique<int>(7)]() { (void)*owned; });
   sim->RunUntil(45);  // a few periodic rounds fire, everything rearms
   EXPECT_GT(sim->events_processed(), 0u);
-  sim.reset();  // pending timers + handles torn down here
+  EXPECT_EQ(payload.use_count(), 51);
+  timers.reset();  // each pending tick is cancelled with its timer
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_EQ(sim->events_cancelled(), 50u);
+  sim.reset();  // pending handles + owned payloads torn down here
   SUCCEED();
+}
+
+TEST(EventQueueDeathTest, SequenceExhaustionAborts) {
+  // Seq is 32 bits and never reused: the last one is handed out, the next
+  // push aborts with a message in every build type.
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        q.set_next_seq_for_testing(0xfffffffeu);
+        EventHandle last = q.Push(1, []() {});
+        if (!last.pending()) std::abort();
+        q.Push(2, []() {});
+      },
+      "event sequence numbers used up");
+}
+
+TEST(EventQueueTest, LastSequenceNumberStillOrdersFifo) {
+  EventQueue q;
+  q.set_next_seq_for_testing(0xfffffffdu);
+  std::vector<int> order;
+  q.Push(5, [&order]() { order.push_back(1); });
+  q.Push(5, [&order]() { order.push_back(2); });
+  SimTime t = 0;
+  while (q.RunNextIfBefore(10, [&t](SimTime at) { t = at; })) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(t, 5);
 }
 
 TEST(EventQueueTeardown, QueueDiesWithPendingMoveOnlyCaptures) {

@@ -83,37 +83,67 @@ TEST_F(NetworkTest, UnregisteredMidFlightBounces) {
 }
 
 TEST_F(NetworkTest, TrafficAccountingPerClass) {
-  RecordingPeer a, b;
+  // Every class counts in its total; only gossip, push and keepalive
+  // count in the per-node background bits, at the sender and again at
+  // the receiver.
+  RecordingPeer a, b, c;
   net_->RegisterPeer(&a, 0);
   net_->RegisterPeer(&b, 1);
+  net_->RegisterPeer(&c, 2);
   net_->Send(&a, b.address(),
              std::make_unique<TestMsg>(100, TrafficClass::kGossip));
   net_->Send(&a, b.address(),
              std::make_unique<TestMsg>(200, TrafficClass::kPush));
+  net_->Send(&b, c.address(),
+             std::make_unique<TestMsg>(300, TrafficClass::kKeepalive));
+  net_->Send(&a, c.address(),
+             std::make_unique<TestMsg>(400, TrafficClass::kQuery));
+  net_->Send(&c, a.address(),
+             std::make_unique<TestMsg>(500, TrafficClass::kTransfer));
+  net_->Send(&c, b.address(),
+             std::make_unique<TestMsg>(600, TrafficClass::kControl));
   sim_.Run();
-  const TrafficCounters& ca = net_->CountersFor(a.address());
-  const TrafficCounters& cb = net_->CountersFor(b.address());
-  EXPECT_EQ(ca.sent_bits[static_cast<size_t>(TrafficClass::kGossip)],
-            100 + kMessageHeaderBits);
-  EXPECT_EQ(ca.sent_bits[static_cast<size_t>(TrafficClass::kPush)],
-            200 + kMessageHeaderBits);
-  EXPECT_EQ(cb.received_bits[static_cast<size_t>(TrafficClass::kGossip)],
-            100 + kMessageHeaderBits);
-  EXPECT_EQ(net_->TotalBits(TrafficClass::kGossip), 100 + kMessageHeaderBits);
+  const uint64_t h = kMessageHeaderBits;
+  EXPECT_EQ(net_->BackgroundBits({a.address()}), (100 + h) + (200 + h));
+  EXPECT_EQ(net_->BackgroundBits({b.address()}),
+            (100 + h) + (200 + h) + (300 + h));
+  EXPECT_EQ(net_->BackgroundBits({c.address()}), 300 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kGossip), 100 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kPush), 200 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kKeepalive), 300 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kQuery), 400 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kTransfer), 500 + h);
+  EXPECT_EQ(net_->TotalBits(TrafficClass::kControl), 600 + h);
 }
 
-TEST_F(NetworkTest, SumBitsOverPeersAndClasses) {
+TEST_F(NetworkTest, BackgroundBitsOverPeers) {
   RecordingPeer a, b;
   net_->RegisterPeer(&a, 0);
   net_->RegisterPeer(&b, 1);
   net_->Send(&a, b.address(),
              std::make_unique<TestMsg>(100, TrafficClass::kGossip));
+  net_->Send(&a, b.address(),
+             std::make_unique<TestMsg>(200, TrafficClass::kQuery));
   sim_.Run();
-  uint64_t both = net_->SumBits({a.address(), b.address()},
-                                {TrafficClass::kGossip});
-  // Counted once as sent at a and once as received at b.
-  EXPECT_EQ(both, 2 * (100 + kMessageHeaderBits));
-  EXPECT_EQ(net_->SumBits({a.address()}, {TrafficClass::kPush}), 0u);
+  // Counted once as sent at a and once as received at b; the query is
+  // not background.
+  EXPECT_EQ(net_->BackgroundBits({a.address(), b.address()}),
+            2 * (100 + kMessageHeaderBits));
+  EXPECT_EQ(net_->BackgroundBits({a.address()}), 100 + kMessageHeaderBits);
+  // Addresses past the topology count nothing.
+  EXPECT_EQ(net_->BackgroundBits({1000}), 0u);
+  EXPECT_EQ(net_->BackgroundBits({}), 0u);
+}
+
+TEST_F(NetworkTest, BackgroundBitsSkipLostAndBouncedDeliveries) {
+  // A message to an offline peer counts at the sender only.
+  RecordingPeer a;
+  net_->RegisterPeer(&a, 0);
+  net_->Send(&a, /*nonexistent=*/3,
+             std::make_unique<TestMsg>(100, TrafficClass::kPush));
+  sim_.Run();
+  EXPECT_EQ(a.undeliverable, 1);
+  EXPECT_EQ(net_->BackgroundBits({a.address(), 3}), 100 + kMessageHeaderBits);
 }
 
 TEST_F(NetworkTest, IsAliveTracksRegistration) {

@@ -134,10 +134,10 @@ TEST(ShardedSimTest, PeriodicTimersStayOnTheirLane) {
   Simulator sim(1);
   sim.EnableSharding(TwoLanePlan());
   int ticks = 0;
-  Simulator::PeriodicHandle handle;
+  Simulator::PeriodicTimer handle;
   {
     Simulator::LaneScope scope(&sim, 1);
-    handle = sim.SchedulePeriodic(4, 4, [&ticks]() {
+    sim.SchedulePeriodic(&handle, 4, 4, [&ticks]() {
       EXPECT_EQ(CurrentSimLane(), 1);
       ++ticks;
     });
