@@ -44,14 +44,10 @@ Driver::Driver(std::string name, int argc, char** argv)
       sweep_ = SweepRunner(jobs);
       continue;
     }
-    if (key == "json" || key == "csv") {
+    if (key == "json") {
       std::string path = eq == std::string::npos ? "" : tok.substr(eq + 1);
-      if (path.empty()) path = "BENCH_" + name_ + "." + key;
-      if (key == "json") {
-        sinks_.push_back(std::make_unique<JsonResultSink>(path));
-      } else {
-        sinks_.push_back(std::make_unique<CsvResultSink>(path));
-      }
+      if (path.empty()) path = "BENCH_" + name_ + ".json";
+      sinks_.push_back(std::make_unique<JsonResultSink>(path));
       continue;
     }
     if (eq == std::string::npos) {

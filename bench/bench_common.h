@@ -27,10 +27,10 @@ SimConfig PaperConfig();
 SimConfig QuickConfig();
 
 /// Per-driver harness. Parses the CLI — optional leading "quick", then
-/// any mix of key=value config overrides, the sink tokens `json[=PATH]`
-/// / `csv[=PATH]` (defaults BENCH_<name>.json|csv) and `jobs=N`
-/// (parallel sweep workers, default 1) — and runs experiments through
-/// the SweepRunner with the parsed sinks attached.
+/// any mix of key=value config overrides, the sink token `json[=PATH]`
+/// (default BENCH_<name>.json) and `jobs=N` (parallel sweep workers,
+/// default 1) — and runs experiments through the SweepRunner with the
+/// parsed sinks attached.
 ///
 /// Sweeps are two-phase: Enqueue every point first, then RunQueued once.
 /// Points run on a thread pool when jobs > 1, but results and sink

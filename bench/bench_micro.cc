@@ -27,6 +27,7 @@
 #include "net/topology.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "stats/metrics.h"
 
 namespace flower {
 namespace {
@@ -39,8 +40,10 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int64_t i = 0; i < batch; ++i) {
       q.Push(static_cast<SimTime>(rng.Next() % 100000), []() {});
     }
-    SimTime t;
-    while (!q.empty()) benchmark::DoNotOptimize(q.Pop(&t));
+    SimTime t = 0;
+    while (q.RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; })) {
+    }
+    benchmark::DoNotOptimize(t);
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -203,9 +206,10 @@ void BM_ChordOracleNeighborRead(benchmark::State& state) {
   Simulator sim(1);
   Topology topo(config, sim.rng());
   Network net(&sim, &topo);
+  Metrics metrics(config);
   ChordConfig cc;
   cc.id_bits = 32;
-  ChordRing ring(cc);
+  ChordRing ring(cc, &metrics);
   std::vector<std::unique_ptr<ChordNode>> nodes;
   for (int64_t i = 0; i < n; ++i) {
     Key id = ring.space().Clamp(Mix64(static_cast<uint64_t>(i) + 1));

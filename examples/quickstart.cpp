@@ -2,8 +2,7 @@
 // builder (src/api/experiment.h) and print the paper's four metrics. Any
 // config knob can be overridden on the command line as key=value, e.g.:
 //   ./quickstart duration=2h gossip_period=5min num_websites=20
-//   ./quickstart system=squirrel-home          # via the SystemRegistry
-//   ./quickstart workload_trace=run.trace      # replay a recorded trace
+//   ./quickstart system=squirrel               # via the SystemRegistry
 #include <cstdio>
 
 #include "api/experiment.h"

@@ -1,6 +1,6 @@
 // Experiment API v2, system side: the CdnSystem interface every runnable
-// system implements, and the name-keyed SystemRegistry the Experiment
-// builder resolves `system=flower|squirrel|squirrel-home` through.
+// system implements, and the name-keyed SystemRegistry that Experiment
+// resolves `system=flower|squirrel` through.
 //
 // A CdnSystem wraps one concrete system (FlowerSystem, SquirrelSystem, or
 // anything an embedder registers) behind the four operations the harness
@@ -89,7 +89,7 @@ using SystemFactory =
     std::function<std::unique_ptr<CdnSystem>(const SystemContext&)>;
 
 /// Name -> factory map for runnable systems. The built-in systems
-/// ("flower", "squirrel", "squirrel-home") self-register on first use;
+/// ("flower", "squirrel") self-register on first use;
 /// embedders may Register additional systems under new keys, which then
 /// work everywhere a `system=` config value is accepted.
 class SystemRegistry {

@@ -130,6 +130,7 @@ void CollectSeries(const Metrics& metrics, RunResult* result) {
   result->queries_timed_out = metrics.queries_timed_out();
   result->query_retries = metrics.query_retries();
   result->suspicions_confirmed = metrics.suspicions_confirmed();
+  result->routes_dropped = metrics.routes_dropped();
   result->final_hit_ratio = metrics.FinalHitRatio();
   result->cumulative_hit_ratio = metrics.CumulativeHitRatio();
   result->mean_lookup_ms = metrics.MeanLookupLatency();
@@ -260,11 +261,7 @@ Result<RunResult> Experiment::TryRun() {
   env.deployment = &system->deployment();
   env.catalog = &system->catalog();
   WorkloadFactory make_workload = workload_factory_;
-  if (make_workload == nullptr) {
-    make_workload = config_.workload_trace.empty()
-                        ? SyntheticWorkload()
-                        : TraceWorkload(config_.workload_trace);
-  }
+  if (make_workload == nullptr) make_workload = SyntheticWorkload();
   Result<std::unique_ptr<WorkloadSource>> source = make_workload(env);
   if (!source.ok()) return source.status();
   if (source.value() == nullptr) {

@@ -4,14 +4,12 @@
 //   SimConfig config;
 //   RunResult r = Experiment(config)
 //                     .WithSystem("flower")          // registry key
-//                     .WithWorkload(TraceWorkload("run.trace"))
 //                     .AddSink(&json_sink)
 //                     .Run();
 //
-// Defaults come from the config: WithSystem falls back to `config.system`
-// and WithWorkload to `config.workload_trace` (synthetic when empty), so a
-// plain Experiment(config).Run() honors `system=squirrel
-// workload_trace=foo.trace` command-line overrides.
+// WithSystem falls back to `config.system`, so a plain
+// Experiment(config).Run() honors a `system=squirrel` command-line
+// override; WithWorkload falls back to the synthetic generator.
 //
 // This replaced the v1 free function RunExperiment(config, SystemKind);
 // the deprecated workload/runner.h shim is gone — this builder is the
@@ -47,16 +45,15 @@ class Experiment {
  public:
   explicit Experiment(SimConfig config);
 
-  /// Selects the system by registry key ("flower", "squirrel",
-  /// "squirrel-home", or anything registered). Default: config.system.
+  /// Selects the system by registry key ("flower", "squirrel", or
+  /// anything registered). Default: config.system.
   Experiment& WithSystem(std::string registry_key);
 
   /// Selects the system by explicit factory (for custom/unregistered
   /// systems). `key`/`name` label the result.
   Experiment& WithSystem(SystemFactory factory);
 
-  /// Selects the workload. Default: TraceWorkload(config.workload_trace)
-  /// when that key is set, SyntheticWorkload() otherwise.
+  /// Selects the workload. Default: SyntheticWorkload().
   Experiment& WithWorkload(WorkloadFactory factory);
 
   /// Labels this run in sink output ("L=5", "capacity=64KB", ...).
@@ -72,7 +69,8 @@ class Experiment {
   Experiment& Every(SimTime period, ObserverFn fn);
 
   /// Runs the experiment and feeds every attached sink. Returns the
-  /// error (unknown system, unreadable trace) instead of a result.
+  /// error (unknown system, malformed fault spec, a world the config
+  /// cannot build) instead of a result.
   Result<RunResult> TryRun();
 
   /// Convenience for drivers: TryRun, but print the error and exit(1) on

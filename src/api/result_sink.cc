@@ -33,6 +33,7 @@ std::string FormatRunSummary(const RunResult& r) {
   if (r.dir_index_evictions > 0) {
     os << " dir_index_evictions=" << r.dir_index_evictions;
   }
+  if (r.routes_dropped > 0) os << " route_drops=" << r.routes_dropped;
   // Fault-injection / hardening segment, only when some fault_* or
   // hardening knob is on: default summaries must stay byte-identical to
   // pre-fault-layer builds.
@@ -191,75 +192,6 @@ void JsonResultSink::Flush() {
                  i + 1 < records_.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
-  std::fclose(f);
-  dirty_ = false;
-}
-
-// --- CSV ----------------------------------------------------------------------
-
-namespace {
-constexpr const char* kCsvHeader =
-    "system,label,seed,participants,queries_submitted,queries_served,"
-    "server_hits,final_hit_ratio,cumulative_hit_ratio,mean_lookup_ms,"
-    "mean_transfer_ms,background_bps,cache_evictions,stale_redirects,"
-    "stale_redirects_peer_summary,stale_redirects_dir_index,"
-    "dir_index_evictions,dir_summary_fallthroughs,churn_failures,"
-    "churn_leaves,directory_promotions,events_processed,events_cancelled,"
-    // Fault-layer columns: CSV headers are fixed per file, so these are
-    // unconditional (all zero on a reliable network).
-    "query_success_rate,injected_drops,partition_drops,silent_crashes,"
-    "queries_timed_out,query_retries,suspicions_confirmed";
-
-/// CSV-quotes a field when it contains a comma or quote.
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-CsvResultSink::CsvResultSink(std::string path) : path_(std::move(path)) {}
-
-CsvResultSink::~CsvResultSink() { Flush(); }
-
-void CsvResultSink::Write(const SimConfig& config, const RunResult& r) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << CsvField(r.system) << "," << CsvField(r.label) << "," << config.seed
-     << "," << r.participants << "," << r.queries_submitted << ","
-     << r.queries_served << "," << r.server_hits << "," << r.final_hit_ratio
-     << "," << r.cumulative_hit_ratio << "," << r.mean_lookup_ms << ","
-     << r.mean_transfer_ms << "," << r.background_bps << ","
-     << r.cache_evictions << "," << r.stale_redirects << ","
-     << r.stale_redirects_peer_summary << "," << r.stale_redirects_dir_index
-     << "," << r.dir_index_evictions << "," << r.dir_summary_fallthroughs
-     << "," << r.churn_failures << "," << r.churn_leaves << ","
-     << r.directory_promotions << "," << r.events_processed << ","
-     << r.events_cancelled << ","
-     << r.QuerySuccessRate() << "," << r.injected_drops << ","
-     << r.partition_drops << "," << r.silent_crashes << ","
-     << r.queries_timed_out << "," << r.query_retries << ","
-     << r.suspicions_confirmed;
-  rows_.push_back(os.str());
-  dirty_ = true;
-}
-
-void CsvResultSink::Flush() {
-  if (!dirty_) return;
-  std::FILE* f = std::fopen(path_.c_str(), "w");
-  if (f == nullptr) {
-    FLOWER_LOG(Warn) << "cannot write CSV results to " << path_;
-    return;
-  }
-  std::fprintf(f, "%s\n", kCsvHeader);
-  for (const std::string& row : rows_) {
-    std::fprintf(f, "%s\n", row.c_str());
-  }
   std::fclose(f);
   dirty_ = false;
 }

@@ -1,7 +1,8 @@
 // Experiment API v2, output side: ResultSinks receive every completed
 // run. A sink outlives the Experiments it is attached to, so one sink can
 // collect a whole bench sweep (that is how BENCH_*.json trajectory files
-// are produced).
+// are produced). Two sinks exist: text summary lines for people, and
+// JSON, the one machine-readable format.
 #ifndef FLOWERCDN_API_RESULT_SINK_H_
 #define FLOWERCDN_API_RESULT_SINK_H_
 
@@ -51,30 +52,11 @@ class JsonResultSink : public ResultSink {
   void Write(const SimConfig& config, const RunResult& result) override;
   void Flush() override;
 
-  const std::string& path() const { return path_; }
   size_t records() const { return records_.size(); }
 
  private:
   std::string path_;
   std::vector<std::string> records_;
-  bool dirty_ = false;
-};
-
-/// Appends one CSV row per run (headline metrics only, no series); writes
-/// the header plus all rows on Flush/destruction.
-class CsvResultSink : public ResultSink {
- public:
-  explicit CsvResultSink(std::string path);
-  ~CsvResultSink() override;
-
-  void Write(const SimConfig& config, const RunResult& result) override;
-  void Flush() override;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  std::vector<std::string> rows_;
   bool dirty_ = false;
 };
 

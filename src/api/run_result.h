@@ -78,7 +78,7 @@ struct RunResult {
   // `faults_enabled` is set, so default records stay byte-identical to
   // pre-fault-layer builds.
   bool faults_enabled = false;
-  /// Messages dropped by the per-class loss model.
+  /// Messages dropped by the loss model (`fault_loss`).
   uint64_t injected_drops = 0;
   /// Messages swallowed by an active partition window.
   uint64_t partition_drops = 0;
@@ -92,6 +92,11 @@ struct RunResult {
   uint64_t query_retries = 0;
   /// Keepalive-ack suspicion verdicts (directory declared silently dead).
   uint64_t suspicions_confirmed = 0;
+
+  /// Routed messages (D-ring or Squirrel ring) dropped after
+  /// max_route_hops hops. The text summary prints it when non-zero; the
+  /// JSON sink does not carry it.
+  uint64_t routes_dropped = 0;
 
   // End-of-run gossip state (flower only). No sink writes these; the
   // flower_perf fingerprint reads all four.

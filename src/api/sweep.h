@@ -6,8 +6,8 @@
 // runs with its own Simulator, RNG, Topology and Metrics, so a point's
 // result is a pure function of its config and does not depend on which
 // thread ran it or in what order. Sinks are only touched from the
-// calling thread, after the pool joins, in submission order — text, JSON
-// and CSV output of a jobs=N sweep is therefore byte-identical to the
+// calling thread, after the pool joins, in submission order — text and
+// JSON output of a jobs=N sweep is therefore byte-identical to the
 // serial (jobs=1) run.
 #ifndef FLOWERCDN_API_SWEEP_H_
 #define FLOWERCDN_API_SWEEP_H_

@@ -62,11 +62,9 @@ void FlowerAdapter::FillStats(RunResult* result) const {
 
 // --- SquirrelAdapter ----------------------------------------------------------
 
-SquirrelAdapter::SquirrelAdapter(const SystemContext& ctx,
-                                 SquirrelStrategy strategy)
-    : strategy_(strategy),
-      system_(*ctx.config, ctx.sim, ctx.network, ctx.topology, ctx.metrics,
-              strategy) {}
+SquirrelAdapter::SquirrelAdapter(const SystemContext& ctx)
+    : system_(*ctx.config, ctx.sim, ctx.network, ctx.topology, ctx.metrics) {
+}
 
 void SquirrelAdapter::Setup() { system_.Setup(); }
 
@@ -94,12 +92,7 @@ void RegisterBuiltinSystems(SystemRegistry* registry) {
     return std::unique_ptr<CdnSystem>(new FlowerAdapter(ctx));
   });
   registry->Register("squirrel", [](const SystemContext& ctx) {
-    return std::unique_ptr<CdnSystem>(
-        new SquirrelAdapter(ctx, SquirrelStrategy::kDirectory));
-  });
-  registry->Register("squirrel-home", [](const SystemContext& ctx) {
-    return std::unique_ptr<CdnSystem>(
-        new SquirrelAdapter(ctx, SquirrelStrategy::kHomeStore));
+    return std::unique_ptr<CdnSystem>(new SquirrelAdapter(ctx));
   });
 }
 

@@ -1,6 +1,6 @@
 // Built-in CdnSystem adapters over the two concrete systems. Most code
 // never names these types — Experiment resolves them through the
-// SystemRegistry ("flower", "squirrel", "squirrel-home") — but embedders
+// SystemRegistry ("flower", "squirrel") — but embedders
 // that need typed access to the underlying system (e.g. an observer that
 // reads FlowerSystem::promotions mid-run) can dynamic_cast the CdnSystem*
 // they are handed to one of these.
@@ -44,21 +44,14 @@ class FlowerAdapter : public CdnSystem {
   std::unique_ptr<ChurnManager> churn_;
 };
 
-/// Squirrel (Iyer et al., PODC 2002), the paper's baseline, in either its
-/// directory or its home-store strategy.
+/// Squirrel (Iyer et al., PODC 2002), the paper's baseline, in its
+/// directory strategy.
 class SquirrelAdapter : public CdnSystem {
  public:
-  SquirrelAdapter(const SystemContext& ctx, SquirrelStrategy strategy);
+  explicit SquirrelAdapter(const SystemContext& ctx);
 
-  const char* key() const override {
-    return strategy_ == SquirrelStrategy::kDirectory ? "squirrel"
-                                                     : "squirrel-home";
-  }
-  const char* name() const override {
-    return strategy_ == SquirrelStrategy::kDirectory
-               ? "Squirrel"
-               : "Squirrel(home-store)";
-  }
+  const char* key() const override { return "squirrel"; }
+  const char* name() const override { return "Squirrel"; }
   void Setup() override;
   void SubmitQuery(NodeId node, WebsiteId website, ObjectId object) override;
   std::vector<PeerAddress> ParticipantAddresses() const override;
@@ -68,7 +61,6 @@ class SquirrelAdapter : public CdnSystem {
   SquirrelSystem& system() { return system_; }
 
  private:
-  SquirrelStrategy strategy_;
   SquirrelSystem system_;
 };
 

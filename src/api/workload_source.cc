@@ -10,46 +10,10 @@ SyntheticSource::SyntheticSource(const WorkloadEnv& env)
     : generator_(*env.config, *env.deployment, *env.catalog,
                  Mix64(env.config->seed ^ 0x5EED)) {}
 
-TraceReplaySource::TraceReplaySource(Trace trace, std::string name)
-    : trace_(std::move(trace)), name_(std::move(name)) {}
-
-Result<std::unique_ptr<TraceReplaySource>> TraceReplaySource::FromFile(
-    const std::string& path) {
-  Result<Trace> loaded = Trace::Load(path);
-  if (!loaded.ok()) return loaded.status();
-  return std::make_unique<TraceReplaySource>(std::move(loaded).value(),
-                                             "trace:" + path);
-}
-
-bool TraceReplaySource::Next(QueryEvent* out) {
-  if (next_ >= trace_.size()) return false;
-  *out = trace_.events()[next_++];
-  return true;
-}
-
 WorkloadFactory SyntheticWorkload() {
   return [](const WorkloadEnv& env)
              -> Result<std::unique_ptr<WorkloadSource>> {
     return std::unique_ptr<WorkloadSource>(new SyntheticSource(env));
-  };
-}
-
-WorkloadFactory TraceWorkload(std::string path) {
-  return [path = std::move(path)](const WorkloadEnv&)
-             -> Result<std::unique_ptr<WorkloadSource>> {
-    Result<std::unique_ptr<TraceReplaySource>> source =
-        TraceReplaySource::FromFile(path);
-    if (!source.ok()) return source.status();
-    return std::unique_ptr<WorkloadSource>(std::move(source).value());
-  };
-}
-
-WorkloadFactory ReplayWorkload(Trace trace) {
-  // The factory may be invoked repeatedly (one Experiment per sweep
-  // point), so it hands each source a copy rather than moving.
-  return [trace = std::move(trace)](const WorkloadEnv&)
-             -> Result<std::unique_ptr<WorkloadSource>> {
-    return std::unique_ptr<WorkloadSource>(new TraceReplaySource(trace));
   };
 }
 

@@ -2,10 +2,10 @@
 // events an Experiment drives through its system, one at a time (the
 // driver schedules them lazily so the event heap stays small).
 //
-// Two built-in sources: SyntheticSource wraps the paper's Poisson/Zipf
-// generator (Sec 6.1); TraceReplaySource replays a recorded trace file —
-// v1, or v2 with its unread size column — against any system, so
-// modified systems can be measured under bit-identical workloads.
+// The built-in source, SyntheticSource, wraps the paper's Poisson/Zipf
+// generator (Sec 6.1). Embedders hand Experiment::WithWorkload a factory
+// for their own source, for example one that wraps SyntheticSource to
+// time or observe each event.
 #ifndef FLOWERCDN_API_WORKLOAD_SOURCE_H_
 #define FLOWERCDN_API_WORKLOAD_SOURCE_H_
 
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "workload/trace.h"
 #include "workload/workload.h"
 
 namespace flower {
@@ -32,7 +31,7 @@ class WorkloadSource {
  public:
   virtual ~WorkloadSource() = default;
 
-  /// Display name for summaries/logs ("synthetic", "trace:<path>").
+  /// Display name for summaries/logs ("synthetic").
   virtual const std::string& name() const = 0;
 
   /// Produces the next query event; returns false when exhausted.
@@ -53,42 +52,13 @@ class SyntheticSource : public WorkloadSource {
   const std::string& name() const override { return name_; }
   bool Next(QueryEvent* out) override { return generator_.Next(out); }
 
-  WorkloadGenerator* generator() { return &generator_; }
-
  private:
   WorkloadGenerator generator_;
   std::string name_ = "synthetic";
 };
 
-/// Replays a recorded trace in event order. Consumes no RNG: replaying the
-/// trace of a synthetic run reproduces that run bit-identically.
-class TraceReplaySource : public WorkloadSource {
- public:
-  explicit TraceReplaySource(Trace trace, std::string name = "trace");
-
-  /// Loads a v1/v2 trace file (workload/trace.h formats).
-  static Result<std::unique_ptr<TraceReplaySource>> FromFile(
-      const std::string& path);
-
-  const std::string& name() const override { return name_; }
-  bool Next(QueryEvent* out) override;
-
-  size_t size() const { return trace_.size(); }
-
- private:
-  Trace trace_;
-  size_t next_ = 0;
-  std::string name_;
-};
-
 /// Factory for the synthetic generator (the default workload).
 WorkloadFactory SyntheticWorkload();
-
-/// Factory replaying the trace file at `path` (ROADMAP replay-from-file).
-WorkloadFactory TraceWorkload(std::string path);
-
-/// Factory replaying an in-memory trace.
-WorkloadFactory ReplayWorkload(Trace trace);
 
 }  // namespace flower
 

@@ -152,10 +152,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     system = value;
     return Status::Ok();
   }
-  if (key == "workload_trace") {
-    workload_trace = value;
-    return Status::Ok();
-  }
   INT_KEY_AT_LEAST("shards", shards, 1)
   INT_KEY("num_topology_nodes", num_topology_nodes)
   INT_KEY_AT_LEAST("num_localities", num_localities, 1)
@@ -241,8 +237,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   if (key == "fault_loss") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.
-    std::array<double, FaultPlan::kNumClasses> probs;
-    Status s = ParseClassProbSpec(key, value, &probs);
+    double p;
+    Status s = ParseLossSpec(value, &p);
     if (!s.ok()) return s;
     fault_loss = value;
     return Status::Ok();
@@ -327,7 +323,6 @@ std::string SimConfig::ToString() const {
     }
   }
   if (system != "flower") os << " system=" << system;
-  if (!workload_trace.empty()) os << " workload=trace:" << workload_trace;
   // The sharded engine is a different deterministic schedule, so the
   // config line must say so — but the shard count changes no output
   // byte, so it is not printed (a shards=2 and a shards=4 trajectory

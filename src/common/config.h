@@ -18,13 +18,10 @@ struct SimConfig {
 
   // --- Experiment composition (src/api/) -----------------------------------
   /// Which system an Experiment runs, by SystemRegistry key:
-  /// "flower" | "squirrel" | "squirrel-home" (or any registered key).
-  /// Validated when the experiment is built, not here, so embedders can
-  /// register systems the config parser has never heard of.
+  /// "flower" | "squirrel" (or any registered key). Validated when the
+  /// experiment is built, not here, so embedders can register systems
+  /// the config parser has never heard of.
   std::string system = "flower";
-  /// When non-empty, Experiment replays this recorded trace file (v1/v2,
-  /// see workload/trace.h) instead of the synthetic generator.
-  std::string workload_trace;
 
   // --- Sharded intra-run simulation (src/sim/sharded_simulator.h) ----------
   /// >= 2 partitions one run into per-locality event lanes executed in
@@ -126,14 +123,14 @@ struct SimConfig {
   double churn_fail_probability = 0.5;  // fail vs. graceful leave
 
   // --- Fault injection (src/net/fault_injector.h; all defaults off) ---------
-  /// Per-traffic-class message loss probability: a bare probability
-  /// ("0.05", every class) or comma-separated "class:prob" pairs with
-  /// TrafficClassName names ("query:0.05,push:0.1"). Empty = no loss.
+  /// Message loss probability in [0, 1], applied to every traffic class
+  /// ("0.05"). Empty = no loss. Kept as written, so the config line
+  /// prints it as given.
   std::string fault_loss;
   /// Scheduled partition windows: ";"-separated "A|B@START-END" cuts where
-  /// each side is a locality id, "*" (everyone else) or an "n"-prefixed
-  /// node list ("n5,n7"), e.g. "0|1@30min-1h;n5,n7|*@10min-20min".
-  /// Messages crossing a cut during its window are dropped.
+  /// each side is a locality id or "*" (everyone else), e.g.
+  /// "0|1@30min-1h;2|*@10min-20min". Messages crossing a cut during its
+  /// window are dropped.
   std::string fault_partitions;
   /// Probability that a churn crash-failure goes dark *silently*: the peer
   /// is unregistered but senders get no undeliverable bounce, defeating

@@ -41,10 +41,6 @@ void ChurnManager::Start() {
   }
 }
 
-void ChurnManager::Stop() {
-  for (Simulator::PeriodicTimer& timer : timers_) timer.Cancel();
-}
-
 bool ChurnManager::IsBlackedOut(NodeId node) const {
   if (blackout_until_.empty()) return false;
   const auto& blackout =
@@ -87,7 +83,6 @@ void ChurnManager::Tick(int lane, Rng* rng) {
   for (DirectoryPeer* dir : system_->LiveDirectoriesIn(lane)) {
     if (!rng->Bernoulli(p_death)) continue;
     blackout[dir->node()] = blackout_end;
-    ++directory_deaths_;
     if (rng->Bernoulli(config_.churn_fail_probability)) {
       if (injector != nullptr && injector->DrawSilentCrash()) {
         injector->MarkSilent(dir->address());

@@ -34,7 +34,6 @@ class ChurnManager {
 
   /// Starts the churn process (no-op if config.churn_enabled is false).
   void Start();
-  void Stop();
 
   /// True if the node is in its post-death blackout (the workload driver
   /// should skip queries from it — the user is offline).
@@ -42,7 +41,6 @@ class ChurnManager {
 
   uint64_t failures() const { return failures_; }
   uint64_t leaves() const { return leaves_; }
-  uint64_t directory_deaths() const { return directory_deaths_; }
 
  private:
   /// One churn round over lane partition `lane` with generator `rng`
@@ -65,7 +63,6 @@ class ChurnManager {
       blackout_until_;
   uint64_t failures_ = 0;
   uint64_t leaves_ = 0;
-  uint64_t directory_deaths_ = 0;
 
   static constexpr SimTime kTick = 1 * kMinute;
 };

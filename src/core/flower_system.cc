@@ -28,7 +28,7 @@ FlowerSystem::FlowerSystem(const SimConfig& config, Simulator* sim,
       metrics_(metrics),
       scheme_(config.chord_id_bits, config.locality_id_bits,
               config.scaleup_extra_bits),
-      dring_(MakeChordConfig(config)),
+      dring_(MakeChordConfig(config), metrics),
       catalog_(std::make_unique<WebsiteCatalog>(config, scheme_)),
       deployment_(Deployment::Plan(config, *topology, sim->rng())),
       rng_seed_(sim->rng()->Next()),
@@ -52,7 +52,6 @@ FlowerSystem::FlowerSystem(const SimConfig& config, Simulator* sim,
   content_peers_.resize(lanes);
   directories_.resize(lanes);
   graveyards_.resize(lanes);
-  clients_created_.assign(lanes, 0);
   promotions_.assign(lanes, 0);
   if (sim_->sharded()) {
     client_rngs_.reserve(lanes);
@@ -150,7 +149,6 @@ void FlowerSystem::SubmitQuery(NodeId node, WebsiteId website,
                                             client_seed);
   peer->Activate(node);
   ContentPeer* raw = content_peers_[lane].Insert(node, std::move(peer));
-  ++clients_created_[lane];
   raw->RequestObject(object);
 }
 
@@ -264,12 +262,6 @@ std::vector<DirectoryPeer*> FlowerSystem::LiveDirectoriesIn(int lane) const {
               return a->node() < b->node();
             });
   return out;
-}
-
-uint64_t FlowerSystem::clients_created() const {
-  uint64_t total = 0;
-  for (uint64_t c : clients_created_) total += c;
-  return total;
 }
 
 uint64_t FlowerSystem::promotions() const {

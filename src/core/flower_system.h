@@ -110,7 +110,6 @@ class FlowerSystem {
   std::vector<ContentPeer*> LiveContentPeersIn(int lane) const;
   std::vector<DirectoryPeer*> LiveDirectoriesIn(int lane) const;
 
-  uint64_t clients_created() const;
   uint64_t promotions() const;
 
   /// Aggregated end-of-run view state over joined content peers. All
@@ -158,8 +157,7 @@ class FlowerSystem {
   // the lane that buried the peer).
   LANE_CONFINED std::vector<std::vector<std::unique_ptr<Peer>>> graveyards_;
 
-  // Per-lane counters, folded by the getters.
-  LANE_CONFINED std::vector<uint64_t> clients_created_;
+  // Per-lane promotion counts, folded by promotions().
   LANE_CONFINED std::vector<uint64_t> promotions_;
   // Sharded mode only: per-lane seed streams for mid-run client
   // creation, derived from this system's seed so the serial draw

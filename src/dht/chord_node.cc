@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "dht/chord_ring.h"
+#include "stats/metrics.h"
 
 namespace flower {
 
@@ -130,7 +131,7 @@ void ChordNode::HandleRoute(std::unique_ptr<RouteMsg> msg) {
   const Key key = msg->key;
   if (msg->first_sent < 0) msg->first_sent = sim_->Now();
   if (msg->hops > ring_->config().max_route_hops) {
-    ++routes_dropped_;
+    ring_->metrics()->OnRouteDropped();
     FLOWER_LOG(Warn) << "dropping route to key " << key << " after "
                      << msg->hops << " hops";
     return;

@@ -139,7 +139,6 @@ class ChordNode : public Peer {
   KbrApp* app_ = nullptr;
   bool joined_ = false;
 
-  uint64_t routes_dropped_ = 0;
   // KnownPeers() as of ring version known_peers_version_. Read and rebuilt
   // only on this node's lane; the ring changes (setup, churn, Squirrel's
   // lazy joins) only while lanes run on one thread.

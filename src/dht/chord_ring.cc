@@ -4,8 +4,10 @@
 
 namespace flower {
 
-ChordRing::ChordRing(const ChordConfig& config)
-    : config_(config), space_(config.id_bits) {}
+ChordRing::ChordRing(const ChordConfig& config, Metrics* metrics)
+    : config_(config), space_(config.id_bits), metrics_(metrics) {
+  assert(metrics != nullptr);
+}
 
 bool ChordRing::Insert(ChordNode* node) {
   assert(node != nullptr);

@@ -1,7 +1,8 @@
 // Ring membership: the sorted map of live nodes *is* the ring. Nodes read
 // their neighbors and fingers from it, which models a perfectly stabilized
 // Chord. A version counter moves with every membership change, so nodes
-// can cache what they read until the ring changes.
+// can cache what they read until the ring changes. The ring also names
+// the run's Metrics, where its nodes count the routes they drop.
 #ifndef FLOWERCDN_DHT_CHORD_RING_H_
 #define FLOWERCDN_DHT_CHORD_RING_H_
 
@@ -14,11 +15,16 @@
 
 namespace flower {
 
+class Metrics;
+
 class ChordRing {
  public:
-  explicit ChordRing(const ChordConfig& config);
+  /// `metrics` (non-null) receives OnRouteDropped for every route a node
+  /// drops after config.max_route_hops.
+  ChordRing(const ChordConfig& config, Metrics* metrics);
 
   const ChordConfig& config() const { return config_; }
+  Metrics* metrics() const { return metrics_; }
   const IdSpace& space() const { return space_; }
   size_t size() const { return nodes_.size(); }
 
@@ -46,6 +52,7 @@ class ChordRing {
  private:
   ChordConfig config_;
   IdSpace space_;
+  Metrics* metrics_;
   std::map<Key, ChordNode*> nodes_;
   uint64_t version_ = 0;
 };

@@ -1,7 +1,7 @@
 #include "net/fault_injector.h"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 namespace flower {
 
@@ -10,13 +10,6 @@ namespace {
 // Stream-derivation tag for per-lane fault RNGs (same pattern as the
 // churn manager's kChurnLaneTag).
 constexpr uint64_t kFaultLaneTag = 0xfa17fa17fa17ull;
-
-int ClassIndexByName(const std::string& name) {
-  for (int c = 0; c < static_cast<int>(TrafficClass::kNumClasses); ++c) {
-    if (name == TrafficClassName(static_cast<TrafficClass>(c))) return c;
-  }
-  return -1;
-}
 
 std::vector<std::string> SplitOn(const std::string& s, char sep) {
   std::vector<std::string> parts;
@@ -30,128 +23,51 @@ std::vector<std::string> SplitOn(const std::string& s, char sep) {
   return parts;
 }
 
-Status ParseProb(const std::string& key, const std::string& v, double* out) {
-  char* end = nullptr;
-  double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0' || x < 0.0 || x > 1.0) {
-    return Status::InvalidArgument(key + " wants a probability in [0, 1], got \"" +
-                                   v + "\"");
-  }
-  *out = x;
-  return Status::Ok();
-}
-
 Status ParseSide(const std::string& spec, PartitionSide* out) {
-  if (spec.empty()) {
-    return Status::InvalidArgument("empty partition side");
-  }
   if (spec == "*") {
     out->kind = PartitionSide::Kind::kRest;
-    return Status::Ok();
-  }
-  if (spec[0] == 'n') {
-    out->kind = PartitionSide::Kind::kNodes;
-    for (std::string tok : SplitOn(spec, ',')) {
-      if (!tok.empty() && tok[0] == 'n') tok = tok.substr(1);
-      char* end = nullptr;
-      long long id = std::strtoll(tok.c_str(), &end, 10);
-      if (end == tok.c_str() || *end != '\0' || id < 0) {
-        return Status::InvalidArgument("bad node id in partition side: \"" +
-                                       spec + "\"");
-      }
-      out->nodes.push_back(static_cast<PeerAddress>(id));
-    }
-    std::sort(out->nodes.begin(), out->nodes.end());
     return Status::Ok();
   }
   char* end = nullptr;
   long long loc = std::strtoll(spec.c_str(), &end, 10);
   if (end == spec.c_str() || *end != '\0' || loc < 0) {
     return Status::InvalidArgument(
-        "partition side wants a locality id, \"*\" or \"n<id,...>\", got \"" +
-        spec + "\"");
+        "partition side wants a locality id or \"*\", got \"" + spec +
+        "\"");
   }
   out->kind = PartitionSide::Kind::kLocality;
   out->locality = static_cast<LocalityId>(loc);
   return Status::Ok();
 }
 
-// Side membership; kRest is resolved by the caller (complement of the
-// other side).
-bool SideContains(const PartitionSide& side, PeerAddress addr,
-                  const Topology& topology) {
-  switch (side.kind) {
-    case PartitionSide::Kind::kLocality:
-      return topology.LocalityOf(static_cast<NodeId>(addr)) == side.locality;
-    case PartitionSide::Kind::kNodes:
-      return std::binary_search(side.nodes.begin(), side.nodes.end(), addr);
-    case PartitionSide::Kind::kRest:
-      return true;  // unreachable; handled by the caller
-  }
-  return false;
+// True if a node of locality `loc` is on `side`; a "*" side holds every
+// locality that `other` does not.
+bool OnSide(const PartitionSide& side, const PartitionSide& other,
+            LocalityId loc) {
+  if (side.kind == PartitionSide::Kind::kRest) return loc != other.locality;
+  return loc == side.locality;
 }
 
 bool WindowCuts(const PartitionWindow& w, PeerAddress x, PeerAddress y,
                 const Topology& topology) {
-  bool x_in_a;
-  bool x_in_b;
-  bool y_in_a;
-  bool y_in_b;
-  if (w.a.kind == PartitionSide::Kind::kRest) {
-    x_in_b = SideContains(w.b, x, topology);
-    y_in_b = SideContains(w.b, y, topology);
-    x_in_a = !x_in_b;
-    y_in_a = !y_in_b;
-  } else if (w.b.kind == PartitionSide::Kind::kRest) {
-    x_in_a = SideContains(w.a, x, topology);
-    y_in_a = SideContains(w.a, y, topology);
-    x_in_b = !x_in_a;
-    y_in_b = !y_in_a;
-  } else {
-    x_in_a = SideContains(w.a, x, topology);
-    y_in_a = SideContains(w.a, y, topology);
-    x_in_b = SideContains(w.b, x, topology);
-    y_in_b = SideContains(w.b, y, topology);
-  }
-  return (x_in_a && y_in_b) || (x_in_b && y_in_a);
+  const LocalityId lx = topology.LocalityOf(static_cast<NodeId>(x));
+  const LocalityId ly = topology.LocalityOf(static_cast<NodeId>(y));
+  return (OnSide(w.a, w.b, lx) && OnSide(w.b, w.a, ly)) ||
+         (OnSide(w.b, w.a, lx) && OnSide(w.a, w.b, ly));
 }
 
 }  // namespace
 
-Status ParseClassProbSpec(const std::string& key, const std::string& spec,
-                          std::array<double, FaultPlan::kNumClasses>* out) {
-  out->fill(0.0);
+Status ParseLossSpec(const std::string& spec, double* out) {
+  *out = 0;
   if (spec.empty()) return Status::Ok();
-  if (spec.find(':') == std::string::npos) {
-    double p;
-    Status s = ParseProb(key, spec, &p);
-    if (!s.ok()) return s;
-    out->fill(p);
-    return Status::Ok();
+  char* end = nullptr;
+  const double p = std::strtod(spec.c_str(), &end);
+  if (end == spec.c_str() || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument(
+        "fault_loss wants a probability in [0, 1], got \"" + spec + "\"");
   }
-  for (const std::string& pair : SplitOn(spec, ',')) {
-    size_t colon = pair.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument(key + " wants \"class:prob\" pairs, got \"" +
-                                     pair + "\"");
-    }
-    const std::string cls = pair.substr(0, colon);
-    if (cls == "*") {  // all classes; later pairs can override
-      double p;
-      Status s = ParseProb(key, pair.substr(colon + 1), &p);
-      if (!s.ok()) return s;
-      out->fill(p);
-      continue;
-    }
-    int ci = ClassIndexByName(cls);
-    if (ci < 0) {
-      return Status::InvalidArgument(key + ": unknown traffic class \"" + cls +
-                                     "\"");
-    }
-    Status s = ParseProb(key, pair.substr(colon + 1),
-                         &(*out)[static_cast<size_t>(ci)]);
-    if (!s.ok()) return s;
-  }
+  *out = p;
   return Status::Ok();
 }
 
@@ -204,7 +120,7 @@ Status ParsePartitionSpec(const std::string& spec,
 
 Result<FaultPlan> FaultPlan::FromConfig(const SimConfig& config) {
   FaultPlan plan;
-  Status s = ParseClassProbSpec("fault_loss", config.fault_loss, &plan.loss);
+  Status s = ParseLossSpec(config.fault_loss, &plan.loss);
   if (!s.ok()) return s;
   s = ParsePartitionSpec(config.fault_partitions, &plan.partitions);
   if (!s.ok()) return s;
@@ -217,15 +133,8 @@ Result<FaultPlan> FaultPlan::FromConfig(const SimConfig& config) {
   return plan;
 }
 
-bool FaultPlan::AnyLoss() const {
-  for (double p : loss) {
-    if (p > 0) return true;
-  }
-  return false;
-}
-
 bool FaultPlan::Active() const {
-  return AnyLoss() || !partitions.empty() || silent_crash_probability > 0;
+  return loss > 0 || !partitions.empty() || silent_crash_probability > 0;
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, Simulator* sim,
@@ -263,9 +172,9 @@ bool FaultInjector::CutsLink(PeerAddress a, PeerAddress b,
   return false;
 }
 
-bool FaultInjector::DrawLoss(TrafficClass cls) {
-  const double p = plan_.loss[static_cast<size_t>(cls)];
-  if (p <= 0) return false;  // never draw when the class is lossless
+bool FaultInjector::DrawLoss() {
+  const double p = plan_.loss;
+  if (p <= 0) return false;  // never draw on a lossless network
   if (!SelfRng().Bernoulli(p)) return false;
   ++Self().injected_drops;
   return true;

@@ -1,5 +1,6 @@
-// Deterministic fault injection for the simulated network (loss,
-// partition windows, silent crash-stop).
+// Deterministic fault injection for the simulated network: message loss
+// (one probability for every traffic class), partition windows between a
+// locality and another locality or everyone else, and silent crash-stop.
 //
 // All probabilistic draws come from per-lane RNG streams derived from the
 // master seed (Mix64(seed ^ (kFaultLaneTag + slot))), never from the
@@ -15,7 +16,6 @@
 #ifndef FLOWERCDN_NET_FAULT_INJECTOR_H_
 #define FLOWERCDN_NET_FAULT_INJECTOR_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -25,19 +25,17 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "net/message.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
 namespace flower {
 
-/// One side of a partition cut: a whole locality, an explicit node set,
-/// or "everyone else" (the complement of the other side).
+/// One side of a partition cut: a whole locality, or "everyone else"
+/// (the complement of the other side).
 struct PartitionSide {
-  enum class Kind { kLocality, kNodes, kRest };
+  enum class Kind { kLocality, kRest };
   Kind kind = Kind::kLocality;
   LocalityId locality = 0;
-  std::vector<PeerAddress> nodes;  // sorted, kNodes only
 };
 
 /// A scheduled cut: messages crossing A<->B are dropped while
@@ -52,32 +50,25 @@ struct PartitionWindow {
 /// Parsed, validated fault model. All defaults are "off": a default plan
 /// is inactive and an injector built from it never draws.
 struct FaultPlan {
-  static constexpr size_t kNumClasses =
-      static_cast<size_t>(TrafficClass::kNumClasses);
-
-  std::array<double, kNumClasses> loss{};  // per-class drop prob
+  double loss = 0;  // drop probability of every message, any class
   std::vector<PartitionWindow> partitions;
   double silent_crash_probability = 0;  // churn fail -> no bounce
 
   /// Parses the fault_* keys of a config (specs documented on the keys in
   /// common/config.h). Fails on malformed specs, probabilities outside
-  /// [0, 1], unknown traffic classes, or inverted windows.
+  /// [0, 1], or inverted windows.
   static Result<FaultPlan> FromConfig(const SimConfig& config);
 
   /// True if any fault dimension is enabled.
   bool Active() const;
-  bool AnyLoss() const;
 };
 
-/// Parses a loss spec: either a bare probability ("0.05",
-/// all classes) or comma-separated "class:prob" pairs
-/// ("query:0.05,push:0.1") with TrafficClassName class names.
-Status ParseClassProbSpec(const std::string& key, const std::string& spec,
-                          std::array<double, FaultPlan::kNumClasses>* out);
+/// Parses a loss spec: one probability in [0, 1] ("0.05"); empty is 0.
+Status ParseLossSpec(const std::string& spec, double* out);
 
 /// Parses a partition spec: ";"-separated windows "A|B@START-END" where
-/// each side is a locality id, "*" (everyone else), or "n"-prefixed node
-/// list ("n5,n7"), and START/END accept the config time suffixes.
+/// each side is a locality id or "*" (everyone else), and START/END
+/// accept the config time suffixes.
 Status ParsePartitionSpec(const std::string& spec,
                           std::vector<PartitionWindow>* out);
 
@@ -91,17 +82,15 @@ class FaultInjector {
   /// injection hook (and every draw) when false.
   bool active() const { return active_; }
 
-  const FaultPlan& plan() const { return plan_; }
-
   /// True if a partition window cuts the a<->b link at time `now`.
   /// Pure (no RNG).
   bool CutsLink(PeerAddress a, PeerAddress b, SimTime now) const;
   /// Counts a partition-window drop on the current lane.
   void CountPartitionDrop() { ++Self().partition_drops; }
 
-  /// Draws (only when loss[cls] > 0) whether to drop this message;
-  /// counts the drop.
-  bool DrawLoss(TrafficClass cls);
+  /// Draws (only when loss > 0) whether to drop a message; counts the
+  /// drop.
+  bool DrawLoss();
 
   /// Draws (only when silent_crash_probability > 0) whether an upcoming
   /// churn crash-failure goes dark silently (no undeliverable bounce).

@@ -99,7 +99,7 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
       injector_->CountPartitionDrop();
       return;
     }
-    if (injector_->DrawLoss(cls)) return;
+    if (injector_->DrawLoss()) return;
   }
 
   // EventFn closures are move-only-friendly, so the message rides in the

@@ -15,7 +15,6 @@ void EventHandle::Cancel() {
   // queue (periodic timers), and their captures must not linger until
   // the heap skims the stale item.
   queue_->FreeSlot(slot_);
-  --queue_->live_;
   ++queue_->cancelled_;
 }
 
@@ -96,7 +95,6 @@ EventHandle EventQueue::Push(SimTime t, EventFn fn) {
   slot.seq = seq;
   heap_.push_back(Item::Make(t, seq, index));
   SiftUp(heap_.size() - 1);
-  ++live_;
   return EventHandle(this, index, seq);
 }
 
@@ -109,18 +107,6 @@ SimTime EventQueue::NextTime() const {
   SkimCancelled();
   assert(!heap_.empty());
   return heap_[0].Time();
-}
-
-EventFn EventQueue::Pop(SimTime* t) {
-  SkimCancelled();
-  assert(!heap_.empty());
-  const Item item = heap_[0];
-  PopRoot();
-  EventFn fn = std::move(SlotAt(item.Slot()).fn);
-  FreeSlot(item.Slot());  // invalidates the seq: handles go stale (fired)
-  --live_;
-  *t = item.Time();
-  return fn;
 }
 
 }  // namespace flower

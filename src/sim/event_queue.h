@@ -22,10 +22,8 @@
 //    the heap skims the stale item lazily. Handles hold no owning
 //    pointers, so the old shared_ptr-cycle teardown hazard cannot exist
 //    by construction.
-//  - The dispatch fast path is RunNextIfBefore: one skim, pop, invoke
-//    the callback in its slot (no move, no temporary), then recycle the
-//    slot. Pop (move the callback out) remains for callers that need
-//    the callable itself.
+//  - Dispatch is RunNextIfBefore: one skim, pop, invoke the callback in
+//    its slot (no move, no temporary), then recycle the slot.
 //
 // Handles must not outlive their queue: everything in this codebase that
 // stores one lives inside the owning Simulator's scope.
@@ -82,17 +80,11 @@ class EventQueue {
   /// Time of the earliest live event. Requires !empty().
   SimTime NextTime() const;
 
-  /// Pops the earliest live event: removes it and returns its callback
-  /// (without running it). Requires !empty(). Reports the event time via
-  /// *t.
-  EventFn Pop(SimTime* t);
-
-  /// Dispatch fast path: if a live event with time <= bound exists, pops
-  /// it, calls `before(time)` (the simulator advances its clock here),
-  /// invokes the callback in place, recycles the slot and returns true.
-  /// Returns false otherwise. The callback may Push new events and
-  /// Cancel others; cancelling its own (already firing) event is a
-  /// no-op, exactly as with Pop.
+  /// Dispatch: if a live event with time <= bound exists, pops it, calls
+  /// `before(time)` (the simulator advances its clock here), invokes the
+  /// callback in place, recycles the slot and returns true. Returns false
+  /// otherwise. The callback may Push new events and Cancel others;
+  /// cancelling its own (already firing) event is a no-op.
   template <typename BeforeFn>
   bool RunNextIfBefore(SimTime bound, BeforeFn&& before) {
     SkimCancelled();
@@ -103,7 +95,6 @@ class EventQueue {
     // Stale the seq first: handles read "fired" from here on, so a
     // Cancel from inside the callback cannot double-free the slot.
     slot.seq = kFreeSeq;
-    --live_;
     before(item.Time());
     // Invoke+destroy in place, one type-erased call; slabs are stable,
     // so pushes during the call are safe.
@@ -112,9 +103,6 @@ class EventQueue {
     RecycleSlot(item.Slot());
     return true;
   }
-
-  /// Number of live (neither fired nor cancelled) events.
-  size_t live_size() const { return live_; }
 
   /// Events cancelled over the queue's lifetime.
   uint64_t events_cancelled() const { return cancelled_; }
@@ -205,7 +193,6 @@ class EventQueue {
   uint32_t next_unused_slot_ = 0;
   uint32_t free_head_ = kNoSlot;
   uint32_t next_seq_ = 0;
-  size_t live_ = 0;
   uint64_t cancelled_ = 0;
   // Skimming mutates only the physical heap (dropping entries that are
   // already dead), so const observers may do it without a const_cast.

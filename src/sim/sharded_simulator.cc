@@ -102,7 +102,6 @@ void ShardedSimulator::DispatchGroups(SimTime bound) {
 
 void ShardedSimulator::RunWindow(SimTime bound) {
   sim_->RunControlUntil(bound);
-  if (sim_->stop_requested()) return;
   if (executor_ == Executor::kThreads) {
     DispatchGroups(bound);
   } else {
@@ -112,9 +111,8 @@ void ShardedSimulator::RunWindow(SimTime bound) {
 }
 
 void ShardedSimulator::RunUntil(SimTime t) {
-  sim_->ClearStopRequest();
   const SimTime lookahead = sim_->shard_plan().lookahead;
-  while (!sim_->stop_requested()) {
+  for (;;) {
     const SimTime next = sim_->NextEventTime();
     if (next > t) break;
     // Window [next, bound]; width <= lookahead keeps cross-lane posts
@@ -123,20 +121,7 @@ void ShardedSimulator::RunUntil(SimTime t) {
         (t - next >= lookahead) ? next + lookahead - 1 : t;
     RunWindow(bound);
   }
-  if (!sim_->stop_requested()) sim_->AdvanceAllClocksTo(t);
-}
-
-void ShardedSimulator::Run() {
-  sim_->ClearStopRequest();
-  const SimTime lookahead = sim_->shard_plan().lookahead;
-  while (!sim_->stop_requested() && !sim_->AllQueuesEmpty()) {
-    const SimTime next = sim_->NextEventTime();
-    assert(next < kMaxSimTime);
-    const SimTime bound = (kMaxSimTime - next > lookahead)
-                              ? next + lookahead - 1
-                              : kMaxSimTime;
-    RunWindow(bound);
-  }
+  sim_->AdvanceAllClocksTo(t);
 }
 
 }  // namespace flower

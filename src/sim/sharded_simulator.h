@@ -19,9 +19,6 @@
 //      merged into their destination queues in (time, source lane, seq)
 //      stamp order. The lookahead guarantees every such message targets
 //      a later window, so no lane ever sees a message "from the past".
-//
-// Stop() requests take effect immediately in the control phase and at
-// the end of the window otherwise — the deterministic cut points.
 #ifndef FLOWERCDN_SIM_SHARDED_SIMULATOR_H_
 #define FLOWERCDN_SIM_SHARDED_SIMULATOR_H_
 
@@ -53,9 +50,6 @@ class ShardedSimulator {
   /// Runs all lanes up to and including time t, then advances every
   /// clock to t (the sharded counterpart of Simulator::RunUntil).
   void RunUntil(SimTime t);
-
-  /// Runs until every queue is drained or a stop is requested.
-  void Run();
 
   Executor executor() const { return executor_; }
   int num_groups() const { return static_cast<int>(groups_.size()); }

@@ -44,7 +44,6 @@ EventHandle Simulator::ScheduleAt(SimTime t, EventFn fn) {
 }
 
 void Simulator::RunLoop(SimTime bound) {
-  stop_requested_ = false;
   // The clock advances in the `before` hook, so callbacks observe their
   // own event time via Now(); the callback then runs in its pool slot
   // (no per-event move of the callable).
@@ -53,7 +52,7 @@ void Simulator::RunLoop(SimTime bound) {
     now_ = event_time;
     ++events_processed_;
   };
-  while (!stop_requested_ && queue_.RunNextIfBefore(bound, advance_clock)) {
+  while (queue_.RunNextIfBefore(bound, advance_clock)) {
   }
 }
 
@@ -66,7 +65,7 @@ void Simulator::RunUntil(SimTime t) {
   assert(shard_ == nullptr && "sharded runs go through ShardedSimulator");
   assert(t >= now_);
   RunLoop(t);
-  if (!stop_requested_ && now_ < t) now_ = t;
+  if (now_ < t) now_ = t;
 }
 
 uint64_t Simulator::events_processed() const {
@@ -176,22 +175,12 @@ void Simulator::RunLaneUntil(int lane, SimTime bound) {
 
 void Simulator::RunControlUntil(SimTime bound) {
   assert(shard_ != nullptr);
-  const auto advance_clock = [this](SimTime event_time) {
-    assert(event_time >= now_);
-    now_ = event_time;
-    ++events_processed_;
-  };
-  while (!stop_requested_ && queue_.RunNextIfBefore(bound, advance_clock)) {
-  }
+  RunLoop(bound);
 }
 
 bool Simulator::LaneHasEventBefore(int lane, SimTime bound) const {
   const EventQueue& q = shard_->lanes[static_cast<size_t>(lane)]->queue;
   return !q.empty() && q.NextTime() <= bound;
-}
-
-bool Simulator::ControlHasEventBefore(SimTime bound) const {
-  return !queue_.empty() && queue_.NextTime() <= bound;
 }
 
 void Simulator::ExchangeCrossLane() {
@@ -223,17 +212,6 @@ void Simulator::ExchangeCrossLane() {
     dest.queue.Push(post.time, std::move(post.fn));
   }
   batch.clear();
-}
-
-bool Simulator::AllQueuesEmpty() const {
-  if (!queue_.empty()) return false;
-  if (shard_ != nullptr) {
-    for (const auto& lane : shard_->lanes) {
-      if (!lane->queue.empty()) return false;
-      if (!lane->outbox.empty()) return false;
-    }
-  }
-  return true;
 }
 
 SimTime Simulator::NextEventTime() const {

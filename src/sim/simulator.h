@@ -19,7 +19,6 @@
 #ifndef FLOWERCDN_SIM_SIMULATOR_H_
 #define FLOWERCDN_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -129,8 +128,8 @@ class Simulator {
         initial_delay, PeriodicTick<F>{timer, this, std::move(fn)});
   }
 
-  /// Runs events until the queue is empty or a stop was requested.
-  /// Serial mode only; sharded runs go through ShardedSimulator.
+  /// Runs events until the queue is empty. Serial mode only; sharded
+  /// runs go through ShardedSimulator.
   void Run();
 
   /// Runs events with time <= t, then sets Now() to t (if queue drained).
@@ -139,12 +138,6 @@ class Simulator {
 
   /// Runs for a relative duration from the current time.
   void RunFor(SimTime duration) { RunUntil(Now() + duration); }
-
-  /// Requests the run loop to stop. Serial mode stops after the current
-  /// event; a sharded run stops at the next window barrier (the
-  /// deterministic point — stopping mid-window would make the cut depend
-  /// on lane execution order).
-  void Stop() { stop_requested_ = true; }
 
   /// Master generator for this simulation. Fork per component (setup
   /// path); lane-scoped randomness should come from lane_rng instead.
@@ -222,31 +215,25 @@ class Simulator {
   // --- Sharded engine internals (driven by ShardedSimulator and engine
   // tests; not for peer code) -------------------------------------------------
 
-  /// Dispatches `lane`'s events with time <= bound. Ignores Stop() —
-  /// lanes always complete their window so the stop point is
-  /// deterministic.
+  /// Dispatches `lane`'s events with time <= bound.
   void RunLaneUntil(int lane, SimTime bound);
-  /// Dispatches control-lane events with time <= bound; honors Stop()
-  /// immediately (the control phase is coordinator-sequential).
+  /// Dispatches control-lane events with time <= bound.
   void RunControlUntil(SimTime bound);
   bool LaneHasEventBefore(int lane, SimTime bound) const;
-  bool ControlHasEventBefore(SimTime bound) const;
   /// Barrier: delivers every pending cross-lane post into its
   /// destination lane's queue, in (time, source lane, post seq) stamp
   /// order — the order (and thus queue tie-breaking) is independent of
   /// executor threading and shard grouping.
   void ExchangeCrossLane();
-  bool AllQueuesEmpty() const;
   /// Earliest pending event across control + all lanes (posts must be
   /// exchanged first); kMaxSimTime when drained.
   SimTime NextEventTime() const;
-  bool stop_requested() const { return stop_requested_; }
-  void ClearStopRequest() { stop_requested_ = false; }
   /// Advances every clock to at least t (end-of-run clamp).
   void AdvanceAllClocksTo(SimTime t);
 
  private:
-  /// Dispatches events with time <= bound until drained or stopped.
+  /// Dispatches the control queue's events (every event when serial)
+  /// with time <= bound.
   void RunLoop(SimTime bound);
 
   struct CrossLanePost {
@@ -283,9 +270,6 @@ class Simulator {
   EventQueue queue_;
   Rng rng_;
   uint64_t seed_;
-  // Atomic so a Stop() from a lane event is a benign cross-thread signal
-  // under the parallel executor (it is only *honored* at barriers).
-  std::atomic<bool> stop_requested_{false};
   uint64_t events_processed_ = 0;
   std::unique_ptr<ShardState> shard_;
 };

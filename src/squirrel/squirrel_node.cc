@@ -1,6 +1,7 @@
 #include "squirrel/squirrel_node.h"
 
 #include <cassert>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -116,28 +117,12 @@ void SquirrelNode::ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query) {
   const ObjectId object = query->object;
 
   if (cache_.Contains(object)) {
-    // The home node happens to hold the object (it downloaded it itself,
-    // or home-store keeps it here by design).
+    // The home node happens to hold the object (it downloaded it itself).
     cache_.Touch(object);
     ServeClient(*query);
     return;
   }
 
-  if (ctx_->strategy == SquirrelStrategy::kHomeStore) {
-    // Fetch from the origin server once; queue concurrent requests.
-    auto& waiting = awaiting_fetch_[object];
-    waiting.push_back(std::move(query));
-    if (waiting.size() == 1) {
-      const Website* site = SiteOf(*waiting.front());
-      auto fetch = std::make_unique<FlowerQueryMsg>(
-          site->index, site->dring_hash, object, address(), 0,
-          waiting.front()->submit_time, QueryStage::kToServer);
-      ctx_->network->Send(this, site->server_addr, std::move(fetch));
-    }
-    return;
-  }
-
-  // Directory strategy.
   auto dit = home_dirs_.find(object);
   std::vector<PeerAddress> candidates;
   if (dit != home_dirs_.end()) {
@@ -174,24 +159,6 @@ void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
   // Same cost model as Flower peers, so cross-system cache ablations
   // under cache_cost=distance stay fair.
   CacheObject(object, cost_model_.OnFetch(object, distance));
-
-  // Home-store: the object just arrived from the server; serve the queue.
-  auto wit = awaiting_fetch_.find(object);
-  if (wit != awaiting_fetch_.end()) {
-    bool first = true;
-    for (auto& q : wit->second) {
-      if (q->client == address()) continue;  // that was our own fetch
-      ctx_->metrics->OnLookupResolved(q->submit_time, now,
-                                      /*provider_is_server=*/first);
-      auto out = std::make_unique<ServeMsg>(
-          object, q->website, q->website_hash, address(),
-          /*from_server=*/first, q->submit_time,
-          ctx_->config->object_size_bits);
-      ctx_->network->Send(this, q->client, std::move(out));
-      first = false;
-    }
-    awaiting_fetch_.erase(wit);
-  }
 }
 
 void SquirrelNode::HandleMessage(MessagePtr msg) {

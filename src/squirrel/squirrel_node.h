@@ -1,22 +1,17 @@
-// Squirrel (Iyer, Rowstron, Druschel — PODC 2002), the paper's baseline.
-//
-// Every client node is a DHT member. Two strategies:
-//  - directory (default, the variant the paper compares against, Sec 6.1):
-//    the peer whose ID is closest to hash(object URL) — the object's *home
-//    node* — stores a small directory of pointers to recent downloaders;
-//    queries route through the DHT to the home node, which forwards them
-//    to a random recent downloader, falling back to the origin server.
-//  - home-store (Sec 7): the home node stores the object itself, fetching
-//    it from the origin server on first miss.
-// No locality or interest awareness anywhere — that is the point of the
-// comparison.
+// Squirrel (Iyer, Rowstron, Druschel — PODC 2002), the paper's baseline,
+// in its directory strategy, the variant the paper compares against
+// (Sec 6.1). Every client node is a DHT member. The peer whose ID is
+// closest to hash(object URL) — the object's *home node* — stores a
+// small directory of pointers to recent downloaders; queries route
+// through the DHT to the home node, which forwards them to a random
+// recent downloader, falling back to the origin server. No locality or
+// interest awareness anywhere — that is the point of the comparison.
 #ifndef FLOWERCDN_SQUIRREL_SQUIRREL_NODE_H_
 #define FLOWERCDN_SQUIRREL_SQUIRREL_NODE_H_
 
 #include <deque>
 #include <map>
 #include <set>
-#include <vector>
 
 #include "cache/content_store.h"
 #include "common/config.h"
@@ -28,11 +23,6 @@
 
 namespace flower {
 
-enum class SquirrelStrategy {
-  kDirectory,
-  kHomeStore,
-};
-
 struct SquirrelContext {
   Simulator* sim = nullptr;
   Network* network = nullptr;
@@ -40,7 +30,6 @@ struct SquirrelContext {
   const SimConfig* config = nullptr;
   const WebsiteCatalog* catalog = nullptr;
   Metrics* metrics = nullptr;
-  SquirrelStrategy strategy = SquirrelStrategy::kDirectory;
   int directory_capacity = 4;  // pointers per object at the home node
 };
 
@@ -70,8 +59,8 @@ class SquirrelNode : public ChordNode, public KbrApp {
   void HandleUndeliverable(PeerAddress dest, MessagePtr msg) override;
 
  private:
-  /// Home-node processing: forward to a recent downloader, to the origin
-  /// server, or (home-store) serve/fetch the object itself.
+  /// Home-node processing: serve the object if held here, else forward
+  /// to a recent downloader or to the origin server.
   void ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query);
   /// Caches an object under the store's policy/budget, counting evictions.
   /// `cost` is the GDSF retrieval-cost term (RefetchCostModel::OnFetch;
@@ -101,12 +90,9 @@ class SquirrelNode : public ChordNode, public KbrApp {
   /// (counted via OnStaleRedirect); misses on never-held objects are the
   /// baseline's pre-existing optimistic-pointer noise and stay uncounted.
   std::set<ObjectId> evicted_ids_;
-  /// Directory strategy: recent downloaders per object homed here
-  /// (most recent at the back; capped at directory_capacity).
+  /// Recent downloaders per object homed here (most recent at the back;
+  /// capped at directory_capacity).
   std::map<ObjectId, std::deque<PeerAddress>> home_dirs_;
-  /// Home-store strategy: queries waiting while we fetch from the server.
-  std::map<ObjectId, std::vector<std::unique_ptr<FlowerQueryMsg>>>
-      awaiting_fetch_;
   std::set<ObjectId> pending_own_;
 };
 

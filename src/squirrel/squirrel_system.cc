@@ -17,7 +17,7 @@ ChordConfig MakeChordConfig(const SimConfig& config) {
 
 SquirrelSystem::SquirrelSystem(const SimConfig& config, Simulator* sim,
                                Network* network, const Topology* topology,
-                               Metrics* metrics, SquirrelStrategy strategy)
+                               Metrics* metrics)
     : config_(config),
       sim_(sim),
       network_(network),
@@ -25,7 +25,7 @@ SquirrelSystem::SquirrelSystem(const SimConfig& config, Simulator* sim,
       metrics_(metrics),
       scheme_(config.chord_id_bits, config.locality_id_bits,
               config.scaleup_extra_bits),
-      ring_(MakeChordConfig(config)),
+      ring_(MakeChordConfig(config), metrics),
       catalog_(std::make_unique<WebsiteCatalog>(config, scheme_)),
       // Same construction order as FlowerSystem, so the same master seed
       // yields an identical deployment (and thus an identical workload).
@@ -37,7 +37,6 @@ SquirrelSystem::SquirrelSystem(const SimConfig& config, Simulator* sim,
   ctx_.config = &config_;
   ctx_.catalog = catalog_.get();
   ctx_.metrics = metrics_;
-  ctx_.strategy = strategy;
 }
 
 SquirrelSystem::~SquirrelSystem() = default;
@@ -72,7 +71,6 @@ void SquirrelSystem::SubmitQuery(NodeId node, WebsiteId website,
     }
     peer = fresh.get();
     nodes_[node] = std::move(fresh);
-    ++nodes_created_;
   }
   peer->RequestObject(&catalog_->site(website), object);
 }

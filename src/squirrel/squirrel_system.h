@@ -1,5 +1,6 @@
 // SquirrelSystem: facade mirroring FlowerSystem for the baseline, so the
-// benchmark drivers can run both against identical workload traces.
+// figure and ablation runs compare both under the identical synthetic
+// workload (same seed, same deployment, same query stream).
 #ifndef FLOWERCDN_SQUIRREL_SQUIRREL_SYSTEM_H_
 #define FLOWERCDN_SQUIRREL_SQUIRREL_SYSTEM_H_
 
@@ -18,8 +19,7 @@ namespace flower {
 class SquirrelSystem {
  public:
   SquirrelSystem(const SimConfig& config, Simulator* sim, Network* network,
-                 const Topology* topology, Metrics* metrics,
-                 SquirrelStrategy strategy = SquirrelStrategy::kDirectory);
+                 const Topology* topology, Metrics* metrics);
   ~SquirrelSystem();
 
   SquirrelSystem(const SquirrelSystem&) = delete;
@@ -39,7 +39,6 @@ class SquirrelSystem {
 
   SquirrelNode* FindNode(NodeId node) const;
   std::vector<PeerAddress> ParticipantAddresses() const;
-  uint64_t nodes_created() const { return nodes_created_; }
 
  private:
   SimConfig config_;
@@ -57,7 +56,6 @@ class SquirrelSystem {
 
   std::vector<std::unique_ptr<OriginServer>> servers_;
   std::unordered_map<NodeId, std::unique_ptr<SquirrelNode>> nodes_;
-  uint64_t nodes_created_ = 0;
 };
 
 }  // namespace flower

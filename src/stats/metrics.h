@@ -111,6 +111,11 @@ class Metrics {
   /// declared its directory silently dead and started replacement.
   void OnSuspicionConfirmed() { ++Self().suspicions_confirmed_; }
 
+  // --- Routing hooks (src/dht/) ------------------------------------------------
+
+  /// A ring node dropped a routed message after max_route_hops hops.
+  void OnRouteDropped() { ++Self().routes_dropped_; }
+
   /// Serve counts by provider kind (diagnostics for Fig 8 analyses).
   uint64_t ServesBy(ProviderKind kind) const {
     return SumOverLanes(&Metrics::serves_by_kind_,
@@ -148,6 +153,9 @@ class Metrics {
   }
   uint64_t suspicions_confirmed() const {
     return SumScalar(&Metrics::suspicions_confirmed_);
+  }
+  uint64_t routes_dropped() const {
+    return SumScalar(&Metrics::routes_dropped_);
   }
 
   const RatioSeries& hit_series() const { return Folded().hit_series_; }
@@ -247,6 +255,7 @@ class Metrics {
   uint64_t queries_timed_out_ = 0;
   uint64_t query_retries_ = 0;
   uint64_t suspicions_confirmed_ = 0;
+  uint64_t routes_dropped_ = 0;
   std::array<uint64_t, static_cast<size_t>(ProviderKind::kNumKinds)>
       serves_by_kind_{};
 

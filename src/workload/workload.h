@@ -38,7 +38,7 @@ class WorkloadGenerator {
   /// duration is exceeded.
   bool Next(QueryEvent* out);
 
-  /// Materializes the full trace (for replay or inspection).
+  /// Materializes the whole query stream (for inspection).
   std::vector<QueryEvent> GenerateAll();
 
   uint64_t events_generated() const { return events_generated_; }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dht/chord_ring.h"
+#include "stats/metrics.h"
 #include "test_util.h"
 
 namespace flower {
@@ -34,10 +35,10 @@ class RecordingApp : public KbrApp {
 
 class ChordOracleTest : public ::testing::Test {
  protected:
-  ChordOracleTest() : world_(TinyConfig()) {
+  ChordOracleTest() : world_(TinyConfig()), metrics_(world_.config()) {
     ChordConfig cc;
     cc.id_bits = 16;
-    ring_ = std::make_unique<ChordRing>(cc);
+    ring_ = std::make_unique<ChordRing>(cc, &metrics_);
   }
 
   ChordNode* AddNode(Key id, NodeId node) {
@@ -51,6 +52,7 @@ class ChordOracleTest : public ::testing::Test {
   }
 
   TestWorld world_;
+  Metrics metrics_;
   std::unique_ptr<ChordRing> ring_;
   std::vector<std::unique_ptr<ChordNode>> nodes_;
   RecordingApp app_;
@@ -172,9 +174,10 @@ TEST(ChordNeighborCacheTest, CachedReadsMatchRingReadsAcrossJoinsAndLeaves) {
   // after joins and leaves; each read must equal a fresh read of the ring.
   SimConfig cfg = TinyConfig();
   TestWorld world(cfg, 3);
+  Metrics metrics(cfg);
   ChordConfig cc;
   cc.id_bits = 12;  // a crowded space, so fingers collide and wrap
-  ChordRing ring(cc);
+  ChordRing ring(cc, &metrics);
   Rng rng(29);
   std::vector<std::unique_ptr<ChordNode>> nodes;
   for (int i = 0; i < 120; ++i) {
@@ -217,9 +220,10 @@ TEST_P(ChordRoutingSweep, AllRoutesReachOwnerWithinLogHops) {
   SimConfig cfg = TinyConfig();
   cfg.num_topology_nodes = n + 10;
   TestWorld world(cfg, 7);
+  Metrics metrics(cfg);
   ChordConfig cc;
   cc.id_bits = 24;
-  ChordRing ring(cc);
+  ChordRing ring(cc, &metrics);
   RecordingApp app;
   std::vector<std::unique_ptr<ChordNode>> nodes;
   Rng rng(13);

@@ -92,6 +92,7 @@ TEST(ConfigTest, UnknownKeyRejected) {
       {"directory_summary_neighbors", "2"},
       {"query_backoff_base", "2.0"},
       {"cache_cost_ewma_alpha", "0.3"},
+      {"workload_trace", "run.trace"},
   };
   for (const auto& [key, value] : removed) {
     s = c.Apply(key, value);

@@ -101,16 +101,25 @@ TEST_F(DirectoryFailureTest, LostReplacementRequestIsRetried) {
   DirectoryPeer* dir = system_.FindDirectory(0, 0);
   ASSERT_NE(dir, nullptr);
   Key dir_key = dir->id();
-  // Control traffic (JoinDirectoryReq/Resp) is lost for one keepalive
-  // period after the crash: every member's first attempt disappears.
+  // Locality 0 is cut off from the others for one keepalive period after
+  // the crash. Keepalives to the dead directory stay inside the locality
+  // and still bounce, but the replacement request enters the D-ring at a
+  // random directory and is answered by the D-ring successor of the dead
+  // directory's key, another locality's directory: every member's first
+  // attempt, or its answer, disappears.
   FaultPlan plan;
-  plan.loss[static_cast<size_t>(TrafficClass::kControl)] = 1.0;
+  PartitionWindow cut;
+  cut.a.locality = 0;
+  cut.b.kind = PartitionSide::Kind::kRest;
+  cut.start = world_.sim()->Now();
+  cut.end = cut.start + world_.config().keepalive_period + kMinute;
+  plan.partitions.push_back(cut);
   FaultInjector injector(plan, world_.sim(), world_.topology());
   world_.network()->AttachFaultInjector(&injector);
   dir->FailAbruptly();
   world_.sim()->RunFor(world_.config().keepalive_period + kMinute);
   world_.network()->AttachFaultInjector(nullptr);
-  ASSERT_GT(injector.injected_drops(), 0u);
+  ASSERT_GT(injector.partition_drops(), 0u);
   ASSERT_EQ(system_.FindDirectory(0, 0), nullptr);
 
   world_.sim()->RunFor(4 * world_.config().keepalive_period);

@@ -23,6 +23,21 @@
 namespace flower {
 namespace {
 
+/// Runs the earliest live event through the dispatch path; returns its
+/// time.
+SimTime RunOne(EventQueue* q) {
+  SimTime t = -1;
+  EXPECT_TRUE(
+      q->RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; }));
+  return t;
+}
+
+/// Runs every live event in (time, seq) order.
+void Drain(EventQueue* q) {
+  while (q->RunNextIfBefore(kMaxSimTime, [](SimTime) {})) {
+  }
+}
+
 // --- Footprint ----------------------------------------------------------------
 
 // The item, slot and handle sizes are pinned in event_queue.h itself.
@@ -101,8 +116,7 @@ TEST(EventQueueTest, StaleHandleCannotCancelSlotReuser) {
   a.Cancel();  // stale seq: must not touch b's event
   EXPECT_TRUE(b.pending());
   EXPECT_EQ(q.events_cancelled(), 1u);
-  SimTime t;
-  q.Pop(&t)();
+  EXPECT_EQ(RunOne(&q), 1);
   EXPECT_TRUE(ran);
   EXPECT_FALSE(b.pending()) << "fired events read as not pending";
   b.Cancel();  // after fire: no-op
@@ -142,15 +156,14 @@ TEST(EventQueueTest, SameTimeFifoSurvivesSlotChurn) {
   std::vector<EventHandle> churn;
   for (int i = 0; i < 64; ++i) churn.push_back(q.Push(1, []() {}));
   for (int i = 0; i < 64; i += 2) churn[static_cast<size_t>(i)].Cancel();
-  SimTime t;
-  while (!q.empty()) q.Pop(&t);
+  Drain(&q);
 
   // FIFO among equal times must follow push order, not slot order.
   std::vector<int> order;
   for (int i = 0; i < 100; ++i) {
     q.Push(7, [&order, i]() { order.push_back(i); });
   }
-  while (!q.empty()) q.Pop(&t)();
+  Drain(&q);
   ASSERT_EQ(order.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
@@ -169,8 +182,7 @@ TEST(EventQueueTest, SameTimeBurstAmongSpreadEventsStaysFifo) {
     const int id = 100 + i;
     q.Push(kHot, [&order, id]() { order.push_back(id); });
   }
-  SimTime t;
-  while (!q.empty()) q.Pop(&t)();
+  Drain(&q);
   std::vector<int> expected;
   for (int i = 0; i < 18; ++i) expected.push_back(i);        // 0..17000
   for (int i = 0; i < 200; ++i) expected.push_back(100 + i);  // the burst
@@ -194,8 +206,7 @@ TEST(EventQueueTest, CancelledBurstSurvivorsFireInPushOrder) {
     if (i % 10 != 0) burst[static_cast<size_t>(i)].Cancel();
   }
   EXPECT_EQ(q.events_cancelled(), 270u);
-  SimTime t;
-  while (!q.empty()) q.Pop(&t)();
+  Drain(&q);
   ASSERT_EQ(order.size(), 30u);
   for (int i = 0; i < 30; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i * 10);
 }
@@ -217,8 +228,7 @@ TEST(EventQueueTest, CallbackPushAtBusyTimeFiresAfterOlderEvents) {
   });
   q.Push(500, record(201));
   q.Push(803, record(2));
-  SimTime t;
-  while (!q.empty()) q.Pop(&t)();
+  Drain(&q);
   EXPECT_EQ(order, (std::vector<int>{200, 201, 100, 101, 300, 2}));
 }
 
@@ -290,9 +300,8 @@ void StressAgainstModel(uint64_t seed, int rounds, NextTime next_time) {
         continue;
       }
       auto expected = model_min();
-      SimTime t;
       EXPECT_EQ(q.NextTime(), expected->time);
-      q.Pop(&t)();
+      const SimTime t = RunOne(&q);
       EXPECT_EQ(t, expected->time);
       ASSERT_FALSE(fired.empty());
       EXPECT_EQ(fired.back(), expected->id);
@@ -300,7 +309,12 @@ void StressAgainstModel(uint64_t seed, int rounds, NextTime next_time) {
       handles.erase(expected->seq);
       live.erase(expected);
     }
-    ASSERT_EQ(q.live_size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
+    if (round % 1024 == 0) {  // every model event is still pending
+      for (const ModelEvent& ev : live) {
+        ASSERT_TRUE(handles[ev.seq].pending()) << "round " << round;
+      }
+    }
   }
 
   // Drain the remainder through the in-place dispatch path.
@@ -315,7 +329,6 @@ void StressAgainstModel(uint64_t seed, int rounds, NextTime next_time) {
     live.erase(expected);
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.live_size(), 0u);
 }
 
 TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
@@ -348,7 +361,8 @@ TEST(EventQueueTest, RunNextIfBeforeRespectsBound) {
   while (q.RunNextIfBefore(20, [&t](SimTime when) { t = when; })) {
   }
   EXPECT_EQ(ran, (std::vector<SimTime>{10, 20}));
-  EXPECT_EQ(q.live_size(), 1u);
+  ASSERT_FALSE(q.empty());
+  EXPECT_EQ(q.NextTime(), 30);
   while (q.RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; })) {
   }
   EXPECT_EQ(ran.size(), 3u);

@@ -1,21 +1,21 @@
 // Experiment API v2 (src/api/): registry resolution, builder defaults,
-// result sinks, and trace record/replay equivalence.
+// result sinks, custom workload sources, and route drops reaching the
+// run's result.
 #include "api/experiment.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/systems.h"
-#include "common/hash.h"
+#include "dht/chord_ring.h"
 #include "test_util.h"
-#include "workload/trace.h"
 
 namespace flower {
 namespace {
@@ -41,11 +41,8 @@ SimConfig SmallConfig() {
 
 TEST(SystemRegistryTest, KnowsTheBuiltinSystems) {
   SystemRegistry& registry = SystemRegistry::Instance();
-  EXPECT_TRUE(registry.Contains("flower"));
-  EXPECT_TRUE(registry.Contains("squirrel"));
-  EXPECT_TRUE(registry.Contains("squirrel-home"));
+  EXPECT_EQ(registry.Keys(), (std::vector<std::string>{"flower", "squirrel"}));
   EXPECT_FALSE(registry.Contains("akamai"));
-  EXPECT_GE(registry.Keys().size(), 3u);
 }
 
 TEST(SystemRegistryTest, UnknownSystemFailsGracefully) {
@@ -55,6 +52,17 @@ TEST(SystemRegistryTest, UnknownSystemFailsGracefully) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   // The error names the known keys so CLI typos are self-explaining.
   EXPECT_NE(r.status().message().find("flower"), std::string::npos);
+}
+
+TEST(SystemRegistryTest, SquirrelHomeKeyIsUnknown) {
+  SimConfig c = SmallConfig();
+  ASSERT_TRUE(c.Apply("system", "squirrel-home").ok());
+  Result<RunResult> r = Experiment(c).TryRun();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(r.status().message().find("(known: flower|squirrel)"),
+            std::string::npos)
+      << r.status().message();
 }
 
 // Key combinations that once crashed a run (SIGFPE, a segfault, or
@@ -155,138 +163,146 @@ TEST(ExperimentTest, ObserversFireDuringTheRun) {
 
 // --- Sinks --------------------------------------------------------------------
 
-TEST(ResultSinkTest, JsonAndCsvSinksCollectASweep) {
+TEST(ResultSinkTest, JsonSinkCollectsASweep) {
   std::string json_path = TempPath("sweep.json");
-  std::string csv_path = TempPath("sweep.csv");
   {
     JsonResultSink json(json_path);
-    CsvResultSink csv(csv_path);
     SimConfig c = SmallConfig();
     for (const char* system : {"flower", "squirrel"}) {
-      Experiment(c)
-          .WithSystem(system)
-          .WithLabel(system)
-          .AddSink(&json)
-          .AddSink(&csv)
-          .Run();
+      Experiment(c).WithSystem(system).WithLabel(system).AddSink(&json).Run();
     }
     EXPECT_EQ(json.records(), 2u);
-  }  // destructors flush
+  }  // the destructor flushes
   std::string json_text = ReadFile(json_path);
   EXPECT_NE(json_text.find("\"system\":\"flower\""), std::string::npos);
   EXPECT_NE(json_text.find("\"system\":\"squirrel\""), std::string::npos);
   EXPECT_NE(json_text.find("\"hit_ratio_by_window\":["), std::string::npos);
   EXPECT_NE(json_text.find("\"label\":\"squirrel\""), std::string::npos);
-
-  std::string csv_text = ReadFile(csv_path);
-  // Header plus one row per run.
-  EXPECT_EQ(std::count(csv_text.begin(), csv_text.end(), '\n'), 3);
-  EXPECT_NE(csv_text.find("system,label,seed"), std::string::npos);
   std::remove(json_path.c_str());
-  std::remove(csv_path.c_str());
 }
 
-// --- Trace replay (ROADMAP replay-from-file) ----------------------------------
+// --- Custom workload sources --------------------------------------------------
 
-/// Builds the exact trace the synthetic experiment would generate, by
-/// reconstructing the deployment the same way Experiment does.
-Trace RecordSyntheticTrace(const SimConfig& config) {
-  Simulator sim(config.seed);
-  Topology topology(config, sim.rng());
-  Network network(&sim, &topology);
-  Metrics metrics(config);
-  FlowerSystem system(config, &sim, &network, &topology, &metrics);
-  WorkloadGenerator gen(config, system.deployment(), system.catalog(),
-                        Mix64(config.seed ^ 0x5EED));
-  return Trace::Record(&gen);
-}
+/// Forwards every event of the synthetic source and counts them, the way
+/// a timing or tracing decorator wraps the generator.
+class CountingSource : public WorkloadSource {
+ public:
+  CountingSource(const WorkloadEnv& env, uint64_t* count)
+      : inner_(env), count_(count) {}
+  const std::string& name() const override { return name_; }
+  bool Next(QueryEvent* out) override {
+    if (!inner_.Next(out)) return false;
+    ++*count_;
+    return true;
+  }
 
-TEST(TraceReplayTest, ReplayReproducesTheSyntheticRunOnBothSystems) {
+ private:
+  SyntheticSource inner_;
+  uint64_t* count_;
+  std::string name_ = "counting";
+};
+
+TEST(WorkloadSourceTest, CustomSourceReproducesTheSyntheticRunOnBothSystems) {
   SimConfig c = SmallConfig();
-  std::string path = TempPath("replay_v2.trace");
-  Trace trace = RecordSyntheticTrace(c);
-  ASSERT_GT(trace.size(), 1000u);
-  ASSERT_TRUE(trace.Save(path).ok());
-
   for (const char* system : {"flower", "squirrel"}) {
+    uint64_t offered = 0;
     RunResult synthetic = Experiment(c).WithSystem(system).Run();
-    RunResult replayed = Experiment(c)
-                             .WithSystem(system)
-                             .WithWorkload(TraceWorkload(path))
-                             .Run();
-    EXPECT_EQ(replayed.queries_submitted, synthetic.queries_submitted)
+    RunResult wrapped =
+        Experiment(c)
+            .WithSystem(system)
+            .WithWorkload([&offered](const WorkloadEnv& env)
+                              -> Result<std::unique_ptr<WorkloadSource>> {
+              return std::unique_ptr<WorkloadSource>(
+                  new CountingSource(env, &offered));
+            })
+            .Run();
+    EXPECT_GT(offered, 1000u) << system;
+    EXPECT_EQ(wrapped.queries_submitted, synthetic.queries_submitted)
         << system;
-    EXPECT_DOUBLE_EQ(replayed.final_hit_ratio, synthetic.final_hit_ratio)
+    EXPECT_EQ(wrapped.events_processed, synthetic.events_processed)
         << system;
-    EXPECT_DOUBLE_EQ(replayed.cumulative_hit_ratio,
+    EXPECT_DOUBLE_EQ(wrapped.final_hit_ratio, synthetic.final_hit_ratio)
+        << system;
+    EXPECT_DOUBLE_EQ(wrapped.cumulative_hit_ratio,
                      synthetic.cumulative_hit_ratio)
         << system;
-    EXPECT_DOUBLE_EQ(replayed.mean_lookup_ms, synthetic.mean_lookup_ms)
+    EXPECT_DOUBLE_EQ(wrapped.mean_lookup_ms, synthetic.mean_lookup_ms)
         << system;
   }
-  std::remove(path.c_str());
 }
 
-TEST(TraceReplayTest, ConfigWorkloadTraceKeyDrivesReplay) {
-  SimConfig c = SmallConfig();
-  std::string path = TempPath("replay_key.trace");
-  Trace trace = RecordSyntheticTrace(c);
-  ASSERT_TRUE(trace.Save(path).ok());
+// --- Route drops --------------------------------------------------------------
 
-  RunResult synthetic = Experiment(c).WithSystem("flower").Run();
-  ASSERT_TRUE(c.Apply("workload_trace", path).ok());
-  RunResult replayed = Experiment(c).WithSystem("flower").Run();
-  EXPECT_EQ(replayed.queries_submitted, synthetic.queries_submitted);
-  EXPECT_DOUBLE_EQ(replayed.final_hit_ratio, synthetic.final_hit_ratio);
-  std::remove(path.c_str());
-}
+class ProbeMsg
+    : public MessageOf<MessageKind::kProbe, TrafficClass::kControl> {
+ public:
+  uint64_t SizeBits() const override { return 64; }
+};
 
-TEST(TraceReplayTest, V1FixtureStillLoadsAndRuns) {
-  SimConfig c = SmallConfig();
-  Trace trace = RecordSyntheticTrace(c);
-  const size_t n = 200;
-  ASSERT_GE(trace.size(), n);
+class NoQueries : public WorkloadSource {
+ public:
+  const std::string& name() const override { return name_; }
+  bool Next(QueryEvent*) override { return false; }
 
-  // A v1-format fixture: six fields per event, no size_bits column.
-  std::string path = TempPath("fixture_v1.trace");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "flower-trace v1 %zu\n", n);
-  for (size_t i = 0; i < n; ++i) {
-    const QueryEvent& e = trace.events()[i];
-    std::fprintf(f, "%lld %u %zu %llu %u %u\n",
-                 static_cast<long long>(e.time), e.website, e.object_rank,
-                 static_cast<unsigned long long>(e.object), e.node,
-                 e.locality);
+ private:
+  std::string name_ = "none";
+};
+
+/// Flower plus a two-node side ring built with max_route_hops = 0 on the
+/// run's Metrics. Setup routes one message that needs one hop, so the
+/// node that receives it drops it.
+class ZeroHopRingSystem : public FlowerAdapter {
+ public:
+  explicit ZeroHopRingSystem(const SystemContext& ctx)
+      : FlowerAdapter(ctx), ring_(ZeroHops(), ctx.metrics) {
+    for (Key id : {100, 200}) {
+      nodes_.push_back(
+          std::make_unique<ChordNode>(ctx.sim, ctx.network, &ring_, id));
+    }
   }
-  std::fclose(f);
 
-  Result<std::unique_ptr<TraceReplaySource>> source =
-      TraceReplaySource::FromFile(path);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  EXPECT_EQ(source.value()->size(), n);
-  QueryEvent first;
-  ASSERT_TRUE(source.value()->Next(&first));
-  EXPECT_EQ(first.time, trace.events()[0].time);
-  EXPECT_EQ(first.object, trace.events()[0].object);
+  void Setup() override {
+    FlowerAdapter::Setup();
+    // The run submits no queries, so no client claims these pool nodes.
+    const std::vector<NodeId>& pool = deployment().client_pools[0][0];
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      nodes_[i]->Activate(pool[i]);
+      ASSERT_TRUE(nodes_[i]->JoinStructural());
+    }
+    nodes_[0]->Route(150, std::make_unique<ProbeMsg>());  // node 200 owns it
+  }
 
-  RunResult r = Experiment(c)
-                    .WithSystem("flower")
-                    .WithWorkload(TraceWorkload(path))
-                    .Run();
-  EXPECT_GT(r.queries_submitted, 0u);
-  EXPECT_LE(r.queries_submitted, n);
-  std::remove(path.c_str());
-}
+ private:
+  static ChordConfig ZeroHops() {
+    ChordConfig cc;
+    cc.id_bits = 16;
+    cc.max_route_hops = 0;
+    return cc;
+  }
 
-TEST(TraceReplayTest, MissingTraceFileFailsGracefully) {
-  SimConfig c = SmallConfig();
-  Result<RunResult> r = Experiment(c)
-                            .WithSystem("flower")
-                            .WithWorkload(TraceWorkload("/nonexistent.tr"))
-                            .TryRun();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  ChordRing ring_;
+  std::vector<std::unique_ptr<ChordNode>> nodes_;
+};
+
+TEST(RouteDropTest, ZeroHopRingDropReachesTheRunResult) {
+  RunResult r =
+      Experiment(SmallConfig())
+          .WithSystem([](const SystemContext& ctx) {
+            return std::unique_ptr<CdnSystem>(new ZeroHopRingSystem(ctx));
+          })
+          .WithWorkload([](const WorkloadEnv&)
+                            -> Result<std::unique_ptr<WorkloadSource>> {
+            return std::unique_ptr<WorkloadSource>(new NoQueries);
+          })
+          .Run();
+  EXPECT_EQ(r.routes_dropped, 1u);
+  EXPECT_NE(FormatRunSummary(r).find(" route_drops=1"), std::string::npos)
+      << FormatRunSummary(r);
+
+  // Runs that drop nothing keep the summary line unchanged.
+  RunResult plain = Experiment(SmallConfig()).WithSystem("flower").Run();
+  EXPECT_EQ(plain.routes_dropped, 0u);
+  EXPECT_EQ(FormatRunSummary(plain).find("route_drops"), std::string::npos);
 }
 
 // --- Squirrel on ContentStore (fair-ablation satellite) -----------------------

@@ -1,14 +1,15 @@
 // Tests for the deterministic fault-injection layer
 // (src/net/fault_injector.h) and the protocol hardening it exercises:
 //
-//  - spec parsing (loss class maps, partition windows) and FaultPlan
-//    validation;
+//  - spec parsing (one loss probability, partition windows) and FaultPlan
+//    validation, including the rejection of class-tagged loss specs and
+//    node-list partition sides;
 //  - Network-level injection semantics: loss, partition windows,
 //    silent-crash bounce suppression;
 //  - end-to-end: with query timeouts + retries a lossy network still
 //    serves every query (availability 1.0, latency degrades instead),
-//    without retries it does not; default configs leave no fault
-//    fingerprint in any sink.
+//    without retries it does not; uniform loss makes the same draws at a
+//    fixed seed; default configs leave no fault fingerprint in any sink.
 #include "net/fault_injector.h"
 
 #include <fstream>
@@ -34,47 +35,50 @@ std::string ReadFile(const std::string& path) {
 // --- Spec parsing -------------------------------------------------------------
 
 TEST(FaultSpecTest, BareProbabilityAppliesToAllClasses) {
-  std::array<double, FaultPlan::kNumClasses> out;
-  ASSERT_TRUE(ParseClassProbSpec("fault_loss", "0.25", &out).ok());
-  for (double p : out) EXPECT_DOUBLE_EQ(p, 0.25);
+  double p = -1;
+  ASSERT_TRUE(ParseLossSpec("0.25", &p).ok());
+  EXPECT_DOUBLE_EQ(p, 0.25);
+  ASSERT_TRUE(ParseLossSpec("", &p).ok());
+  EXPECT_DOUBLE_EQ(p, 0.0);
 }
 
-TEST(FaultSpecTest, ClassPairsAndWildcard) {
-  std::array<double, FaultPlan::kNumClasses> out;
-  ASSERT_TRUE(
-      ParseClassProbSpec("fault_loss", "query:0.1,transfer:0.2", &out).ok());
-  EXPECT_DOUBLE_EQ(out[static_cast<size_t>(TrafficClass::kQuery)], 0.1);
-  EXPECT_DOUBLE_EQ(out[static_cast<size_t>(TrafficClass::kTransfer)], 0.2);
-  EXPECT_DOUBLE_EQ(out[static_cast<size_t>(TrafficClass::kGossip)], 0.0);
-
-  // "*" sets every class; later pairs override it.
-  ASSERT_TRUE(ParseClassProbSpec("fault_loss", "*:0.5,query:0", &out).ok());
-  EXPECT_DOUBLE_EQ(out[static_cast<size_t>(TrafficClass::kQuery)], 0.0);
-  EXPECT_DOUBLE_EQ(out[static_cast<size_t>(TrafficClass::kGossip)], 0.5);
+TEST(FaultSpecTest, ClassPairsAndWildcardAreRejected) {
+  double p;
+  EXPECT_FALSE(ParseLossSpec("query:0.1,transfer:0.2", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("*:0.5,query:0", &p).ok());
+  // The config key fails fast, before any run starts.
+  SimConfig config;
+  for (const char* spec : {"query:0.05", "*:0.1"}) {
+    Status s = config.Apply("fault_loss", spec);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_TRUE(config.fault_loss.empty());
 }
 
 TEST(FaultSpecTest, RejectsUnknownClassAndBadProbability) {
-  std::array<double, FaultPlan::kNumClasses> out;
-  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "bogus:0.1", &out).ok());
-  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "dht:0.1", &out).ok());
-  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "query:1.5", &out).ok());
-  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "query:-0.1", &out).ok());
-  EXPECT_FALSE(ParseClassProbSpec("fault_loss", "nonsense", &out).ok());
+  double p;
+  EXPECT_FALSE(ParseLossSpec("bogus:0.1", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("query:1.5", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("1.5", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("-0.1", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("nan", &p).ok());
+  EXPECT_FALSE(ParseLossSpec("nonsense", &p).ok());
 }
 
 TEST(FaultSpecTest, PartitionWindows) {
   std::vector<PartitionWindow> wins;
-  ASSERT_TRUE(ParsePartitionSpec("0|1@10min-20min;n3,n7|*@1h-90min", &wins)
-                  .ok());
+  ASSERT_TRUE(ParsePartitionSpec("0|1@10min-20min;2|*@1h-90min", &wins).ok());
   ASSERT_EQ(wins.size(), 2u);
   EXPECT_EQ(wins[0].a.kind, PartitionSide::Kind::kLocality);
   EXPECT_EQ(wins[0].a.locality, 0);
   EXPECT_EQ(wins[0].b.locality, 1);
   EXPECT_EQ(wins[0].start, 10 * kMinute);
   EXPECT_EQ(wins[0].end, 20 * kMinute);
-  EXPECT_EQ(wins[1].a.kind, PartitionSide::Kind::kNodes);
-  EXPECT_EQ(wins[1].a.nodes, (std::vector<PeerAddress>{3, 7}));
+  EXPECT_EQ(wins[1].a.kind, PartitionSide::Kind::kLocality);
+  EXPECT_EQ(wins[1].a.locality, 2);
   EXPECT_EQ(wins[1].b.kind, PartitionSide::Kind::kRest);
+  EXPECT_EQ(wins[1].start, kHour);
+  EXPECT_EQ(wins[1].end, 90 * kMinute);
 }
 
 TEST(FaultSpecTest, RejectsMalformedPartitions) {
@@ -84,6 +88,13 @@ TEST(FaultSpecTest, RejectsMalformedPartitions) {
   EXPECT_FALSE(ParsePartitionSpec("*|*@1h-2h", &wins).ok());
   EXPECT_FALSE(ParsePartitionSpec("0|1@2h-1h", &wins).ok());  // inverted
   EXPECT_FALSE(ParsePartitionSpec("0|1@xyz-2h", &wins).ok());
+  EXPECT_FALSE(ParsePartitionSpec("|1@1h-2h", &wins).ok());  // empty side
+  // Sides are localities or "*"; node lists are not a side.
+  EXPECT_FALSE(ParsePartitionSpec("n3,n7|*@1h-90min", &wins).ok());
+  SimConfig config;
+  Status s = config.Apply("fault_partitions", "n5|*@1h-2h");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(config.fault_partitions.empty());
 }
 
 TEST(FaultSpecTest, DefaultPlanIsInactive) {
@@ -151,7 +162,7 @@ class FaultNetworkTest : public ::testing::Test {
 
 TEST_F(FaultNetworkTest, CertainLossDropsEverything) {
   FaultPlan plan;
-  plan.loss[static_cast<size_t>(TrafficClass::kControl)] = 1.0;
+  plan.loss = 1.0;
   FaultInjector* inj = Attach(std::move(plan));
 
   CountingPeer a, b;
@@ -167,18 +178,23 @@ TEST_F(FaultNetworkTest, CertainLossDropsEverything) {
   EXPECT_EQ(a.undeliverable, 0);
 }
 
-TEST_F(FaultNetworkTest, LossIsPerClass) {
+TEST_F(FaultNetworkTest, LossAppliesToEveryClass) {
   FaultPlan plan;
-  plan.loss[static_cast<size_t>(TrafficClass::kGossip)] = 1.0;
-  Attach(std::move(plan));
+  plan.loss = 1.0;
+  FaultInjector* inj = Attach(std::move(plan));
 
   CountingPeer a, b;
   world_->network()->RegisterPeer(&a, 0);
   world_->network()->RegisterPeer(&b, 1);
-  world_->network()->Send(&a, b.address(),
-                          std::make_unique<PlainMsg>(TrafficClass::kControl));
+  const int classes = static_cast<int>(TrafficClass::kNumClasses);
+  for (int c = 0; c < classes; ++c) {
+    world_->network()->Send(
+        &a, b.address(),
+        std::make_unique<PlainMsg>(static_cast<TrafficClass>(c)));
+  }
   world_->sim()->Run();
-  EXPECT_EQ(b.received, 1);  // control class is lossless here
+  EXPECT_EQ(b.received, 0);
+  EXPECT_EQ(inj->injected_drops(), static_cast<uint64_t>(classes));
 }
 
 TEST_F(FaultNetworkTest, PartitionWindowCutsBothDirectionsThenHeals) {
@@ -284,6 +300,17 @@ TEST(FaultEndToEndTest, RetriesKeepAvailabilityAtOneUnderLoss) {
   // The availability headline: every submitted query is eventually
   // served (latency degrades instead of the success rate).
   EXPECT_DOUBLE_EQ(r.QuerySuccessRate(), 1.0);
+}
+
+TEST(FaultEndToEndTest, UniformLossDrawsArePinned) {
+  // A fixed-seed pin of the loss draws: one draw per send from the
+  // sending lane's fault stream, so these counts move only when the
+  // draw sequence does.
+  SimConfig c = TinyConfig();
+  c.fault_loss = "0.05";
+  RunResult r = Experiment(c).Run();
+  EXPECT_EQ(r.injected_drops, 868u);
+  EXPECT_EQ(r.queries_served, 3324u);
 }
 
 TEST(FaultEndToEndTest, WithoutRetriesLossLosesQueries) {

@@ -121,11 +121,5 @@ TEST(RunnerIntegrationTest, ViewSizeDoesNotAffectBandwidth) {
               1.0, 0.2);
 }
 
-TEST(RunnerIntegrationTest, HomeStoreVariantRuns) {
-  RunResult r = Experiment(SmallRunConfig()).WithSystem("squirrel-home").Run();
-  EXPECT_GT(r.final_hit_ratio, 0.7);
-  EXPECT_GT(r.queries_submitted, 1000u);
-}
-
 }  // namespace
 }  // namespace flower

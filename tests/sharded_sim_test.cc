@@ -148,17 +148,6 @@ TEST(ShardedSimTest, PeriodicTimersStayOnTheirLane) {
   handle.Cancel();
 }
 
-TEST(ShardedSimTest, StopFromControlHaltsTheRun) {
-  Simulator sim(1);
-  sim.EnableSharding(TwoLanePlan());
-  int lane_events = 0;
-  sim.ScheduleOnLane(0, 50, [&lane_events]() { ++lane_events; });
-  sim.ScheduleAt(2, [&sim]() { sim.Stop(); });
-  ShardedSimulator coordinator(&sim, ShardedSimulator::Executor::kSerial);
-  coordinator.RunUntil(100);
-  EXPECT_EQ(lane_events, 0) << "events beyond the stop must not run";
-}
-
 TEST(ShardedSimTest, ThreadedExecutorMatchesSerial) {
   // The same event program under the serial and the threaded executor
   // must produce identical per-lane traces. Lanes only touch lane-local

@@ -120,20 +120,6 @@ TEST(SimulatorTest, RunForIsRelative) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(SimulatorTest, StopHaltsProcessing) {
-  Simulator sim(1);
-  int count = 0;
-  sim.Schedule(1, [&]() {
-    ++count;
-    sim.Stop();
-  });
-  sim.Schedule(2, [&]() { ++count; });
-  sim.Run();
-  EXPECT_EQ(count, 1);
-  sim.Run();  // resume
-  EXPECT_EQ(count, 2);
-}
-
 TEST(SimulatorTest, PeriodicFiresRepeatedly) {
   Simulator sim(1);
   std::vector<SimTime> fired;
@@ -278,15 +264,15 @@ TEST(SimulatorTest, EventsProcessedCounter) {
   EXPECT_EQ(sim.events_processed(), 7u);
 }
 
-TEST(EventQueueTest, LiveSizeTracksCancellation) {
+TEST(EventQueueTest, CancelledEventIsSkipped) {
   EventQueue q;
   EventHandle a = q.Push(1, []() {});
   q.Push(2, []() {});
-  EXPECT_EQ(q.live_size(), 2u);
   a.Cancel();
   EXPECT_FALSE(q.empty());
-  SimTime t;
-  q.Pop(&t);
+  SimTime t = 0;
+  EXPECT_TRUE(
+      q.RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; }));
   EXPECT_EQ(t, 2);  // the cancelled event was skipped
   EXPECT_TRUE(q.empty());
 }

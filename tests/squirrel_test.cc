@@ -1,5 +1,5 @@
 // Squirrel baseline tests: home-node responsibility, downloader pointers,
-// LRU capping, stale-pointer recovery, and the home-store variant.
+// LRU capping and stale-pointer recovery.
 #include "squirrel/squirrel_system.h"
 
 #include <gtest/gtest.h>
@@ -105,51 +105,6 @@ TEST_F(SquirrelTest, NoLocalityAwarenessInTransfers) {
   ASSERT_GT(count, 0);
   far = metrics_.MeanTransferDistance();
   EXPECT_GT(far, 50.0);
-}
-
-class SquirrelHomeStoreTest : public ::testing::Test {
- protected:
-  SquirrelHomeStoreTest()
-      : world_(TinyConfig()),
-        metrics_(world_.config()),
-        system_(world_.config(), world_.sim(), world_.network(),
-                world_.topology(), &metrics_, SquirrelStrategy::kHomeStore) {
-    system_.Setup();
-  }
-  NodeId PoolNode(size_t i) {
-    return system_.deployment().client_pools[0][0][i];
-  }
-  ObjectId Obj(size_t rank) {
-    return system_.catalog().site(0).objects[rank];
-  }
-  TestWorld world_;
-  Metrics metrics_;
-  SquirrelSystem system_;
-};
-
-TEST_F(SquirrelHomeStoreTest, HomeNodeStoresTheObject) {
-  system_.SubmitQuery(PoolNode(0), 0, Obj(0));
-  world_.sim()->Run();
-  EXPECT_EQ(metrics_.server_hits(), 1u);
-  ChordNode* home_node =
-      system_.ring()->SuccessorOf(system_.ring()->space().Clamp(Obj(0)));
-  auto* home = dynamic_cast<SquirrelNode*>(home_node);
-  ASSERT_NE(home, nullptr);
-  EXPECT_EQ(home->cache().count(Obj(0)), 1u);
-
-  // The second requester is served by the home copy, not the server.
-  uint64_t server_before = metrics_.server_hits();
-  system_.SubmitQuery(PoolNode(1), 0, Obj(0));
-  world_.sim()->Run();
-  EXPECT_EQ(metrics_.server_hits(), server_before);
-  EXPECT_EQ(system_.FindNode(PoolNode(1))->cache().count(Obj(0)), 1u);
-}
-
-TEST_F(SquirrelHomeStoreTest, ClientStillReceivesObject) {
-  system_.SubmitQuery(PoolNode(2), 0, Obj(9));
-  world_.sim()->Run();
-  EXPECT_EQ(system_.FindNode(PoolNode(2))->cache().count(Obj(9)), 1u);
-  EXPECT_EQ(metrics_.queries_served(), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Golden test for parallel sweep execution (src/api/sweep.h): a jobs=4
-// sweep must produce byte-identical sink output (text, JSON, CSV) and
+// sweep must produce byte-identical sink output (text, JSON) and
 // identical results to the serial jobs=1 run — results are committed in
 // submission order regardless of which worker finishes first.
 #include "api/sweep.h"
@@ -47,39 +47,33 @@ void FillSweep(SweepRunner* sweep) {
   }
 }
 
-/// Runs FillSweep's points with the given parallelism, writing all three
-/// sink formats; returns {text, json, csv} file contents.
+/// Runs FillSweep's points with the given parallelism, writing both sink
+/// formats; returns {text, json} file contents.
 struct SweepOutput {
   std::string text;
   std::string json;
-  std::string csv;
   std::vector<RunResult> results;
 };
 
 void RunWith(int jobs, const std::string& tag, SweepOutput* out) {
   const std::string text_path = TempPath("sweep_" + tag + ".txt");
   const std::string json_path = TempPath("sweep_" + tag + ".json");
-  const std::string csv_path = TempPath("sweep_" + tag + ".csv");
 
   {
     std::FILE* text_file = std::fopen(text_path.c_str(), "w");
     ASSERT_NE(text_file, nullptr);
     TextSummarySink text(text_file);
     JsonResultSink json(json_path);
-    CsvResultSink csv(csv_path);
     SweepRunner sweep(jobs);
     FillSweep(&sweep);
-    Result<std::vector<RunResult>> results =
-        sweep.Run({&text, &json, &csv});
+    Result<std::vector<RunResult>> results = sweep.Run({&text, &json});
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     out->results = std::move(results).value();
     json.Flush();
-    csv.Flush();
     std::fclose(text_file);
   }
   out->text = ReadFile(text_path);
   out->json = ReadFile(json_path);
-  out->csv = ReadFile(csv_path);
 }
 
 TEST(SweepParallelGolden, Jobs4MatchesSerialByteForByte) {
@@ -94,7 +88,6 @@ TEST(SweepParallelGolden, Jobs4MatchesSerialByteForByte) {
   EXPECT_FALSE(serial.json.empty());
   EXPECT_EQ(serial.text, parallel.text) << "text sink must be identical";
   EXPECT_EQ(serial.json, parallel.json) << "JSON sink must be identical";
-  EXPECT_EQ(serial.csv, parallel.csv) << "CSV sink must be identical";
 
   for (size_t i = 0; i < serial.results.size(); ++i) {
     EXPECT_EQ(serial.results[i].label, parallel.results[i].label)
