@@ -2,9 +2,9 @@
 // paper's directory peers index every content peer of their (website,
 // locality); the scale-up story (Sec 5.3) needs small directory nodes
 // whose peer -> content index is itself capacity-bounded. This sweep
-// bounds every directory's index and compares replacement policies
-// across overlay sizes, producing hit-ratio curves per (capacity,
-// policy) next to an unbounded reference per peer count.
+// bounds every directory's index under LRU across overlay sizes,
+// producing a hit-ratio-vs-capacity curve per S_co next to an unbounded
+// reference.
 //
 // Expected: hit ratio grows monotonically with index capacity and
 // converges to the unbounded (paper) reference once the budget covers
@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace flower;
   bench::Driver driver("ablation_dirindex", argc, argv);
-  driver.PrintHeader("Ablation: directory index capacity x policy x S_co");
+  driver.PrintHeader("Ablation: directory index capacity under LRU x S_co");
   const SimConfig& base = driver.config();
 
   // Capacities in entries' worth of footprint: an entry claiming ~32
@@ -31,13 +31,12 @@ int main(int argc, char** argv) {
       DirectoryStore::FootprintBytes(32);
   const std::vector<uint64_t> capacities = {
       4 * entry_bytes, 16 * entry_bytes, 64 * entry_bytes};
-  const std::vector<std::string> policies = {"lru", "lfu", "gdsf"};
   const std::vector<int> overlay_sizes = {base.max_content_overlay_size / 2,
                                           base.max_content_overlay_size};
 
-  // Queue the whole (S_co x policy x capacity) grid plus per-S_co
-  // unbounded references, then run once — parallel under jobs=N, results
-  // and sink output in submission order.
+  // Queue the whole (S_co x capacity) grid plus per-S_co unbounded
+  // references, then run once — parallel under jobs=N, results and sink
+  // output in submission order.
   for (int s_co : overlay_sizes) {
     SimConfig ref = base;
     ref.max_content_overlay_size = s_co;
@@ -45,16 +44,14 @@ int main(int argc, char** argv) {
     ref.directory_index_capacity_bytes = 0;
     driver.Enqueue(ref, "flower",
                    "S_co=" + std::to_string(s_co) + "/unbounded");
-    for (const std::string& policy : policies) {
-      for (uint64_t capacity : capacities) {
-        SimConfig c = base;
-        c.max_content_overlay_size = s_co;
-        c.directory_index_policy = policy;
-        c.directory_index_capacity_bytes = capacity;
-        driver.Enqueue(c, "flower",
-                       "S_co=" + std::to_string(s_co) + "/" + policy + "/" +
-                           std::to_string(capacity));
-      }
+    for (uint64_t capacity : capacities) {
+      SimConfig c = base;
+      c.max_content_overlay_size = s_co;
+      c.directory_index_policy = "lru";
+      c.directory_index_capacity_bytes = capacity;
+      driver.Enqueue(c, "flower",
+                     "S_co=" + std::to_string(s_co) + "/lru/" +
+                         std::to_string(capacity));
     }
   }
   std::vector<RunResult> runs = driver.RunQueued();
@@ -77,25 +74,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(reference.dir_index_evictions),
                 static_cast<unsigned long long>(reference.server_hits));
 
-    for (const std::string& policy : policies) {
-      double prev = -1.0;
-      for (uint64_t capacity : capacities) {
-        const RunResult& r = runs[next++];
-        std::printf("  %-6d %-10s %-14llu %-10s %-10s %-14llu %-12llu\n",
-                    s_co, policy.c_str(),
-                    static_cast<unsigned long long>(capacity),
-                    bench::Fmt(r.final_hit_ratio).c_str(),
-                    bench::Fmt(r.cumulative_hit_ratio).c_str(),
-                    static_cast<unsigned long long>(r.dir_index_evictions),
-                    static_cast<unsigned long long>(r.server_hits));
-        if (r.cumulative_hit_ratio + 1e-9 < prev) monotone = false;
-        prev = r.cumulative_hit_ratio;
-      }
-      std::printf("\n");
+    double prev = -1.0;
+    for (uint64_t capacity : capacities) {
+      const RunResult& r = runs[next++];
+      std::printf("  %-6d %-10s %-14llu %-10s %-10s %-14llu %-12llu\n",
+                  s_co, "lru", static_cast<unsigned long long>(capacity),
+                  bench::Fmt(r.final_hit_ratio).c_str(),
+                  bench::Fmt(r.cumulative_hit_ratio).c_str(),
+                  static_cast<unsigned long long>(r.dir_index_evictions),
+                  static_cast<unsigned long long>(r.server_hits));
+      if (r.cumulative_hit_ratio + 1e-9 < prev) monotone = false;
+      prev = r.cumulative_hit_ratio;
     }
+    std::printf("\n");
   }
 
-  bench::PrintComparison("hit ratio vs index capacity (per policy)",
+  bench::PrintComparison("hit ratio vs index capacity (LRU)",
                          "monotone increasing",
                          monotone ? "monotone" : "NOT monotone");
   bench::PrintComparison(

@@ -13,8 +13,8 @@
 // process would inherit each other's peaks.
 //
 // Unlike the figure/table drivers, RSS and events/sec are host
-// measurements, so BENCH_scale.json is a machine profile (like
-// BENCH_engine.json), not a deterministic trajectory.
+// measurements, so BENCH_scale.json is a machine profile, not a
+// deterministic trajectory.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>

@@ -2,8 +2,9 @@
 // peer storage (the paper's Sec 4 assumption) and with a bounded LRU
 // cache, and show what storage pressure does to the hit ratio and to
 // summary staleness (evictions -> stale redirects -> counted fallbacks).
-// Any config knob can be overridden as key=value, e.g.:
-//   ./cache_pressure cache_capacity_bytes=65536 cache_policy=gdsf
+// Any config knob can be overridden as key=value, e.g. a tighter LRU
+// budget:
+//   ./cache_pressure cache_capacity_bytes=65536
 #include <cstdio>
 
 #include "api/experiment.h"

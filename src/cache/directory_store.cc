@@ -1,8 +1,6 @@
 #include "cache/directory_store.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "bloom/summary.h"
 #include "common/config.h"
@@ -13,16 +11,7 @@ DirectoryStore::DirectoryStore(CachePolicy policy, uint64_t capacity_bytes)
     : engine_(policy, capacity_bytes) {}
 
 DirectoryStore DirectoryStore::FromConfig(const SimConfig& config) {
-  Result<CachePolicy> policy =
-      ParseCachePolicy(config.directory_index_policy);
-  // Same contract as ContentStore::FromConfig: a field set to garbage
-  // directly (bypassing SimConfig::Apply) must not silently run the
-  // wrong experiment.
-  if (!policy.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", policy.status().ToString().c_str());
-    std::abort();
-  }
-  return DirectoryStore(policy.value(),
+  return DirectoryStore(CachePolicyFromName(config.directory_index_policy),
                         config.directory_index_capacity_bytes);
 }
 

@@ -1,19 +1,22 @@
 // Bounded directory-side storage: the directory peer's index of its
-// content overlay, rebased on the keyed eviction engine
-// (src/cache/keyed_store.h) so directory state is a capacity-constrained
-// resource just like peer caches.
+// content overlay, rebased on the keyed store (src/cache/keyed_store.h)
+// so directory state is a capacity-constrained resource just like peer
+// caches.
 //
 // The paper assumes a directory peer indexes *every* content peer of its
 // (website, locality). The ROADMAP's scale-up north star (Sec 5.3) needs
 // small directory nodes whose peer -> content index is itself bounded:
 // each entry is keyed by the content peer's address and sized by its
 // footprint (base record + bytes per claimed object id). Under a finite
-// `directory_index_capacity`, admitting or growing an entry can evict
-// policy-chosen victims (LRU on last probe, LFU on probe frequency, GDSF
-// on footprint); the store keeps the holder counts — the object
-// reference counts the directory summary is built from — consistent
-// through every admission, update, expiry and eviction, and reports what
-// changed (Delta) so the peer can refresh summaries and count metrics.
+// `directory_index_capacity` with `directory_index_policy=lru`,
+// admitting or growing an entry evicts the entries with the oldest
+// contact (admission, query, push, keepalive or answered redirect);
+// under `directory_index_policy=unbounded` the index fills, then turns
+// new peers away, and an entry that outgrows the budget evicts itself.
+// The store keeps the holder counts — the object reference counts the
+// directory summary is built from — consistent through every admission,
+// update, expiry and eviction, and reports what changed (Delta) so the
+// peer can refresh summaries and count metrics.
 //
 // The store also owns the neighbor directory summaries, so the whole of
 // a directory peer's soft state lives behind one facade.
@@ -209,14 +212,14 @@ class DirectoryStore {
   PeerAddress AddressAt(size_t rank) const { return addrs_[rank]; }
 
   /// Records a liveness contact with a resident entry (query, push or
-  /// keepalive): resets its age and feeds the policy's recency/frequency
-  /// state ("last probe"). No-op when the peer is absent.
+  /// keepalive): resets its age and, under LRU, makes it the most
+  /// recently used. No-op when the peer is absent.
   void Touch(PeerAddress peer);
 
   /// Records a usefulness signal only (the entry answered a redirect):
-  /// feeds the policy without resetting the age — being *useful* is not
-  /// evidence the peer is *alive*, and T_dead expiry must not drift.
-  /// No-op when the peer is absent.
+  /// refreshes its LRU recency without resetting the age — being
+  /// *useful* is not evidence the peer is *alive*, and T_dead expiry
+  /// must not drift. No-op when the peer is absent.
   void Probe(PeerAddress peer);
 
   /// Overwrites a resident entry's lifecycle fields (a handed-over
@@ -225,15 +228,15 @@ class DirectoryStore {
   void SetEntryState(PeerAddress peer, int age, SimTime joined_at);
 
   /// Admits a new empty entry with the given age/join time. Returns
-  /// false when the engine rejects it (bounded store whose policy names
-  /// no victim). Capacity evictions performed to make room land in
-  /// `*delta`.
+  /// false when the store rejects it (a full bounded store that is not
+  /// LRU). Capacity evictions performed to make room land in `*delta`.
   bool Admit(PeerAddress peer, int age, SimTime joined_at, Delta* delta);
 
   /// Applies a content delta to a resident entry: `add` then `remove`,
-  /// resizing the entry's footprint. Growth past capacity evicts
-  /// policy-chosen victims — possibly the updated entry itself, when
-  /// nothing else can make it fit. Ages are untouched (callers Touch()
+  /// resizing the entry's footprint. Growth past capacity evicts LRU
+  /// victims — possibly the updated entry itself, when it is the least
+  /// recently used, when the store is not LRU, or when nothing else can
+  /// make it fit. Ages are untouched (callers Touch()
   /// where a contact is implied). No-op when the peer is absent.
   void Update(PeerAddress peer, const std::vector<ObjectSlot>& add,
               const std::vector<ObjectSlot>& remove, Delta* delta);
@@ -303,8 +306,6 @@ class DirectoryStore {
   bool bounded() const { return engine_.bounded(); }
   uint64_t bytes_used() const { return engine_.bytes_used(); }
   uint64_t capacity_bytes() const { return engine_.capacity_bytes(); }
-  CachePolicy policy() const { return engine_.policy(); }
-  const CacheStats& stats() const { return engine_.stats(); }
 
  private:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
@@ -336,7 +337,7 @@ class DirectoryStore {
   /// Folds engine-reported evictions into `delta`, dropping payloads.
   void AbsorbEvictions(const std::vector<PeerAddress>& evicted, Delta* delta);
 
-  KeyedStore<PeerAddress> engine_;  // footprint accounting + policy
+  KeyedStore<PeerAddress> engine_;  // footprint accounting + LRU order
   // Entry table: addrs_ ascending, entry_of_ parallel (the position of
   // addrs_[i]'s Entry in entries_). Positions are stable while resident;
   // free_entries_ holds the vacated ones for reuse.

@@ -1,11 +1,11 @@
 #include "common/config.h"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "bloom/bloom_filter.h"
-#include "cache/eviction_policy.h"
 #include "net/fault_injector.h"
 
 namespace flower {
@@ -112,10 +112,13 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     field = static_cast<decltype(field)>(i);                             \
     return Status::Ok();                                                 \
   }
-#define DOUBLE_KEY(name, field)                                          \
+// Doubles with a closed range [lo, hi]. The test is written
+// !(d >= lo && d <= hi) so that NaN, which compares false with
+// everything, is rejected too.
+#define DOUBLE_KEY_IN(name, field, lo, hi, wants)                        \
   if (key == name) {                                                     \
-    if (!ParseDouble(value, &d))                                         \
-      return Status::InvalidArgument("bad double for " + key);           \
+    if (!ParseDouble(value, &d) || !(d >= (lo) && d <= (hi)))            \
+      return Status::InvalidArgument(key + " wants " wants);             \
     field = d;                                                           \
     return Status::Ok();                                                 \
   }
@@ -162,28 +165,17 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY_AT_LEAST("num_websites", num_websites, 1)
   INT_KEY_AT_LEAST("num_active_websites", num_active_websites, 1)
   INT_KEY_AT_LEAST("num_objects_per_website", num_objects_per_website, 1)
-  DOUBLE_KEY("zipf_alpha", zipf_alpha)
+  DOUBLE_KEY_IN("zipf_alpha", zipf_alpha, 0.0,
+                std::numeric_limits<double>::max(), "a finite number >= 0")
   INT_KEY("object_size_bits", object_size_bits)
-  if (key == "cache_policy") {
-    Result<CachePolicy> parsed = ParseCachePolicy(value);
-    if (!parsed.ok()) return parsed.status();
-    cache_policy = value;
+  if (key == "cache_policy" || key == "directory_index_policy") {
+    if (value != "unbounded" && value != "lru") {
+      return UnknownEnumValue(key, value, {"unbounded", "lru"});
+    }
+    (key == "cache_policy" ? cache_policy : directory_index_policy) = value;
     return Status::Ok();
   }
   INT_KEY("cache_capacity_bytes", cache_capacity_bytes)
-  if (key == "cache_cost") {
-    if (value != "uniform" && value != "distance") {
-      return UnknownEnumValue(key, value, {"uniform", "distance"});
-    }
-    cache_cost = value;
-    return Status::Ok();
-  }
-  if (key == "directory_index_policy") {
-    Result<CachePolicy> parsed = ParseCachePolicy(value);
-    if (!parsed.ok()) return parsed.status();
-    directory_index_policy = value;
-    return Status::Ok();
-  }
   if (key == "directory_index_capacity") {
     if (value == "unbounded") {
       directory_index_capacity_bytes = 0;
@@ -210,7 +202,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   POSITIVE_TIME_KEY("gossip_period", gossip_period)
   INT_KEY("gossip_length", gossip_length)
   INT_KEY_AT_LEAST("view_size", view_size, 1)
-  DOUBLE_KEY("push_threshold", push_threshold)
+  DOUBLE_KEY_IN("push_threshold", push_threshold, 0.0, 1.0,
+                "a fraction in [0, 1]")
   POSITIVE_TIME_KEY("keepalive_period", keepalive_period)
   INT_KEY("dead_age_limit", dead_age_limit)
   INT_KEY("view_age_limit", view_age_limit)
@@ -225,7 +218,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     summary_num_hashes = static_cast<int>(i);
     return Status::Ok();
   }
-  DOUBLE_KEY("directory_summary_threshold", directory_summary_threshold)
+  DOUBLE_KEY_IN("directory_summary_threshold", directory_summary_threshold,
+                0.0, 1.0, "a fraction in [0, 1]")
   INT_KEY("chord_id_bits", chord_id_bits)
   INT_KEY("locality_id_bits", locality_id_bits)
   INT_KEY("scaleup_extra_bits", scaleup_extra_bits)
@@ -233,7 +227,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   BOOL_KEY("churn_enabled", churn_enabled)
   TIME_KEY("churn_mean_session", churn_mean_session)
   TIME_KEY("churn_mean_downtime", churn_mean_downtime)
-  DOUBLE_KEY("churn_fail_probability", churn_fail_probability)
+  DOUBLE_KEY_IN("churn_fail_probability", churn_fail_probability, 0.0, 1.0,
+                "a probability in [0, 1]")
   if (key == "fault_loss") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.
@@ -250,14 +245,9 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     fault_partitions = value;
     return Status::Ok();
   }
-  if (key == "fault_silent_crash_probability") {
-    if (!ParseDouble(value, &d) || d < 0.0 || d > 1.0) {
-      return Status::InvalidArgument(key +
-                                     " wants a probability in [0, 1]");
-    }
-    fault_silent_crash_probability = d;
-    return Status::Ok();
-  }
+  DOUBLE_KEY_IN("fault_silent_crash_probability",
+                fault_silent_crash_probability, 0.0, 1.0,
+                "a probability in [0, 1]")
   if (key == "query_timeout") {
     if (!ParseTime(value, &t) || t < 0) {
       return Status::InvalidArgument("query_timeout wants a time >= 0");
@@ -273,7 +263,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
 
 #undef INT_KEY
 #undef INT_KEY_AT_LEAST
-#undef DOUBLE_KEY
+#undef DOUBLE_KEY_IN
 #undef BOOL_KEY
 #undef TIME_KEY
 #undef POSITIVE_TIME_KEY
@@ -312,9 +302,6 @@ std::string SimConfig::ToString() const {
   }
   // Non-default knobs only: the default line must stay byte-identical
   // across PRs so trajectory diffs catch real drift.
-  if (cache_cost != "uniform") {
-    os << " cache_cost=" << cache_cost;
-  }
   if (directory_index_policy != "unbounded" ||
       directory_index_capacity_bytes > 0) {
     os << " dir_index=" << directory_index_policy;

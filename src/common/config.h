@@ -57,24 +57,20 @@ struct SimConfig {
   uint64_t object_size_bits = 10 * 8 * 1024;
 
   // --- Peer cache (src/cache/; bounded peer storage) ------------------------
-  /// Replacement policy of every peer's content store:
-  /// "unbounded" (keep everything, the paper's Sec 4 behavior) | "lru" |
-  /// "lfu" | "gdsf".
+  /// Eviction policy of every peer's content store: "unbounded" (never
+  /// evict: the paper's Sec 4 keep-everything peers; with a finite
+  /// capacity the store fills, then turns new objects away) | "lru"
+  /// (evict the least recently used object).
   std::string cache_policy = "unbounded";
   /// Per-peer storage budget in bytes; 0 = unlimited (seed behavior).
   uint64_t cache_capacity_bytes = 0;
-  /// GDSF cost term: "uniform" (cost 1, plain GDSF) or "distance" (the
-  /// measured provider->client transfer latency, smoothed per object by
-  /// RefetchCostModel — far-fetched objects are expensive to re-fetch and
-  /// outlive equally popular local ones). Ignored by every policy except
-  /// gdsf.
-  std::string cache_cost = "uniform";
 
   // --- Directory index (src/cache/; bounded directory-side storage) ----------
-  /// Replacement policy of every directory peer's index of its overlay:
-  /// "unbounded" (index every content peer, the paper's Sec 3.3 model) |
-  /// "lru" (evict the entry with the oldest probe) | "lfu" (fewest
-  /// probes) | "gdsf" (footprint-aware).
+  /// Eviction policy of every directory peer's index of its overlay:
+  /// "unbounded" (never evict: with capacity 0 the index holds every
+  /// content peer, the paper's Sec 3.3 model; with a finite capacity it
+  /// fills, then turns new peers away) | "lru" (evict the entry with the
+  /// oldest contact).
   std::string directory_index_policy = "unbounded";
   /// Per-directory index budget in bytes of accounted entry footprint
   /// (DirectoryStore::FootprintBytes); 0 = unbounded. The config key

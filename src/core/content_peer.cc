@@ -20,7 +20,6 @@ ContentPeer::ContentPeer(FlowerContext* ctx, const Website* site,
       locality_(locality),
       rng_(rng_seed),
       content_(ContentStore::FromConfig(*ctx->config)),
-      cost_model_(*ctx->config),
       view_(ctx->config->view_size, ctx->config->view_age_limit) {
   assert(site != nullptr);
 }
@@ -237,9 +236,9 @@ void ContentPeer::HandleIncomingQuery(std::unique_ptr<FlowerQueryMsg> query) {
 
 void ContentPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
   SimTime now = ctx_->sim->Now();
-  SimTime distance = ctx_->network->Latency(serve->provider, address());
   auto it = pending_.find(serve->object);
   if (it != pending_.end()) {
+    SimTime distance = ctx_->network->Latency(serve->provider, address());
     const Topology& topo = ctx_->network->topology();
     Metrics::ProviderKind kind =
         topo.LocalityOf(serve->provider) == topo.LocalityOf(node())
@@ -251,7 +250,7 @@ void ContentPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
   }
   // else: a retry raced the original answer — the query was already
   // counted served once; just keep the object.
-  AddObject(serve->object, cost_model_.OnFetch(serve->object, distance));
+  AddObject(serve->object);
   if (!serve->view_subset.empty()) {
     view_.Merge(serve->view_subset, std::nullopt, address());
   }
@@ -363,14 +362,14 @@ void ContentPeer::MergeDirPointer(const DirectoryPointer& incoming) {
 
 // --- Push & keepalive (Algorithm 5 / Sec 5.1) ------------------------------------
 
-void ContentPeer::AddObject(ObjectId object, double cost) {
+void ContentPeer::AddObject(ObjectId object) {
   if (content_.Contains(object)) {
     content_.Touch(object);
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted = content_.Insert(object, ctx_->config->object_size_bits / 8,
-                                  &evicted, cost);
+  bool inserted =
+      content_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
   if (!evicted.empty()) {
     // Evictions invalidate our gossiped summary and the directory's index
     // entry for us; both go stale gracefully — the summary rebuilds before

@@ -8,6 +8,11 @@
 // (Sec 5.1), and resolves its own queries locally:
 //   own cache -> view summaries -> directory peer.
 // On directory failure it races to replace it (Sec 5.2).
+//
+// "Keeps every object" is the default. Under `cache_policy=lru` with a
+// finite `cache_capacity_bytes` the peer's ContentStore evicts its least
+// recently used objects, and the evictions ride the next push as
+// removals.
 #ifndef FLOWERCDN_CORE_CONTENT_PEER_H_
 #define FLOWERCDN_CORE_CONTENT_PEER_H_
 
@@ -101,9 +106,7 @@ class ContentPeer : public Peer {
   SummaryRef CurrentSummary();
 
   // Push & keepalive (Algorithm 5 / Sec 5.1).
-  /// `cost` is the GDSF retrieval-cost term (the measured transfer
-  /// distance under `cache_cost=distance`, 1 otherwise).
-  void AddObject(ObjectId object, double cost);
+  void AddObject(ObjectId object);
   static void DropDelta(std::vector<ObjectSlot>* delta, ObjectSlot slot);
   void MaybePush();
   void SendKeepalive();
@@ -122,8 +125,6 @@ class ContentPeer : public Peer {
   bool joined_ = false;
 
   ContentStore content_;
-  /// EWMA of observed refetch costs per object (cache_cost=distance).
-  RefetchCostModel cost_model_;
   // Pending push delta, slot-encoded like the PushMsg it will ride
   // (convert via site_->SlotOf / IdAtSlot at the cache boundary).
   std::vector<ObjectSlot> push_delta_;    // additions since the last push

@@ -19,7 +19,6 @@ DirectoryPeer::DirectoryPeer(FlowerContext* ctx, const Website* site,
       rng_(rng_seed),
       dir_store_(DirectoryStore::FromConfig(*ctx->config)),
       content_(ContentStore::FromConfig(*ctx->config)),
-      cost_model_(*ctx->config),
       view_(ctx->config->view_size, ctx->config->view_age_limit) {
   set_app(this);
 }
@@ -398,14 +397,14 @@ void DirectoryPeer::RequestObject(ObjectId object) {
   ProcessQuery(std::move(q));  // local lookup, no network hop
 }
 
-void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
+void DirectoryPeer::AddOwnObject(ObjectId object) {
   if (content_.Contains(object)) {
     content_.Touch(object);
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted = content_.Insert(object, ctx_->config->object_size_bits / 8,
-                                  &evicted, cost);
+  bool inserted =
+      content_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
   if (!evicted.empty()) {
     // Own-content evictions leave the next rebuilt index summary; per
     // Sec 4.2.1 removals do not trigger an eager refresh (neighbors
@@ -421,8 +420,8 @@ void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
 
 void DirectoryPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
   SimTime now = ctx_->sim->Now();
-  SimTime distance = ctx_->network->Latency(serve->provider, address());
   if (pending_own_.erase(serve->object) > 0) {
+    SimTime distance = ctx_->network->Latency(serve->provider, address());
     const Topology& topo = ctx_->network->topology();
     Metrics::ProviderKind kind =
         topo.LocalityOf(serve->provider) == topo.LocalityOf(node())
@@ -430,7 +429,7 @@ void DirectoryPeer::HandleServe(std::unique_ptr<ServeMsg> serve) {
             : Metrics::ProviderKind::kRemotePeer;
     ctx_->metrics->OnServed(now, !serve->from_server, distance, kind);
   }
-  AddOwnObject(serve->object, cost_model_.OnFetch(serve->object, distance));
+  AddOwnObject(serve->object);
 }
 
 // --- Replacement adjudication (Sec 5.2) -----------------------------------------------------

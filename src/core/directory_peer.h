@@ -126,7 +126,7 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   SummaryRef BuildIndexSummary();
 
   // Own-content handling (directories are clients too).
-  void AddOwnObject(ObjectId object, double cost);
+  void AddOwnObject(ObjectId object);
   void HandleServe(std::unique_ptr<ServeMsg> serve);
 
   // Replacement adjudication (Sec 5.2).
@@ -149,8 +149,6 @@ class DirectoryPeer : public DRingNode, public KbrApp {
 
   // Own content (non-empty when promoted from a content peer).
   ContentStore content_;
-  /// EWMA of observed refetch costs per object (cache_cost=distance).
-  RefetchCostModel cost_model_;
   View view_;  // inherited view; answers first queries during takeover
   std::set<ObjectId> pending_own_;  // own requests in flight
 

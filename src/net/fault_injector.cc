@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 
 namespace flower {
 
@@ -30,7 +31,8 @@ Status ParseSide(const std::string& spec, PartitionSide* out) {
   }
   char* end = nullptr;
   long long loc = std::strtoll(spec.c_str(), &end, 10);
-  if (end == spec.c_str() || *end != '\0' || loc < 0) {
+  if (end == spec.c_str() || *end != '\0' || loc < 0 ||
+      loc > std::numeric_limits<LocalityId>::max()) {
     return Status::InvalidArgument(
         "partition side wants a locality id or \"*\", got \"" + spec +
         "\"");
@@ -124,8 +126,22 @@ Result<FaultPlan> FaultPlan::FromConfig(const SimConfig& config) {
   if (!s.ok()) return s;
   s = ParsePartitionSpec(config.fault_partitions, &plan.partitions);
   if (!s.ok()) return s;
-  if (config.fault_silent_crash_probability < 0 ||
-      config.fault_silent_crash_probability > 1) {
+  // A side naming a locality the topology lacks would cut nothing, and
+  // the run would go on as if no partition were set.
+  for (const PartitionWindow& w : plan.partitions) {
+    for (const PartitionSide& side : {w.a, w.b}) {
+      if (side.kind == PartitionSide::Kind::kLocality &&
+          side.locality >= static_cast<LocalityId>(config.num_localities)) {
+        return Status::InvalidArgument(
+            "fault_partitions side " + std::to_string(side.locality) +
+            " is not a locality (num_localities=" +
+            std::to_string(config.num_localities) + ")");
+      }
+    }
+  }
+  // Written so that NaN fails too.
+  if (!(config.fault_silent_crash_probability >= 0 &&
+        config.fault_silent_crash_probability <= 1)) {
     return Status::InvalidArgument(
         "fault_silent_crash_probability wants a probability in [0, 1]");
   }

@@ -11,8 +11,7 @@ SquirrelNode::SquirrelNode(SquirrelContext* ctx, Key id, uint64_t rng_seed)
     : ChordNode(ctx->sim, ctx->network, ctx->ring, id),
       ctx_(ctx),
       rng_(rng_seed),
-      cache_(ContentStore::FromConfig(*ctx->config)),
-      cost_model_(*ctx->config) {
+      cache_(ContentStore::FromConfig(*ctx->config)) {
   set_app(this);
 }
 
@@ -72,14 +71,14 @@ void SquirrelNode::Deliver(Key key, MessagePtr payload,
   ProcessAsHome(MessageCast<FlowerQueryMsg>(std::move(payload)));
 }
 
-void SquirrelNode::CacheObject(ObjectId object, double cost) {
+void SquirrelNode::CacheObject(ObjectId object) {
   if (cache_.Contains(object)) {
     cache_.Touch(object);
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted = cache_.Insert(object, ctx_->config->object_size_bits / 8,
-                                &evicted, cost);
+  bool inserted =
+      cache_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
   if (inserted) evicted_ids_.erase(object);
   // Evictions leave stale downloader pointers at the objects' home nodes;
   // those heal through the existing NotFound retry path when followed.
@@ -146,9 +145,8 @@ void SquirrelNode::ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query) {
 void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
   SimTime now = ctx_->sim->Now();
   const ObjectId object = serve->object;
-  SimTime distance = ctx_->network->Latency(serve->provider, address());
-
   if (pending_own_.erase(object) > 0) {
+    SimTime distance = ctx_->network->Latency(serve->provider, address());
     const Topology& topo = ctx_->network->topology();
     Metrics::ProviderKind kind =
         topo.LocalityOf(serve->provider) == topo.LocalityOf(node())
@@ -156,9 +154,7 @@ void SquirrelNode::HandleServe(std::unique_ptr<ServeMsg> serve) {
             : Metrics::ProviderKind::kRemotePeer;
     ctx_->metrics->OnServed(now, !serve->from_server, distance, kind);
   }
-  // Same cost model as Flower peers, so cross-system cache ablations
-  // under cache_cost=distance stay fair.
-  CacheObject(object, cost_model_.OnFetch(object, distance));
+  CacheObject(object);
 }
 
 void SquirrelNode::HandleMessage(MessagePtr msg) {

@@ -63,9 +63,7 @@ class SquirrelNode : public ChordNode, public KbrApp {
   /// to a recent downloader or to the origin server.
   void ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query);
   /// Caches an object under the store's policy/budget, counting evictions.
-  /// `cost` is the GDSF retrieval-cost term (RefetchCostModel::OnFetch;
-  /// 1 under the default uniform model).
-  void CacheObject(ObjectId object, double cost = 1.0);
+  void CacheObject(ObjectId object);
   void RememberDownloader(ObjectId object, PeerAddress peer);
   void ServeClient(const FlowerQueryMsg& query);
   void HandleServe(std::unique_ptr<ServeMsg> serve);
@@ -78,13 +76,9 @@ class SquirrelNode : public ChordNode, public KbrApp {
   /// Bounded web cache (src/cache/). With the default unbounded policy it
   /// behaves exactly like the std::set it replaced; with a finite
   /// `cache_capacity_bytes` the baseline runs under the same storage
-  /// pressure as Flower-CDN's peers, so policy/capacity ablations compare
-  /// both systems fairly.
+  /// pressure and the same eviction policy as Flower-CDN's peers, so
+  /// capacity ablations compare both systems fairly.
   ContentStore cache_;
-  /// EWMA of observed refetch costs per object (cache_cost=distance),
-  /// the same smoothing Flower peers apply, so cross-system ablations
-  /// stay fair.
-  RefetchCostModel cost_model_;
   /// Objects this node evicted and has not re-cached. A redirected query
   /// that misses one of these is an eviction-induced stale pointer
   /// (counted via OnStaleRedirect); misses on never-held objects are the

@@ -1,11 +1,9 @@
 // Integration tests of the cache subsystem inside the full Flower-CDN
 // stack: capacity pressure evicts, eviction deltas reach the directory
 // index, a stale (pre-eviction) bloom summary makes a peer-direct query
-// fall back through the pipeline — counted, never lost — and
-// distance-priced GDSF is pinned end to end.
+// fall back through the pipeline — counted, never lost.
 #include <gtest/gtest.h>
 
-#include "api/experiment.h"
 #include "bloom/summary.h"
 #include "cache/content_store.h"
 #include "core/content_peer.h"
@@ -207,27 +205,6 @@ TEST_F(CacheIntegrationTest, AllQueriesServedUnderSteadyPressure) {
   EXPECT_LE(a->content().bytes_used(), world_.config().cache_capacity_bytes);
   EXPECT_EQ(metrics_.queries_served(), metrics_.queries_submitted());
   EXPECT_GE(metrics_.cache_evictions(), 18u - a->content().size());
-}
-
-// GDSF priced by measured fetch distance (cache_cost=distance), run
-// through the whole stack: serves of content and directory peers feed
-// each peer's RefetchCostModel. Fixed-seed golden values; the uniform
-// run proves the pin depends on the distance pricing.
-TEST(GdsfDistanceIntegrationTest, FixedSeedRunIsPinned) {
-  SimConfig c = TinyConfig();
-  c.cache_policy = "gdsf";
-  // Room for four of the fixed-size 10 KB objects per peer.
-  c.cache_capacity_bytes = 4 * (c.object_size_bits / 8);
-  c.cache_cost = "distance";
-  RunResult r = Experiment(c).WithSystem("flower").Run();
-  EXPECT_EQ(r.queries_served, 12336u);
-  EXPECT_EQ(r.server_hits, 500u);
-  EXPECT_EQ(r.cache_evictions, 11976u);
-  EXPECT_NEAR(r.cumulative_hit_ratio, 0.959468, 1e-6);
-
-  c.cache_cost = "uniform";
-  RunResult uniform = Experiment(c).WithSystem("flower").Run();
-  EXPECT_NE(uniform.cache_evictions, r.cache_evictions);
 }
 
 }  // namespace

@@ -1,38 +1,65 @@
 // Unit tests for the bounded peer storage (src/cache/): byte accounting,
-// per-policy victim choice, admission control, and config plumbing.
+// LRU victim choice, admission control, and config plumbing.
 #include "cache/content_store.h"
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "common/rng.h"
 
 namespace flower {
 namespace {
 
 TEST(CachePolicyTest, ParseRoundTrips) {
-  for (CachePolicy p : {CachePolicy::kUnbounded, CachePolicy::kLru,
-                        CachePolicy::kLfu, CachePolicy::kGdsf}) {
-    Result<CachePolicy> parsed = ParseCachePolicy(CachePolicyName(p));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), p);
+  // Both policy keys take exactly two values, each kept as written.
+  for (const char* key : {"cache_policy", "directory_index_policy"}) {
+    SimConfig c;
+    const std::string& field = std::string(key) == "cache_policy"
+                                   ? c.cache_policy
+                                   : c.directory_index_policy;
+    for (const char* value : {"lru", "unbounded"}) {
+      ASSERT_TRUE(c.Apply(key, value).ok()) << key << "=" << value;
+      EXPECT_EQ(field, value);
+    }
   }
 }
 
 TEST(CachePolicyTest, ParseRejectsUnknown) {
-  Result<CachePolicy> r = ParseCachePolicy("arc");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Only unbounded and lru are accepted; every other name is rejected
+  // with the accepted list.
+  for (const char* key : {"cache_policy", "directory_index_policy"}) {
+    for (const char* value : {"arc", "lfu", "gdsf", ""}) {
+      SimConfig c;
+      Status s = c.Apply(key, value);
+      ASSERT_FALSE(s.ok()) << key << "=" << value;
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(s.ToString().find("accepted: unbounded, lru"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
 }
 
 TEST(CachePolicyTest, ConfigKeysApply) {
   SimConfig c;
-  ASSERT_TRUE(c.Apply("cache_policy", "gdsf").ok());
-  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "65536").ok());
-  EXPECT_EQ(c.cache_policy, "gdsf");
-  EXPECT_EQ(c.cache_capacity_bytes, 65536u);
+  ASSERT_TRUE(c.Apply("cache_policy", "lru").ok());
+  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "20").ok());
+  EXPECT_EQ(c.cache_policy, "lru");
+  EXPECT_EQ(c.cache_capacity_bytes, 20u);
   ContentStore store = ContentStore::FromConfig(c);
-  EXPECT_EQ(store.policy(), CachePolicy::kGdsf);
-  EXPECT_EQ(store.capacity_bytes(), 65536u);
+  EXPECT_EQ(store.capacity_bytes(), 20u);
+  // An lru store evicts to make room where an unbounded one would
+  // turn the newcomer away.
+  EXPECT_TRUE(store.Insert(1, 10));
+  EXPECT_TRUE(store.Insert(2, 10));
+  std::vector<ObjectId> evicted;
+  EXPECT_TRUE(store.Insert(3, 10, &evicted));
+  EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
 }
 
 TEST(CachePolicyTest, ConfigRejectsBadValues) {
@@ -41,26 +68,6 @@ TEST(CachePolicyTest, ConfigRejectsBadValues) {
   EXPECT_FALSE(c.Apply("cache_capacity_bytes", "lots").ok());
   EXPECT_EQ(c.cache_policy, "unbounded") << "a bad value must not stick";
   EXPECT_EQ(c.cache_capacity_bytes, 0u);
-}
-
-TEST(RefetchCostModelTest, EwmaSmoothingPinned) {
-  SimConfig c;
-  ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
-  RefetchCostModel model(c);
-  EXPECT_DOUBLE_EQ(model.CostOf(7), 1.0) << "never observed";
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 100), 100.0) << "first sample seeds";
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 200), 130.0) << "0.3*200 + 0.7*100";
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 50), 106.0) << "0.3*50 + 0.7*130";
-  EXPECT_DOUBLE_EQ(model.CostOf(7), 106.0) << "CostOf reads, no update";
-  EXPECT_DOUBLE_EQ(model.OnFetch(8, 0), 1.0) << "samples floored at 1";
-  EXPECT_DOUBLE_EQ(model.CostOf(9), 1.0) << "per-object state";
-}
-
-TEST(RefetchCostModelTest, UniformStaysStateless) {
-  SimConfig c;  // cache_cost=uniform default
-  RefetchCostModel model(c);
-  EXPECT_DOUBLE_EQ(model.OnFetch(7, 500), 1.0);
-  EXPECT_DOUBLE_EQ(model.CostOf(7), 1.0);
 }
 
 TEST(ContentStoreTest, CapacityAccounting) {
@@ -80,8 +87,6 @@ TEST(ContentStoreTest, CapacityAccounting) {
   EXPECT_FALSE(store.Contains(1));
   EXPECT_TRUE(store.Contains(2));
   EXPECT_TRUE(store.Contains(3));
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.stats().bytes_evicted, 40u);
 }
 
 TEST(ContentStoreTest, EraseAndReinsertAccounting) {
@@ -95,7 +100,6 @@ TEST(ContentStoreTest, EraseAndReinsertAccounting) {
   EXPECT_TRUE(store.Insert(2, 60));
   EXPECT_EQ(store.bytes_used(), 60u);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().evictions, 0u) << "erase is not an eviction";
 }
 
 TEST(ContentStoreTest, LruEvictsLeastRecentlyUsed) {
@@ -111,58 +115,6 @@ TEST(ContentStoreTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(store.Contains(1));
 }
 
-TEST(ContentStoreTest, LfuEvictsLeastFrequentlyUsed) {
-  ContentStore store(CachePolicy::kLfu, 30);
-  EXPECT_TRUE(store.Insert(1, 10));
-  EXPECT_TRUE(store.Insert(2, 10));
-  EXPECT_TRUE(store.Insert(3, 10));
-  store.Touch(1);
-  store.Touch(1);
-  store.Touch(3);
-  // Frequencies: 1 -> 3, 2 -> 1, 3 -> 2. Victim: 2.
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(4, 10, &evicted));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2u);
-}
-
-TEST(ContentStoreTest, LfuBreaksTiesTowardsOldest) {
-  ContentStore store(CachePolicy::kLfu, 30);
-  EXPECT_TRUE(store.Insert(5, 10));
-  EXPECT_TRUE(store.Insert(6, 10));
-  EXPECT_TRUE(store.Insert(7, 10));
-  // All frequency 1: the stalest insert (5) goes first.
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(8, 10, &evicted));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 5u);
-}
-
-TEST(ContentStoreTest, GdsfPrefersLargeColdVictims) {
-  ContentStore store(CachePolicy::kGdsf, 100);
-  EXPECT_TRUE(store.Insert(1, 50));  // large, priority 1/50
-  EXPECT_TRUE(store.Insert(2, 10));  // small, priority 1/10
-  EXPECT_TRUE(store.Insert(3, 40));  // large, priority 1/40
-  // Equal frequency: the largest object has the lowest priority.
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(4, 30, &evicted));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 1u);
-  EXPECT_TRUE(store.Contains(2));
-}
-
-TEST(ContentStoreTest, GdsfFrequencyOutweighsSizeEventually) {
-  ContentStore store(CachePolicy::kGdsf, 100);
-  EXPECT_TRUE(store.Insert(1, 50));
-  EXPECT_TRUE(store.Insert(2, 50));
-  // Heat up the big object 1 far past 2: 1's priority 6/50 > 2's 1/50.
-  for (int i = 0; i < 5; ++i) store.Touch(1);
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(3, 20, &evicted));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2u) << "the cold same-size object must go first";
-}
-
 TEST(ContentStoreTest, UnboundedKeepsEverything) {
   ContentStore store(CachePolicy::kUnbounded, 0);
   EXPECT_FALSE(store.bounded());
@@ -170,7 +122,6 @@ TEST(ContentStoreTest, UnboundedKeepsEverything) {
     EXPECT_TRUE(store.Insert(id, 1 << 20));
   }
   EXPECT_EQ(store.size(), 1000u);
-  EXPECT_EQ(store.stats().evictions, 0u);
 }
 
 TEST(ContentStoreTest, BoundedUnboundedPolicyRejectsOverflow) {
@@ -179,9 +130,16 @@ TEST(ContentStoreTest, BoundedUnboundedPolicyRejectsOverflow) {
   ContentStore store(CachePolicy::kUnbounded, 20);
   EXPECT_TRUE(store.Insert(1, 10));
   EXPECT_TRUE(store.Insert(2, 10));
-  EXPECT_FALSE(store.Insert(3, 10));
+  std::vector<ObjectId> evicted;
+  EXPECT_FALSE(store.Insert(3, 10, &evicted));
+  EXPECT_TRUE(evicted.empty());
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().admission_rejects, 1u);
+  EXPECT_FALSE(store.Contains(3));
+  // A grown resident cannot evict anyone else either: it leaves itself.
+  evicted.clear();
+  EXPECT_FALSE(store.Resize(1, 15, &evicted));
+  EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
+  EXPECT_EQ(store.bytes_used(), 10u);
 }
 
 TEST(ContentStoreTest, OversizedObjectRejected) {
@@ -191,62 +149,20 @@ TEST(ContentStoreTest, OversizedObjectRejected) {
   EXPECT_FALSE(store.Insert(2, 101, &evicted));
   EXPECT_TRUE(evicted.empty()) << "a hopeless insert must not evict anyone";
   EXPECT_TRUE(store.Contains(1));
-  EXPECT_EQ(store.stats().admission_rejects, 1u);
+  EXPECT_FALSE(store.Contains(2));
 }
 
 TEST(ContentStoreTest, ObjectsIterateInIdOrder) {
   // Summary rebuilds and full pushes must see the same sorted iteration
   // order as the std::set the store replaced.
-  ContentStore store(CachePolicy::kLfu, 0);
+  ContentStore store(CachePolicy::kLru, 0);
   EXPECT_TRUE(store.Insert(30, 1));
   EXPECT_TRUE(store.Insert(10, 1));
   EXPECT_TRUE(store.Insert(20, 1));
   std::vector<ObjectId> expected = {10, 20, 30};
   EXPECT_EQ(store.keys(), expected);
-  EXPECT_EQ(store.count(10), 1u);
-  EXPECT_EQ(store.count(11), 0u);
-}
-
-TEST(ContentStoreTest, StatsCountHitsAndInsertions) {
-  ContentStore store(CachePolicy::kLru, 0);
-  EXPECT_TRUE(store.Insert(1, 10));
-  store.Touch(1);
-  store.Touch(1);
-  store.Touch(99);  // absent: not a hit
-  EXPECT_EQ(store.stats().insertions, 1u);
-  EXPECT_EQ(store.stats().hits, 2u);
-}
-
-TEST(ContentStoreTest, GdsfDistanceCostProtectsFarFetchedObjects) {
-  // Same size, same frequency: under plain GDSF the insertion order
-  // decides; with a distance cost the cheap-to-refetch (nearby) object
-  // must go first even though it was inserted later.
-  ContentStore store(CachePolicy::kGdsf, 100);
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(1, 50, &evicted, /*cost=*/400.0));  // far
-  EXPECT_TRUE(store.Insert(2, 50, &evicted, /*cost=*/10.0));   // near
-  EXPECT_TRUE(store.Insert(3, 40, &evicted, /*cost=*/10.0));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2u) << "the near object is the cheaper loss";
-  EXPECT_TRUE(store.Contains(1));
-}
-
-TEST(ContentStoreTest, UniformCostMatchesPlainGdsf) {
-  // cost 1.0 multiplies the priority by exactly 1 (IEEE-exact), so the
-  // default cost model cannot perturb plain-GDSF victim choice.
-  ContentStore plain(CachePolicy::kGdsf, 100);
-  ContentStore costed(CachePolicy::kGdsf, 100);
-  for (ObjectId id = 1; id <= 3; ++id) {
-    EXPECT_TRUE(plain.Insert(id, 30 + id));
-    EXPECT_TRUE(costed.Insert(id, 30 + id, nullptr, 1.0));
-  }
-  plain.Touch(2);
-  costed.Touch(2);
-  std::vector<ObjectId> evicted_plain;
-  std::vector<ObjectId> evicted_costed;
-  EXPECT_TRUE(plain.Insert(9, 60, &evicted_plain));
-  EXPECT_TRUE(costed.Insert(9, 60, &evicted_costed));
-  EXPECT_EQ(evicted_plain, evicted_costed);
+  EXPECT_TRUE(store.Contains(10));
+  EXPECT_FALSE(store.Contains(11));
 }
 
 TEST(ContentStoreTest, ResizeAdjustsAccountingAndEvictsOnGrowth) {
@@ -262,7 +178,6 @@ TEST(ContentStoreTest, ResizeAdjustsAccountingAndEvictsOnGrowth) {
   EXPECT_TRUE(store.Resize(2, 70, &evicted));
   EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
   EXPECT_EQ(store.bytes_used(), 70u);
-  EXPECT_EQ(store.stats().evictions, 1u);
   // Growth past the whole budget: the resized key itself is evicted.
   evicted.clear();
   EXPECT_FALSE(store.Resize(2, 101, &evicted));
@@ -286,6 +201,77 @@ TEST(ContentStoreTest, MultiEvictionToFitOneLargeObject) {
   EXPECT_EQ(evicted, expected);
   EXPECT_EQ(store.bytes_used(), 80u);
   EXPECT_TRUE(store.Contains(4));
+}
+
+// Randomized check of an lru store against a model that keeps its own
+// byte accounting and recency order, so every victim is predicted: an
+// Insert of a new key evicts the least recently inserted or touched
+// residents until the newcomer fits, an Insert of a resident key or a
+// Touch makes it the most recently used, a key larger than the whole
+// budget is turned away without evicting anyone, and Erase is not an
+// eviction.
+TEST(ContentStoreTest, LruRandomOpsMatchRecencyModel) {
+  constexpr uint64_t kCapacity = 100;
+  constexpr ObjectId kMaxId = 29;
+  ContentStore store(CachePolicy::kLru, kCapacity);
+  std::map<ObjectId, uint64_t> model;  // resident -> size
+  std::vector<ObjectId> recency;       // least recently used first
+  auto forget = [&](ObjectId id) {
+    recency.erase(std::remove(recency.begin(), recency.end(), id),
+                  recency.end());
+  };
+  auto model_bytes = [&] {
+    uint64_t bytes = 0;
+    for (const auto& [id, size] : model) bytes += size;
+    return bytes;
+  };
+  Rng rng(7);
+  uint64_t evictions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const auto id = static_cast<ObjectId>(rng.Index(kMaxId + 1));
+    const uint64_t op = rng.Index(100);
+    if (op < 60) {
+      const uint64_t size =
+          rng.Bernoulli(0.02) ? kCapacity + 1 : 1 + rng.Index(40);
+      std::vector<ObjectId> evicted;
+      const bool inserted = store.Insert(id, size, &evicted);
+      std::vector<ObjectId> expected;
+      bool admit = true;
+      if (model.count(id) > 0) {
+        forget(id);
+        recency.push_back(id);
+      } else if (size > kCapacity) {
+        admit = false;
+      } else {
+        while (model_bytes() + size > kCapacity) {
+          const ObjectId victim = recency.front();
+          model.erase(victim);
+          forget(victim);
+          expected.push_back(victim);
+        }
+        model[id] = size;
+        recency.push_back(id);
+      }
+      EXPECT_EQ(inserted, admit);
+      EXPECT_EQ(evicted, expected);
+      evictions += evicted.size();
+    } else if (op < 85) {
+      store.Touch(id);
+      if (model.count(id) > 0) {
+        forget(id);
+        recency.push_back(id);
+      }
+    } else {
+      EXPECT_EQ(store.Erase(id), model.erase(id) > 0);
+      forget(id);
+    }
+    std::vector<ObjectId> keys;
+    for (const auto& [key, size] : model) keys.push_back(key);
+    ASSERT_EQ(store.keys(), keys);
+    ASSERT_EQ(store.bytes_used(), model_bytes());
+  }
+  EXPECT_GT(evictions, 100u) << "the run must keep the store at capacity";
 }
 
 }  // namespace

@@ -103,17 +103,48 @@ TEST(ConfigTest, UnknownKeyRejected) {
 
 TEST(ConfigTest, UnknownEnumValuesListAccepted) {
   SimConfig c;
-  Status s = c.Apply("cache_cost", "hops");
+  Status s = c.Apply("cache_policy", "mru");
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("accepted: uniform, distance"),
-            std::string::npos)
+  EXPECT_NE(s.ToString().find("accepted: unbounded, lru"), std::string::npos)
       << s.ToString();
 
-  s = c.Apply("cache_policy", "mru");
+  s = c.Apply("directory_index_policy", "gdsf");
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("accepted: unbounded, lru, lfu, gdsf"),
-            std::string::npos)
+  EXPECT_NE(s.ToString().find("accepted: unbounded, lru"), std::string::npos)
       << s.ToString();
+}
+
+TEST(ConfigTest, DoubleKeysRejectNaNAndOutOfRange) {
+  // NaN compares false with every bound, so each range is tested as
+  // !(lo <= d <= hi); a rejected value must leave the field alone.
+  SimConfig c;
+  const SimConfig defaults;
+  const std::pair<const char*, double SimConfig::*> keys[] = {
+      {"zipf_alpha", &SimConfig::zipf_alpha},
+      {"push_threshold", &SimConfig::push_threshold},
+      {"directory_summary_threshold", &SimConfig::directory_summary_threshold},
+      {"churn_fail_probability", &SimConfig::churn_fail_probability},
+      {"fault_silent_crash_probability",
+       &SimConfig::fault_silent_crash_probability},
+  };
+  for (const auto& [key, field] : keys) {
+    for (const char* bad : {"nan", "-nan", "-0.5", "inf"}) {
+      Status s = c.Apply(key, bad);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << bad;
+      EXPECT_EQ(c.*field, defaults.*field) << key << "=" << bad;
+    }
+    EXPECT_TRUE(c.Apply(key, "0").ok()) << key;
+    EXPECT_TRUE(c.Apply(key, "1").ok()) << key;
+    EXPECT_DOUBLE_EQ(c.*field, 1.0) << key;
+  }
+  // The fractions and probabilities stop at 1; zipf_alpha only at
+  // infinity.
+  for (const char* key :
+       {"push_threshold", "directory_summary_threshold",
+        "churn_fail_probability", "fault_silent_crash_probability"}) {
+    EXPECT_FALSE(c.Apply(key, "1.5").ok()) << key;
+  }
+  EXPECT_TRUE(c.Apply("zipf_alpha", "1.5").ok());
 }
 
 TEST(ConfigTest, MalformedValueRejected) {
@@ -203,26 +234,30 @@ TEST(ConfigTest, DirectoryIndexKeys) {
   SimConfig c;
   EXPECT_EQ(c.directory_index_policy, "unbounded");
   EXPECT_EQ(c.directory_index_capacity_bytes, 0u);
-  EXPECT_TRUE(c.Apply("directory_index_policy", "gdsf").ok());
+  EXPECT_TRUE(c.Apply("directory_index_policy", "lru").ok());
   EXPECT_TRUE(c.Apply("directory_index_capacity", "8192").ok());
-  EXPECT_EQ(c.directory_index_policy, "gdsf");
+  EXPECT_EQ(c.directory_index_policy, "lru");
   EXPECT_EQ(c.directory_index_capacity_bytes, 8192u);
   // The capacity key also accepts the spelled-out default.
   EXPECT_TRUE(c.Apply("directory_index_capacity", "unbounded").ok());
   EXPECT_EQ(c.directory_index_capacity_bytes, 0u);
   EXPECT_FALSE(c.Apply("directory_index_policy", "mru").ok());
+  EXPECT_FALSE(c.Apply("directory_index_policy", "lfu").ok());
   EXPECT_FALSE(c.Apply("directory_index_capacity", "-5").ok());
   EXPECT_FALSE(c.Apply("directory_index_capacity", "lots").ok());
-  EXPECT_EQ(c.directory_index_policy, "gdsf") << "bad values must not stick";
+  EXPECT_EQ(c.directory_index_policy, "lru") << "bad values must not stick";
 }
 
 TEST(ConfigTest, CacheCostKey) {
+  // Inserts are no longer priced, so cache_cost is an unknown key: every
+  // value it used to accept is rejected and the config line never
+  // mentions it.
   SimConfig c;
-  EXPECT_EQ(c.cache_cost, "uniform");
-  EXPECT_TRUE(c.Apply("cache_cost", "distance").ok());
-  EXPECT_EQ(c.cache_cost, "distance");
-  EXPECT_FALSE(c.Apply("cache_cost", "hops").ok());
-  EXPECT_EQ(c.cache_cost, "distance");
+  for (const char* value : {"uniform", "distance", "hops"}) {
+    Status s = c.Apply("cache_cost", value);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << value;
+  }
+  EXPECT_EQ(c.ToString().find("cache_cost"), std::string::npos);
 }
 
 TEST(ConfigTest, ToStringGuardsNonDefaultStorageKnobs) {
@@ -230,13 +265,10 @@ TEST(ConfigTest, ToStringGuardsNonDefaultStorageKnobs) {
   std::string defaults = c.ToString();
   EXPECT_EQ(defaults.find("dir_index"), std::string::npos)
       << "the default config line must stay byte-identical across PRs";
-  EXPECT_EQ(defaults.find("cache_cost"), std::string::npos);
   ASSERT_TRUE(c.Apply("directory_index_policy", "lru").ok());
   ASSERT_TRUE(c.Apply("directory_index_capacity", "4096").ok());
-  ASSERT_TRUE(c.Apply("cache_cost", "distance").ok());
   std::string overridden = c.ToString();
   EXPECT_NE(overridden.find("dir_index=lru/4096B"), std::string::npos);
-  EXPECT_NE(overridden.find("cache_cost=distance"), std::string::npos);
 }
 
 TEST(ConfigTest, ToStringMentionsKeyParameters) {

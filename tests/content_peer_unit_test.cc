@@ -140,7 +140,7 @@ TEST_F(ContentPeerUnitTest, DuplicateRequestsCoalesce) {
   member_->RequestObject(obj);  // while the first is in flight
   world_.sim()->RunFor(kMinute);
   EXPECT_EQ(metrics_.queries_submitted(), before + 1);
-  EXPECT_EQ(member_->content().count(obj), 1u);
+  EXPECT_TRUE(member_->content().Contains(obj));
 }
 
 TEST_F(ContentPeerUnitTest, FailReleasesTheNetworkAddress) {
@@ -163,7 +163,7 @@ TEST_F(ContentPeerUnitTest, PromotionStateCarriesContentAndView) {
   ASSERT_EQ(member_->content().size(), 2u);
   ContentPeer::PromotionState state = member_->PrepareForPromotion();
   EXPECT_EQ(state.content.size(), 2u);
-  EXPECT_EQ(state.content.count(held_), 1u);
+  EXPECT_TRUE(state.content.Contains(held_));
   EXPECT_FALSE(world_.network()->IsAlive(member_node_));
 }
 

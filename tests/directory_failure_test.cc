@@ -58,7 +58,7 @@ TEST_F(DirectoryFailureTest, RedirectionFailureRetriesAnotherProvider) {
   uint64_t server_before = metrics_.server_hits();
   system_.SubmitQuery(peers[3]->node(), 0, obj);
   world_.sim()->RunFor(kMinute);
-  EXPECT_EQ(peers[3]->content().count(obj), 1u);
+  EXPECT_TRUE(peers[3]->content().Contains(obj));
   EXPECT_EQ(metrics_.server_hits(), server_before);  // rescued by peers[2]
   EXPECT_GE(dir->redirect_failures(), failures_before);
 }
@@ -149,7 +149,7 @@ TEST_F(DirectoryFailureTest, SystemServesQueriesAfterReplacement) {
   ObjectId fresh = system_.catalog().site(0).objects[30];
   system_.SubmitQuery(survivor->node(), 0, fresh);
   world_.sim()->RunFor(kMinute);
-  EXPECT_EQ(survivor->content().count(fresh), 1u);
+  EXPECT_TRUE(survivor->content().Contains(fresh));
 
   // And a brand-new client can still join through the D-ring.
   const auto& pool = system_.deployment().client_pools[0][0];
@@ -250,7 +250,7 @@ TEST_F(SilentDirectoryCrashTest, SuspicionReplacesSilentlyCrashedDirectory) {
   ObjectId fresh = system_.catalog().site(0).objects[30];
   system_.SubmitQuery(survivor->node(), 0, fresh);
   world_.sim()->RunFor(kMinute);
-  EXPECT_EQ(survivor->content().count(fresh), 1u);
+  EXPECT_TRUE(survivor->content().Contains(fresh));
 }
 
 TEST_F(DirectoryFailureTest, VoluntaryLeaveHandsDirectoryOver) {
@@ -284,7 +284,7 @@ TEST_F(DirectoryFailureTest, PromotedDirectoryKeepsServingItsContent) {
   DirectoryPeer* heir = system_.FindDirectory(0, 0);
   ASSERT_NE(heir, nullptr);
   ASSERT_EQ(heir->node(), first_joined);
-  EXPECT_EQ(heir->own_content().count(obj), 1u);
+  EXPECT_TRUE(heir->own_content().Contains(obj));
 
   // Another peer requests that object; the promoted directory serves it
   // from its own content.
@@ -294,7 +294,7 @@ TEST_F(DirectoryFailureTest, PromotedDirectoryKeepsServingItsContent) {
   system_.SubmitQuery(requester_node, 0, obj);
   world_.sim()->RunFor(kMinute);
   EXPECT_EQ(metrics_.server_hits(), server_before);
-  EXPECT_EQ(requester->content().count(obj), 1u);
+  EXPECT_TRUE(requester->content().Contains(obj));
 }
 
 TEST_F(DirectoryFailureTest, LateRepliesToAPromotedPeerAreDropped) {

@@ -1,9 +1,10 @@
 // Unit tests for the bounded directory-side storage
 // (src/cache/directory_store.h): footprint accounting, holder-count
-// consistency through admissions/updates/expiry/evictions, per-policy
-// victim choice, and the eviction/expiry attribution split.
+// consistency through admissions/updates/expiry/evictions, LRU victim
+// choice, and the eviction/expiry attribution split.
 #include "cache/directory_store.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -46,7 +47,6 @@ TEST(DirectoryStoreTest, FootprintAccounting) {
   EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(2));
   store.Erase(1);
   EXPECT_EQ(store.bytes_used(), 0u);
-  EXPECT_EQ(store.stats().evictions, 0u) << "erase is not an eviction";
 }
 
 TEST(DirectoryStoreTest, DeltaReportsNewIdsAndLastUnrefDropsTheSlot) {
@@ -87,7 +87,6 @@ TEST(DirectoryStoreTest, CapacityEvictsLruEntryAndOrphansItsObjects) {
   EXPECT_FALSE(store.Contains(2));
   EXPECT_TRUE(store.Contains(1));
   EXPECT_TRUE(store.Contains(3));
-  EXPECT_EQ(store.stats().evictions, 1u);
   ExpectHolderCountsConsistent(store);
 }
 
@@ -155,7 +154,8 @@ TEST(DirectoryStoreTest, UnboundedPolicyOnFullStoreRejectsAdmission) {
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   EXPECT_FALSE(store.Admit(2, 0, 0, &d));
   EXPECT_TRUE(d.evicted.empty());
-  EXPECT_EQ(store.stats().admission_rejects, 1u);
+  EXPECT_FALSE(store.Contains(2));
+  EXPECT_TRUE(store.Contains(1));
 }
 
 TEST(DirectoryStoreTest, ExpiryIsNotAnEviction) {
@@ -166,9 +166,10 @@ TEST(DirectoryStoreTest, ExpiryIsNotAnEviction) {
   store.Update(1, {100}, {}, &d);
   ASSERT_TRUE(store.Admit(2, 3, 0, &d));  // one tick from T_dead = 4
 
+  // AgeAll reports no Delta: expiry never reaches dir_index_evictions.
   store.AgeAll(4);
   EXPECT_FALSE(store.Contains(2)) << "entry 2 reached T_dead";
-  EXPECT_EQ(store.stats().evictions, 0u) << "T_dead expiry is not an eviction";
+  EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(1));
   EXPECT_EQ(store.Find(1)->age, 1) << "survivors aged by one tick";
   ExpectHolderCountsConsistent(store);
 }
@@ -194,35 +195,16 @@ TEST(DirectoryStoreTest, TouchResetsAgeButProbeDoesNot) {
   EXPECT_EQ(store.Find(1)->age, 0);
 }
 
-TEST(DirectoryStoreTest, LfuKeepsFrequentlyProbedEntries) {
-  DirectoryStore store(CachePolicy::kLfu,
+TEST(DirectoryStoreTest, LruKeepsRecentlyProbedEntries) {
+  DirectoryStore store(CachePolicy::kLru,
                        2 * DirectoryStore::FootprintBytes(0));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
-  store.Probe(1);
-  store.Probe(1);  // 2 is now the least frequently probed
+  store.Probe(1);  // an answered redirect: 2 is now the least recently used
   d = {};
   ASSERT_TRUE(store.Admit(3, 0, 0, &d));
   EXPECT_EQ(d.evicted, (std::vector<PeerAddress>{2}));
-}
-
-TEST(DirectoryStoreTest, GdsfPrefersLargeFootprintVictims) {
-  DirectoryStore store(CachePolicy::kGdsf,
-                       DirectoryStore::FootprintBytes(10) +
-                           DirectoryStore::FootprintBytes(1));
-  DirectoryStore::Delta d;
-  ASSERT_TRUE(store.Admit(1, 0, 0, &d));
-  store.Update(1, {100, 101, 102, 103, 104, 105, 106, 107, 108, 109}, {},
-               &d);
-  ASSERT_TRUE(store.Admit(2, 0, 0, &d));
-  store.Update(2, {200}, {}, &d);
-  // Equal probe frequency: the bulkiest entry (1) has the lowest
-  // priority and goes first.
-  d = {};
-  ASSERT_TRUE(store.Admit(3, 0, 0, &d));
-  EXPECT_EQ(d.evicted, (std::vector<PeerAddress>{1}));
-  ExpectHolderCountsConsistent(store);
 }
 
 TEST(DirectoryStoreTest, NeighborSummariesOwnedByStore) {
@@ -265,7 +247,6 @@ TEST(DirectoryStoreTest, SummariesByteAccountedAgainstIndexBudget) {
   ASSERT_EQ(put.evicted, (std::vector<PeerAddress>{1}))
       << "the summary reservation must evict the LRU index entry";
   EXPECT_TRUE(store.Contains(2));
-  EXPECT_EQ(store.stats().evictions, 1u);
   ExpectHolderCountsConsistent(store);
 
   // A replacement summary re-accounts instead of double-charging.
@@ -293,9 +274,16 @@ TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
   ASSERT_TRUE(c.Apply("directory_index_policy", "lru").ok());
   ASSERT_TRUE(c.Apply("directory_index_capacity", "4096").ok());
   DirectoryStore store = DirectoryStore::FromConfig(c);
-  EXPECT_EQ(store.policy(), CachePolicy::kLru);
   EXPECT_EQ(store.capacity_bytes(), 4096u);
   EXPECT_TRUE(store.bounded());
+  // An lru index evicts the oldest entry to admit a new one; an
+  // unbounded-policy index of the same size would turn it away.
+  DirectoryStore::Delta d;
+  for (PeerAddress peer = 0; peer <= 4096 / DirectoryStore::FootprintBytes(0);
+       ++peer) {
+    ASSERT_TRUE(store.Admit(peer, 0, 0, &d)) << peer;
+  }
+  EXPECT_EQ(d.evicted, (std::vector<PeerAddress>{0}));
 
   ASSERT_TRUE(c.Apply("directory_index_capacity", "unbounded").ok());
   DirectoryStore unbounded = DirectoryStore::FromConfig(c);
@@ -305,10 +293,11 @@ TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
 // Reference model for the randomized test below: a std::map from address
 // to entry, with holders derived by scanning it (ExpectMatchesModel
 // compares them with the store's holder index, so a slot whose last
-// holder left must be gone from holder_slots()).
-// Capacity victims are the engine's choice, so the model takes them
-// from the store's Delta and checks that they were resident; everything
-// else it predicts on its own.
+// holder left must be gone from holder_slots()). The model does its own
+// footprint accounting and keeps a recency order, so it predicts every
+// capacity victim: a bounded LRU store evicts its least recently
+// admitted, touched or probed entry, and a bounded unbounded-policy
+// store turns newcomers away and lets a grown entry evict itself.
 class DirectoryStoreModel {
  public:
   struct Entry {
@@ -316,6 +305,9 @@ class DirectoryStoreModel {
     SimTime joined_at = 0;
     std::set<ObjectSlot> objects;
   };
+
+  DirectoryStoreModel(uint64_t capacity_bytes, bool lru)
+      : capacity_bytes_(capacity_bytes), lru_(lru) {}
 
   std::map<PeerAddress, Entry> entries;
 
@@ -325,21 +317,77 @@ class DirectoryStoreModel {
     return n;
   }
 
-  void Drop(PeerAddress peer) { entries.erase(peer); }
-
-  /// Applies the store-reported capacity victims to the model.
-  ::testing::AssertionResult Evict(const std::vector<PeerAddress>& victims,
-                                   DirectoryStore::Delta* delta) {
-    for (PeerAddress victim : victims) {
-      if (entries.count(victim) == 0) {
-        return ::testing::AssertionFailure()
-               << "evicted " << victim << ", which is not resident";
-      }
-      Drop(victim);
-      delta->evicted.push_back(victim);
+  uint64_t BytesUsed() const {
+    uint64_t bytes = 0;
+    for (const auto& [addr, e] : entries) {
+      bytes += DirectoryStore::FootprintBytes(e.objects.size());
     }
-    return ::testing::AssertionSuccess();
+    return bytes;
   }
+
+  /// Admission (Admit and its re-admission), Touch and Probe make an
+  /// entry the most recently used; Update's resize does not.
+  void Refresh(PeerAddress peer) {
+    if (entries.count(peer) == 0) return;
+    Forget(peer);
+    recency_.push_back(peer);
+  }
+
+  void Drop(PeerAddress peer) {
+    entries.erase(peer);
+    Forget(peer);
+  }
+
+  /// Admits a new empty entry, evicting LRU victims into `delta` first.
+  /// Returns false when the store must turn it away.
+  bool Admit(PeerAddress peer, int age, SimTime joined_at,
+             DirectoryStore::Delta* delta) {
+    const uint64_t size = DirectoryStore::FootprintBytes(0);
+    if (capacity_bytes_ > 0) {
+      if (size > capacity_bytes_) return false;
+      while (BytesUsed() + size > capacity_bytes_) {
+        if (!lru_) return false;
+        Evict(recency_.front(), delta);
+      }
+    }
+    entries[peer] = {age, joined_at, {}};
+    recency_.push_back(peer);
+    return true;
+  }
+
+  /// Re-fits the store after `peer`'s entry changed size: an entry that
+  /// alone exceeds the budget evicts only itself; otherwise LRU victims
+  /// (possibly `peer` itself) leave until the store fits, and without an
+  /// eviction order the grown entry is the one to go.
+  void FitAfterResize(PeerAddress peer, DirectoryStore::Delta* delta) {
+    if (capacity_bytes_ == 0) return;
+    const uint64_t size =
+        DirectoryStore::FootprintBytes(entries.at(peer).objects.size());
+    if (size > capacity_bytes_) {
+      Evict(peer, delta);
+      return;
+    }
+    while (BytesUsed() > capacity_bytes_) {
+      const PeerAddress victim = lru_ ? recency_.front() : peer;
+      Evict(victim, delta);
+      if (victim == peer) return;
+    }
+  }
+
+ private:
+  void Forget(PeerAddress peer) {
+    recency_.erase(std::remove(recency_.begin(), recency_.end(), peer),
+                   recency_.end());
+  }
+
+  void Evict(PeerAddress victim, DirectoryStore::Delta* delta) {
+    Drop(victim);
+    delta->evicted.push_back(victim);
+  }
+
+  uint64_t capacity_bytes_;
+  bool lru_;
+  std::vector<PeerAddress> recency_;  // least recently used first
 };
 
 void ExpectDeltaEq(const DirectoryStore::Delta& actual,
@@ -399,16 +447,17 @@ void ExpectMatchesModel(const DirectoryStore& store,
   ExpectHolderCountsConsistent(store);
 }
 
-/// A few thousand random Admit / Update / Erase / Touch / AgeAll
+/// A few thousand random Admit / Update / Erase / Touch / Probe / AgeAll
 /// operations over a small address space, so entries are erased and
 /// their pool positions reused many times over; on a bounded store the
-/// same mix also forces capacity evictions.
-void RunModelCheck(DirectoryStore* store, uint64_t seed) {
+/// same mix also forces capacity evictions, each one predicted by the
+/// model.
+void RunModelCheck(DirectoryStore* store, bool lru, uint64_t seed) {
   constexpr PeerAddress kMaxAddr = 79;
   constexpr ObjectSlot kMaxSlot = 63;
   constexpr int kDeadAge = 6;
   Rng rng(seed);
-  DirectoryStoreModel model;
+  DirectoryStoreModel model(store->capacity_bytes(), lru);
   auto random_slots = [&](int max_len) {
     std::vector<ObjectSlot> out;
     const int len = static_cast<int>(rng.UniformInt(0, max_len));
@@ -431,14 +480,13 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
       what = "Admit";
       const int age = static_cast<int>(rng.Index(kDeadAge));
       const SimTime joined = step;
-      const bool resident = model.entries.count(peer) > 0;
       const bool admitted = store->Admit(peer, age, joined, &actual);
-      if (resident) {
+      if (model.entries.count(peer) > 0) {
         EXPECT_TRUE(admitted);
         model.entries[peer].age = 0;  // a re-admission is a touch
+        model.Refresh(peer);
       } else {
-        ASSERT_TRUE(model.Evict(actual.evicted, &expected)) << step;
-        if (admitted) model.entries[peer] = {age, joined, {}};
+        EXPECT_EQ(admitted, model.Admit(peer, age, joined, &expected));
       }
     } else if (op < 75) {
       what = "Update";
@@ -454,17 +502,22 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
           if (model.Holders(slot) == 1) expected.new_slots.push_back(slot);
         }
         for (ObjectSlot slot : remove) it->second.objects.erase(slot);
-        ASSERT_TRUE(model.Evict(actual.evicted, &expected)) << step;
+        model.FitAfterResize(peer, &expected);
       }
     } else if (op < 83) {
       what = "Erase";
       store->Erase(peer);
       model.Drop(peer);
-    } else if (op < 98) {
+    } else if (op < 93) {
       what = "Touch";
       store->Touch(peer);
       auto it = model.entries.find(peer);
       if (it != model.entries.end()) it->second.age = 0;
+      model.Refresh(peer);
+    } else if (op < 98) {
+      what = "Probe";
+      store->Probe(peer);
+      model.Refresh(peer);
     } else {
       what = "AgeAll";
       store->AgeAll(kDeadAge);
@@ -481,7 +534,6 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
     ExpectMatchesModel(*store, model, kMaxAddr, kMaxSlot);
     if (::testing::Test::HasFailure()) return;
   }
-  EXPECT_EQ(store->stats().evictions, evictions);
   if (store->bounded()) {
     EXPECT_GT(evictions, 0u) << "the bounded run must reach capacity";
   } else {
@@ -491,12 +543,12 @@ void RunModelCheck(DirectoryStore* store, uint64_t seed) {
 
 TEST(DirectoryStoreTest, RandomOpsMatchMapModelUnbounded) {
   DirectoryStore store;
-  RunModelCheck(&store, 2024);
+  RunModelCheck(&store, /*lru=*/false, 2024);
 }
 
 TEST(DirectoryStoreTest, RandomOpsMatchMapModelWith4KbLruIndex) {
   DirectoryStore store(CachePolicy::kLru, 4096);
-  RunModelCheck(&store, 2025);
+  RunModelCheck(&store, /*lru=*/true, 2025);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //    fixed seed; default configs leave no fault fingerprint in any sink.
 #include "net/fault_injector.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -107,6 +108,8 @@ TEST(FaultSpecTest, DefaultPlanIsInactive) {
 TEST(FaultSpecTest, FromConfigValidates) {
   SimConfig config;
   config.fault_silent_crash_probability = 1.5;
+  EXPECT_FALSE(FaultPlan::FromConfig(config).ok());
+  config.fault_silent_crash_probability = std::nan("");
   EXPECT_FALSE(FaultPlan::FromConfig(config).ok());
   config.fault_silent_crash_probability = 0;
   config.fault_loss = "query:nope";
@@ -367,6 +370,24 @@ TEST(FaultEndToEndTest, PartitionWindowDegradesThenHeals) {
   // hard partition (the origin lives outside the overlay; latency and
   // server hits absorb the damage).
   EXPECT_DOUBLE_EQ(r.QuerySuccessRate(), 1.0);
+}
+
+TEST(FaultEndToEndTest, PartitionSidesMustNameALocality) {
+  // TinyConfig has localities 0..2. A side 3 would cut nothing, and the
+  // run would go on as if no partition were set.
+  SimConfig c = TinyConfig();
+  c.fault_partitions = "3|*@30min-1h";
+  Result<RunResult> past = Experiment(c).TryRun();
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.status().ToString().find("num_localities=3"),
+            std::string::npos)
+      << past.status().ToString();
+
+  c.fault_partitions = "*|2@0min-2h";
+  Result<RunResult> last = Experiment(c).TryRun();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_GT(last.value().partition_drops, 0u);
 }
 
 TEST(FaultEndToEndTest, SilentCrashesSuppressBouncesEndToEnd) {

@@ -44,7 +44,7 @@ TEST_F(FlowerSystemTest, FirstQueryServedFromOriginServer) {
   ContentPeer* peer = system_.FindContentPeer(client);
   ASSERT_NE(peer, nullptr);
   EXPECT_TRUE(peer->joined());
-  EXPECT_EQ(peer->content().count(obj), 1u);
+  EXPECT_TRUE(peer->content().Contains(obj));
 }
 
 TEST_F(FlowerSystemTest, ClientIsAdmittedToDirectoryIndex) {
@@ -81,7 +81,7 @@ TEST_F(FlowerSystemTest, SecondClientServedFromFirstViaDirectory) {
   EXPECT_DOUBLE_EQ(metrics_.CumulativeHitRatio(), 0.5);
   ContentPeer* pb = system_.FindContentPeer(b);
   ASSERT_NE(pb, nullptr);
-  EXPECT_EQ(pb->content().count(obj), 1u);
+  EXPECT_TRUE(pb->content().Contains(obj));
 }
 
 TEST_F(FlowerSystemTest, LocalCacheHitNeverBecomesAQuery) {
@@ -199,7 +199,7 @@ TEST_F(FlowerSystemTest, DirectoryPeerCanAlsoRequestObjects) {
   ObjectId obj = Site(0).objects[9];
   dir->RequestObject(obj);
   world_.sim()->RunFor(kMinute);
-  EXPECT_EQ(dir->own_content().count(obj), 1u);
+  EXPECT_TRUE(dir->own_content().Contains(obj));
   EXPECT_EQ(metrics_.queries_served(), 1u);
 }
 

@@ -38,7 +38,7 @@ TEST_F(SquirrelTest, FirstQueryGoesToServerAndCaches) {
   EXPECT_EQ(metrics_.queries_served(), 1u);
   SquirrelNode* n = system_.FindNode(PoolNode(0));
   ASSERT_NE(n, nullptr);
-  EXPECT_EQ(n->cache().count(Obj(0)), 1u);
+  EXPECT_TRUE(n->cache().Contains(Obj(0)));
 }
 
 TEST_F(SquirrelTest, SecondRequesterServedFromFirstDownloader) {
@@ -48,7 +48,7 @@ TEST_F(SquirrelTest, SecondRequesterServedFromFirstDownloader) {
   system_.SubmitQuery(PoolNode(1), 0, Obj(0));
   world_.sim()->Run();
   EXPECT_EQ(metrics_.server_hits(), server_before);  // P2P hit via pointer
-  EXPECT_EQ(system_.FindNode(PoolNode(1))->cache().count(Obj(0)), 1u);
+  EXPECT_TRUE(system_.FindNode(PoolNode(1))->cache().Contains(Obj(0)));
 }
 
 TEST_F(SquirrelTest, HomeDirectoryCapIsEnforced) {
@@ -75,7 +75,7 @@ TEST_F(SquirrelTest, StalePointerFallsBackGracefully) {
   system_.FindNode(PoolNode(0))->FailAbruptly();
   system_.SubmitQuery(PoolNode(1), 0, Obj(3));
   world_.sim()->Run();
-  EXPECT_EQ(system_.FindNode(PoolNode(1))->cache().count(Obj(3)), 1u);
+  EXPECT_TRUE(system_.FindNode(PoolNode(1))->cache().Contains(Obj(3)));
 }
 
 TEST_F(SquirrelTest, LookupsTraverseTheDht) {
