@@ -84,18 +84,40 @@ void BM_BloomQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomQuery);
 
-// The query path's shape: one object tested against every summary in a
-// view of V_gossip = 50. Arg 0 hashes the key once per summary; arg 1
-// hashes it once per query through a shared BloomProbe.
+// Objects of a 500-object site, in a random order, until a summary of
+// them at the paper's geometry (m = 4000, k = 5) has at least `set_bits`
+// bits set (or the whole site is in). 9, 60 and 107 set bits are near the
+// mean fills of live summaries at the end of scale100k, scale16k/churn
+// and paper runs (11, 64-66 and 109 at seed 101); the whole site sets
+// 1865.
+std::vector<ObjectId> SiteObjectsSettingBits(uint64_t seed,
+                                             int64_t set_bits) {
+  Rng rng(seed);
+  BloomFilter filter(4000, 5);
+  std::vector<ObjectId> ids;
+  for (size_t object : rng.SampleIndices(500, 500)) {
+    if (static_cast<int64_t>(filter.CountSetBits()) >= set_bits) break;
+    ids.push_back(object);
+    filter.Add(object);
+  }
+  return ids;
+}
+
+SummaryRef PaperSummary(const std::vector<ObjectId>& ids) {
+  return ContentSummary::Build(500, 8, 5, [&ids](BloomFilter& f) {
+    for (ObjectId id : ids) f.Add(id);
+  });
+}
+
+// The query path's shape: one object of the site tested against every
+// summary in a view of V_gossip = 50, each filled to range(1) set bits.
+// range(0) = 0 hashes the key once per summary; 1 hashes it once per
+// query through a shared BloomProbe.
 void BM_BloomViewProbe(benchmark::State& state) {
   const bool shared_probe = state.range(0) != 0;
   std::vector<SummaryRef> view;
   for (uint64_t s = 0; s < 50; ++s) {
-    auto summary = std::make_unique<ContentSummary>(500, 8, 5);
-    for (uint64_t k = 0; k < 100; ++k) {
-      summary->Add(Mix64(s * 1000 + k) % 500);
-    }
-    view.emplace_back(std::move(summary));
+    view.push_back(PaperSummary(SiteObjectsSettingBits(s, state.range(1))));
   }
   uint64_t object = 0;
   for (auto _ : state) {
@@ -111,21 +133,25 @@ void BM_BloomViewProbe(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 50);
 }
-BENCHMARK(BM_BloomViewProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_BloomViewProbe)
+    ->Args({0, 107})
+    ->Args({1, 9})
+    ->Args({1, 60})
+    ->Args({1, 107})
+    ->Args({1, 1865});
 
+// One summary build, as a peer makes when its content changed, filled to
+// range(0) set bits. Includes freeing the previous snapshot.
 void BM_SummaryRebuild(benchmark::State& state) {
-  const int64_t objects = state.range(0);
-  std::vector<ObjectId> ids;
-  for (int64_t i = 0; i < objects; ++i) {
-    ids.push_back(Mix64(static_cast<uint64_t>(i)));
-  }
-  ContentSummary s(static_cast<int>(objects), 8, 5);
+  const std::vector<ObjectId> ids = SiteObjectsSettingBits(1, state.range(0));
+  SummaryRef summary;
   for (auto _ : state) {
-    s.Rebuild(ids);
+    summary = PaperSummary(ids);
+    benchmark::DoNotOptimize(summary.get());
   }
-  state.SetItemsProcessed(state.iterations() * objects);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SummaryRebuild)->Arg(100)->Arg(500);
+BENCHMARK(BM_SummaryRebuild)->Arg(9)->Arg(60)->Arg(107)->Arg(1865);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(500, 0.8);
@@ -139,7 +165,7 @@ BENCHMARK(BM_ZipfSample);
 
 void BM_ViewMerge(benchmark::State& state) {
   Rng rng(1);
-  SummaryRef summary(std::make_unique<ContentSummary>(500, 8, 5));
+  const SummaryRef summary = PaperSummary({});
   std::vector<ViewEntry> incoming;
   for (int i = 0; i < 10; ++i) {
     ViewEntry e;

@@ -5,7 +5,9 @@
 // Any config knob can be overridden as key=value, e.g. a tighter LRU
 // budget:
 //   ./cache_pressure cache_capacity_bytes=65536
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "api/experiment.h"
 
@@ -31,20 +33,32 @@ int main(int argc, char** argv) {
   std::printf("Flower-CDN under cache pressure\n  config: %s\n\n",
               config.ToString().c_str());
 
+  // The bounded run is named as on the config line (policy/budget), so
+  // its row stays apart from the baseline's even when the policy is
+  // `unbounded`.
+  const std::string baseline_label = "unbounded";
+  std::string label = config.cache_policy;
+  if (config.cache_capacity_bytes > 0) {
+    label += "/" + std::to_string(config.cache_capacity_bytes) + "B";
+  }
+  const int width = static_cast<int>(std::max(baseline_label.size(),
+                                              label.size()));
+
   flower::SimConfig unbounded = config;
   unbounded.cache_policy = "unbounded";
   unbounded.cache_capacity_bytes = 0;
   flower::RunResult baseline = flower::Experiment(unbounded)
                                    .WithSystem("flower")
-                                   .WithLabel("unbounded")
+                                   .WithLabel(baseline_label)
                                    .Run();
-  std::printf("  unbounded : %s\n", flower::FormatRunSummary(baseline).c_str());
+  std::printf("  %-*s : %s\n", width, baseline_label.c_str(),
+              flower::FormatRunSummary(baseline).c_str());
 
   flower::RunResult bounded = flower::Experiment(config)
                                   .WithSystem("flower")
-                                  .WithLabel(config.cache_policy)
+                                  .WithLabel(label)
                                   .Run();
-  std::printf("  %-9s : %s\n", config.cache_policy.c_str(),
+  std::printf("  %-*s : %s\n", width, label.c_str(),
               flower::FormatRunSummary(bounded).c_str());
 
   std::printf(

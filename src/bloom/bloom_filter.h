@@ -28,6 +28,7 @@ class BloomProbe {
 
  private:
   friend class BloomFilter;
+  friend class ContentSummary;
 
   /// The key's first `num_hashes` positions in a filter of `num_bits` bits.
   const size_t* Positions(size_t num_bits, int num_hashes) const {
@@ -47,6 +48,8 @@ class BloomProbe {
   mutable std::array<size_t, kMaxHashes> positions_;
 };
 
+/// A dense Bloom filter: the scratch every ContentSummary is built in,
+/// and the reference its compact probes must match bit for bit.
 class BloomFilter {
  public:
   /// Creates a filter with `num_bits` bits and `num_hashes` hash functions
@@ -87,6 +90,8 @@ class BloomFilter {
   }
 
  private:
+  friend class ContentSummary;  // packs a filter's words into a summary
+
   size_t num_bits_;
   int num_hashes_;
   std::vector<uint64_t> bits_;

@@ -290,12 +290,12 @@ void ContentPeer::StartOverlayTimers() {
 
 SummaryRef ContentPeer::CurrentSummary() {
   if (summary_dirty_ || !summary_) {
-    auto s = std::make_unique<ContentSummary>(
-        ctx_->config->num_objects_per_website,
-        ctx_->config->summary_bits_per_object,
-        ctx_->config->summary_num_hashes);
-    for (ObjectId o : content_.keys()) s->Add(o);
-    summary_ = SummaryRef(std::move(s));
+    const SimConfig& cfg = *ctx_->config;
+    summary_ = ContentSummary::Build(
+        cfg.num_objects_per_website, cfg.summary_bits_per_object,
+        cfg.summary_num_hashes, [this](BloomFilter& f) {
+          for (ObjectId o : content_.keys()) f.Add(o);
+        });
     summary_dirty_ = false;
   }
   return summary_;

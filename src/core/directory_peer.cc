@@ -349,17 +349,18 @@ std::vector<NodeRef> DirectoryPeer::SameWebsiteNeighbors() const {
 }
 
 SummaryRef DirectoryPeer::BuildIndexSummary() {
-  auto s = std::make_unique<ContentSummary>(
-      ctx_->config->num_objects_per_website,
-      ctx_->config->summary_bits_per_object,
-      ctx_->config->summary_num_hashes);
-  // Bloom filters hash the original 64-bit ids, so summaries built from
-  // the slot-encoded index stay bit-identical to pre-flyweight builds.
-  for (ObjectSlot slot : dir_store_.holder_slots()) {
-    s->Add(site_->IdAtSlot(slot));
-  }
-  for (ObjectId o : content_.keys()) s->Add(o);
-  return SummaryRef(std::move(s));
+  const SimConfig& cfg = *ctx_->config;
+  return ContentSummary::Build(
+      cfg.num_objects_per_website, cfg.summary_bits_per_object,
+      cfg.summary_num_hashes, [this](BloomFilter& f) {
+        // Bloom filters hash the original 64-bit ids, so summaries built
+        // from the slot-encoded index stay bit-identical to pre-flyweight
+        // builds.
+        for (ObjectSlot slot : dir_store_.holder_slots()) {
+          f.Add(site_->IdAtSlot(slot));
+        }
+        for (ObjectId o : content_.keys()) f.Add(o);
+      });
 }
 
 void DirectoryPeer::MaybeRefreshNeighborSummaries() {
@@ -561,12 +562,12 @@ void DirectoryPeer::HandleMessage(MessagePtr msg) {
       auto gr = MessageCast<GossipRequestMsg>(std::move(msg));
       auto reply = std::make_unique<GossipReplyMsg>();
       if (!content_.empty()) {
-        auto s = std::make_unique<ContentSummary>(
-            ctx_->config->num_objects_per_website,
-            ctx_->config->summary_bits_per_object,
-            ctx_->config->summary_num_hashes);
-        for (ObjectId o : content_.keys()) s->Add(o);
-        reply->own_summary = SummaryRef(std::move(s));
+        const SimConfig& cfg = *ctx_->config;
+        reply->own_summary = ContentSummary::Build(
+            cfg.num_objects_per_website, cfg.summary_bits_per_object,
+            cfg.summary_num_hashes, [this](BloomFilter& f) {
+              for (ObjectId o : content_.keys()) f.Add(o);
+            });
       }
       reply->view_subset =
           view_.SelectSubset(ctx_->config->gossip_length, &rng_, from);

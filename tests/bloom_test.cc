@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <optional>
 #include <utility>
@@ -14,17 +13,21 @@
 #include "common/rng.h"
 #include "gossip/view.h"
 
-// Counts global allocations and frees so a test can assert that a code
-// path makes none, or when memory is released. Only this test binary
-// replaces the global operator new. Kept out of line so gcc does not pair
-// an inlined new with the free() below and warn about a mismatch.
+// Counts global allocations, their bytes and frees so a test can assert
+// that a code path makes none, how large what it makes is, or when memory
+// is released. Only this test binary replaces the global operator new.
+// Kept out of line so gcc does not pair an inlined new with the free()
+// below and warn about a mismatch.
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_allocated_bytes{0};
 std::atomic<long> g_deallocations{0};
 }  // namespace
 
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long>(size),
+                              std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -181,12 +184,10 @@ TEST(BloomProbeTest, OneProbeAcrossGeometriesMatchesFreshProbes) {
 TEST(BloomProbeTest, ProbesAndAddsDoNotAllocate) {
   // The query path's shape: one object against a view of 50 summaries.
   std::vector<SummaryRef> view;
-  for (int s = 0; s < 50; ++s) {
-    auto summary = std::make_unique<ContentSummary>(500, 8, 5);
-    for (uint64_t k = 0; k < 100; ++k) {
-      summary->Add(static_cast<uint64_t>(s) * 1000 + k);
-    }
-    view.emplace_back(std::move(summary));
+  for (uint64_t s = 0; s < 50; ++s) {
+    view.push_back(ContentSummary::Build(500, 8, 5, [s](BloomFilter& f) {
+      for (uint64_t k = 0; k < 100; ++k) f.Add(s * 1000 + k);
+    }));
   }
   BloomFilter scratch(4000, 5);
   const long before = g_allocations.load();
@@ -201,31 +202,101 @@ TEST(BloomProbeTest, ProbesAndAddsDoNotAllocate) {
   EXPECT_GT(hits, 0);
 }
 
+SummaryRef Summarize(int capacity, int bits_per_object, int num_hashes,
+                     const std::vector<uint64_t>& ids) {
+  return ContentSummary::Build(capacity, bits_per_object, num_hashes,
+                               [&ids](BloomFilter& f) {
+                                 for (uint64_t id : ids) f.Add(id);
+                               });
+}
+
 TEST(ContentSummaryTest, SizeMatchesPaperRule) {
-  // Table 1: summary size = 8 * nb_objects bits.
-  ContentSummary s(500, 8, 5);
-  EXPECT_EQ(s.SizeBits(), 4000u);
+  // Table 1: summary size = 8 * nb_objects bits, whatever the summary
+  // holds or how it is stored.
+  EXPECT_EQ(Summarize(500, 8, 5, {})->SizeBits(), 4000u);
+  EXPECT_EQ(Summarize(500, 8, 5, {1, 2, 3})->SizeBits(), 4000u);
 }
 
 TEST(ContentSummaryTest, RebuildReplacesContents) {
-  ContentSummary s(100, 8, 5);
-  s.Add(1);
-  s.Rebuild({2, 3});
-  EXPECT_FALSE(s.MaybeContains(1));
-  EXPECT_TRUE(s.MaybeContains(2));
-  EXPECT_TRUE(s.MaybeContains(3));
+  // Every build on a thread fills the same scratch filter: a new build
+  // starts empty, and an earlier snapshot keeps what it had.
+  const SummaryRef first = Summarize(100, 8, 5, {1});
+  const SummaryRef second = Summarize(100, 8, 5, {2, 3});
+  EXPECT_FALSE(second->MaybeContains(1));
+  EXPECT_TRUE(second->MaybeContains(2));
+  EXPECT_TRUE(second->MaybeContains(3));
+  EXPECT_TRUE(first->MaybeContains(1));
+  EXPECT_FALSE(first->MaybeContains(2));
 }
 
 TEST(ContentSummaryTest, MinimumCapacityIsSafe) {
-  ContentSummary s(0, 8, 5);  // degenerate capacity clamps to 1 object
-  s.Add(42);
-  EXPECT_TRUE(s.MaybeContains(42));
+  // Degenerate capacity clamps to 1 object.
+  const SummaryRef s = Summarize(0, 8, 5, {42});
+  EXPECT_EQ(s->SizeBits(), 8u);
+  EXPECT_TRUE(s->MaybeContains(42));
+}
+
+// The compact layout must answer exactly as the dense filter it was
+// packed from: every run's trajectory depends on these answers. Fills go
+// from empty to saturated (8m/k ids leave ~0.03% of the bits clear); the
+// last geometry has 75,000 filter bytes, so at saturation the packed
+// ranks pass 16 bits.
+TEST(ContentSummaryTest, MatchesDenseFilterFromEmptyToSaturated) {
+  const std::pair<size_t, int> geometries[] = {
+      {4000, 5}, {16000, 5}, {64, 16}, {1, 1}, {600000, 5}};
+  Rng rng(29);
+  for (const auto& [bits, hashes] : geometries) {
+    const size_t per_hash = bits / static_cast<size_t>(hashes);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, per_hash / 8,
+                     per_hash, 8 * per_hash}) {
+      std::vector<uint64_t> ids(n);
+      for (uint64_t& id : ids) id = rng.Next();
+      BloomFilter dense(bits, hashes);
+      for (uint64_t id : ids) dense.Add(id);
+      const SummaryRef summary =
+          Summarize(static_cast<int>(bits), 1, hashes, ids);
+      ASSERT_EQ(summary->SizeBits(), bits);
+      int mismatches = 0;
+      int positives = 0;
+      for (uint64_t key = 0; key < 50000; ++key) {
+        const bool expected = dense.MaybeContains(key);
+        positives += expected;
+        mismatches += summary->MaybeContains(BloomProbe(key)) != expected;
+      }
+      for (uint64_t id : ids) mismatches += !summary->MaybeContains(id);
+      EXPECT_EQ(mismatches, 0)
+          << bits << "/" << hashes << " with " << n << " ids";
+      if (n == 0) {
+        EXPECT_EQ(positives, 0);
+      } else if (n == 8 * per_hash) {
+        EXPECT_GT(positives, 49000);
+      }
+    }
+  }
+}
+
+TEST(ContentSummaryTest, LowFillSummaryIsOneSmallBlock) {
+  // Scale100k's summaries hold about 11 set bits. Two objects set at
+  // most ten of m = 4000: a 16-byte header, 64 bytes of presence, 32 of
+  // ranks and at most ten packed bytes, in one block. A dense fallback
+  // would need the filter's 500 bytes.
+  Summarize(500, 8, 5, {});  // the thread's scratch exists from here on
+  const std::vector<uint64_t> ids = {1, 2};
+  const long allocations = g_allocations.load();
+  const long bytes = g_allocated_bytes.load();
+  const SummaryRef s = Summarize(500, 8, 5, ids);
+  const long made = g_allocations.load() - allocations;
+  const long made_bytes = g_allocated_bytes.load() - bytes;
+  EXPECT_EQ(made, 1);
+  EXPECT_LE(made_bytes, 128);
+  EXPECT_TRUE(s->MaybeContains(1));
+  EXPECT_TRUE(s->MaybeContains(2));
 }
 
 static_assert(sizeof(SummaryRef) == sizeof(void*));
 
 TEST(SummaryRefTest, CopiesShareOneSummary) {
-  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  SummaryRef a = Summarize(500, 8, 5, {});
   EXPECT_EQ(a.use_count(), 1u);
   SummaryRef b = a;
   SummaryRef c;
@@ -239,7 +310,7 @@ TEST(SummaryRefTest, CopiesShareOneSummary) {
 }
 
 TEST(SummaryRefTest, MoveEmptiesItsSource) {
-  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  SummaryRef a = Summarize(500, 8, 5, {});
   const ContentSummary* raw = a.get();
   SummaryRef b = std::move(a);
   EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): the point
@@ -254,7 +325,7 @@ TEST(SummaryRefTest, MoveEmptiesItsSource) {
 }
 
 TEST(SummaryRefTest, LastReleaseFreesTheSummary) {
-  SummaryRef a(std::make_unique<ContentSummary>(500, 8, 5));
+  SummaryRef a = Summarize(500, 8, 5, {7});
   const long frees = g_deallocations.load();
   {
     SummaryRef b = a;
@@ -266,8 +337,8 @@ TEST(SummaryRefTest, LastReleaseFreesTheSummary) {
   EXPECT_EQ(a.use_count(), 1u);
   EXPECT_EQ(a->SizeBits(), 4000u);
   a = nullptr;
-  // The summary object and its filter's bit vector.
-  EXPECT_EQ(g_deallocations.load() - frees, 2);
+  // The summary's one block.
+  EXPECT_EQ(g_deallocations.load() - frees, 1);
 }
 
 ViewEntry Contact(PeerAddress addr, int age, SummaryRef summary = nullptr) {
@@ -284,7 +355,7 @@ TEST(ViewAllocationTest, GossipRoundOnAFullViewDoesNotAllocate) {
   // entries plus the partner's fresh entry.
   const PeerAddress self = 1000;
   View view(50, /*max_age=*/12);
-  SummaryRef summary(std::make_unique<ContentSummary>(500, 8, 5));
+  const SummaryRef summary = Summarize(500, 8, 5, {});
   std::vector<ViewEntry> seed;
   for (PeerAddress a = 0; a < 50; ++a) {
     seed.push_back(Contact(a, static_cast<int>(a % 7),

@@ -123,12 +123,10 @@ TEST_F(StaleSummaryTest, StaleSummaryFallsBackAndIsCounted) {
   // Hand B a pre-eviction summary of A — exactly what B would hold had it
   // gossiped with A before the eviction.
   const SimConfig& cfg = world_.config();
-  auto stale = std::make_unique<ContentSummary>(
-      cfg.num_objects_per_website, cfg.summary_bits_per_object,
-      cfg.summary_num_hashes);
-  stale->Add(obj_(0));
   auto gossip = std::make_unique<GossipReplyMsg>();
-  gossip->own_summary = SummaryRef(std::move(stale));
+  gossip->own_summary = ContentSummary::Build(
+      cfg.num_objects_per_website, cfg.summary_bits_per_object,
+      cfg.summary_num_hashes, [&](BloomFilter& f) { f.Add(obj_(0)); });
   world_.network()->Send(a, b->address(), std::move(gossip));
   world_.sim()->RunFor(kSecond);
   const ViewEntry* entry = b->view().Find(a->address());

@@ -318,8 +318,7 @@ TEST_F(DirectoryFailureTest, LateRepliesToAPromotedPeerAreDropped) {
 
   auto reply = std::make_unique<GossipReplyMsg>();
   reply->sender = contact->address();
-  reply->own_summary =
-      SummaryRef(std::make_unique<ContentSummary>(50, 8, 5));
+  reply->own_summary = ContentSummary::Build(50, 8, 5, [](BloomFilter&) {});
   ViewEntry stranger;
   stranger.addr = 12345;
   reply->view_subset.push_back(stranger);

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -237,7 +236,8 @@ TEST(DirectoryStoreTest, SummariesByteAccountedAgainstIndexBudget) {
 
   // 32 objects x 8 bits = 256 filter bits = 32 bytes; footprint 64 —
   // exactly one entry's worth of budget.
-  SummaryRef summary(std::make_unique<ContentSummary>(32, 8, 5));
+  const SummaryRef summary =
+      ContentSummary::Build(32, 8, 5, [](BloomFilter&) {});
   DirectoryStore::Delta put;
   store.PutSummary(7, DirectoryStore::NeighborSummary{42, 1, summary},
                    &put);

@@ -13,7 +13,7 @@ namespace {
 
 SummaryRef MakeSummary() {
   // Paper sizing: 500 objects x 8 bits.
-  return SummaryRef(std::make_unique<ContentSummary>(500, 8, 5));
+  return ContentSummary::Build(500, 8, 5, [](BloomFilter&) {});
 }
 
 ViewEntry EntryWithSummary(PeerAddress a) {

@@ -17,7 +17,6 @@
 // check: the per-lane event fingerprints must be bit-identical across
 // threaded reruns and against the serial executor.
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -175,8 +174,8 @@ TEST(TsanStressTest, RepeatedShortWindowsChurnTheBarrier) {
 }
 
 /// Directory summaries crossing localities, in miniature. Every lane
-/// builds a summary per tick and posts handles to it into two other
-/// lanes' mailboxes, where each displaces an older handle (sometimes the
+/// builds a summary per tick (in its worker thread's build scratch) and
+/// posts handles to it into two other lanes' mailboxes, where each displaces an older handle (sometimes the
 /// last one, so the summary is freed on the receiving lane). Every tick
 /// also copies and drops handles to summaries all lanes share. Reference
 /// counts therefore move on several threads at once: a count that is not
@@ -194,9 +193,9 @@ struct SummaryExchange {
         held(kLanes, std::vector<SummaryRef>(kSlots)),
         traces(kLanes) {
     for (uint64_t i = 0; i < 3; ++i) {
-      auto s = std::make_unique<ContentSummary>(64, 8, 3);
-      for (uint64_t k = 0; k < 16; ++k) s->Add(i * 100 + k);
-      shared.emplace_back(std::move(s));
+      shared.push_back(ContentSummary::Build(64, 8, 3, [i](BloomFilter& f) {
+        for (uint64_t k = 0; k < 16; ++k) f.Add(i * 100 + k);
+      }));
     }
   }
 
@@ -209,9 +208,10 @@ struct SummaryExchange {
   }
 
   void Tick(int lane, uint64_t round) {
-    auto fresh = std::make_unique<ContentSummary>(64, 8, 3);
-    for (uint64_t k = 0; k < 8; ++k) fresh->Add(round + k * kLanes);
-    const SummaryRef built(std::move(fresh));
+    const SummaryRef built =
+        ContentSummary::Build(64, 8, 3, [round](BloomFilter& f) {
+          for (uint64_t k = 0; k < 8; ++k) f.Add(round + k * kLanes);
+        });
     const std::vector<SummaryRef> copies = shared;
     uint64_t hits = 0;
     for (const SummaryRef& s : copies) hits += s->MaybeContains(round);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -108,8 +107,7 @@ TEST(ViewTest, MergePrefersInstanceWithSummaryOnTie) {
   View v(5);
   v.Insert(E(1, 3), 99);
   ViewEntry with_summary = E(1, 3);
-  with_summary.summary =
-      SummaryRef(std::make_unique<ContentSummary>(10, 8, 3));
+  with_summary.summary = ContentSummary::Build(10, 8, 3, [](BloomFilter&) {});
   v.Merge({with_summary}, std::nullopt, 99);
   EXPECT_NE(v.Find(1)->summary, nullptr);
 }
@@ -127,7 +125,7 @@ TEST(ViewTest, WireBitsAccountsForSummary) {
   EXPECT_EQ(plain.WireBits(), kAddressBits + kAgeBits);
   ViewEntry with_summary = E(1, 0);
   with_summary.summary =
-      SummaryRef(std::make_unique<ContentSummary>(500, 8, 5));
+      ContentSummary::Build(500, 8, 5, [](BloomFilter&) {});
   EXPECT_EQ(with_summary.WireBits(), kAddressBits + kAgeBits + 4000);
 }
 
@@ -276,8 +274,8 @@ TEST(ViewEquivalenceTest, RandomCallsMatchMergeSortTruncate) {
   // Few addresses, so batches repeat them; few ages, so ties abound.
   constexpr PeerAddress kAddresses = 24;
   const std::vector<SummaryRef> summaries = {
-      nullptr, SummaryRef(std::make_unique<ContentSummary>(50, 8, 3)),
-      SummaryRef(std::make_unique<ContentSummary>(50, 8, 3)), nullptr};
+      nullptr, ContentSummary::Build(50, 8, 3, [](BloomFilter&) {}),
+      ContentSummary::Build(50, 8, 3, [](BloomFilter&) {}), nullptr};
   Rng rng(20240607);
   int calls = 0;
   for (int capacity : {1, 2, 5, 16, 50}) {
