@@ -72,12 +72,9 @@ class CdnSystem {
     return false;
   }
 
-  /// True if this system keeps all lane-scoped state isolated per
-  /// locality under a sharded run, so the parallel shard executor may
-  /// run lanes on separate threads (sim/sharded_simulator.h). Systems
-  /// with cross-locality shared mutable state (lazy global tables, ring
-  /// mutation under churn) must return false; the sharded engine then
-  /// runs the same deterministic schedule cooperatively.
+  /// Never called by the engine. Kept because flower_perf's traced system
+  /// still overrides it; it goes with the benchmark change that drops the
+  /// scale16k_threads workload.
   virtual bool SupportsParallelShards() const { return false; }
 
   /// Stat hook: adds system-specific counters (churn deaths, directory

@@ -16,7 +16,6 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "stats/metrics.h"
 
@@ -25,11 +24,7 @@ namespace flower {
 namespace {
 
 /// Schedules workload events one at a time (keeps the event heap small),
-/// skipping originators the system reports as blacked out by churn. In
-/// sharded mode the generator chain lives on the control lane and each
-/// query is injected onto the originating node's lane at its submit time
-/// (the control phase always runs before the lane phase of a window, so
-/// same-window injection is safe).
+/// skipping originators the system reports as blacked out by churn.
 class WorkloadDriver {
  public:
   WorkloadDriver(Simulator* sim, WorkloadSource* source, CdnSystem* system)
@@ -43,17 +38,7 @@ class WorkloadDriver {
     if (!source_->Next(&ev)) return;
     auto inject = [this, ev]() {
       if (!system_->IsBlackedOut(ev.node)) {
-        if (sim_->sharded()) {
-          CdnSystem* system = system_;
-          auto submit = [system, ev]() {
-            system->SubmitQuery(ev.node, ev.website, ev.object);
-          };
-          static_assert(EventFn::FitsInline<decltype(submit)>());
-          sim_->ScheduleOnLane(sim_->LaneForNode(ev.node), ev.time,
-                               std::move(submit));
-        } else {
-          system_->SubmitQuery(ev.node, ev.website, ev.object);
-        }
+        system_->SubmitQuery(ev.node, ev.website, ev.object);
       }
       ScheduleNext();
     };
@@ -212,26 +197,17 @@ Result<RunResult> Experiment::TryRun() {
   // metric value, bit-identical across the API migration.
   Simulator sim(config_.seed);
   Topology topology(config_, sim.rng());
-  // shards >= 2 switches the engine into locality-lane mode before any
-  // component is built on top of it. Lane RNG streams are derived from
-  // the seed (not drawn from the master), so the static world above is
-  // the same one a serial run sees.
-  const bool sharded = config_.shards > 1 && topology.num_localities() > 1;
-  if (sharded) {
-    sim.EnableSharding(MakeLocalityShardPlan(topology, config_.shards));
-  }
   Network network(&sim, &topology);
-  // The fault injector derives its per-lane streams from the seed (no
-  // master-RNG draw), so constructing and attaching it here leaves the
-  // static world identical; with every fault_* key off it is inactive and
-  // the network never consults it.
+  // The fault injector derives its stream from the seed (no master-RNG
+  // draw), so constructing and attaching it here leaves the static world
+  // identical; with every fault_* key off it is inactive and the network
+  // never consults it.
   Result<FaultPlan> fault_plan = FaultPlan::FromConfig(config_);
   if (!fault_plan.ok()) return fault_plan.status();
   FaultInjector fault_injector(std::move(fault_plan).value(), &sim,
                                &topology);
   network.AttachFaultInjector(&fault_injector);
   Metrics metrics(config_);
-  if (sharded) metrics.EnableLanes(topology.num_localities());
 
   SystemContext ctx;
   ctx.config = &config_;
@@ -278,12 +254,18 @@ Result<RunResult> Experiment::TryRun() {
   octx.metrics = &metrics;
   octx.system = system.get();
   octx.network = &network;
-  // A deque: each scheduled tick points at its timer.
+  // Observing a run leaves its result unchanged: observer firings are
+  // subtracted from events_processed, and the timers are cancelled (by
+  // the deque's destructor) only after events_cancelled is read. A deque:
+  // each scheduled tick points at its timer.
+  uint64_t observer_firings = 0;
   std::deque<Simulator::PeriodicTimer> observer_timers;
   Simulator* sim_ptr = &sim;
+  uint64_t* firings = &observer_firings;
   for (const auto& obs : at_observers_) {
     ObserverFn fn = obs.second;
-    sim.ScheduleAt(obs.first, [octx, sim_ptr, fn]() mutable {
+    sim.ScheduleAt(obs.first, [octx, sim_ptr, firings, fn]() mutable {
+      ++*firings;
       octx.now = sim_ptr->Now();
       fn(octx);
     });
@@ -291,7 +273,8 @@ Result<RunResult> Experiment::TryRun() {
   for (const auto& obs : every_observers_) {
     ObserverFn fn = obs.second;
     sim.SchedulePeriodic(&observer_timers.emplace_back(), obs.first,
-                         obs.first, [octx, sim_ptr, fn]() mutable {
+                         obs.first, [octx, sim_ptr, firings, fn]() mutable {
+                           ++*firings;
                            octx.now = sim_ptr->Now();
                            fn(octx);
                          });
@@ -301,29 +284,13 @@ Result<RunResult> Experiment::TryRun() {
   // never feeds events, RNG draws or metrics.
   // detlint: allow(wall-clock) — diagnostics-only wall_ms timing
   const auto wall_start = std::chrono::steady_clock::now();
-  if (sharded) {
-    // Threads need lane-isolated system state, so the system decides.
-    // Either executor runs the identical deterministic schedule.
-    const ShardedSimulator::Executor executor =
-        system->SupportsParallelShards()
-            ? ShardedSimulator::Executor::kThreads
-            : ShardedSimulator::Executor::kSerial;
-    ShardedSimulator coordinator(&sim, executor);
-    coordinator.RunUntil(config_.duration);
-  } else {
-    sim.RunUntil(config_.duration);
-  }
+  sim.RunUntil(config_.duration);
   // detlint: allow(wall-clock) — same wall_ms diagnostic as above.
   const auto wall_end = std::chrono::steady_clock::now();
-  for (Simulator::PeriodicTimer& timer : observer_timers) timer.Cancel();
 
   RunResult result;
-  result.events_processed = sim.events_processed();
+  result.events_processed = sim.events_processed() - observer_firings;
   result.events_cancelled = sim.events_cancelled();
-  if (sharded) {
-    result.sim_lanes = topology.num_localities();
-    result.events_by_lane = sim.LaneEventCounts();
-  }
   result.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
           .count();

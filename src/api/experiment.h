@@ -66,6 +66,8 @@ class Experiment {
   Experiment& At(SimTime t, ObserverFn fn);
 
   /// Invokes `fn` every `period` of simulated time during the run.
+  /// Observers do not change the result: their firings and timers stay
+  /// out of events_processed and events_cancelled.
   Experiment& Every(SimTime period, ObserverFn fn);
 
   /// Runs the experiment and feeds every attached sink. Returns the

@@ -19,13 +19,6 @@ std::string FormatRunSummary(const RunResult& r) {
      << " peers=" << r.participants << " queries=" << r.queries_submitted
      << " server_hits=" << r.server_hits
      << " events=" << r.events_processed;
-  // Lane count only in sharded mode: serial summaries must stay
-  // byte-identical to pre-sharding builds, and the value (== localities)
-  // is invariant to the shard count, so sharded summaries diff clean
-  // across shards=2 and shards=4.
-  if (r.sim_lanes > 0) {
-    os << " lanes=" << r.sim_lanes;
-  }
   if (r.cache_evictions > 0 || r.stale_redirects > 0) {
     os << " evictions=" << r.cache_evictions
        << " stale_redirects=" << r.stale_redirects;
@@ -142,17 +135,6 @@ void JsonResultSink::Write(const SimConfig& config, const RunResult& r) {
      // (they live in RunResult; flower_perf measures them).
      << ",\"events_processed\":" << r.events_processed
      << ",\"events_cancelled\":" << r.events_cancelled;
-  // Sharded-engine observability, emitted only for sharded runs so
-  // serial records stay byte-identical to pre-sharding builds. Per-lane
-  // counts are locality-keyed, hence identical for every shards >= 2.
-  if (r.sim_lanes > 0) {
-    os << ",\"sim_lanes\":" << r.sim_lanes << ",\"events_by_lane\":[";
-    for (size_t i = 0; i < r.events_by_lane.size(); ++i) {
-      if (i > 0) os << ",";
-      os << r.events_by_lane[i];
-    }
-    os << "]";
-  }
   // Fault-injection / hardening record, emitted only when some fault_*
   // or hardening knob is on so default records stay byte-identical to
   // pre-fault-layer builds.

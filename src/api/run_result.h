@@ -119,13 +119,10 @@ struct RunResult {
   /// Events cancelled before firing (timer rearms, churn teardowns).
   /// Deterministic; written by sinks.
   uint64_t events_cancelled = 0;
-  /// Locality lanes of a sharded run (0 = serial engine). Deterministic
-  /// and shard-count-invariant (lanes == localities), so sinks write it
-  /// in sharded mode; the shard *grouping* and executor are execution
-  /// details and deliberately stay out of sinks.
+  /// Always 0 and empty: the engine has no lanes. Kept because the
+  /// flower_perf fingerprint still reads them; they go with the benchmark
+  /// change that drops its scale16k_threads workload.
   int sim_lanes = 0;
-  /// Events dispatched per lane (locality lanes in order, control lane
-  /// last). Empty in serial mode. Deterministic; written by sinks.
   std::vector<uint64_t> events_by_lane;
   /// Host wall-clock of the run loop, in milliseconds. Nondeterministic
   /// by nature, so sinks deliberately do NOT write it — BENCH_*.json

@@ -41,14 +41,6 @@ bool FlowerAdapter::IsBlackedOut(NodeId node) const {
          churn_->IsBlackedOut(node);
 }
 
-bool FlowerAdapter::SupportsParallelShards() const {
-  // Lane isolation holds while nothing mutates cross-locality shared
-  // structures mid-run. Churn does: its promotions and failures change
-  // the (global) D-ring membership, so it forces the cooperative
-  // executor; the schedule (and output) is identical either way.
-  return !config_->churn_enabled;
-}
-
 void FlowerAdapter::FillStats(RunResult* result) const {
   if (churn_ != nullptr) {
     result->churn_failures = churn_->failures();

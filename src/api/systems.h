@@ -33,7 +33,6 @@ class FlowerAdapter : public CdnSystem {
   const WebsiteCatalog& catalog() const override;
   bool IsBlackedOut(NodeId node) const override;
   void FillStats(RunResult* result) const override;
-  bool SupportsParallelShards() const override;
 
   FlowerSystem& system() { return system_; }
   ChurnManager* churn() { return churn_.get(); }

@@ -19,9 +19,9 @@ uint64_t NonzeroBytes(uint64_t word) {
 }
 
 /// The dense filter a build fills, and the presence words packing reads
-/// twice (to size the block, then to fill it). Lanes on different worker
-/// threads of the sharded engine build summaries at the same time, so
-/// each thread keeps its own.
+/// twice (to size the block, then to fill it). The runs of a jobs=N sweep
+/// build summaries on several threads at the same time, so each thread
+/// keeps its own.
 struct BuildScratch {
   BloomFilter filter{1, 1};
   std::vector<uint64_t> presence;

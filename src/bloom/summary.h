@@ -3,7 +3,6 @@
 #ifndef FLOWERCDN_BLOOM_SUMMARY_H_
 #define FLOWERCDN_BLOOM_SUMMARY_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -32,8 +31,9 @@ class SummaryRef;
 /// 512 bytes of dense bits.
 ///
 /// Snapshots are shared: view entries across an overlay and directory
-/// summaries on several lanes hold the same one through SummaryRef
-/// handles, whose reference count lives in the header.
+/// summaries hold the same one through SummaryRef handles, whose
+/// reference count lives in the header. A summary never leaves the run
+/// that built it, so the count is a plain integer.
 class ContentSummary {
  public:
   ContentSummary(const ContentSummary&) = delete;
@@ -111,9 +111,8 @@ class ContentSummary {
            sizeof(ContentSummary);
   }
 
-  /// Handles referring to this summary. Atomic: in a sharded run a
-  /// directory summary is copied and dropped on several lanes at once.
-  mutable std::atomic<uint32_t> refs_{0};
+  /// Handles referring to this summary.
+  mutable uint32_t refs_ = 0;
   int num_hashes_;
   uint64_t num_bits_;
 };
@@ -137,7 +136,7 @@ class SummaryRef {
   }
 
   ~SummaryRef() {
-    if (ptr_ != nullptr && ptr_->refs_.fetch_sub(1) == 1) {
+    if (ptr_ != nullptr && --ptr_->refs_ == 0) {
       ContentSummary::Destroy(ptr_);
     }
   }
@@ -148,7 +147,7 @@ class SummaryRef {
 
   /// Handles sharing this summary, this one included (0 when empty).
   uint32_t use_count() const {
-    return ptr_ == nullptr ? 0 : ptr_->refs_.load();
+    return ptr_ == nullptr ? 0 : ptr_->refs_;
   }
 
   friend bool operator==(const SummaryRef& a, const SummaryRef& b) {
@@ -166,7 +165,7 @@ class SummaryRef {
     Acquire();
   }
   void Acquire() {
-    if (ptr_ != nullptr) ptr_->refs_.fetch_add(1);
+    if (ptr_ != nullptr) ++ptr_->refs_;
   }
 
   const ContentSummary* ptr_ = nullptr;

@@ -155,7 +155,6 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     system = value;
     return Status::Ok();
   }
-  INT_KEY_AT_LEAST("shards", shards, 1)
   INT_KEY("num_topology_nodes", num_topology_nodes)
   INT_KEY_AT_LEAST("num_localities", num_localities, 1)
   TIME_KEY("min_intra_latency", min_intra_latency)
@@ -310,11 +309,6 @@ std::string SimConfig::ToString() const {
     }
   }
   if (system != "flower") os << " system=" << system;
-  // The sharded engine is a different deterministic schedule, so the
-  // config line must say so — but the shard count changes no output
-  // byte, so it is not printed (a shards=2 and a shards=4 trajectory
-  // must diff clean).
-  if (shards > 1) os << " sharded=on";
   // Fault-injection / hardening knobs, non-default only (the default
   // line must not move).
   if (!fault_loss.empty()) os << " fault_loss=" << fault_loss;

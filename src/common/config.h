@@ -23,18 +23,9 @@ struct SimConfig {
   /// the config parser has never heard of.
   std::string system = "flower";
 
-  // --- Sharded intra-run simulation (src/sim/sharded_simulator.h) ----------
-  /// >= 2 partitions one run into per-locality event lanes executed in
-  /// conservative lookahead windows, packed into min(shards, localities)
-  /// executor groups. 1 (default) is the historical serial engine,
-  /// bit-identical to pre-sharding builds. Shard groups run on a worker
-  /// pool exactly when the system keeps lane state isolated (Flower
-  /// without churn) and in lane order on one thread otherwise. Sharded
-  /// output is a pure function of (config, seed): byte-identical for
-  /// every shards >= 2, either executor, and every repetition — but it is
-  /// a *different* deterministic schedule than shards=1 (window-phased
-  /// dispatch, per-lane RNG streams), so compare sharded runs with
-  /// sharded runs.
+  /// Never read, and not a config key. Kept because flower_perf's
+  /// scale16k_threads workload still sets it; it goes with the benchmark
+  /// change that drops that workload.
   int shards = 1;
 
   // --- Underlying topology (paper Table 1 / BRITE-inspired model) ----------

@@ -31,32 +31,6 @@ void Histogram::Add(double value) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  assert(other.bucket_width_ == bucket_width_);
-  assert(other.buckets_.size() == buckets_.size());
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  overflow_ += other.overflow_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void Histogram::Clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  overflow_ = 0;
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

@@ -16,8 +16,6 @@ class Histogram {
   Histogram(double bucket_width, size_t num_buckets);
 
   void Add(double value);
-  void Merge(const Histogram& other);
-  void Clear();
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }

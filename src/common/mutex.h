@@ -1,25 +1,20 @@
-// Annotated mutex primitives: zero-cost wrappers over std::mutex /
-// std::condition_variable_any that carry the clang thread-safety
-// capability attributes (thread_annotations.h), so -Wthread-safety can
-// prove the locking discipline of the code that uses them. Plain
-// std::mutex is invisible to the analysis — which is exactly how the
-// races this repo cares about (unordered lane state leaking across the
-// window barrier) would slip in unchecked.
+// Annotated mutex: a zero-cost wrapper over std::mutex that carries the
+// clang thread-safety capability attributes (thread_annotations.h), so
+// -Wthread-safety can prove the locking discipline of the code that uses
+// it. All methods are inline forwarding calls.
 //
-// All methods are inline forwarding calls; a Release build compiles them
-// to the identical code as the raw std types they wrap.
+// Only perf/probe.cc uses it; it goes with the benchmark change that
+// drops the scale16k_threads workload.
 #ifndef FLOWERCDN_COMMON_MUTEX_H_
 #define FLOWERCDN_COMMON_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
 
 namespace flower {
 
-/// std::mutex with capability annotations. Also BasicLockable (lowercase
-/// lock/unlock), so std:: lock adapters still work where needed.
+/// std::mutex with capability annotations.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -28,10 +23,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-
-  // BasicLockable spelling (std::condition_variable_any, std::lock_guard).
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
 
  private:
   std::mutex mu_;
@@ -48,30 +39,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-/// Condition variable paired with Mutex. Wait() must be called with the
-/// mutex held (it unlocks while blocked and relocks before returning,
-/// like std::condition_variable::wait).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until `pred()` holds; `pred` runs with `*mu` held.
-  template <typename Pred>
-  void Wait(Mutex* mu, Pred pred) REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
-    // The analysis cannot model wait's unlock/relock cycle; the REQUIRES
-    // contract on the caller is the checked part.
-    cv_.wait(*mu, pred);
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace flower

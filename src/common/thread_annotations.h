@@ -1,22 +1,12 @@
 // Clang thread-safety-analysis annotations (no-ops on other compilers).
 //
-// The repo's concurrency surface is small and deliberate: the SweepRunner
-// worker pool (api/sweep.cc), the ShardedSimulator window barrier
-// (sim/sharded_simulator.h) and the lane-confined state both protect.
-// These macros let clang's -Wthread-safety prove the locking discipline
-// at compile time; CI builds the library with
+// These macros let clang's -Wthread-safety prove the locking discipline of
+// the annotated Mutex (common/mutex.h) at compile time; CI builds with
 // -Werror=thread-safety-analysis under clang (see CMakeLists.txt /
 // .github/workflows/ci.yml), while gcc builds see empty expansions.
 //
-// Two families:
-//  - Mutex-backed state: GUARDED_BY / REQUIRES / EXCLUDES / ACQUIRE /
-//    RELEASE — the standard clang annotations, checked by the analysis.
-//  - Lane-confined state: LANE_CONFINED — documentation-only (clang has
-//    no notion of "only the thread currently dispatching lane L"), used
-//    to mark state whose safety argument is the lane partition itself:
-//    written only while CurrentSimLane() == owner, read only at window
-//    barriers. TSan (the build-tsan preset) is the dynamic check for
-//    this family.
+// Only perf/probe.cc uses them; they go with the benchmark change that
+// drops the scale16k_threads workload.
 #ifndef FLOWERCDN_COMMON_THREAD_ANNOTATIONS_H_
 #define FLOWERCDN_COMMON_THREAD_ANNOTATIONS_H_
 
@@ -29,18 +19,6 @@
 /// Member is protected by the given capability (mutex): reads require the
 /// capability shared, writes require it exclusively.
 #define GUARDED_BY(x) FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(guarded_by(x))
-
-/// Pointer member whose *pointee* is protected by the capability.
-#define PT_GUARDED_BY(x) FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(pt_guarded_by(x))
-
-/// Function requires the capability held on entry (and does not release).
-#define REQUIRES(...) \
-  FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(requires_capability(__VA_ARGS__))
-
-/// Function must NOT be called with the capability held (self-deadlock
-/// guard for functions that acquire it themselves).
-#define EXCLUDES(...) \
-  FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(locks_excluded(__VA_ARGS__))
 
 /// Function acquires the capability and holds it past return.
 #define ACQUIRE(...) \
@@ -55,21 +33,5 @@
 
 /// RAII type that acquires on construction, releases on destruction.
 #define SCOPED_CAPABILITY FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(scoped_lockable)
-
-/// Return value is a reference to state guarded by the capability.
-#define RETURN_CAPABILITY(x) \
-  FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(lock_returned(x))
-
-/// Escape hatch: the function's body is exempt from the analysis. Every
-/// use must carry a comment with the manual safety argument.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  FLOWER_THREAD_ANNOTATION_ATTRIBUTE__(no_thread_safety_analysis)
-
-/// Documentation-only: state owned by one simulation lane. Written only
-/// from events dispatched on the owning lane (CurrentSimLane() routing),
-/// read across lanes only at window barriers, where the ShardedSimulator
-/// mutex handoff provides the happens-before edge. Not checkable by
-/// clang's analysis; covered dynamically by the TSan preset.
-#define LANE_CONFINED  // marker only
 
 #endif  // FLOWERCDN_COMMON_THREAD_ANNOTATIONS_H_

@@ -31,22 +31,6 @@ void TimeSeries::Add(SimTime t, double value) {
   windows_[idx].count += 1;
 }
 
-void TimeSeries::Merge(const TimeSeries& other) {
-  assert(other.window_ == window_);
-  // Reconcile to the coarser factor (factors are powers of two, so the
-  // finer series coalesces cleanly onto the coarser grid).
-  while (decim_ < other.decim_) Coalesce();
-  for (size_t i = 0; i < other.windows_.size(); ++i) {
-    size_t idx = static_cast<size_t>(i * other.decim_ / decim_);
-    if (idx >= windows_.size()) windows_.resize(idx + 1);
-    windows_[idx].sum += other.windows_[i].sum;
-    windows_[idx].count += other.windows_[i].count;
-  }
-  if (max_windows_ > 0) {
-    while (windows_.size() > max_windows_) Coalesce();
-  }
-}
-
 double TimeSeries::WindowMean(size_t i) const {
   if (i >= windows_.size() || windows_[i].count == 0) return 0.0;
   return windows_[i].sum / static_cast<double>(windows_[i].count);
@@ -81,13 +65,6 @@ void RatioSeries::Add(SimTime t, bool success) {
   successes_.Add(t, success ? 1.0 : 0.0);
   ++total_trials_;
   if (success) ++total_successes_;
-}
-
-void RatioSeries::Merge(const RatioSeries& other) {
-  trials_.Merge(other.trials_);
-  successes_.Merge(other.successes_);
-  total_trials_ += other.total_trials_;
-  total_successes_ += other.total_successes_;
 }
 
 double RatioSeries::WindowRatio(size_t i) const {

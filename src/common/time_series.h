@@ -30,19 +30,6 @@ class TimeSeries {
 
   void Add(SimTime t, double value);
 
-  /// Adds `other`'s per-window sums and counts into this series (same
-  /// base window width required). Used to fold per-shard collectors into
-  /// one result; folding in a fixed lane order keeps the floating-point
-  /// sums deterministic. Differing decimation factors are reconciled to
-  /// the coarser of the two.
-  void Merge(const TimeSeries& other);
-
-  /// Drops all samples (window width and cap kept; decimation resets).
-  void Clear() {
-    windows_.clear();
-    decim_ = 1;
-  }
-
   /// Number of stored cells so far (each spans `decimation()` windows).
   size_t NumWindows() const { return windows_.size(); }
 
@@ -85,17 +72,6 @@ class RatioSeries {
   explicit RatioSeries(SimTime window, size_t max_windows = 0);
 
   void Add(SimTime t, bool success);
-
-  /// Folds another ratio series into this one (same window width).
-  void Merge(const RatioSeries& other);
-
-  /// Drops all samples (window width kept).
-  void Clear() {
-    trials_.Clear();
-    successes_.Clear();
-    total_trials_ = 0;
-    total_successes_ = 0;
-  }
 
   size_t NumWindows() const { return trials_.NumWindows(); }
   SimTime WindowStart(size_t i) const { return trials_.WindowStart(i); }

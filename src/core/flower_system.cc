@@ -13,9 +13,6 @@ ChordConfig MakeChordConfig(const SimConfig& config) {
   cc.id_bits = config.chord_id_bits;
   return cc;
 }
-
-/// Seed-stream tag for per-lane client generators (see rng_seed_).
-constexpr uint64_t kClientRngTag = 0xc11e47a55eedull;
 }  // namespace
 
 FlowerSystem::FlowerSystem(const SimConfig& config, Simulator* sim,
@@ -31,8 +28,7 @@ FlowerSystem::FlowerSystem(const SimConfig& config, Simulator* sim,
       dring_(MakeChordConfig(config), metrics),
       catalog_(std::make_unique<WebsiteCatalog>(config, scheme_)),
       deployment_(Deployment::Plan(config, *topology, sim->rng())),
-      rng_seed_(sim->rng()->Next()),
-      rng_(rng_seed_) {
+      rng_(sim->rng()->Next()) {
   ctx_.sim = sim_;
   ctx_.network = network_;
   ctx_.dring = &dring_;
@@ -41,33 +37,9 @@ FlowerSystem::FlowerSystem(const SimConfig& config, Simulator* sim,
   ctx_.catalog = catalog_.get();
   ctx_.metrics = metrics_;
   ctx_.system = this;
-
-  // One peer partition per simulation lane; a serial simulator gets a
-  // single partition, keeping its container behavior (and hence churn's
-  // iteration order) exactly the historical one.
-  const size_t lanes =
-      sim_->sharded()
-          ? static_cast<size_t>(sim_->shard_plan().num_lanes)
-          : 1;
-  content_peers_.resize(lanes);
-  directories_.resize(lanes);
-  graveyards_.resize(lanes);
-  promotions_.assign(lanes, 0);
-  if (sim_->sharded()) {
-    client_rngs_.reserve(lanes);
-    for (size_t l = 0; l < lanes; ++l) {
-      client_rngs_.emplace_back(
-          Mix64(rng_seed_ ^ (kClientRngTag + static_cast<uint64_t>(l))));
-    }
-  }
 }
 
 FlowerSystem::~FlowerSystem() = default;
-
-int FlowerSystem::LaneOf(NodeId node) const {
-  if (!sim_->sharded() || node == kInvalidNode) return 0;
-  return sim_->LaneForNode(node);
-}
 
 void FlowerSystem::Setup() {
   // Origin servers.
@@ -105,50 +77,38 @@ void FlowerSystem::Setup() {
 DirectoryPeer* FlowerSystem::CreateDirectory(const Website* site,
                                              LocalityId locality,
                                              uint32_t instance, NodeId node) {
-  const int lane = LaneOf(node);
-  // The directory's timers must live on its node's lane; during Setup
-  // this scope does the pinning (a no-op on serial simulators; promotion
-  // paths already run on the node's lane).
-  Simulator::LaneScope scope(sim_, lane);
   auto dir = std::make_unique<DirectoryPeer>(&ctx_, site, locality, instance,
                                              rng_.Next());
   if (!dir->Start(node)) return nullptr;
-  return directories_[static_cast<size_t>(lane)].Insert(node,
-                                                        std::move(dir));
+  return directories_.Insert(node, std::move(dir));
 }
 
 void FlowerSystem::SubmitQuery(NodeId node, WebsiteId website,
                                ObjectId object) {
-  const size_t lane = static_cast<size_t>(LaneOf(node));
   // Directory peers are participants too.
-  if (DirectoryPeer* dir = directories_[lane].Find(node)) {
+  if (DirectoryPeer* dir = directories_.Find(node)) {
     if (dir->alive()) {
       dir->RequestObject(object);
       return;
     }
-    graveyards_[lane].push_back(directories_[lane].Take(node));
-    sim_->Schedule(0, [this, lane]() { graveyards_[lane].clear(); });
+    graveyard_.push_back(directories_.Take(node));
+    sim_->Schedule(0, [this]() { graveyard_.clear(); });
   }
-  if (ContentPeer* existing = content_peers_[lane].Find(node)) {
+  if (ContentPeer* existing = content_peers_.Find(node)) {
     if (existing->alive()) {
       existing->RequestObject(object);
       return;
     }
     // The peer churned out earlier; the node comes back as a new client.
-    graveyards_[lane].push_back(content_peers_[lane].Take(node));
-    sim_->Schedule(0, [this, lane]() { graveyards_[lane].clear(); });
+    graveyard_.push_back(content_peers_.Take(node));
+    sim_->Schedule(0, [this]() { graveyard_.clear(); });
   }
   const Website* site = &catalog_->site(website);
   LocalityId locality = deployment_.detected_locality[node];
-  // Sharded runs seed clients from the node's lane stream so creation is
-  // lane-local (and thread-safe under the parallel executor); serial
-  // runs keep the historical draw from the system generator.
-  uint64_t client_seed =
-      client_rngs_.empty() ? rng_.Next() : client_rngs_[lane].Next();
   auto peer = std::make_unique<ContentPeer>(&ctx_, site, locality,
-                                            client_seed);
+                                            rng_.Next());
   peer->Activate(node);
-  ContentPeer* raw = content_peers_[lane].Insert(node, std::move(peer));
+  ContentPeer* raw = content_peers_.Insert(node, std::move(peer));
   raw->RequestObject(object);
 }
 
@@ -177,7 +137,7 @@ DirectoryPeer* FlowerSystem::FindDirectory(WebsiteId website,
 }
 
 ContentPeer* FlowerSystem::FindContentPeer(NodeId node) const {
-  return content_peers_[static_cast<size_t>(LaneOf(node))].Find(node);
+  return content_peers_.Find(node);
 }
 
 OriginServer* FlowerSystem::FindServer(WebsiteId website) const {
@@ -194,17 +154,13 @@ OriginServer* FlowerSystem::FindServer(WebsiteId website) const {
 
 std::vector<PeerAddress> FlowerSystem::ParticipantAddresses() const {
   std::vector<PeerAddress> out;
-  for (const auto& table : content_peers_) {
-    for (size_t i = 0; i < table.size(); ++i) {
-      const ContentPeer* peer = table.at(i);
-      if (peer->alive() && peer->joined()) out.push_back(peer->address());
-    }
+  for (size_t i = 0; i < content_peers_.size(); ++i) {
+    const ContentPeer* peer = content_peers_.at(i);
+    if (peer->alive() && peer->joined()) out.push_back(peer->address());
   }
-  for (const auto& table : directories_) {
-    for (size_t i = 0; i < table.size(); ++i) {
-      const DirectoryPeer* dir = table.at(i);
-      if (dir->alive()) out.push_back(dir->address());
-    }
+  for (size_t i = 0; i < directories_.size(); ++i) {
+    const DirectoryPeer* dir = directories_.at(i);
+    if (dir->alive()) out.push_back(dir->address());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -212,10 +168,8 @@ std::vector<PeerAddress> FlowerSystem::ParticipantAddresses() const {
 
 std::vector<ContentPeer*> FlowerSystem::LiveContentPeers() const {
   std::vector<ContentPeer*> out;
-  for (const auto& table : content_peers_) {
-    for (size_t i = 0; i < table.size(); ++i) {
-      if (table.at(i)->alive()) out.push_back(table.at(i));
-    }
+  for (size_t i = 0; i < content_peers_.size(); ++i) {
+    if (content_peers_.at(i)->alive()) out.push_back(content_peers_.at(i));
   }
   std::sort(out.begin(), out.end(),
             [](const ContentPeer* a, const ContentPeer* b) {
@@ -226,48 +180,14 @@ std::vector<ContentPeer*> FlowerSystem::LiveContentPeers() const {
 
 std::vector<DirectoryPeer*> FlowerSystem::LiveDirectories() const {
   std::vector<DirectoryPeer*> out;
-  for (const auto& table : directories_) {
-    for (size_t i = 0; i < table.size(); ++i) {
-      if (table.at(i)->alive()) out.push_back(table.at(i));
-    }
+  for (size_t i = 0; i < directories_.size(); ++i) {
+    if (directories_.at(i)->alive()) out.push_back(directories_.at(i));
   }
   std::sort(out.begin(), out.end(),
             [](const DirectoryPeer* a, const DirectoryPeer* b) {
               return a->node() < b->node();
             });
   return out;
-}
-
-std::vector<ContentPeer*> FlowerSystem::LiveContentPeersIn(int lane) const {
-  std::vector<ContentPeer*> out;
-  const auto& table = content_peers_[static_cast<size_t>(lane)];
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (table.at(i)->alive()) out.push_back(table.at(i));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ContentPeer* a, const ContentPeer* b) {
-              return a->node() < b->node();
-            });
-  return out;
-}
-
-std::vector<DirectoryPeer*> FlowerSystem::LiveDirectoriesIn(int lane) const {
-  std::vector<DirectoryPeer*> out;
-  const auto& table = directories_[static_cast<size_t>(lane)];
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (table.at(i)->alive()) out.push_back(table.at(i));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DirectoryPeer* a, const DirectoryPeer* b) {
-              return a->node() < b->node();
-            });
-  return out;
-}
-
-uint64_t FlowerSystem::promotions() const {
-  uint64_t total = 0;
-  for (uint64_t p : promotions_) total += p;
-  return total;
 }
 
 FlowerSystem::GossipStats FlowerSystem::CollectGossipStats() const {
@@ -305,7 +225,6 @@ PeerAddress FlowerSystem::PromoteReplacement(ContentPeer* candidate,
   LocalityId locality = scheme_.LocalityOf(dir_key);
   uint32_t instance = scheme_.InstanceOf(dir_key);
   NodeId node = candidate->node();
-  const size_t lane = static_cast<size_t>(LaneOf(node));
 
   ContentPeer::PromotionState state = candidate->PrepareForPromotion();
   auto dir = std::make_unique<DirectoryPeer>(&ctx_, site, locality, instance,
@@ -314,14 +233,14 @@ PeerAddress FlowerSystem::PromoteReplacement(ContentPeer* candidate,
   assert(ok && "directory position raced within one event");
   (void)ok;
   dir->SeedFromPromotion(std::move(state.content), std::move(state.view));
-  ++promotions_[lane];
+  ++promotions_;
 
-  std::unique_ptr<ContentPeer> buried = content_peers_[lane].Take(node);
+  std::unique_ptr<ContentPeer> buried = content_peers_.Take(node);
   assert(buried != nullptr);
-  graveyards_[lane].push_back(std::move(buried));
+  graveyard_.push_back(std::move(buried));
   PeerAddress new_addr = dir->address();
-  directories_[lane].Insert(node, std::move(dir));
-  sim_->Schedule(0, [this, lane]() { graveyards_[lane].clear(); });
+  directories_.Insert(node, std::move(dir));
+  sim_->Schedule(0, [this]() { graveyard_.clear(); });
   return new_addr;
 }
 
@@ -334,8 +253,7 @@ bool FlowerSystem::PromoteWithHandoff(
   if (result != candidate->address()) return false;
   // PromoteReplacement moved the candidate to the graveyard; the new
   // directory lives at the same node.
-  const size_t lane = static_cast<size_t>(LaneOf(candidate->node()));
-  DirectoryPeer* dir = directories_[lane].Find(candidate->node());
+  DirectoryPeer* dir = directories_.Find(candidate->node());
   if (dir != nullptr) dir->InstallHandoff(*handoff);
   return true;
 }

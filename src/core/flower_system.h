@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/thread_annotations.h"
 #include "core/content_peer.h"
 #include "core/deployment.h"
 #include "core/directory_peer.h"
@@ -95,26 +94,16 @@ class FlowerSystem {
   /// the population over which background traffic is averaged.
   std::vector<PeerAddress> ParticipantAddresses() const;
 
-  /// All live content peers / directories, ordered by node (for view
+  /// All live content peers / directories, ordered by node (churn, view
   /// statistics and tests).
   std::vector<ContentPeer*> LiveContentPeers() const;
   std::vector<DirectoryPeer*> LiveDirectories() const;
 
-  /// Simulation lane (== ground-truth locality) of a node under a
-  /// sharded simulator; 0 on a serial one. Peer bookkeeping is
-  /// partitioned by this index so lane events only touch their own
-  /// partition.
-  int LaneOf(NodeId node) const;
-  /// Live peers of one lane partition, ordered by node (churn drives each
-  /// lane's sessions independently; a serial system has one partition).
-  std::vector<ContentPeer*> LiveContentPeersIn(int lane) const;
-  std::vector<DirectoryPeer*> LiveDirectoriesIn(int lane) const;
-
-  uint64_t promotions() const;
+  uint64_t promotions() const { return promotions_; }
 
   /// Aggregated end-of-run view state over joined content peers. All
   /// accumulation is integral, so the result is independent of peer
-  /// iteration order (and therefore of the shard partitioning).
+  /// iteration order.
   struct GossipStats {
     size_t joined_peers = 0;
     double mean_view_size = 0;
@@ -141,28 +130,18 @@ class FlowerSystem {
   std::unique_ptr<WebsiteCatalog> catalog_;
   Deployment deployment_;
   FlowerContext ctx_;
-  uint64_t rng_seed_;
   Rng rng_;
 
   std::vector<std::unique_ptr<OriginServer>> servers_;
-  // All client/content/directory peers keyed by topology node, stored in
-  // one dense PeerTable partition per simulation lane (a single
-  // partition on a serial simulator). Every iteration the simulation
-  // observes is sorted by node id before use, so behavior is independent
-  // of the tables' slot layout. A lane's events only touch that lane's
-  // partition, which is what makes the parallel shard executor safe.
-  LANE_CONFINED std::vector<PeerTable<ContentPeer>> content_peers_;
-  LANE_CONFINED std::vector<PeerTable<DirectoryPeer>> directories_;
-  // Deferred deletions, one graveyard per lane (cleanup events run on
-  // the lane that buried the peer).
-  LANE_CONFINED std::vector<std::vector<std::unique_ptr<Peer>>> graveyards_;
-
-  // Per-lane promotion counts, folded by promotions().
-  LANE_CONFINED std::vector<uint64_t> promotions_;
-  // Sharded mode only: per-lane seed streams for mid-run client
-  // creation, derived from this system's seed so the serial draw
-  // sequence (directory seeds at setup) is unperturbed.
-  LANE_CONFINED std::vector<Rng> client_rngs_;
+  // All client/content/directory peers keyed by topology node, in dense
+  // PeerTables. Every iteration the simulation observes is sorted by
+  // node id before use, so behavior is independent of the tables' slot
+  // layout.
+  PeerTable<ContentPeer> content_peers_;
+  PeerTable<DirectoryPeer> directories_;
+  // Deferred deletions, cleared by a zero-delay event.
+  std::vector<std::unique_ptr<Peer>> graveyard_;
+  uint64_t promotions_ = 0;
 };
 
 }  // namespace flower

@@ -1,8 +1,8 @@
-// Dense per-lane peer tables: the structure-of-arrays registry behind
+// Dense peer tables: the structure-of-arrays registry behind
 // FlowerSystem's peer bookkeeping, sized for 100k+ peer runs.
 //
 // The registry this replaces — one unordered_map<NodeId, unique_ptr<T>>
-// per lane — pays a heap-allocated bucket node (~56 bytes) per peer and
+// — pays a heap-allocated bucket node (~56 bytes) per peer and
 // walks pointer-chased buckets on every harvest (churn, stats and
 // background-traffic accounting iterate the whole population every
 // period). Here the population lives in two parallel dense vectors:

@@ -139,9 +139,8 @@ class ChordNode : public Peer {
   KbrApp* app_ = nullptr;
   bool joined_ = false;
 
-  // KnownPeers() as of ring version known_peers_version_. Read and rebuilt
-  // only on this node's lane; the ring changes (setup, churn, Squirrel's
-  // lazy joins) only while lanes run on one thread.
+  // KnownPeers() as of ring version known_peers_version_; a ring change
+  // (setup, churn, Squirrel's lazy joins) bumps the version.
   mutable std::vector<NodeRef> known_peers_;
   mutable uint64_t known_peers_version_ = ~uint64_t{0};
 };

@@ -8,9 +8,8 @@ namespace flower {
 
 namespace {
 
-// Stream-derivation tag for per-lane fault RNGs (same pattern as the
-// churn manager's kChurnLaneTag).
-constexpr uint64_t kFaultLaneTag = 0xfa17fa17fa17ull;
+// Stream-derivation tag for the fault RNG.
+constexpr uint64_t kFaultStreamTag = 0xfa17fa17fa17ull;
 
 std::vector<std::string> SplitOn(const std::string& s, char sep) {
   std::vector<std::string> parts;
@@ -155,28 +154,12 @@ bool FaultPlan::Active() const {
 
 FaultInjector::FaultInjector(FaultPlan plan, Simulator* sim,
                              const Topology* topology)
-    : plan_(std::move(plan)), topology_(topology) {
-  assert(sim != nullptr && topology != nullptr);
-  active_ = plan_.Active();
-  lane_slots_ =
-      sim->sharded() ? static_cast<size_t>(sim->shard_plan().num_lanes) + 1
-                     : 1;
-  // Streams are derived per lane, and lanes == localities (shard-count
-  // invariant), so every shards >= 2 run sees the same draw sequences.
-  rngs_.reserve(lane_slots_);
-  const uint64_t seed = sim->seed();
-  for (size_t slot = 0; slot < lane_slots_; ++slot) {
-    rngs_.emplace_back(Mix64(seed ^ (kFaultLaneTag + slot)));
-  }
-  counters_.assign(lane_slots_, LaneCounters{});
+    : plan_(std::move(plan)),
+      topology_(topology),
+      active_(plan_.Active()),
+      rng_(Mix64(sim->seed() ^ kFaultStreamTag)) {
+  assert(topology != nullptr);
   silent_.assign(static_cast<size_t>(topology->num_nodes()), 0);
-}
-
-size_t FaultInjector::LaneSlot() const {
-  if (lane_slots_ == 1) return 0;
-  const int lane = CurrentSimLane();
-  return lane == Simulator::kControlLane ? 0
-                                         : static_cast<size_t>(lane) + 1;
 }
 
 bool FaultInjector::CutsLink(PeerAddress a, PeerAddress b,
@@ -191,16 +174,16 @@ bool FaultInjector::CutsLink(PeerAddress a, PeerAddress b,
 bool FaultInjector::DrawLoss() {
   const double p = plan_.loss;
   if (p <= 0) return false;  // never draw on a lossless network
-  if (!SelfRng().Bernoulli(p)) return false;
-  ++Self().injected_drops;
+  if (!rng_.Bernoulli(p)) return false;
+  ++injected_drops_;
   return true;
 }
 
 bool FaultInjector::DrawSilentCrash() {
   const double p = plan_.silent_crash_probability;
   if (p <= 0) return false;
-  if (!SelfRng().Bernoulli(p)) return false;
-  ++Self().silent_crashes;
+  if (!rng_.Bernoulli(p)) return false;
+  ++silent_crashes_;
   return true;
 }
 
@@ -214,27 +197,8 @@ void FaultInjector::ClearSilent(PeerAddress address) {
 
 bool FaultInjector::SuppressBounce(PeerAddress address) {
   if (address >= silent_.size() || silent_[address] == 0) return false;
-  ++Self().bounces_suppressed;
+  ++bounces_suppressed_;
   return true;
-}
-
-uint64_t FaultInjector::Fold(uint64_t LaneCounters::* member) const {
-  uint64_t total = 0;
-  for (const LaneCounters& c : counters_) total += c.*member;
-  return total;
-}
-
-uint64_t FaultInjector::injected_drops() const {
-  return Fold(&LaneCounters::injected_drops);
-}
-uint64_t FaultInjector::partition_drops() const {
-  return Fold(&LaneCounters::partition_drops);
-}
-uint64_t FaultInjector::bounces_suppressed() const {
-  return Fold(&LaneCounters::bounces_suppressed);
-}
-uint64_t FaultInjector::silent_crashes() const {
-  return Fold(&LaneCounters::silent_crashes);
 }
 
 }  // namespace flower

@@ -2,17 +2,11 @@
 // (one probability for every traffic class), partition windows between a
 // locality and another locality or everyone else, and silent crash-stop.
 //
-// All probabilistic draws come from per-lane RNG streams derived from the
-// master seed (Mix64(seed ^ (kFaultLaneTag + slot))), never from the
-// simulator's master RNG, so attaching an injector with every fault
-// disabled changes no output byte, and sharded runs stay byte-identical
-// across shard counts and executors (lanes == localities, which is
-// shard-count invariant). Partition cuts are a pure function of
-// (sender, destination, time) and draw nothing.
-//
-// Counters follow the Network's lane-split discipline: one slot per
-// execution lane (+ control), written only by events on that lane and
-// folded on read.
+// All probabilistic draws come from one RNG stream derived from the
+// master seed (Mix64(seed ^ kFaultStreamTag)), never from the simulator's
+// master RNG, so attaching an injector with every fault disabled changes
+// no output byte. Partition cuts are a pure function of (sender,
+// destination, time) and draw nothing.
 #ifndef FLOWERCDN_NET_FAULT_INJECTOR_H_
 #define FLOWERCDN_NET_FAULT_INJECTOR_H_
 
@@ -23,7 +17,6 @@
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -74,7 +67,6 @@ Status ParsePartitionSpec(const std::string& spec,
 
 class FaultInjector {
  public:
-  /// Build after EnableSharding (lane-slot layout mirrors the Network's).
   /// Draws nothing from the simulator's master RNG.
   FaultInjector(FaultPlan plan, Simulator* sim, const Topology* topology);
 
@@ -85,8 +77,8 @@ class FaultInjector {
   /// True if a partition window cuts the a<->b link at time `now`.
   /// Pure (no RNG).
   bool CutsLink(PeerAddress a, PeerAddress b, SimTime now) const;
-  /// Counts a partition-window drop on the current lane.
-  void CountPartitionDrop() { ++Self().partition_drops; }
+  /// Counts a partition-window drop.
+  void CountPartitionDrop() { ++partition_drops_; }
 
   /// Draws (only when loss > 0) whether to drop a message; counts the
   /// drop.
@@ -98,43 +90,27 @@ class FaultInjector {
 
   /// Marks an address as silently crashed: messages to it are still
   /// undeliverable, but the sender's bounce is suppressed. Cleared when a
-  /// peer re-registers at the address. Must run on the address's lane.
+  /// peer re-registers at the address.
   void MarkSilent(PeerAddress address);
   void ClearSilent(PeerAddress address);
   /// True (and counted) if the bounce to `address` must be suppressed.
   bool SuppressBounce(PeerAddress address);
 
-  /// Fault counters, folded over lanes. Stable at barriers, like the
-  /// Network's totals.
-  uint64_t injected_drops() const;
-  uint64_t partition_drops() const;
-  uint64_t bounces_suppressed() const;
-  uint64_t silent_crashes() const;
+  uint64_t injected_drops() const { return injected_drops_; }
+  uint64_t partition_drops() const { return partition_drops_; }
+  uint64_t bounces_suppressed() const { return bounces_suppressed_; }
+  uint64_t silent_crashes() const { return silent_crashes_; }
 
  private:
-  struct LaneCounters {
-    uint64_t injected_drops = 0;
-    uint64_t partition_drops = 0;
-    uint64_t bounces_suppressed = 0;
-    uint64_t silent_crashes = 0;
-  };
-
-  size_t LaneSlot() const;
-  LaneCounters& Self() { return counters_[LaneSlot()]; }
-  Rng& SelfRng() { return rngs_[LaneSlot()]; }
-  uint64_t Fold(uint64_t LaneCounters::* member) const;
-
   FaultPlan plan_;
   const Topology* topology_;
   bool active_ = false;
-  size_t lane_slots_ = 1;
-  // One derived stream + counter block per lane slot (0 = control/serial,
-  // lane + 1 otherwise), written only by events on that lane.
-  LANE_CONFINED std::vector<Rng> rngs_;
-  LANE_CONFINED std::vector<LaneCounters> counters_;
-  // address -> silently crashed; written on the owner's lane (churn tick /
-  // re-registration) and read on the owner's lane (delivery closure).
-  LANE_CONFINED std::vector<uint8_t> silent_;
+  Rng rng_;
+  uint64_t injected_drops_ = 0;
+  uint64_t partition_drops_ = 0;
+  uint64_t bounces_suppressed_ = 0;
+  uint64_t silent_crashes_ = 0;
+  std::vector<uint8_t> silent_;  // address -> silently crashed
 };
 
 }  // namespace flower

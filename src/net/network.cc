@@ -28,19 +28,6 @@ Network::Network(Simulator* sim, const Topology* topology)
   const size_t n = static_cast<size_t>(topology->num_nodes());
   peers_.assign(n, nullptr);
   background_bits_.assign(n, 0);
-  const size_t lane_slots =
-      sim->sharded() ? static_cast<size_t>(sim->shard_plan().num_lanes) + 1
-                     : 1;
-  total_bits_.assign(lane_slots, {});
-  messages_sent_.assign(lane_slots, 0);
-  messages_undeliverable_.assign(lane_slots, 0);
-}
-
-size_t Network::LaneSlot() const {
-  if (total_bits_.size() == 1) return 0;
-  const int lane = CurrentSimLane();
-  return lane == Simulator::kControlLane ? 0
-                                         : static_cast<size_t>(lane) + 1;
 }
 
 void Network::RegisterPeer(Peer* peer, NodeId node) {
@@ -63,15 +50,6 @@ void Network::UnregisterPeer(Peer* peer) {
   }
 }
 
-void Network::RouteAfter(PeerAddress dest, SimTime delay, EventFn fn) {
-  if (!sim_->sharded()) {
-    sim_->Schedule(delay, std::move(fn));
-    return;
-  }
-  sim_->RouteToLane(sim_->LaneForNode(static_cast<NodeId>(dest)),
-                    sim_->Now() + delay, std::move(fn));
-}
-
 void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
   assert(from != nullptr);
   assert(msg != nullptr);
@@ -83,8 +61,8 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
   const uint64_t background = IsBackground(cls) ? bits : 0;
 
   background_bits_[sender] += background;
-  total_bits_[LaneSlot()][static_cast<size_t>(cls)] += bits;
-  ++messages_sent_[LaneSlot()];
+  total_bits_[static_cast<size_t>(cls)] += bits;
+  ++messages_sent_;
 
   msg->sender = sender;
 
@@ -116,7 +94,7 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
     // unless the destination crashed *silently*, in which case the
     // message is swallowed and the sender must rely on timeouts or
     // keepalive suspicion instead.
-    ++messages_undeliverable_[LaneSlot()];
+    ++messages_undeliverable_;
     if (injector_ != nullptr && injector_->SuppressBounce(to)) return;
     SimTime back = Latency(to, sender);
     auto bounce = [this, sender, to, m = std::move(m)]() mutable {
@@ -126,33 +104,14 @@ void Network::Send(Peer* from, PeerAddress to, MessagePtr msg) {
       }
     };
     static_assert(EventFn::FitsInline<decltype(bounce)>());
-    RouteAfter(sender, back, std::move(bounce));
+    sim_->Schedule(back, std::move(bounce));
   };
   static_assert(EventFn::FitsInline<decltype(deliver)>());
-  RouteAfter(to, Latency(sender, to), std::move(deliver));
+  sim_->Schedule(Latency(sender, to), std::move(deliver));
 }
 
 SimTime Network::Latency(PeerAddress a, PeerAddress b) const {
   return topology_->Latency(static_cast<NodeId>(a), static_cast<NodeId>(b));
-}
-
-uint64_t Network::TotalBits(TrafficClass c) const {
-  const size_t ci = static_cast<size_t>(c);
-  uint64_t total = 0;
-  for (const auto& slot : total_bits_) total += slot[ci];
-  return total;
-}
-
-uint64_t Network::messages_sent() const {
-  uint64_t total = 0;
-  for (uint64_t m : messages_sent_) total += m;
-  return total;
-}
-
-uint64_t Network::messages_undeliverable() const {
-  uint64_t total = 0;
-  for (uint64_t m : messages_undeliverable_) total += m;
-  return total;
 }
 
 uint64_t Network::BackgroundBits(

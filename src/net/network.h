@@ -6,14 +6,6 @@
 // counter of background bits: the gossip, push and keepalive bits the
 // peer sent plus those it received (the paper's "background traffic",
 // Table 2 and Fig 5). Nothing reads per-peer bits of any other class.
-//
-// Storage is partitioned for the sharded engine (sim/shard_plan.h): peer
-// slots and per-address counters are plain address-indexed vectors whose
-// entries are only written by the lane owning that address (a message
-// delivery runs on the destination's lane; registration happens on the
-// peer's own lane), and the scalar totals are split per execution lane
-// and folded on read. In serial mode there is a single lane, and the
-// address-indexed layout doubles as a hash-map-free fast path.
 #ifndef FLOWERCDN_NET_NETWORK_H_
 #define FLOWERCDN_NET_NETWORK_H_
 
@@ -21,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "net/message.h"
 #include "net/topology.h"
@@ -58,8 +49,6 @@ class Peer {
 
 class Network {
  public:
-  /// With a sharded simulator, enable sharding before constructing the
-  /// network (the accounting layout is sized per lane here).
   Network(Simulator* sim, const Topology* topology);
 
   /// Registers a peer at a topology node; the node id becomes its address.
@@ -77,9 +66,7 @@ class Network {
 
   /// Sends a message; it arrives after the topology latency. If the
   /// destination is (or goes) offline, the sender's HandleUndeliverable
-  /// runs after a full round trip instead. In sharded mode delivery is
-  /// routed to the lane owning the destination node — cross-lane sends
-  /// travel through the stamped window exchange.
+  /// runs after a full round trip instead.
   ///
   /// With an active fault injector attached, a send may additionally be
   /// dropped (loss / partition window); bounces to silently-crashed
@@ -105,11 +92,12 @@ class Network {
            c == TrafficClass::kKeepalive;
   }
 
-  /// Traffic accounting. Reads fold the per-lane splits; in sharded mode
-  /// they are only stable at barriers (control phase / after the run).
-  uint64_t TotalBits(TrafficClass c) const;
-  uint64_t messages_sent() const;
-  uint64_t messages_undeliverable() const;
+  /// Traffic accounting.
+  uint64_t TotalBits(TrafficClass c) const {
+    return total_bits_[static_cast<size_t>(c)];
+  }
+  uint64_t messages_sent() const { return messages_sent_; }
+  uint64_t messages_undeliverable() const { return messages_undeliverable_; }
 
   /// Sum over the given peers of the background bits each sent plus
   /// those it received.
@@ -119,26 +107,15 @@ class Network {
   static constexpr size_t kNumClasses =
       static_cast<size_t>(TrafficClass::kNumClasses);
 
-  /// Index into the per-lane scalar splits for the lane executing on
-  /// this thread (0 = control/serial, lane + 1 otherwise).
-  size_t LaneSlot() const;
-
-  /// Schedules fn after `delay` on the lane owning `dest`.
-  void RouteAfter(PeerAddress dest, SimTime delay, EventFn fn);
-
   Simulator* sim_;
   const Topology* topology_;
   FaultInjector* injector_ = nullptr;
-  // Entries written only by the lane owning that address (registration
-  // and delivery both run on the owner's lane).
-  LANE_CONFINED std::vector<Peer*> peers_;  // address -> live peer
+  std::vector<Peer*> peers_;  // address -> live peer
   // Address-indexed background bits, sent plus received.
-  LANE_CONFINED std::vector<uint64_t> background_bits_;
-  // Scalar totals, one slot per execution lane (+ control), folded on
-  // read so lane events never write shared accumulators.
-  LANE_CONFINED std::vector<std::array<uint64_t, kNumClasses>> total_bits_;
-  LANE_CONFINED std::vector<uint64_t> messages_sent_;
-  LANE_CONFINED std::vector<uint64_t> messages_undeliverable_;
+  std::vector<uint64_t> background_bits_;
+  std::array<uint64_t, kNumClasses> total_bits_{};
+  uint64_t messages_sent_ = 0;
+  uint64_t messages_undeliverable_ = 0;
 };
 
 }  // namespace flower

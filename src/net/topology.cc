@@ -1,6 +1,5 @@
 #include "net/topology.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace flower {
@@ -78,42 +77,6 @@ Topology::Topology(const SimConfig& config, Rng* rng)
     }
     landmarks_[l] = best;
   }
-
-  // Conservative cross-locality latency floor: latency(a, b) =
-  // radius(a) + radius(b) + base(la, lb), so min base + 2 * min radius
-  // bounds every cross-cluster link from below.
-  if (num_localities_ > 1) {
-    SimTime min_radius = radius_[0];
-    for (SimTime r : radius_) min_radius = std::min(min_radius, r);
-    SimTime min_base = kMaxSimTime;
-    for (int i = 0; i < num_localities_; ++i) {
-      for (int j = i + 1; j < num_localities_; ++j) {
-        min_base = std::min(min_base, base_[i][j]);
-      }
-    }
-    min_cross_latency_ = min_base + 2 * min_radius;
-  }
-}
-
-ShardPlan MakeLocalityShardPlan(const Topology& topology, int shards) {
-  ShardPlan plan;
-  plan.num_lanes = topology.num_localities();
-  plan.node_lane.resize(static_cast<size_t>(topology.num_nodes()));
-  for (int n = 0; n < topology.num_nodes(); ++n) {
-    plan.node_lane[static_cast<size_t>(n)] =
-        topology.LocalityOf(static_cast<NodeId>(n));
-  }
-  // Windows must be positive; a degenerate topology (zero min latency)
-  // still synchronizes every millisecond.
-  plan.lookahead = std::max<SimTime>(1, topology.MinCrossLocalityLatency());
-  plan.num_groups = std::max(1, std::min(shards, plan.num_lanes));
-  plan.lane_group.resize(static_cast<size_t>(plan.num_lanes));
-  for (int l = 0; l < plan.num_lanes; ++l) {
-    plan.lane_group[static_cast<size_t>(l)] =
-        static_cast<int>(static_cast<int64_t>(l) * plan.num_groups /
-                         plan.num_lanes);
-  }
-  return plan;
 }
 
 SimTime Topology::Latency(NodeId a, NodeId b) const {

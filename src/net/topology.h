@@ -15,7 +15,6 @@
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "sim/shard_plan.h"
 
 namespace flower {
 
@@ -43,13 +42,6 @@ class Topology {
     return members_[loc];
   }
 
-  /// Lower bound on Latency(a, b) over all node pairs in *different*
-  /// localities (min cluster-pair base distance + twice the smallest node
-  /// radius). This is the conservative lookahead horizon of a sharded
-  /// run: two events less than this far apart in virtual time cannot
-  /// interact across localities. kMaxSimTime with a single locality.
-  SimTime MinCrossLocalityLatency() const { return min_cross_latency_; }
-
  private:
   int num_localities_;
   std::vector<LocalityId> locality_;   // node -> locality
@@ -57,13 +49,7 @@ class Topology {
   std::vector<std::vector<SimTime>> base_;  // cluster-pair base distance
   std::vector<NodeId> landmarks_;      // locality -> landmark node
   std::vector<std::vector<NodeId>> members_;
-  SimTime min_cross_latency_ = kMaxSimTime;
 };
-
-/// Builds the locality-partitioned ShardPlan for this topology: one lane
-/// per locality, lookahead = MinCrossLocalityLatency(), lanes packed into
-/// min(shards, lanes) contiguous executor groups.
-ShardPlan MakeLocalityShardPlan(const Topology& topology, int shards);
 
 }  // namespace flower
 

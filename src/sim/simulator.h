@@ -2,44 +2,21 @@
 //
 // This is the PeerSim substitute (see DESIGN.md): deterministic given a
 // seed, with a per-simulation master Rng from which all component
-// generators are forked.
-//
-// Serial mode (the default) is exactly the historical single-queue
-// engine. EnableSharding(plan) switches the kernel into sharded mode:
-// the event population is partitioned into per-locality *lanes*, each
-// with its own pooled EventQueue, virtual clock and RNG stream, plus an
-// implicit *control* lane (workload injection, observers, samplers) that
-// keeps the historical queue. Scheduling calls made while a lane event
-// is dispatching land on that lane; cross-lane work is routed through a
-// stamped outbox that a ShardedSimulator (sharded_simulator.h) merges at
-// conservative window barriers. Dispatch order — and therefore every
-// metric and RNG draw — is a pure function of (config, seed, locality
-// partition): it does not depend on the executor's thread count or on
-// how lanes are packed into shard groups.
+// generators are forked. Events run one at a time in (time, push order),
+// so dispatch order — and therefore every metric and RNG draw — is a pure
+// function of (config, seed).
 #ifndef FLOWERCDN_SIM_SIMULATOR_H_
 #define FLOWERCDN_SIM_SIMULATOR_H_
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
-#include "sim/shard_plan.h"
 
 namespace flower {
-
-/// Lane executing on the current thread: a lane index in [0, num_lanes)
-/// while a sharded Simulator dispatches a lane event on this thread,
-/// Simulator::kControlLane otherwise (serial mode, setup, control phase,
-/// barriers). Metrics and traffic accounting use this to route samples
-/// into per-lane collectors without threading a lane id through every
-/// peer call.
-int CurrentSimLane();
 
 class Simulator {
  public:
@@ -47,25 +24,22 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current virtual time: the executing lane's clock in sharded mode
-  /// (lanes at the same wall point may differ by up to the lookahead),
-  /// the global clock otherwise.
-  SimTime Now() const {
-    if (shard_ != nullptr) {
-      int lane = CurrentSimLane();
-      if (lane >= 0) return shard_->lanes[static_cast<size_t>(lane)]->now;
-    }
-    return now_;
+  /// Current virtual time.
+  SimTime Now() const { return now_; }
+
+  /// Schedules fn to run after the given delay (>= 0). Accepts any
+  /// callable (EventFn stores it inline when it fits, see event_fn.h);
+  /// move-only closures are fine.
+  EventHandle Schedule(SimTime delay, EventFn fn) {
+    assert(delay >= 0);
+    return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  /// Schedules fn to run after the given delay (>= 0) on the lane
-  /// executing on this thread (the only queue in serial mode). Accepts
-  /// any callable (EventFn stores it inline when it fits, see
-  /// event_fn.h); move-only closures are fine.
-  EventHandle Schedule(SimTime delay, EventFn fn);
-
-  /// Schedules fn at an absolute time (>= Now()) on the executing lane.
-  EventHandle ScheduleAt(SimTime t, EventFn fn);
+  /// Schedules fn at an absolute time (>= Now()).
+  EventHandle ScheduleAt(SimTime t, EventFn fn) {
+    assert(t >= now_);
+    return queue_.Push(t, std::move(fn));
+  }
 
   template <typename F>
   struct PeriodicTick;
@@ -116,8 +90,8 @@ class Simulator {
     }
   };
 
-  /// Starts `timer` (cancelling any run it had): fn fires every `period`
-  /// on the lane executing this call, first after `initial_delay`.
+  /// Starts `timer` (cancelling any run it had): fn fires every `period`,
+  /// first after `initial_delay`.
   template <typename F>
   void SchedulePeriodic(PeriodicTimer* timer, SimTime initial_delay,
                         SimTime period, F fn) {
@@ -128,150 +102,35 @@ class Simulator {
         initial_delay, PeriodicTick<F>{timer, this, std::move(fn)});
   }
 
-  /// Runs events until the queue is empty. Serial mode only; sharded
-  /// runs go through ShardedSimulator.
+  /// Runs events until the queue is empty.
   void Run();
 
   /// Runs events with time <= t, then sets Now() to t (if queue drained).
-  /// Serial mode only.
   void RunUntil(SimTime t);
 
   /// Runs for a relative duration from the current time.
   void RunFor(SimTime duration) { RunUntil(Now() + duration); }
 
   /// Master generator for this simulation. Fork per component (setup
-  /// path); lane-scoped randomness should come from lane_rng instead.
+  /// path).
   Rng* rng() { return &rng_; }
 
-  /// The master seed (for deriving independent per-lane streams via
-  /// Mix64, the churn/fault-injector pattern — never reseed from rng()).
+  /// The master seed (for deriving independent streams via Mix64, the
+  /// churn/fault-injector pattern — never reseed from rng()).
   uint64_t seed() const { return seed_; }
 
-  uint64_t events_processed() const;
-  uint64_t events_cancelled() const;
-
-  // --- Sharded mode ---------------------------------------------------------
-
-  /// CurrentSimLane()'s value outside lane dispatch.
-  static constexpr int kControlLane = -1;
-
-  /// Switches this simulator into sharded mode. Must be called before
-  /// any peer is created or event scheduled (lane RNG streams are seeded
-  /// from the master seed, not drawn from the master generator, so the
-  /// static world — topology, deployment, catalog — is identical to a
-  /// serial run with the same seed).
-  void EnableSharding(ShardPlan plan);
-
-  bool sharded() const { return shard_ != nullptr; }
-  const ShardPlan& shard_plan() const { return shard_->plan; }
-
-  /// Lane owning a topology node / peer address. kControlLane in serial
-  /// mode.
-  int LaneForNode(NodeId node) const {
-    if (shard_ == nullptr) return kControlLane;
-    return static_cast<int>(shard_->plan.node_lane[node]);
-  }
-
-  /// The lane's private RNG stream (per-lane client seeding, sharded
-  /// churn). Deterministic per (seed, lane).
-  Rng* lane_rng(int lane) {
-    return &shard_->lanes[static_cast<size_t>(lane)]->rng;
-  }
-
-  SimTime lane_now(int lane) const {
-    return shard_->lanes[static_cast<size_t>(lane)]->now;
-  }
-
-  /// Pushes fn at absolute time t directly into `lane`'s queue. Only
-  /// valid while that lane is idle: setup, the control phase of a window
-  /// (the control lane always runs before the locality lanes, so
-  /// injecting at times inside the current window is safe), or barriers.
-  EventHandle ScheduleOnLane(int lane, SimTime t, EventFn fn);
-
-  /// Routes fn to run at absolute time t on `lane`: a direct push from
-  /// the same lane or from control context, a stamped cross-lane post
-  /// otherwise (delivered by the next ExchangeCrossLane, which is sound
-  /// because cross-locality latency >= the plan's lookahead).
-  void RouteToLane(int lane, SimTime t, EventFn fn);
-
-  /// Per-lane dispatch counters, locality lanes first, control last.
-  std::vector<uint64_t> LaneEventCounts() const;
-
-  /// RAII override of the executing lane, so setup code can create a
-  /// peer "on its lane" (the peer's timers then land on that lane). A
-  /// no-op on serial simulators.
-  class LaneScope {
-   public:
-    LaneScope(Simulator* sim, int lane);
-    ~LaneScope();
-    LaneScope(const LaneScope&) = delete;
-    LaneScope& operator=(const LaneScope&) = delete;
-
-   private:
-    bool active_ = false;
-    int prev_ = kControlLane;
-  };
-
-  // --- Sharded engine internals (driven by ShardedSimulator and engine
-  // tests; not for peer code) -------------------------------------------------
-
-  /// Dispatches `lane`'s events with time <= bound.
-  void RunLaneUntil(int lane, SimTime bound);
-  /// Dispatches control-lane events with time <= bound.
-  void RunControlUntil(SimTime bound);
-  bool LaneHasEventBefore(int lane, SimTime bound) const;
-  /// Barrier: delivers every pending cross-lane post into its
-  /// destination lane's queue, in (time, source lane, post seq) stamp
-  /// order — the order (and thus queue tie-breaking) is independent of
-  /// executor threading and shard grouping.
-  void ExchangeCrossLane();
-  /// Earliest pending event across control + all lanes (posts must be
-  /// exchanged first); kMaxSimTime when drained.
-  SimTime NextEventTime() const;
-  /// Advances every clock to at least t (end-of-run clamp).
-  void AdvanceAllClocksTo(SimTime t);
+  uint64_t events_processed() const { return events_processed_; }
+  uint64_t events_cancelled() const { return queue_.events_cancelled(); }
 
  private:
-  /// Dispatches the control queue's events (every event when serial)
-  /// with time <= bound.
+  /// Dispatches the queue's events with time <= bound.
   void RunLoop(SimTime bound);
 
-  struct CrossLanePost {
-    SimTime time;
-    uint32_t source_lane;
-    uint32_t dest_lane;
-    uint64_t seq;  // per-source-lane, assigned at post time
-    EventFn fn;
-  };
-
-  // Everything in a Lane is confined to the thread currently dispatching
-  // that lane's events: the ShardedSimulator runs each lane on exactly
-  // one worker per window, and the barrier's mutex handoff publishes the
-  // state before any cross-lane read (merge, NextEventTime, folds).
-  struct Lane {
-    explicit Lane(uint64_t seed) : rng(seed) {}
-    LANE_CONFINED EventQueue queue;
-    LANE_CONFINED SimTime now = 0;
-    LANE_CONFINED uint64_t events_processed = 0;
-    LANE_CONFINED Rng rng;
-    LANE_CONFINED uint64_t next_post_seq = 0;
-    LANE_CONFINED std::vector<CrossLanePost> outbox;
-  };
-
-  struct ShardState {
-    ShardPlan plan;
-    std::vector<std::unique_ptr<Lane>> lanes;
-    // Coordinator-only barrier scratch (ExchangeCrossLane).
-    std::vector<CrossLanePost> exchange_scratch;
-  };
-
-  // Control lane (the only lane in serial mode).
   SimTime now_ = 0;
   EventQueue queue_;
   Rng rng_;
   uint64_t seed_;
   uint64_t events_processed_ = 0;
-  std::unique_ptr<ShardState> shard_;
 };
 
 }  // namespace flower

@@ -93,6 +93,7 @@ TEST(ConfigTest, UnknownKeyRejected) {
       {"query_backoff_base", "2.0"},
       {"cache_cost_ewma_alpha", "0.3"},
       {"workload_trace", "run.trace"},
+      {"shards", "2"},
   };
   for (const auto& [key, value] : removed) {
     s = c.Apply(key, value);

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,13 +20,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 SimConfig SmallConfig() {
@@ -148,17 +139,30 @@ TEST(ExperimentTest, ObserversFireDuringTheRun) {
   SimConfig c = SmallConfig();
   int at_fired = 0;
   int every_fired = 0;
-  Experiment(c)
-      .WithSystem("flower")
-      .At(kHour, [&](const ObserverContext& ctx) {
-        ++at_fired;
-        EXPECT_EQ(ctx.now, kHour);
-        EXPECT_NE(dynamic_cast<FlowerAdapter*>(ctx.system), nullptr);
-      })
-      .Every(30 * kMinute, [&](const ObserverContext&) { ++every_fired; })
-      .Run();
+  int fine_fired = 0;
+  const SinkBytes observed = RunWithSinks(
+      Experiment(c)
+          .WithSystem("flower")
+          .At(kHour,
+              [&](const ObserverContext& ctx) {
+                ++at_fired;
+                EXPECT_EQ(ctx.now, kHour);
+                EXPECT_NE(dynamic_cast<FlowerAdapter*>(ctx.system), nullptr);
+              })
+          .Every(30 * kMinute, [&](const ObserverContext&) { ++every_fired; })
+          .Every(37, [&](const ObserverContext&) { ++fine_fired; }),
+      "observed");
   EXPECT_EQ(at_fired, 1);
   EXPECT_EQ(every_fired, 4);  // 30min..2h inclusive
+  EXPECT_EQ(fine_fired, 2 * kHour / 37);
+
+  // Observing a run leaves every byte of its result unchanged, the
+  // engine's event counters included.
+  const SinkBytes plain =
+      RunWithSinks(Experiment(c).WithSystem("flower"), "unobserved");
+  EXPECT_NE(plain.json.find("\"events_cancelled\":"), std::string::npos);
+  EXPECT_EQ(observed.text, plain.text);
+  EXPECT_EQ(observed.json, plain.json);
 }
 
 // --- Sinks --------------------------------------------------------------------

@@ -13,8 +13,6 @@
 #include "net/fault_injector.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -25,13 +23,6 @@
 
 namespace flower {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 // --- Spec parsing -------------------------------------------------------------
 
@@ -307,8 +298,8 @@ TEST(FaultEndToEndTest, RetriesKeepAvailabilityAtOneUnderLoss) {
 
 TEST(FaultEndToEndTest, UniformLossDrawsArePinned) {
   // A fixed-seed pin of the loss draws: one draw per send from the
-  // sending lane's fault stream, so these counts move only when the
-  // draw sequence does.
+  // injector's fault stream, so these counts move only when the draw
+  // sequence does.
   SimConfig c = TinyConfig();
   c.fault_loss = "0.05";
   RunResult r = Experiment(c).Run();
@@ -327,35 +318,16 @@ TEST(FaultEndToEndTest, WithoutRetriesLossLosesQueries) {
 }
 
 TEST(FaultEndToEndTest, SinksEmitFaultBlockOnlyWhenEnabled) {
-  auto run_with_sinks = [](const SimConfig& config, const std::string& tag,
-                           std::string* text_out, std::string* json_out) {
-    const std::string text_path = ::testing::TempDir() + "fault_" + tag + ".txt";
-    const std::string json_path =
-        ::testing::TempDir() + "fault_" + tag + ".json";
-    std::FILE* text_file = std::fopen(text_path.c_str(), "w");
-    ASSERT_NE(text_file, nullptr);
-    {
-      TextSummarySink text(text_file);
-      JsonResultSink json(json_path);
-      Experiment(config).AddSink(&text).AddSink(&json).Run();
-      json.Flush();
-    }
-    std::fclose(text_file);
-    *text_out = ReadFile(text_path);
-    *json_out = ReadFile(json_path);
-  };
-
-  std::string text, json;
-  run_with_sinks(TinyConfig(), "off", &text, &json);
-  EXPECT_EQ(text.find("success="), std::string::npos)
+  SinkBytes off = RunWithSinks(Experiment(TinyConfig()), "fault_off");
+  EXPECT_EQ(off.text.find("success="), std::string::npos)
       << "default runs must stay byte-identical to pre-fault-layer builds";
-  EXPECT_EQ(json.find("query_success_rate"), std::string::npos);
-  EXPECT_EQ(json.find("injected_drops"), std::string::npos);
+  EXPECT_EQ(off.json.find("query_success_rate"), std::string::npos);
+  EXPECT_EQ(off.json.find("injected_drops"), std::string::npos);
 
-  run_with_sinks(LossyConfig(), "on", &text, &json);
-  EXPECT_NE(text.find("success="), std::string::npos);
-  EXPECT_NE(json.find("\"query_success_rate\":"), std::string::npos);
-  EXPECT_NE(json.find("\"injected_drops\":"), std::string::npos);
+  SinkBytes on = RunWithSinks(Experiment(LossyConfig()), "fault_on");
+  EXPECT_NE(on.text.find("success="), std::string::npos);
+  EXPECT_NE(on.json.find("\"query_success_rate\":"), std::string::npos);
+  EXPECT_NE(on.json.find("\"injected_drops\":"), std::string::npos);
 }
 
 TEST(FaultEndToEndTest, PartitionWindowDegradesThenHeals) {

@@ -66,33 +66,6 @@ TEST(HistogramTest, PercentileOrdering) {
   EXPECT_LE(h.Percentile(90), h.Percentile(100));
 }
 
-TEST(HistogramTest, MergeAddsCounts) {
-  Histogram a(10, 10), b(10, 10);
-  a.Add(5);
-  b.Add(15);
-  b.Add(95);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.Min(), 5.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 95.0);
-}
-
-TEST(HistogramTest, MergeIntoEmpty) {
-  Histogram a(10, 10), b(10, 10);
-  b.Add(42);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.Min(), 42.0);
-}
-
-TEST(HistogramTest, ClearResets) {
-  Histogram h(10, 10);
-  h.Add(5);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-}
-
 TEST(HistogramTest, ToStringShowsBuckets) {
   Histogram h(10, 10);
   h.Add(5);

@@ -73,6 +73,23 @@ TEST(RunnerIntegrationTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.final_hit_ratio, b.final_hit_ratio);
   EXPECT_DOUBLE_EQ(a.mean_lookup_ms, b.mean_lookup_ms);
   EXPECT_DOUBLE_EQ(a.background_bps, b.background_bps);
+
+  // Under churn, loss and silent crashes, every sink byte repeats too.
+  c.churn_enabled = true;
+  c.churn_mean_session = 1 * kHour;
+  c.fault_loss = "0.02";
+  c.fault_silent_crash_probability = 0.5;
+  c.query_timeout = 5 * kSecond;
+  const SinkBytes first =
+      RunWithSinks(Experiment(c).WithSystem("flower"), "deterministic_a");
+  const SinkBytes second =
+      RunWithSinks(Experiment(c).WithSystem("flower"), "deterministic_b");
+  EXPECT_GT(first.result.churn_failures, 0u);
+  EXPECT_GT(first.result.injected_drops, 0u);
+  EXPECT_GT(first.result.silent_crashes, 0u);
+  EXPECT_FALSE(first.json.empty());
+  EXPECT_EQ(first.text, second.text);
+  EXPECT_EQ(first.json, second.json);
 }
 
 TEST(RunnerIntegrationTest, SeedChangesResultsButNotShape) {

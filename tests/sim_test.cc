@@ -157,7 +157,7 @@ struct OwnerTick {
   void operator()() { ++*owner; }
 };
 
-/// The sampler's and churn's captures: `this` plus a window or a lane.
+/// The sampler's capture: `this` plus a window.
 struct OwnerAndValueTick {
   void* owner;
   SimTime value;

@@ -5,8 +5,6 @@
 #include "api/sweep.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,13 +17,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 /// A small sweep mixing systems and config variations, so points have

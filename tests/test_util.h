@@ -2,8 +2,16 @@
 #ifndef FLOWERCDN_TESTS_TEST_UTIL_H_
 #define FLOWERCDN_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include <gtest/gtest.h>
+
+#include "api/experiment.h"
+#include "api/result_sink.h"
 #include "common/config.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -47,6 +55,44 @@ inline SimConfig TinyConfig() {
   c.keepalive_period = 5 * kMinute;
   c.metrics_window = 15 * kMinute;
   return c;
+}
+
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// What the text and the JSON sink wrote for one run, and its result.
+struct SinkBytes {
+  std::string text;
+  std::string json;
+  RunResult result;
+};
+
+/// Runs `experiment` with a text and a JSON sink attached; `tag` names
+/// the scratch files the sinks write.
+inline SinkBytes RunWithSinks(Experiment experiment, const std::string& tag) {
+  const std::string text_path = ::testing::TempDir() + tag + ".txt";
+  const std::string json_path = ::testing::TempDir() + tag + ".json";
+  std::FILE* text_file = std::fopen(text_path.c_str(), "w");
+  if (text_file == nullptr) {
+    ADD_FAILURE() << "cannot write " << text_path;
+    return {};
+  }
+  SinkBytes out;
+  {
+    TextSummarySink text(text_file);
+    JsonResultSink json(json_path);  // writes its file when destroyed
+    out.result = experiment.AddSink(&text).AddSink(&json).Run();
+  }
+  std::fclose(text_file);
+  out.text = ReadFile(text_path);
+  out.json = ReadFile(json_path);
+  std::remove(text_path.c_str());
+  std::remove(json_path.c_str());
+  return out;
 }
 
 }  // namespace flower

@@ -2,7 +2,7 @@
 """detlint — repo-specific determinism linter for flowercdn.
 
 The repo's load-bearing guarantee is bit-identical output across
-``shards=N``, serial vs threaded executors, ``jobs=N`` sweeps and reruns.
+``jobs=N`` sweeps and reruns: a run is a pure function of (config, seed).
 That guarantee is enforced end-to-end by golden-diff tests, but nothing
 in the compiler stops a change from quietly breaking it. detlint is the
 static leg: a small, dependency-free linter that scans ``src/`` for the
@@ -30,16 +30,15 @@ wall-clock
     per line.)
 
 raw-prob-draw
-    A probability draw in lane-executed code (``src/net/``,
+    A probability draw in the network and protocol code (``src/net/``,
     ``src/core/``) taken from the simulator's master RNG
     (``rng()->Bernoulli(...)`` and friends) or from a raw
-    ``std::*_distribution``. Runtime draws must come from per-lane
-    streams derived from the master seed
-    (``Rng(Mix64(seed ^ (tag + slot)))`` — the churn-manager /
-    fault-injector pattern): a master-RNG draw perturbs every later
-    consumer of that stream and makes the schedule depend on lane
-    interleaving. Setup-phase draws that provably run before the
-    simulation starts may be allowlisted per line.
+    ``std::*_distribution``. Runtime draws must come from a component's
+    own stream derived from the master seed (``Rng(Mix64(seed ^ tag))``
+    — the churn-manager / fault-injector pattern) or forked from the
+    master generator at setup: a runtime master-RNG draw perturbs every
+    later consumer of that stream. Setup-phase draws that provably run
+    before the simulation starts may be allowlisted per line.
 
 Opt-out
 -------
