@@ -28,12 +28,10 @@ int main(int argc, char** argv) {
   // at each capacity), then run them all at once — in parallel under
   // jobs=N, with results back in this order.
   SimConfig unbounded = base;
-  unbounded.cache_policy = "unbounded";
   unbounded.cache_capacity_bytes = 0;
   driver.Enqueue(unbounded, "flower", "unbounded");
   for (uint64_t capacity : capacities) {
     SimConfig c = base;
-    c.cache_policy = "lru";
     c.cache_capacity_bytes = capacity;
     driver.Enqueue(c, "flower", "lru/" + std::to_string(capacity));
   }

@@ -116,10 +116,7 @@ int main(int argc, char** argv) {
     // Finer windows than the default 30 min so the dip/recovery shape is
     // resolvable even on short (quick/CI) runs.
     c.metrics_window = std::min<SimTime>(c.metrics_window, 10 * kMinute);
-    if (cap.capacity_bytes > 0) {
-      c.directory_index_policy = "lru";
-      c.directory_index_capacity_bytes = cap.capacity_bytes;
-    }
+    c.directory_index_capacity_bytes = cap.capacity_bytes;
     driver.Enqueue(c, "flower", std::string("dir_index=") + cap.label);
   }
   std::vector<RunResult> cap_runs = driver.RunQueued();

@@ -40,14 +40,12 @@ int main(int argc, char** argv) {
   for (int s_co : overlay_sizes) {
     SimConfig ref = base;
     ref.max_content_overlay_size = s_co;
-    ref.directory_index_policy = "unbounded";
     ref.directory_index_capacity_bytes = 0;
     driver.Enqueue(ref, "flower",
                    "S_co=" + std::to_string(s_co) + "/unbounded");
     for (uint64_t capacity : capacities) {
       SimConfig c = base;
       c.max_content_overlay_size = s_co;
-      c.directory_index_policy = "lru";
       c.directory_index_capacity_bytes = capacity;
       driver.Enqueue(c, "flower",
                      "S_co=" + std::to_string(s_co) + "/lru/" +

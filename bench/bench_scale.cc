@@ -7,10 +7,11 @@
 //
 // The sweep crosses peers in {1k, 4k, 16k, 64k, 100k} (quick stops at
 // 16k — the CI smoke) with directory_index_capacity in {unbounded, 64KB}
-// and scaleup_extra_bits in {0, 1}. Every point runs in a child process
-// (the driver re-execs itself with `point ...`): MemStats::PeakRssBytes
-// reads VmHWM, which is process-lifetime-monotonic, so points sharing a
-// process would inherit each other's peaks.
+// and scaleup_extra_bits in {0, 1}; the bounded 64KB index evicts its
+// least recently contacted entries (LRU). Every point runs in a child
+// process (the driver re-execs itself with `point ...`):
+// MemStats::PeakRssBytes reads VmHWM, which is process-lifetime-monotonic,
+// so points sharing a process would inherit each other's peaks.
 //
 // Unlike the figure/table drivers, RSS and events/sec are host
 // measurements, so BENCH_scale.json is a machine profile, not a

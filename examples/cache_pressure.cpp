@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   config.max_content_overlay_size = 40;
   config.duration = 6 * flower::kHour;
   config.queries_per_second = 3.0;
-  // Default pressure point: room for ~10 of the 10 KB objects per peer.
-  config.cache_policy = "lru";
+  // Default pressure point: room for 10 of the 10 KB objects per peer.
   config.cache_capacity_bytes = 100 * 1024;
 
   flower::Status status = config.ApplyArgs(argc, argv);
@@ -33,19 +32,17 @@ int main(int argc, char** argv) {
   std::printf("Flower-CDN under cache pressure\n  config: %s\n\n",
               config.ToString().c_str());
 
-  // The bounded run is named as on the config line (policy/budget), so
-  // its row stays apart from the baseline's even when the policy is
-  // `unbounded`.
+  // The bounded run is named as on the config line (a finite budget
+  // evicts LRU).
   const std::string baseline_label = "unbounded";
-  std::string label = config.cache_policy;
-  if (config.cache_capacity_bytes > 0) {
-    label += "/" + std::to_string(config.cache_capacity_bytes) + "B";
-  }
+  const std::string label =
+      config.cache_capacity_bytes > 0
+          ? "lru/" + std::to_string(config.cache_capacity_bytes) + "B"
+          : baseline_label;
   const int width = static_cast<int>(std::max(baseline_label.size(),
                                               label.size()));
 
   flower::SimConfig unbounded = config;
-  unbounded.cache_policy = "unbounded";
   unbounded.cache_capacity_bytes = 0;
   flower::RunResult baseline = flower::Experiment(unbounded)
                                    .WithSystem("flower")

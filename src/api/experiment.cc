@@ -127,8 +127,15 @@ void CollectSeries(const Metrics& metrics, RunResult* result) {
 /// The checks that need every override applied: key combinations that
 /// would crash a run. The D-ring ids must name every locality and
 /// directory instance, and the topology must hold the origin servers and
-/// the initial directories.
+/// the initial directories. Drivers set fields without Apply, so the
+/// object size floor is checked here too: stores count whole objects of
+/// object_size_bits / 8 bytes.
 Status CheckWorld(const SimConfig& c) {
+  if (c.object_size_bits < 8) {
+    return Status::InvalidArgument(
+        "object_size_bits=" + std::to_string(c.object_size_bits) +
+        " is below one byte (8 bits)");
+  }
   const int instances = std::max(c.scaleup_instances, 1);
   Status ids = DRingIdScheme::Check(
       c.chord_id_bits, c.locality_id_bits, c.scaleup_extra_bits,

@@ -48,7 +48,7 @@ struct RunResult {
   uint64_t served_by_local_peer = 0;
   uint64_t served_by_remote_peer = 0;
 
-  // Cache-pressure statistics (zero with the default unbounded policy).
+  // Cache-pressure statistics (zero with the default unbounded stores).
   uint64_t cache_evictions = 0;
   uint64_t stale_redirects = 0;
   /// Split of `stale_redirects` by the channel that carried the stale

@@ -7,12 +7,8 @@
 
 namespace flower {
 
-DirectoryStore::DirectoryStore(CachePolicy policy, uint64_t capacity_bytes)
-    : engine_(policy, capacity_bytes) {}
-
 DirectoryStore DirectoryStore::FromConfig(const SimConfig& config) {
-  return DirectoryStore(CachePolicyFromName(config.directory_index_policy),
-                        config.directory_index_capacity_bytes);
+  return DirectoryStore(config.directory_index_capacity_bytes);
 }
 
 const DirectoryStore::Entry* DirectoryStore::Find(PeerAddress peer) const {
@@ -24,10 +20,14 @@ void DirectoryStore::Touch(PeerAddress peer) {
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
   EntryAt(i).age = 0;
-  engine_.Touch(peer);
+  Stamp(entry_of_[i]);
 }
 
-void DirectoryStore::Probe(PeerAddress peer) { engine_.Touch(peer); }
+void DirectoryStore::Probe(PeerAddress peer) {
+  if (!bounded()) return;
+  size_t i = IndexOf(peer);
+  if (i != kNpos) Stamp(entry_of_[i]);
+}
 
 void DirectoryStore::SetEntryState(PeerAddress peer, int age,
                                    SimTime joined_at) {
@@ -44,22 +44,25 @@ bool DirectoryStore::Admit(PeerAddress peer, int age, SimTime joined_at,
     Touch(peer);
     return true;
   }
-  std::vector<PeerAddress> evicted;
-  if (!engine_.Insert(peer, FootprintBytes(0), &evicted)) {
-    AbsorbEvictions(evicted, delta);
-    return false;
+  const uint64_t footprint = FootprintBytes(0);
+  if (bounded()) {
+    // Hopeless alone: turned away without evicting anyone.
+    if (footprint + summary_bytes_ > capacity_bytes_) return false;
+    EvictToFit(footprint, delta);
   }
-  AbsorbEvictions(evicted, delta);
   uint32_t e;
   if (free_entries_.empty()) {
     e = static_cast<uint32_t>(entries_.size());
     entries_.emplace_back();
+    if (bounded()) stamps_.emplace_back();
   } else {
     e = free_entries_.back();
     free_entries_.pop_back();
   }
   entries_[e].age = age;
   entries_[e].joined_at = joined_at;
+  Stamp(e);
+  bytes_used_ += footprint;
   const auto i = static_cast<std::ptrdiff_t>(RankOf(peer));
   addrs_.insert(addrs_.begin() + i, peer);
   entry_of_.insert(entry_of_.begin() + i, e);
@@ -101,6 +104,7 @@ void DirectoryStore::Update(PeerAddress peer,
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
   Entry& entry = EntryAt(i);
+  bytes_used_ -= FootprintBytes(entry.objects.size());
   for (ObjectSlot slot : add) {
     if (slot == kInvalidSlot) continue;  // foreign id, not in this site
     auto pos = std::lower_bound(entry.objects.begin(), entry.objects.end(),
@@ -116,14 +120,22 @@ void DirectoryStore::Update(PeerAddress peer,
     entry.objects.erase(pos);
     HolderUnref(slot, peer);
   }
-  std::vector<PeerAddress> evicted;
-  engine_.Resize(peer, FootprintBytes(entry.objects.size()), &evicted);
-  AbsorbEvictions(evicted, delta);
+  const uint64_t footprint = FootprintBytes(entry.objects.size());
+  bytes_used_ += footprint;
+  if (!bounded()) return;
+  if (footprint + summary_bytes_ > capacity_bytes_) {
+    // Hopeless alone (mirrors Admit's rejection): only the grown entry
+    // leaves — draining every other member first would wipe the index
+    // for an entry that can never fit.
+    EvictAt(i, delta);
+    return;
+  }
+  EvictToFit(0, delta);
 }
 
 void DirectoryStore::Erase(PeerAddress peer) {
-  if (!engine_.Erase(peer)) return;
-  DropPayload(peer);
+  const size_t i = IndexOf(peer);
+  if (i != kNpos) RemoveAt(i);
 }
 
 void DirectoryStore::AgeAll(int dead_age_limit) {
@@ -149,12 +161,11 @@ void DirectoryStore::PutSummary(Key dir_id, NeighborSummary summary,
   }
   summary_bytes_ += SummaryFootprintBytes(summary);
   summaries_[dir_id] = std::move(summary);
-  std::vector<PeerAddress> evicted;
-  engine_.SetReservedBytes(summary_bytes_, &evicted);
-  AbsorbEvictions(evicted, delta);
+  if (bounded()) EvictToFit(0, delta);
 }
 
 void DirectoryStore::EraseSummariesFrom(PeerAddress addr) {
+  // Shrinking the reservation never evicts.
   for (auto it = summaries_.begin(); it != summaries_.end();) {
     if (it->second.addr == addr) {
       summary_bytes_ -= SummaryFootprintBytes(it->second);
@@ -163,14 +174,21 @@ void DirectoryStore::EraseSummariesFrom(PeerAddress addr) {
       ++it;
     }
   }
-  // Shrinking a reservation never evicts.
-  engine_.SetReservedBytes(summary_bytes_, nullptr);
 }
 
-void DirectoryStore::DropPayload(PeerAddress peer) {
-  size_t i = IndexOf(peer);
-  assert(i != kNpos && "engine and payload table out of sync");
+size_t DirectoryStore::LruIndex() const {
+  assert(bounded() && !addrs_.empty());
+  size_t victim = 0;
+  for (size_t i = 1; i < addrs_.size(); ++i) {
+    if (stamps_[entry_of_[i]] < stamps_[entry_of_[victim]]) victim = i;
+  }
+  return victim;
+}
+
+void DirectoryStore::RemoveAt(size_t i) {
+  const PeerAddress peer = addrs_[i];
   const uint32_t e = entry_of_[i];
+  bytes_used_ -= FootprintBytes(entries_[e].objects.size());
   for (ObjectSlot slot : entries_[e].objects) HolderUnref(slot, peer);
   entries_[e] = Entry{};  // frees the claim list
   free_entries_.push_back(e);
@@ -178,11 +196,15 @@ void DirectoryStore::DropPayload(PeerAddress peer) {
   entry_of_.erase(entry_of_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
-void DirectoryStore::AbsorbEvictions(const std::vector<PeerAddress>& evicted,
-                                     Delta* delta) {
-  for (PeerAddress victim : evicted) {
-    DropPayload(victim);
-    delta->evicted.push_back(victim);
+void DirectoryStore::EvictAt(size_t i, Delta* delta) {
+  delta->evicted.push_back(addrs_[i]);
+  RemoveAt(i);
+}
+
+void DirectoryStore::EvictToFit(uint64_t incoming, Delta* delta) {
+  while (!addrs_.empty() &&
+         bytes_used_ + incoming + summary_bytes_ > capacity_bytes_) {
+    EvictAt(LruIndex(), delta);
   }
 }
 

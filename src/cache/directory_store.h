@@ -1,6 +1,5 @@
 // Bounded directory-side storage: the directory peer's index of its
-// content overlay, rebased on the keyed store (src/cache/keyed_store.h)
-// so directory state is a capacity-constrained resource just like peer
+// content overlay, a capacity-constrained resource just like peer
 // caches.
 //
 // The paper assumes a directory peer indexes *every* content peer of its
@@ -8,15 +7,12 @@
 // small directory nodes whose peer -> content index is itself bounded:
 // each entry is keyed by the content peer's address and sized by its
 // footprint (base record + bytes per claimed object id). Under a finite
-// `directory_index_capacity` with `directory_index_policy=lru`,
-// admitting or growing an entry evicts the entries with the oldest
-// contact (admission, query, push, keepalive or answered redirect);
-// under `directory_index_policy=unbounded` the index fills, then turns
-// new peers away, and an entry that outgrows the budget evicts itself.
-// The store keeps the holder counts — the object reference counts the
-// directory summary is built from — consistent through every admission,
-// update, expiry and eviction, and reports what changed (Delta) so the
-// peer can refresh summaries and count metrics.
+// `directory_index_capacity`, admitting or growing an entry evicts the
+// entries with the oldest contact (admission, query, push, keepalive or
+// answered redirect). The store keeps the holder counts — the object
+// reference counts the directory summary is built from — consistent
+// through every admission, update, expiry and eviction, and reports what
+// changed (Delta) so the peer can refresh summaries and count metrics.
 //
 // The store also owns the neighbor directory summaries, so the whole of
 // a directory peer's soft state lives behind one facade.
@@ -30,11 +26,14 @@
 // ids; Bloom summaries hash the original ids).
 //
 // The entry table is a sorted address array with a parallel array of
-// 4-byte positions into a pool of Entry records. An Entry stays at its
-// pool position for its whole life (freed positions are reused), so
-// admitting or erasing a member shifts only the two 4-byte arrays, never
-// an Entry; iteration still runs in ascending address order, which the
-// welcome draw, aging and the leave handoff depend on.
+// 4-byte positions into a pool of Entry records (and, in a bounded
+// index, their recency stamps). An Entry stays at its pool position for
+// its whole life (freed positions are reused), so admitting or erasing a
+// member shifts only the two 4-byte arrays, never an Entry; iteration
+// still runs in ascending address order, which the welcome draw, aging
+// and the leave handoff depend on. The LRU victim is the member with the
+// smallest stamp, found by an O(n) scan (victim choice never draws from
+// an Rng).
 //
 // With capacity 0 (the default) nothing is ever evicted and behavior is
 // bit-identical to the pre-refactor unbounded std::maps.
@@ -48,7 +47,6 @@
 #include <vector>
 
 #include "bloom/summary.h"
-#include "cache/keyed_store.h"
 #include "common/types.h"
 
 namespace flower {
@@ -100,17 +98,17 @@ class DirectoryStore {
   /// Accounted footprint of one neighbor directory summary: a base
   /// record plus the Bloom filter's wire bytes. Summaries share the
   /// `directory_index_capacity` budget with index entries (as a
-  /// reservation carved off the engine's capacity), so every summary
-  /// received from a neighbor visibly squeezes the index.
+  /// reservation carved off the capacity), so every summary received
+  /// from a neighbor visibly squeezes the index.
   static constexpr uint64_t kSummaryBaseBytes = 32;
   static uint64_t SummaryFootprintBytes(const NeighborSummary& summary);
 
-  /// capacity_bytes == 0 means an unbounded index (the paper's model).
-  explicit DirectoryStore(CachePolicy policy = CachePolicy::kUnbounded,
-                          uint64_t capacity_bytes = 0);
+  /// capacity_bytes == 0 means an unbounded index (the paper's model);
+  /// a finite capacity evicts the least recently used entries.
+  explicit DirectoryStore(uint64_t capacity_bytes = 0)
+      : capacity_bytes_(capacity_bytes) {}
 
-  /// Builds a store from the `directory_index_policy` /
-  /// `directory_index_capacity` config keys.
+  /// Builds a store from the `directory_index_capacity` config key.
   static DirectoryStore FromConfig(const SimConfig& config);
 
   DirectoryStore(DirectoryStore&&) = default;
@@ -212,14 +210,14 @@ class DirectoryStore {
   PeerAddress AddressAt(size_t rank) const { return addrs_[rank]; }
 
   /// Records a liveness contact with a resident entry (query, push or
-  /// keepalive): resets its age and, under LRU, makes it the most
-  /// recently used. No-op when the peer is absent.
+  /// keepalive): resets its age and makes it the most recently used.
+  /// No-op when the peer is absent.
   void Touch(PeerAddress peer);
 
   /// Records a usefulness signal only (the entry answered a redirect):
-  /// refreshes its LRU recency without resetting the age — being
-  /// *useful* is not evidence the peer is *alive*, and T_dead expiry
-  /// must not drift. No-op when the peer is absent.
+  /// refreshes its recency without resetting the age — being *useful* is
+  /// not evidence the peer is *alive*, and T_dead expiry must not drift.
+  /// No-op when the peer is absent or the store is unbounded.
   void Probe(PeerAddress peer);
 
   /// Overwrites a resident entry's lifecycle fields (a handed-over
@@ -227,17 +225,20 @@ class DirectoryStore {
   /// heir's provisional admission does). No-op when the peer is absent.
   void SetEntryState(PeerAddress peer, int age, SimTime joined_at);
 
-  /// Admits a new empty entry with the given age/join time. Returns
-  /// false when the store rejects it (a full bounded store that is not
-  /// LRU). Capacity evictions performed to make room land in `*delta`.
+  /// Admits a new empty entry with the given age/join time (re-admitting
+  /// a resident entry is a Touch). Returns false when an empty entry
+  /// alone exceeds what the budget leaves beside the neighbor summaries;
+  /// nobody is evicted then. Capacity evictions performed to make room
+  /// land in `*delta`.
   bool Admit(PeerAddress peer, int age, SimTime joined_at, Delta* delta);
 
   /// Applies a content delta to a resident entry: `add` then `remove`,
   /// resizing the entry's footprint. Growth past capacity evicts LRU
   /// victims — possibly the updated entry itself, when it is the least
-  /// recently used, when the store is not LRU, or when nothing else can
-  /// make it fit. Ages are untouched (callers Touch()
-  /// where a contact is implied). No-op when the peer is absent.
+  /// recently used; an entry that alone no longer fits evicts only
+  /// itself. The resize is not a contact: neither the age nor the
+  /// recency changes (callers Touch() where a contact is implied). No-op
+  /// when the peer is absent.
   void Update(PeerAddress peer, const std::vector<ObjectSlot>& add,
               const std::vector<ObjectSlot>& remove, Delta* delta);
 
@@ -301,11 +302,12 @@ class DirectoryStore {
   /// summaries.
   uint64_t summary_bytes() const { return summary_bytes_; }
 
-  // --- Engine introspection ---------------------------------------------------
+  // --- Capacity accounting ----------------------------------------------------
 
-  bool bounded() const { return engine_.bounded(); }
-  uint64_t bytes_used() const { return engine_.bytes_used(); }
-  uint64_t capacity_bytes() const { return engine_.capacity_bytes(); }
+  bool bounded() const { return capacity_bytes_ > 0; }
+  /// Total footprint of the index entries (summaries not included).
+  uint64_t bytes_used() const { return bytes_used_; }
+  uint64_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
@@ -330,20 +332,40 @@ class DirectoryStore {
   /// holder.
   void HolderUnref(ObjectSlot slot, PeerAddress peer);
 
-  /// Detaches an entry's payload after the engine dropped it: releases
-  /// its holder counts and erases the Entry.
-  void DropPayload(PeerAddress peer);
+  /// Makes the entry at pool position `e` the most recently used (a
+  /// bounded store only: an unbounded one keeps no stamps).
+  void Stamp(uint32_t e) {
+    if (bounded()) stamps_[e] = ++clock_;
+  }
 
-  /// Folds engine-reported evictions into `delta`, dropping payloads.
-  void AbsorbEvictions(const std::vector<PeerAddress>& evicted, Delta* delta);
+  /// Position in addrs_ of the least recently used entry (the smallest
+  /// stamp). The store must not be empty.
+  size_t LruIndex() const;
 
-  KeyedStore<PeerAddress> engine_;  // footprint accounting + LRU order
+  /// Removes the entry at position `i` of addrs_: releases its holder
+  /// counts and footprint and frees its pool position.
+  void RemoveAt(size_t i);
+
+  /// Capacity eviction of the entry at position `i`, reported in `delta`.
+  void EvictAt(size_t i, Delta* delta);
+
+  /// Evicts LRU entries until they, `incoming` more bytes and the
+  /// summary reservation fit the budget, or none is left (a bounded
+  /// store only).
+  void EvictToFit(uint64_t incoming, Delta* delta);
+
+  uint64_t capacity_bytes_;
+  uint64_t bytes_used_ = 0;  // sum of the entries' FootprintBytes
+  uint64_t clock_ = 0;       // last stamp handed out
   // Entry table: addrs_ ascending, entry_of_ parallel (the position of
   // addrs_[i]'s Entry in entries_). Positions are stable while resident;
-  // free_entries_ holds the vacated ones for reuse.
+  // free_entries_ holds the vacated ones for reuse. In a bounded store
+  // stamps_ is parallel to entries_: the clock value of each entry's
+  // last admission, Touch or Probe.
   std::vector<PeerAddress> addrs_;
   std::vector<uint32_t> entry_of_;
   std::vector<Entry> entries_;
+  std::vector<uint64_t> stamps_;
   std::vector<uint32_t> free_entries_;
   // Inverted holder index: holder_slots_ ascending, holder_lists_
   // parallel (each list the claiming addresses, ascending).

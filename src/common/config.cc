@@ -72,22 +72,6 @@ bool ParseTime(const std::string& v, SimTime* out) {
   return ParseTimeString(v, out);
 }
 
-// Uniform fail-fast diagnostic for enum-valued keys: name the offending
-// value and every accepted one, so a typo in a sweep script dies with
-// the fix in the message.
-Status UnknownEnumValue(const std::string& key, const std::string& value,
-                        std::initializer_list<const char*> accepted) {
-  std::string msg = "unknown " + key + ": \"" + value + "\" (accepted: ";
-  bool first = true;
-  for (const char* a : accepted) {
-    if (!first) msg += ", ";
-    msg += a;
-    first = false;
-  }
-  msg += ")";
-  return Status::InvalidArgument(msg);
-}
-
 }  // namespace
 
 Status SimConfig::Apply(const std::string& key, const std::string& value) {
@@ -166,15 +150,11 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY_AT_LEAST("num_objects_per_website", num_objects_per_website, 1)
   DOUBLE_KEY_IN("zipf_alpha", zipf_alpha, 0.0,
                 std::numeric_limits<double>::max(), "a finite number >= 0")
-  INT_KEY("object_size_bits", object_size_bits)
-  if (key == "cache_policy" || key == "directory_index_policy") {
-    if (value != "unbounded" && value != "lru") {
-      return UnknownEnumValue(key, value, {"unbounded", "lru"});
-    }
-    (key == "cache_policy" ? cache_policy : directory_index_policy) = value;
-    return Status::Ok();
-  }
-  INT_KEY("cache_capacity_bytes", cache_capacity_bytes)
+  // Stores count whole objects of object_size_bits / 8 bytes, so an
+  // object needs at least one byte; a negative value would wrap the
+  // unsigned field.
+  INT_KEY_AT_LEAST("object_size_bits", object_size_bits, 8)
+  INT_KEY_AT_LEAST("cache_capacity_bytes", cache_capacity_bytes, 0)
   if (key == "directory_index_capacity") {
     if (value == "unbounded") {
       directory_index_capacity_bytes = 0;
@@ -294,19 +274,17 @@ std::string SimConfig::ToString() const {
      << " duration=" << duration / kHour << "h"
      << " T_gossip=" << gossip_period / kMinute << "min"
      << " L_gossip=" << gossip_length << " V_gossip=" << view_size
-     << " push_thr=" << push_threshold
-     << " cache=" << cache_policy;
+     << " push_thr=" << push_threshold;
+  // A finite capacity evicts LRU.
   if (cache_capacity_bytes > 0) {
-    os << "/" << cache_capacity_bytes << "B";
+    os << " cache=lru/" << cache_capacity_bytes << "B";
+  } else {
+    os << " cache=unbounded";
   }
   // Non-default knobs only: the default line must stay byte-identical
   // across PRs so trajectory diffs catch real drift.
-  if (directory_index_policy != "unbounded" ||
-      directory_index_capacity_bytes > 0) {
-    os << " dir_index=" << directory_index_policy;
-    if (directory_index_capacity_bytes > 0) {
-      os << "/" << directory_index_capacity_bytes << "B";
-    }
+  if (directory_index_capacity_bytes > 0) {
+    os << " dir_index=lru/" << directory_index_capacity_bytes << "B";
   }
   if (system != "flower") os << " system=" << system;
   // Fault-injection / hardening knobs, non-default only (the default

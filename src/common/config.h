@@ -44,29 +44,29 @@ struct SimConfig {
   int num_active_websites = 6;        // websites receiving queries
   int num_objects_per_website = 500;  // paper text Sec 6.1 (Table 1 says 100)
   double zipf_alpha = 0.8;            // object popularity skew
-  /// Size of every object: a 10 KB web page (paper Table 1).
+  /// Size of every object: a 10 KB web page (paper Table 1). At least
+  /// one byte (8 bits): stores count whole objects of object_size_bits / 8
+  /// bytes.
   uint64_t object_size_bits = 10 * 8 * 1024;
 
   // --- Peer cache (src/cache/; bounded peer storage) ------------------------
-  /// Eviction policy of every peer's content store: "unbounded" (never
-  /// evict: the paper's Sec 4 keep-everything peers; with a finite
-  /// capacity the store fills, then turns new objects away) | "lru"
-  /// (evict the least recently used object).
-  std::string cache_policy = "unbounded";
-  /// Per-peer storage budget in bytes; 0 = unlimited (seed behavior).
+  /// Per-peer storage budget in bytes; 0 = unlimited, the paper's Sec 4
+  /// keep-everything peers. A finite budget holds
+  /// cache_capacity_bytes / (object_size_bits / 8) objects and evicts the
+  /// least recently used one.
   uint64_t cache_capacity_bytes = 0;
 
   // --- Directory index (src/cache/; bounded directory-side storage) ----------
-  /// Eviction policy of every directory peer's index of its overlay:
-  /// "unbounded" (never evict: with capacity 0 the index holds every
-  /// content peer, the paper's Sec 3.3 model; with a finite capacity it
-  /// fills, then turns new peers away) | "lru" (evict the entry with the
-  /// oldest contact).
-  std::string directory_index_policy = "unbounded";
   /// Per-directory index budget in bytes of accounted entry footprint
-  /// (DirectoryStore::FootprintBytes); 0 = unbounded. The config key
-  /// `directory_index_capacity` also accepts the value "unbounded".
+  /// (DirectoryStore::FootprintBytes); 0 = unbounded, the paper's Sec 3.3
+  /// index of every content peer. A finite budget evicts the entry with
+  /// the oldest contact. The config key `directory_index_capacity` also
+  /// accepts the value "unbounded".
   uint64_t directory_index_capacity_bytes = 0;
+  /// Never read, and not a config key: a finite capacity always evicts
+  /// LRU. Kept because flower_perf's churn workload still sets it; it
+  /// goes with the next benchmark change.
+  std::string directory_index_policy;
 
   // --- Overlay / membership -------------------------------------------------
   int max_content_overlay_size = 100;  // S_co

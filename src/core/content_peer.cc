@@ -368,8 +368,7 @@ void ContentPeer::AddObject(ObjectId object) {
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted =
-      content_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
+  const bool inserted = content_.Insert(object, &evicted);
   if (!evicted.empty()) {
     // Evictions invalidate our gossiped summary and the directory's index
     // entry for us; both go stale gracefully — the summary rebuilds before

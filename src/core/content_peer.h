@@ -9,8 +9,8 @@
 //   own cache -> view summaries -> directory peer.
 // On directory failure it races to replace it (Sec 5.2).
 //
-// "Keeps every object" is the default. Under `cache_policy=lru` with a
-// finite `cache_capacity_bytes` the peer's ContentStore evicts its least
+// "Keeps every object" is the default. Under a finite
+// `cache_capacity_bytes` the peer's ContentStore evicts its least
 // recently used objects, and the evictions ride the next push as
 // removals.
 #ifndef FLOWERCDN_CORE_CONTENT_PEER_H_

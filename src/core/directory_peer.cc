@@ -404,8 +404,7 @@ void DirectoryPeer::AddOwnObject(ObjectId object) {
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted =
-      content_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
+  const bool inserted = content_.Insert(object, &evicted);
   if (!evicted.empty()) {
     // Own-content evictions leave the next rebuilt index summary; per
     // Sec 4.2.1 removals do not trigger an eager refresh (neighbors

@@ -2,14 +2,13 @@
 //
 // A directory peer sits on the D-ring (it is a DRingNode) and anchors one
 // content overlay. Its soft state lives in a DirectoryStore
-// (src/cache/directory_store.h), the PeerAddress instantiation of the
-// same keyed eviction engine that backs peer caches (ContentStore):
+// (src/cache/directory_store.h):
 //  - directory-index(ws,loc): one entry per content peer with age, join
 //    time and the peer's object list. Unbounded by default (the paper's
-//    complete view); under `directory_index_capacity` entries are
-//    footprint-accounted and evicted by `directory_index_policy`, and
-//    the store keeps the holder counts the summaries are built from
-//    consistent through every eviction.
+//    complete view); under a finite `directory_index_capacity` entries
+//    are footprint-accounted and the least recently contacted one is
+//    evicted, and the store keeps the holder counts the summaries are
+//    built from consistent through every eviction.
 //  - directory-summaries(ws,loc_j): Bloom summaries of the directory
 //    indexes of same-website directory peers it knows from its routing
 //    table (its D-ring neighbors).

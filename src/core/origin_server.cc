@@ -14,7 +14,6 @@ OriginServer::OriginServer(Simulator* sim, Network* network, Metrics* metrics,
       site_(site),
       object_size_bits_(object_size_bits) {
   assert(site != nullptr);
-  objects_.insert(site->objects.begin(), site->objects.end());
 }
 
 void OriginServer::HandleMessage(MessagePtr msg) {
@@ -23,7 +22,7 @@ void OriginServer::HandleMessage(MessagePtr msg) {
     return;
   }
   auto query = MessageCast<FlowerQueryMsg>(std::move(msg));
-  if (objects_.find(query->object) == objects_.end()) {
+  if (site_->SlotOf(query->object) == kInvalidSlot) {
     // Unknown object: report not-found to the client (should not happen
     // with a well-formed workload).
     auto nf = std::make_unique<NotFoundMsg>(query->object,

@@ -4,7 +4,6 @@
 #define FLOWERCDN_CORE_ORIGIN_SERVER_H_
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "common/config.h"
 #include "common/types.h"
@@ -34,7 +33,6 @@ class OriginServer : public Peer {
   Metrics* metrics_;
   const Website* site_;
   uint64_t object_size_bits_;
-  std::unordered_set<ObjectId> objects_;
   uint64_t queries_served_ = 0;
 };
 

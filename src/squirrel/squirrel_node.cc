@@ -77,8 +77,7 @@ void SquirrelNode::CacheObject(ObjectId object) {
     return;
   }
   std::vector<ObjectId> evicted;
-  bool inserted =
-      cache_.Insert(object, ctx_->config->object_size_bits / 8, &evicted);
+  const bool inserted = cache_.Insert(object, &evicted);
   if (inserted) evicted_ids_.erase(object);
   // Evictions leave stale downloader pointers at the objects' home nodes;
   // those heal through the existing NotFound retry path when followed.

@@ -62,7 +62,7 @@ class SquirrelNode : public ChordNode, public KbrApp {
   /// Home-node processing: serve the object if held here, else forward
   /// to a recent downloader or to the origin server.
   void ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query);
-  /// Caches an object under the store's policy/budget, counting evictions.
+  /// Caches an object under the store's budget, counting evictions.
   void CacheObject(ObjectId object);
   void RememberDownloader(ObjectId object, PeerAddress peer);
   void ServeClient(const FlowerQueryMsg& query);
@@ -73,10 +73,10 @@ class SquirrelNode : public ChordNode, public KbrApp {
   Rng rng_;
   bool alive_ = false;
 
-  /// Bounded web cache (src/cache/). With the default unbounded policy it
+  /// Bounded web cache (src/cache/). With the default capacity 0 it
   /// behaves exactly like the std::set it replaced; with a finite
   /// `cache_capacity_bytes` the baseline runs under the same storage
-  /// pressure and the same eviction policy as Flower-CDN's peers, so
+  /// pressure and the same LRU eviction as Flower-CDN's peers, so
   /// capacity ablations compare both systems fairly.
   ContentStore cache_;
   /// Objects this node evicted and has not re-cached. A redirected query

@@ -1,219 +1,157 @@
-// Unit tests for the bounded peer storage (src/cache/): byte accounting,
-// LRU victim choice, admission control, and config plumbing.
+// Unit tests for the bounded peer storage (src/cache/): the object
+// budget, LRU victim choice, admission, and config plumbing.
 #include "cache/content_store.h"
 
 #include <algorithm>
 #include <map>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/directory_store.h"
 #include "common/config.h"
 #include "common/rng.h"
 
 namespace flower {
 namespace {
 
-TEST(CachePolicyTest, ParseRoundTrips) {
-  // Both policy keys take exactly two values, each kept as written.
-  for (const char* key : {"cache_policy", "directory_index_policy"}) {
-    SimConfig c;
-    const std::string& field = std::string(key) == "cache_policy"
-                                   ? c.cache_policy
-                                   : c.directory_index_policy;
-    for (const char* value : {"lru", "unbounded"}) {
-      ASSERT_TRUE(c.Apply(key, value).ok()) << key << "=" << value;
-      EXPECT_EQ(field, value);
-    }
-  }
-}
-
-TEST(CachePolicyTest, ParseRejectsUnknown) {
-  // Only unbounded and lru are accepted; every other name is rejected
-  // with the accepted list.
-  for (const char* key : {"cache_policy", "directory_index_policy"}) {
-    for (const char* value : {"arc", "lfu", "gdsf", ""}) {
-      SimConfig c;
-      Status s = c.Apply(key, value);
-      ASSERT_FALSE(s.ok()) << key << "=" << value;
-      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(s.ToString().find("accepted: unbounded, lru"),
-                std::string::npos)
-          << s.ToString();
-    }
-  }
-}
-
-TEST(CachePolicyTest, ConfigKeysApply) {
+// A capacity is all it takes: a finite cache_capacity_bytes or
+// directory_index_capacity makes the store evict its least recently used
+// resident, and 0 keeps everything.
+TEST(CacheConfigTest, CapacityAloneEvictsLruInBothStores) {
   SimConfig c;
-  ASSERT_TRUE(c.Apply("cache_policy", "lru").ok());
-  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "20").ok());
-  EXPECT_EQ(c.cache_policy, "lru");
-  EXPECT_EQ(c.cache_capacity_bytes, 20u);
-  ContentStore store = ContentStore::FromConfig(c);
-  EXPECT_EQ(store.capacity_bytes(), 20u);
-  // An lru store evicts to make room where an unbounded one would
-  // turn the newcomer away.
-  EXPECT_TRUE(store.Insert(1, 10));
-  EXPECT_TRUE(store.Insert(2, 10));
+  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "20480").ok());  // 2 objects
+  ContentStore content = ContentStore::FromConfig(c);
+  EXPECT_TRUE(content.bounded());
+  EXPECT_TRUE(content.Insert(1));
+  EXPECT_TRUE(content.Insert(2));
+  content.Touch(1);  // 2 is now the least recently used
   std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(3, 10, &evicted));
-  EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
+  EXPECT_TRUE(content.Insert(3, &evicted));
+  EXPECT_EQ(evicted, (std::vector<ObjectId>{2}));
+  EXPECT_EQ(content.keys(), (std::vector<ObjectId>{1, 3}));
+
+  ASSERT_TRUE(c.Apply("directory_index_capacity", "128").ok());  // 2 entries
+  DirectoryStore index = DirectoryStore::FromConfig(c);
+  EXPECT_TRUE(index.bounded());
+  DirectoryStore::Delta d;
+  ASSERT_TRUE(index.Admit(1, 0, 0, &d));
+  ASSERT_TRUE(index.Admit(2, 0, 0, &d));
+  index.Touch(1);  // 2 is now the least recently used
+  ASSERT_TRUE(index.Admit(3, 0, 0, &d));
+  EXPECT_EQ(d.evicted, (std::vector<PeerAddress>{2}));
+
+  // Capacity 0 is the paper's keep-everything store.
+  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "0").ok());
+  ASSERT_TRUE(c.Apply("directory_index_capacity", "0").ok());
+  EXPECT_FALSE(ContentStore::FromConfig(c).bounded());
+  EXPECT_FALSE(DirectoryStore::FromConfig(c).bounded());
 }
 
 TEST(CachePolicyTest, ConfigRejectsBadValues) {
+  // The policy key is gone (a capacity alone picks LRU), and a malformed
+  // capacity is refused; neither leaves the store bounded.
   SimConfig c;
   EXPECT_FALSE(c.Apply("cache_policy", "bogus").ok());
   EXPECT_FALSE(c.Apply("cache_capacity_bytes", "lots").ok());
-  EXPECT_EQ(c.cache_policy, "unbounded") << "a bad value must not stick";
-  EXPECT_EQ(c.cache_capacity_bytes, 0u);
+  EXPECT_EQ(c.cache_capacity_bytes, 0u) << "a bad value must not stick";
+  EXPECT_FALSE(ContentStore::FromConfig(c).bounded());
 }
 
 TEST(ContentStoreTest, CapacityAccounting) {
-  ContentStore store(CachePolicy::kLru, 100);
+  ContentStore store(2);
   EXPECT_TRUE(store.bounded());
-  EXPECT_TRUE(store.Insert(1, 40));
-  EXPECT_TRUE(store.Insert(2, 40));
-  EXPECT_EQ(store.bytes_used(), 80u);
+  EXPECT_TRUE(store.Insert(1));
+  EXPECT_TRUE(store.Insert(2));
   EXPECT_EQ(store.size(), 2u);
 
-  // 30 more bytes do not fit: the LRU victim (object 1) must go.
+  // A third object does not fit: the LRU victim (object 1) must go.
   std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(3, 30, &evicted));
+  EXPECT_TRUE(store.Insert(3, &evicted));
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 1u);
-  EXPECT_EQ(store.bytes_used(), 70u);
+  EXPECT_EQ(store.size(), 2u);
   EXPECT_FALSE(store.Contains(1));
   EXPECT_TRUE(store.Contains(2));
   EXPECT_TRUE(store.Contains(3));
 }
 
 TEST(ContentStoreTest, EraseAndReinsertAccounting) {
-  ContentStore store(CachePolicy::kLru, 100);
-  EXPECT_TRUE(store.Insert(1, 60));
+  ContentStore store(2);
+  EXPECT_TRUE(store.Insert(1));
   EXPECT_TRUE(store.Erase(1));
-  EXPECT_EQ(store.bytes_used(), 0u);
+  EXPECT_TRUE(store.empty());
   EXPECT_FALSE(store.Erase(1));
-  // Re-inserting a resident object must not double-count bytes.
-  EXPECT_TRUE(store.Insert(2, 60));
-  EXPECT_TRUE(store.Insert(2, 60));
-  EXPECT_EQ(store.bytes_used(), 60u);
+  // Re-inserting a resident object must not take a second place.
+  EXPECT_TRUE(store.Insert(2));
+  EXPECT_TRUE(store.Insert(2));
   EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(ContentStoreTest, LruEvictsLeastRecentlyUsed) {
-  ContentStore store(CachePolicy::kLru, 30);
-  EXPECT_TRUE(store.Insert(1, 10));
-  EXPECT_TRUE(store.Insert(2, 10));
-  EXPECT_TRUE(store.Insert(3, 10));
+  ContentStore store(3);
+  EXPECT_TRUE(store.Insert(1));
+  EXPECT_TRUE(store.Insert(2));
+  EXPECT_TRUE(store.Insert(3));
   store.Touch(1);  // 2 is now the least recently used
   std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(4, 10, &evicted));
+  EXPECT_TRUE(store.Insert(4, &evicted));
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 2u);
   EXPECT_TRUE(store.Contains(1));
 }
 
 TEST(ContentStoreTest, UnboundedKeepsEverything) {
-  ContentStore store(CachePolicy::kUnbounded, 0);
+  ContentStore store;
   EXPECT_FALSE(store.bounded());
   for (ObjectId id = 0; id < 1000; ++id) {
-    EXPECT_TRUE(store.Insert(id, 1 << 20));
+    EXPECT_TRUE(store.Insert(id));
   }
   EXPECT_EQ(store.size(), 1000u);
 }
 
-TEST(ContentStoreTest, BoundedUnboundedPolicyRejectsOverflow) {
-  // Unbounded policy + finite capacity: nothing may be evicted, so the
-  // store fills and then turns newcomers away.
-  ContentStore store(CachePolicy::kUnbounded, 20);
-  EXPECT_TRUE(store.Insert(1, 10));
-  EXPECT_TRUE(store.Insert(2, 10));
-  std::vector<ObjectId> evicted;
-  EXPECT_FALSE(store.Insert(3, 10, &evicted));
-  EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_FALSE(store.Contains(3));
-  // A grown resident cannot evict anyone else either: it leaves itself.
-  evicted.clear();
-  EXPECT_FALSE(store.Resize(1, 15, &evicted));
-  EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
-  EXPECT_EQ(store.bytes_used(), 10u);
-}
-
 TEST(ContentStoreTest, OversizedObjectRejected) {
-  ContentStore store(CachePolicy::kLru, 100);
-  EXPECT_TRUE(store.Insert(1, 50));
+  // A budget below one object holds nothing: every object is turned
+  // away, and nobody is evicted for it.
+  SimConfig c;
+  c.cache_capacity_bytes = c.object_size_bits / 8 - 1;
+  ContentStore store = ContentStore::FromConfig(c);
+  EXPECT_TRUE(store.bounded());
   std::vector<ObjectId> evicted;
-  EXPECT_FALSE(store.Insert(2, 101, &evicted));
+  EXPECT_FALSE(store.Insert(2, &evicted));
   EXPECT_TRUE(evicted.empty()) << "a hopeless insert must not evict anyone";
-  EXPECT_TRUE(store.Contains(1));
   EXPECT_FALSE(store.Contains(2));
+  EXPECT_TRUE(store.empty());
 }
 
 TEST(ContentStoreTest, ObjectsIterateInIdOrder) {
   // Summary rebuilds and full pushes must see the same sorted iteration
   // order as the std::set the store replaced.
-  ContentStore store(CachePolicy::kLru, 0);
-  EXPECT_TRUE(store.Insert(30, 1));
-  EXPECT_TRUE(store.Insert(10, 1));
-  EXPECT_TRUE(store.Insert(20, 1));
+  ContentStore store;
+  EXPECT_TRUE(store.Insert(30));
+  EXPECT_TRUE(store.Insert(10));
+  EXPECT_TRUE(store.Insert(20));
   std::vector<ObjectId> expected = {10, 20, 30};
   EXPECT_EQ(store.keys(), expected);
   EXPECT_TRUE(store.Contains(10));
   EXPECT_FALSE(store.Contains(11));
 }
 
-TEST(ContentStoreTest, ResizeAdjustsAccountingAndEvictsOnGrowth) {
-  ContentStore store(CachePolicy::kLru, 100);
-  EXPECT_TRUE(store.Insert(1, 40));
-  EXPECT_TRUE(store.Insert(2, 40));
-  std::vector<ObjectId> evicted;
-  // Shrink: no evictions, accounting follows.
-  EXPECT_TRUE(store.Resize(2, 20, &evicted));
-  EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(store.bytes_used(), 60u);
-  // Growth past capacity: the LRU victim (1) must go.
-  EXPECT_TRUE(store.Resize(2, 70, &evicted));
-  EXPECT_EQ(evicted, (std::vector<ObjectId>{1}));
-  EXPECT_EQ(store.bytes_used(), 70u);
-  // Growth past the whole budget: the resized key itself is evicted.
-  evicted.clear();
-  EXPECT_FALSE(store.Resize(2, 101, &evicted));
-  EXPECT_EQ(evicted, (std::vector<ObjectId>{2}));
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.bytes_used(), 0u);
-  // Resizing an absent key reports failure without side effects.
-  EXPECT_FALSE(store.Resize(7, 10, &evicted));
-}
-
-TEST(ContentStoreTest, MultiEvictionToFitOneLargeObject) {
-  ContentStore store(CachePolicy::kLru, 100);
-  EXPECT_TRUE(store.Insert(1, 30));
-  EXPECT_TRUE(store.Insert(2, 30));
-  EXPECT_TRUE(store.Insert(3, 30));
-  std::vector<ObjectId> evicted;
-  EXPECT_TRUE(store.Insert(4, 80, &evicted));
-  // Fitting 80 into 100 leaves room for only 20: every 30-byte resident
-  // must go, oldest first.
-  std::vector<ObjectId> expected = {1, 2, 3};
-  EXPECT_EQ(evicted, expected);
-  EXPECT_EQ(store.bytes_used(), 80u);
-  EXPECT_TRUE(store.Contains(4));
-}
-
-// Randomized check of an lru store against a model that keeps its own
+// Randomized check of a bounded store against a model that keeps its own
 // byte accounting and recency order, so every victim is predicted: an
 // Insert of a new key evicts the least recently inserted or touched
 // residents until the newcomer fits, an Insert of a resident key or a
-// Touch makes it the most recently used, a key larger than the whole
-// budget is turned away without evicting anyone, and Erase is not an
-// eviction.
+// Touch makes it the most recently used, and Erase is not an eviction.
+// Every object has the one configured size, and the store is built from
+// the byte budget as a run builds it.
 TEST(ContentStoreTest, LruRandomOpsMatchRecencyModel) {
   constexpr uint64_t kCapacity = 100;
+  constexpr uint64_t kObjectBytes = 12;  // 8 objects fit, 4 bytes spare
   constexpr ObjectId kMaxId = 29;
-  ContentStore store(CachePolicy::kLru, kCapacity);
+  SimConfig c;
+  c.object_size_bits = 8 * kObjectBytes;
+  c.cache_capacity_bytes = kCapacity;
+  ContentStore store = ContentStore::FromConfig(c);
   std::map<ObjectId, uint64_t> model;  // resident -> size
   std::vector<ObjectId> recency;       // least recently used first
   auto forget = [&](ObjectId id) {
@@ -232,28 +170,22 @@ TEST(ContentStoreTest, LruRandomOpsMatchRecencyModel) {
     const auto id = static_cast<ObjectId>(rng.Index(kMaxId + 1));
     const uint64_t op = rng.Index(100);
     if (op < 60) {
-      const uint64_t size =
-          rng.Bernoulli(0.02) ? kCapacity + 1 : 1 + rng.Index(40);
       std::vector<ObjectId> evicted;
-      const bool inserted = store.Insert(id, size, &evicted);
+      EXPECT_TRUE(store.Insert(id, &evicted));
       std::vector<ObjectId> expected;
-      bool admit = true;
       if (model.count(id) > 0) {
         forget(id);
         recency.push_back(id);
-      } else if (size > kCapacity) {
-        admit = false;
       } else {
-        while (model_bytes() + size > kCapacity) {
+        while (model_bytes() + kObjectBytes > kCapacity) {
           const ObjectId victim = recency.front();
           model.erase(victim);
           forget(victim);
           expected.push_back(victim);
         }
-        model[id] = size;
+        model[id] = kObjectBytes;
         recency.push_back(id);
       }
-      EXPECT_EQ(inserted, admit);
       EXPECT_EQ(evicted, expected);
       evictions += evicted.size();
     } else if (op < 85) {
@@ -269,7 +201,6 @@ TEST(ContentStoreTest, LruRandomOpsMatchRecencyModel) {
     std::vector<ObjectId> keys;
     for (const auto& [key, size] : model) keys.push_back(key);
     ASSERT_EQ(store.keys(), keys);
-    ASSERT_EQ(store.bytes_used(), model_bytes());
   }
   EXPECT_GT(evictions, 100u) << "the run must keep the store at capacity";
 }

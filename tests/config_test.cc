@@ -94,25 +94,14 @@ TEST(ConfigTest, UnknownKeyRejected) {
       {"cache_cost_ewma_alpha", "0.3"},
       {"workload_trace", "run.trace"},
       {"shards", "2"},
+      {"cache_policy", "lru"},
+      {"directory_index_policy", "lru"},
   };
   for (const auto& [key, value] : removed) {
     s = c.Apply(key, value);
     EXPECT_FALSE(s.ok()) << key;
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
   }
-}
-
-TEST(ConfigTest, UnknownEnumValuesListAccepted) {
-  SimConfig c;
-  Status s = c.Apply("cache_policy", "mru");
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("accepted: unbounded, lru"), std::string::npos)
-      << s.ToString();
-
-  s = c.Apply("directory_index_policy", "gdsf");
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("accepted: unbounded, lru"), std::string::npos)
-      << s.ToString();
 }
 
 TEST(ConfigTest, DoubleKeysRejectNaNAndOutOfRange) {
@@ -196,6 +185,12 @@ TEST(ConfigTest, ValuesThatCrashOrHangARunRejected) {
       {"queries_per_second", "0"},
       {"queries_per_second", "-1"},
       {"queries_per_second", "nan"},
+      // Unsigned fields: -1 would wrap to 2^64-1. Stores count whole
+      // objects of object_size_bits / 8 bytes, which is 0 below 8 bits.
+      {"object_size_bits", "-1"},
+      {"object_size_bits", "0"},
+      {"object_size_bits", "7"},
+      {"cache_capacity_bytes", "-1"},
   };
   SimConfig c;
   for (const auto& [key, value] : bad) {
@@ -211,6 +206,9 @@ TEST(ConfigTest, ValuesThatCrashOrHangARunRejected) {
     EXPECT_TRUE(c.Apply(key, "1").ok()) << key;
   }
   EXPECT_TRUE(c.Apply("queries_per_second", "0.001").ok());
+  EXPECT_TRUE(c.Apply("object_size_bits", "8").ok());
+  EXPECT_TRUE(c.Apply("cache_capacity_bytes", "0").ok());
+  EXPECT_EQ(c.object_size_bits, 8u);
   EXPECT_EQ(c.view_size, 1);
   EXPECT_EQ(c.gossip_period, 1);
   EXPECT_EQ(c.keepalive_period, 1);
@@ -233,20 +231,16 @@ TEST(ConfigTest, ApplyArgsRejectsNonKeyValue) {
 
 TEST(ConfigTest, DirectoryIndexKeys) {
   SimConfig c;
-  EXPECT_EQ(c.directory_index_policy, "unbounded");
   EXPECT_EQ(c.directory_index_capacity_bytes, 0u);
-  EXPECT_TRUE(c.Apply("directory_index_policy", "lru").ok());
   EXPECT_TRUE(c.Apply("directory_index_capacity", "8192").ok());
-  EXPECT_EQ(c.directory_index_policy, "lru");
   EXPECT_EQ(c.directory_index_capacity_bytes, 8192u);
+  EXPECT_FALSE(c.Apply("directory_index_capacity", "-5").ok());
+  EXPECT_FALSE(c.Apply("directory_index_capacity", "lots").ok());
+  EXPECT_EQ(c.directory_index_capacity_bytes, 8192u)
+      << "bad values must not stick";
   // The capacity key also accepts the spelled-out default.
   EXPECT_TRUE(c.Apply("directory_index_capacity", "unbounded").ok());
   EXPECT_EQ(c.directory_index_capacity_bytes, 0u);
-  EXPECT_FALSE(c.Apply("directory_index_policy", "mru").ok());
-  EXPECT_FALSE(c.Apply("directory_index_policy", "lfu").ok());
-  EXPECT_FALSE(c.Apply("directory_index_capacity", "-5").ok());
-  EXPECT_FALSE(c.Apply("directory_index_capacity", "lots").ok());
-  EXPECT_EQ(c.directory_index_policy, "lru") << "bad values must not stick";
 }
 
 TEST(ConfigTest, CacheCostKey) {
@@ -266,10 +260,13 @@ TEST(ConfigTest, ToStringGuardsNonDefaultStorageKnobs) {
   std::string defaults = c.ToString();
   EXPECT_EQ(defaults.find("dir_index"), std::string::npos)
       << "the default config line must stay byte-identical across PRs";
-  ASSERT_TRUE(c.Apply("directory_index_policy", "lru").ok());
+  EXPECT_NE(defaults.find(" cache=unbounded"), std::string::npos);
+  // A capacity is printed with the policy it implies.
+  ASSERT_TRUE(c.Apply("cache_capacity_bytes", "102400").ok());
   ASSERT_TRUE(c.Apply("directory_index_capacity", "4096").ok());
   std::string overridden = c.ToString();
-  EXPECT_NE(overridden.find("dir_index=lru/4096B"), std::string::npos);
+  EXPECT_NE(overridden.find(" cache=lru/102400B"), std::string::npos);
+  EXPECT_NE(overridden.find(" dir_index=lru/4096B"), std::string::npos);
 }
 
 TEST(ConfigTest, ToStringMentionsKeyParameters) {

@@ -35,8 +35,7 @@ void ExpectHolderCountsConsistent(const DirectoryStore& store) {
 }
 
 TEST(DirectoryStoreTest, FootprintAccounting) {
-  DirectoryStore store(CachePolicy::kLru,
-                       10 * DirectoryStore::FootprintBytes(0));
+  DirectoryStore store(10 * DirectoryStore::FootprintBytes(0));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(0));
@@ -73,8 +72,7 @@ TEST(DirectoryStoreTest, DeltaReportsNewIdsAndLastUnrefDropsTheSlot) {
 
 TEST(DirectoryStoreTest, CapacityEvictsLruEntryAndOrphansItsObjects) {
   // Room for exactly two empty entries.
-  DirectoryStore store(CachePolicy::kLru,
-                       2 * DirectoryStore::FootprintBytes(0));
+  DirectoryStore store(2 * DirectoryStore::FootprintBytes(0));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
@@ -90,8 +88,7 @@ TEST(DirectoryStoreTest, CapacityEvictsLruEntryAndOrphansItsObjects) {
 }
 
 TEST(DirectoryStoreTest, EvictionReleasesHolderCounts) {
-  DirectoryStore store(CachePolicy::kLru,
-                       2 * DirectoryStore::FootprintBytes(2));
+  DirectoryStore store(2 * DirectoryStore::FootprintBytes(2));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   store.Update(1, {100, 101}, {}, &d);
@@ -110,9 +107,8 @@ TEST(DirectoryStoreTest, EvictionReleasesHolderCounts) {
 }
 
 TEST(DirectoryStoreTest, EntryGrowthCanEvictOtherEntries) {
-  DirectoryStore store(CachePolicy::kLru,
-                       DirectoryStore::FootprintBytes(0) +
-                           DirectoryStore::FootprintBytes(3));
+  DirectoryStore store(DirectoryStore::FootprintBytes(0) +
+                       DirectoryStore::FootprintBytes(3));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
@@ -125,9 +121,8 @@ TEST(DirectoryStoreTest, EntryGrowthCanEvictOtherEntries) {
 }
 
 TEST(DirectoryStoreTest, OversizedGrowthEvictsOnlyTheEntryItself) {
-  DirectoryStore store(CachePolicy::kLru,
-                       DirectoryStore::FootprintBytes(1) +
-                           DirectoryStore::FootprintBytes(0));
+  DirectoryStore store(DirectoryStore::FootprintBytes(1) +
+                       DirectoryStore::FootprintBytes(0));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
@@ -146,20 +141,8 @@ TEST(DirectoryStoreTest, OversizedGrowthEvictsOnlyTheEntryItself) {
   EXPECT_EQ(store.bytes_used(), DirectoryStore::FootprintBytes(1));
 }
 
-TEST(DirectoryStoreTest, UnboundedPolicyOnFullStoreRejectsAdmission) {
-  DirectoryStore store(CachePolicy::kUnbounded,
-                       DirectoryStore::FootprintBytes(0));
-  DirectoryStore::Delta d;
-  ASSERT_TRUE(store.Admit(1, 0, 0, &d));
-  EXPECT_FALSE(store.Admit(2, 0, 0, &d));
-  EXPECT_TRUE(d.evicted.empty());
-  EXPECT_FALSE(store.Contains(2));
-  EXPECT_TRUE(store.Contains(1));
-}
-
 TEST(DirectoryStoreTest, ExpiryIsNotAnEviction) {
-  DirectoryStore store(CachePolicy::kLru,
-                       8 * DirectoryStore::FootprintBytes(1));
+  DirectoryStore store(8 * DirectoryStore::FootprintBytes(1));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   store.Update(1, {100}, {}, &d);
@@ -195,8 +178,7 @@ TEST(DirectoryStoreTest, TouchResetsAgeButProbeDoesNot) {
 }
 
 TEST(DirectoryStoreTest, LruKeepsRecentlyProbedEntries) {
-  DirectoryStore store(CachePolicy::kLru,
-                       2 * DirectoryStore::FootprintBytes(0));
+  DirectoryStore store(2 * DirectoryStore::FootprintBytes(0));
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
@@ -228,7 +210,7 @@ TEST(DirectoryStoreTest, SummariesByteAccountedAgainstIndexBudget) {
   // Budget fits exactly two empty entries; a stored neighbor summary
   // reserves part of it and squeezes entries out.
   const uint64_t capacity = 2 * DirectoryStore::FootprintBytes(0);
-  DirectoryStore store(CachePolicy::kLru, capacity);
+  DirectoryStore store(capacity);
   DirectoryStore::Delta d;
   ASSERT_TRUE(store.Admit(1, 0, 0, &d));
   ASSERT_TRUE(store.Admit(2, 0, 0, &d));
@@ -271,13 +253,11 @@ TEST(DirectoryStoreTest, SummariesByteAccountedAgainstIndexBudget) {
 
 TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
   SimConfig c;
-  ASSERT_TRUE(c.Apply("directory_index_policy", "lru").ok());
   ASSERT_TRUE(c.Apply("directory_index_capacity", "4096").ok());
   DirectoryStore store = DirectoryStore::FromConfig(c);
   EXPECT_EQ(store.capacity_bytes(), 4096u);
   EXPECT_TRUE(store.bounded());
-  // An lru index evicts the oldest entry to admit a new one; an
-  // unbounded-policy index of the same size would turn it away.
+  // A full index evicts the oldest entry to admit a new one.
   DirectoryStore::Delta d;
   for (PeerAddress peer = 0; peer <= 4096 / DirectoryStore::FootprintBytes(0);
        ++peer) {
@@ -295,9 +275,9 @@ TEST(DirectoryStoreTest, FromConfigReadsDirectoryIndexKeys) {
 // compares them with the store's holder index, so a slot whose last
 // holder left must be gone from holder_slots()). The model does its own
 // footprint accounting and keeps a recency order, so it predicts every
-// capacity victim: a bounded LRU store evicts its least recently
-// admitted, touched or probed entry, and a bounded unbounded-policy
-// store turns newcomers away and lets a grown entry evict itself.
+// capacity victim: a bounded store evicts its least recently admitted,
+// touched or probed entry, and an entry that alone outgrows the budget
+// evicts only itself.
 class DirectoryStoreModel {
  public:
   struct Entry {
@@ -306,8 +286,8 @@ class DirectoryStoreModel {
     std::set<ObjectSlot> objects;
   };
 
-  DirectoryStoreModel(uint64_t capacity_bytes, bool lru)
-      : capacity_bytes_(capacity_bytes), lru_(lru) {}
+  explicit DirectoryStoreModel(uint64_t capacity_bytes)
+      : capacity_bytes_(capacity_bytes) {}
 
   std::map<PeerAddress, Entry> entries;
 
@@ -346,7 +326,6 @@ class DirectoryStoreModel {
     if (capacity_bytes_ > 0) {
       if (size > capacity_bytes_) return false;
       while (BytesUsed() + size > capacity_bytes_) {
-        if (!lru_) return false;
         Evict(recency_.front(), delta);
       }
     }
@@ -357,8 +336,7 @@ class DirectoryStoreModel {
 
   /// Re-fits the store after `peer`'s entry changed size: an entry that
   /// alone exceeds the budget evicts only itself; otherwise LRU victims
-  /// (possibly `peer` itself) leave until the store fits, and without an
-  /// eviction order the grown entry is the one to go.
+  /// (possibly `peer` itself) leave until the store fits.
   void FitAfterResize(PeerAddress peer, DirectoryStore::Delta* delta) {
     if (capacity_bytes_ == 0) return;
     const uint64_t size =
@@ -368,7 +346,7 @@ class DirectoryStoreModel {
       return;
     }
     while (BytesUsed() > capacity_bytes_) {
-      const PeerAddress victim = lru_ ? recency_.front() : peer;
+      const PeerAddress victim = recency_.front();
       Evict(victim, delta);
       if (victim == peer) return;
     }
@@ -386,7 +364,6 @@ class DirectoryStoreModel {
   }
 
   uint64_t capacity_bytes_;
-  bool lru_;
   std::vector<PeerAddress> recency_;  // least recently used first
 };
 
@@ -452,12 +429,12 @@ void ExpectMatchesModel(const DirectoryStore& store,
 /// their pool positions reused many times over; on a bounded store the
 /// same mix also forces capacity evictions, each one predicted by the
 /// model.
-void RunModelCheck(DirectoryStore* store, bool lru, uint64_t seed) {
+void RunModelCheck(DirectoryStore* store, uint64_t seed) {
   constexpr PeerAddress kMaxAddr = 79;
   constexpr ObjectSlot kMaxSlot = 63;
   constexpr int kDeadAge = 6;
   Rng rng(seed);
-  DirectoryStoreModel model(store->capacity_bytes(), lru);
+  DirectoryStoreModel model(store->capacity_bytes());
   auto random_slots = [&](int max_len) {
     std::vector<ObjectSlot> out;
     const int len = static_cast<int>(rng.UniformInt(0, max_len));
@@ -543,12 +520,12 @@ void RunModelCheck(DirectoryStore* store, bool lru, uint64_t seed) {
 
 TEST(DirectoryStoreTest, RandomOpsMatchMapModelUnbounded) {
   DirectoryStore store;
-  RunModelCheck(&store, /*lru=*/false, 2024);
+  RunModelCheck(&store, 2024);
 }
 
 TEST(DirectoryStoreTest, RandomOpsMatchMapModelWith4KbLruIndex) {
-  DirectoryStore store(CachePolicy::kLru, 4096);
-  RunModelCheck(&store, /*lru=*/true, 2025);
+  DirectoryStore store(4096);
+  RunModelCheck(&store, 2025);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ void ExpectStoreConsistent(const DirectoryStore& store) {
 
 TEST(DirIndexIntegrationTest, BoundedIndexEvictsAndStaysConsistent) {
   SimConfig c = TinyConfig();
-  c.directory_index_policy = "lru";
   // Far below what a full overlay of S_co=15 peers needs, so entries
   // churn continuously.
   c.directory_index_capacity_bytes = 4 * DirectoryStore::FootprintBytes(8);
@@ -57,7 +56,6 @@ TEST(DirIndexIntegrationTest, BoundedIndexEvictsAndStaysConsistent) {
 
 TEST(DirIndexIntegrationTest, LiveDirectoriesKeepHolderCountsConsistent) {
   SimConfig c = TinyConfig();
-  c.directory_index_policy = "lru";
   c.directory_index_capacity_bytes = 4 * DirectoryStore::FootprintBytes(8);
 
   TestWorld world(c);
@@ -85,7 +83,6 @@ TEST(DirIndexIntegrationTest, LiveDirectoriesKeepHolderCountsConsistent) {
 // directory index entry and the attribution split is deterministic.
 TEST(DirIndexIntegrationTest, StaleRedirectsAttributedToDirectoryChannel) {
   SimConfig c = TinyConfig();
-  c.cache_policy = "lru";
   c.cache_capacity_bytes = 3 * (c.object_size_bits / 8);
   c.gossip_period = 1000 * kHour;
   c.push_threshold = 0.7;  // batch deltas: evictions stay claimed a while
@@ -175,7 +172,6 @@ TEST(DirIndexIntegrationTest, UnboundedIndexReproducesQuickstartMetrics) {
   // Spelling the defaults out (`directory_index_capacity=unbounded`)
   // must run the identical experiment, bit for bit.
   SimConfig explicit_cfg = c;
-  ASSERT_TRUE(explicit_cfg.Apply("directory_index_policy", "lru").ok());
   ASSERT_TRUE(
       explicit_cfg.Apply("directory_index_capacity", "unbounded").ok());
   RunResult e = Experiment(explicit_cfg).WithSystem("flower").Run();

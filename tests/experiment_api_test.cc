@@ -94,6 +94,18 @@ TEST(ExperimentTest, CrossKeyConfigErrorsAreRejectedBeforeTheRun) {
     EXPECT_NE(r.status().message().find(c.names), std::string::npos)
         << label << ": " << r.status().message();
   }
+  // Drivers set fields without Apply: an object below one byte is caught
+  // when the run starts.
+  SimConfig config;
+  config.num_topology_nodes = 1200;
+  config.num_websites = 20;
+  config.duration = kHour;
+  config.object_size_bits = 4;
+  Result<RunResult> r = Experiment(config).TryRun();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("object_size_bits"), std::string::npos)
+      << r.status().message();
 }
 
 TEST(SystemRegistryTest, EmbedderCanRegisterACustomSystem) {
@@ -318,7 +330,6 @@ TEST(SquirrelCacheTest, BoundedBaselineEvictsAndStillServes) {
 
   // Room for four 10 KB objects per node: heavy pressure for a 50-object
   // Zipf catalog.
-  c.cache_policy = "lru";
   c.cache_capacity_bytes = 4 * 10 * 1024;
   RunResult bounded = Experiment(c).WithSystem("squirrel").Run();
   EXPECT_GT(bounded.cache_evictions, 0u);
