@@ -174,14 +174,16 @@ void BM_ViewMerge(benchmark::State& state) {
     e.summary = summary;
     incoming.push_back(e);
   }
-  View view(50);
+  std::vector<ViewEntry> seed;
   for (int i = 0; i < 50; ++i) {
     ViewEntry e;
     e.addr = static_cast<PeerAddress>(i);
     e.age = static_cast<int>(rng.Index(10));
     e.summary = summary;
-    view.Insert(e, 9999);
+    seed.push_back(e);
   }
+  View view(50);
+  view.Merge(seed, std::nullopt, 9999);
   for (auto _ : state) {
     View copy = view;
     copy.Merge(incoming, std::nullopt, 9999);
@@ -190,18 +192,22 @@ void BM_ViewMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewMerge);
 
-// A joining client's first merge: the directory's welcome, 50 age-0
-// contacts without summaries in random order, into an empty view of 50.
-void BM_ViewWelcomeMerge(benchmark::State& state) {
-  Rng rng(1);
+// 50 age-0 contacts without summaries in ascending address order: a
+// directory's welcome as it goes on the wire.
+std::vector<ViewEntry> WelcomeContacts(PeerAddress first) {
   std::vector<ViewEntry> contacts;
   for (int i = 0; i < 50; ++i) {
     ViewEntry e;
-    e.addr = static_cast<PeerAddress>(100 + 7 * i);
+    e.addr = first + static_cast<PeerAddress>(7 * i);
     e.age = 0;
     contacts.push_back(e);
   }
-  rng.Shuffle(&contacts);
+  return contacts;
+}
+
+// A joining client's first merge: a welcome into an empty view of 50.
+void BM_ViewWelcomeMerge(benchmark::State& state) {
+  const std::vector<ViewEntry> contacts = WelcomeContacts(100);
   for (auto _ : state) {
     View view(50);
     view.Merge(contacts, std::nullopt, 9999);
@@ -209,6 +215,32 @@ void BM_ViewWelcomeMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViewWelcomeMerge);
+
+// A churned client's re-welcome (the `churn` workload's shape): a welcome
+// into a full view of aged entries that carry summaries, eight of them
+// contacts the welcome names again. Each iteration copies the aged view
+// first, as BM_ViewMerge does.
+void BM_ViewRewelcomeMerge(benchmark::State& state) {
+  Rng rng(1);
+  const SummaryRef summary = PaperSummary({});
+  std::vector<ViewEntry> aged;
+  for (int i = 0; i < 50; ++i) {
+    ViewEntry e;
+    e.addr = static_cast<PeerAddress>(100 + 7 * 7 * i);
+    e.age = 1 + static_cast<int>(rng.Index(12));
+    e.summary = summary;
+    aged.push_back(e);
+  }
+  View view(50);
+  view.Merge(aged, std::nullopt, 9999);
+  const std::vector<ViewEntry> contacts = WelcomeContacts(100);
+  for (auto _ : state) {
+    View copy = view;
+    copy.Merge(contacts, std::nullopt, 9999);
+    benchmark::DoNotOptimize(copy.entries().data());
+  }
+}
+BENCHMARK(BM_ViewRewelcomeMerge);
 
 void BM_TopologyLatency(benchmark::State& state) {
   SimConfig config;

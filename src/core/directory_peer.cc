@@ -162,19 +162,32 @@ void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
   if (!dir_store_.Contains(query.client)) return;  // evicted by its own grow
   MaybeRefreshNeighborSummaries();
 
-  // Welcome the client with initial contacts from the directory index:
-  // a draw over the other members in ascending address order, read in
-  // place by skipping the client's own rank.
+  // Welcome the client with initial contacts from the directory index: a
+  // draw over the ranks of the other members, read in place by skipping
+  // the client's own rank. The contacts go out in ascending address order
+  // (rank order, read back from a bitmap of the drawn ranks): all of age
+  // 0, they are then already in the client view's order, so its merge
+  // sorts nothing (View::Merge). The order changes no draw, no member of
+  // the set and no message size.
   auto welcome = std::make_unique<WelcomeMsg>(site_->dring_hash, locality_);
   const size_t others = dir_store_.size() - 1;
   const size_t client_rank = dir_store_.RankOf(query.client);
-  size_t want = std::min<size_t>(others,
-                                 static_cast<size_t>(ctx_->config->view_size));
+  const size_t want = std::min<size_t>(
+      others, static_cast<size_t>(ctx_->config->view_size));
+  std::vector<uint64_t> drawn((others + 63) / 64);
   for (size_t idx : rng_.SampleIndices(others, want)) {
-    ViewEntry ve;
-    ve.addr = dir_store_.AddressAt(idx < client_rank ? idx : idx + 1);
-    ve.age = 0;
-    welcome->contacts.push_back(ve);
+    drawn[idx / 64] |= uint64_t{1} << (idx % 64);
+  }
+  std::vector<ViewEntry>& contacts = welcome->contacts;
+  contacts.reserve(want);
+  for (size_t w = 0; w < drawn.size(); ++w) {
+    for (uint64_t bits = drawn[w]; bits != 0; bits &= bits - 1) {
+      const size_t idx = 64 * w + static_cast<size_t>(__builtin_ctzll(bits));
+      ViewEntry ve;
+      ve.addr = dir_store_.AddressAt(idx < client_rank ? idx : idx + 1);
+      ve.age = 0;
+      contacts.push_back(ve);
+    }
   }
   ctx_->network->Send(this, query.client, std::move(welcome));
 }

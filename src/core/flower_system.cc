@@ -146,47 +146,40 @@ OriginServer* FlowerSystem::FindServer(WebsiteId website) const {
 }
 
 // PeerTable slot order is churn-history-dependent (swap-with-last), so
-// every harvest below sorts its result by node id before returning it.
-// Consumers draw RNGs per element (churn) or emit in element order
+// every harvest below walks the tables' NodeId index, which ascends by
+// node. Consumers draw RNGs per element (churn) or emit in element order
 // (stats, tests): handing them slot-order lists would make behavior
 // depend on removal history — the same class of bug `tools/detlint.py`
 // (rule unordered-iteration) exists to keep out of hash-map walks.
 
 std::vector<PeerAddress> FlowerSystem::ParticipantAddresses() const {
+  // A peer's address is its node, so each walk ascends by address; the
+  // two runs merge in one pass.
   std::vector<PeerAddress> out;
-  for (size_t i = 0; i < content_peers_.size(); ++i) {
-    const ContentPeer* peer = content_peers_.at(i);
+  content_peers_.ForEachByNode([&out](const ContentPeer* peer) {
     if (peer->alive() && peer->joined()) out.push_back(peer->address());
-  }
-  for (size_t i = 0; i < directories_.size(); ++i) {
-    const DirectoryPeer* dir = directories_.at(i);
+  });
+  const auto content_end = static_cast<std::ptrdiff_t>(out.size());
+  directories_.ForEachByNode([&out](const DirectoryPeer* dir) {
     if (dir->alive()) out.push_back(dir->address());
-  }
-  std::sort(out.begin(), out.end());
+  });
+  std::inplace_merge(out.begin(), out.begin() + content_end, out.end());
   return out;
 }
 
 std::vector<ContentPeer*> FlowerSystem::LiveContentPeers() const {
   std::vector<ContentPeer*> out;
-  for (size_t i = 0; i < content_peers_.size(); ++i) {
-    if (content_peers_.at(i)->alive()) out.push_back(content_peers_.at(i));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ContentPeer* a, const ContentPeer* b) {
-              return a->node() < b->node();
-            });
+  content_peers_.ForEachByNode([&out](ContentPeer* peer) {
+    if (peer->alive()) out.push_back(peer);
+  });
   return out;
 }
 
 std::vector<DirectoryPeer*> FlowerSystem::LiveDirectories() const {
   std::vector<DirectoryPeer*> out;
-  for (size_t i = 0; i < directories_.size(); ++i) {
-    if (directories_.at(i)->alive()) out.push_back(directories_.at(i));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DirectoryPeer* a, const DirectoryPeer* b) {
-              return a->node() < b->node();
-            });
+  directories_.ForEachByNode([&out](DirectoryPeer* dir) {
+    if (dir->alive()) out.push_back(dir);
+  });
   return out;
 }
 

@@ -7,22 +7,22 @@
 // background-traffic accounting iterate the whole population every
 // period). Here the population lives in two parallel dense vectors:
 //
-//   nodes_[i]    - the NodeId occupying slot i          (hot: scanned)
-//   peers_[i]    - owning pointer to that node's peer   (hot: scanned)
-//   slot_of_[n]  - NodeId -> slot, 4 bytes per NodeId   (hot: looked up)
+//   nodes_[i]    - the NodeId occupying slot i          (read on removal)
+//   peers_[i]    - owning pointer to that node's peer
+//   slot_of_[n]  - NodeId -> slot, 4 bytes per NodeId   (looked up, walked)
 //
-// Harvests stream the two arrays linearly and never touch the index;
-// keyed lookups go through it, and FlowerSystem::SubmitQuery makes two
-// per submitted query. NodeIds are dense topology indices, so the index
-// is a flat vector (kVacant where no peer is registered) grown to the
-// largest NodeId ever inserted: one load per lookup, no hashing, 4 bytes
-// per node of the topology. Removal is swap-with-last, so slots stay
-// dense under churn; the peers themselves sit behind unique_ptr, so raw
-// Peer* handed to the network layer stay stable across slot moves. Slot
-// order is NOT meaningful — every iteration the simulation observes is
-// sorted by node id by the caller (see flower_system.cc), which is what
-// keeps behavior independent of churn history and of this container's
-// layout.
+// Keyed lookups go through the index, and FlowerSystem::SubmitQuery
+// makes two per submitted query. NodeIds are dense topology indices, so
+// the index is a flat vector (kVacant where no peer is registered) grown
+// to the largest NodeId ever inserted: one load per lookup, no hashing,
+// 4 bytes per node of the topology. Removal is swap-with-last, so slots
+// stay dense under churn; the peers themselves sit behind unique_ptr, so
+// raw Peer* handed to the network layer stay stable across slot moves.
+// Slot order is NOT meaningful: it depends on churn history. Harvests
+// (churn, stats and background-traffic accounting) walk the index
+// instead, which ascends by NodeId by construction, so every iteration
+// the simulation observes is in node order without a sort, whatever the
+// churn history and this container's layout.
 #ifndef FLOWERCDN_CORE_PEER_TABLE_H_
 #define FLOWERCDN_CORE_PEER_TABLE_H_
 
@@ -83,10 +83,14 @@ class PeerTable {
     return out;
   }
 
-  /// Slot-indexed access for linear harvests (slot order is arbitrary;
-  /// sort whatever you emit).
-  const std::vector<NodeId>& nodes() const { return nodes_; }
-  T* at(size_t i) const { return peers_[i].get(); }
+  /// Calls `visit(peer)` for every registered peer in ascending NodeId
+  /// order: a walk over the NodeId index, which is in that order already.
+  template <typename Visit>
+  void ForEachByNode(Visit&& visit) const {
+    for (uint32_t slot : slot_of_) {
+      if (slot != kVacant) visit(peers_[slot].get());
+    }
+  }
 
  private:
   static constexpr uint32_t kVacant = static_cast<uint32_t>(-1);

@@ -2,25 +2,45 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <limits>
 
 namespace flower {
 
 namespace {
-
-// The view's order: freshest first, ties by address. A function object,
-// so the searches inline the comparison.
-struct KeyLess {
-  bool operator()(const ViewEntry& a, const ViewEntry& b) const {
-    if (a.age != b.age) return a.age < b.age;
-    return a.addr < b.addr;
-  }
-};
 
 // Whether `e` replaces `cur`, an entry for the same contact: the most
 // recent instance wins, and on an age tie one carrying a summary.
 bool Better(const ViewEntry& e, const ViewEntry& cur) {
   return e.age < cur.age || (e.age == cur.age && !cur.summary && e.summary);
 }
+
+// A view entry's place in the view's order (freshest first, ties by
+// address) as one integer: the age, biased so that signed order is
+// unsigned order, above the address.
+uint64_t OrderKey(const ViewEntry& e) {
+  const uint32_t age = static_cast<uint32_t>(e.age) ^ 0x80000000u;
+  return static_cast<uint64_t>(age) << 32 | e.addr;
+}
+
+// An admissible batch entry during a merge: its address until the batch
+// meets the view, then its OrderKey.
+struct Candidate {
+  uint64_t key;
+  const ViewEntry* entry;  // nullptr once the view's instance beat it
+};
+
+// Per-thread merge scratch; the runs of a jobs=N sweep merge views on
+// several threads at the same time. The vectors settle at the largest
+// merge the thread has made.
+struct MergeScratch {
+  std::vector<Candidate> batch;
+  // Open-addressed table from address to candidate index + 1 (0: free).
+  std::vector<uint32_t> table;
+  // Indices of the view entries that may share a contact with the batch.
+  std::vector<uint32_t> probes;
+};
+thread_local MergeScratch tls_scratch;
 
 }  // namespace
 
@@ -70,37 +90,122 @@ bool View::Admissible(const ViewEntry& e, PeerAddress self) const {
   return e.addr != self && e.addr != kInvalidAddress && e.age <= max_age_;
 }
 
-void View::Insert(const ViewEntry& e, PeerAddress self) {
-  if (!Admissible(e, self)) return;
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&e](const ViewEntry& cur) {
-                           return cur.addr == e.addr;
-                         });
-  if (it != entries_.end()) {
-    if (!Better(e, *it)) return;
-    // A better instance is no older, so its slot is at or before the old
-    // one: slide the entries in between one place back.
-    auto slot = std::lower_bound(entries_.begin(), it, e, KeyLess());
-    std::move_backward(slot, it, it + 1);
-    *slot = e;
-    return;
-  }
-  if (entries_.size() == static_cast<size_t>(capacity_)) {
-    if (!KeyLess()(e, entries_.back())) return;  // it would be evicted
-    entries_.pop_back();
-  }
-  entries_.reserve(static_cast<size_t>(capacity_));  // once per buffer
-  entries_.insert(
-      std::lower_bound(entries_.begin(), entries_.end(), e, KeyLess()), e);
-}
-
 void View::Merge(const std::vector<ViewEntry>& received,
                  const std::optional<ViewEntry>& fresh, PeerAddress self) {
-  // Inserting one entry at a time keeps exactly the `capacity` best
-  // instances that merging everything and truncating once would: an
-  // entry only ever leaves the view for `capacity` strictly better ones.
-  for (const auto& e : received) Insert(e, self);
-  if (fresh.has_value()) Insert(*fresh, self);
+  // 1-2. The admissible batch grouped by address in an open-addressed
+  // table at load <= 1/8, one instance per contact: the first, unless a
+  // later one is better. When the view is full, an instance that sorts
+  // after its last entry can neither enter it, nor beat the view's
+  // instance of its contact, nor beat a later instance that could.
+  std::vector<Candidate>& batch = tls_scratch.batch;
+  std::vector<uint32_t>& table = tls_scratch.table;
+  int bits = 4;
+  while ((size_t{1} << bits) < 8 * (received.size() + 1)) ++bits;
+  const uint32_t mask = (uint32_t{1} << bits) - 1;
+  table.assign(size_t{mask} + 1, 0);
+  auto home = [&](PeerAddress addr) {
+    return (addr * 0x9e3779b1u) >> (32 - bits);
+  };
+  auto slot_of = [&](PeerAddress addr) -> uint32_t& {
+    uint32_t h = home(addr);
+    while (table[h] != 0 && batch[table[h] - 1].key != addr) {
+      h = (h + 1) & mask;
+    }
+    return table[h];
+  };
+  const uint64_t cutoff =
+      entries_.size() == static_cast<size_t>(capacity_)
+          ? OrderKey(entries_.back())
+          : std::numeric_limits<uint64_t>::max();
+  batch.clear();
+  auto offer = [&](const ViewEntry& e) {
+    if (!Admissible(e, self) || OrderKey(e) > cutoff) return;
+    uint32_t& slot = slot_of(e.addr);
+    if (slot == 0) {
+      batch.push_back({e.addr, &e});
+      slot = static_cast<uint32_t>(batch.size());
+    } else if (Better(e, *batch[slot - 1].entry)) {
+      batch[slot - 1].entry = &e;
+    }
+  };
+  for (const ViewEntry& e : received) offer(e);
+  if (fresh.has_value()) offer(*fresh);
+  if (batch.empty()) return;
+
+  // 3. A contact the view holds too keeps the better of the two
+  // instances, the view's counting as the earlier. A view entry whose home
+  // slot is free is not in the batch; the others are collected without a
+  // branch (most entries miss) and looked up. A beaten view entry is
+  // marked with the invalid address, which Admissible keeps out of views.
+  std::vector<uint32_t>& probes = tls_scratch.probes;
+  probes.resize(static_cast<size_t>(capacity_));  // the view never holds more
+  size_t n = 0;
+  for (uint32_t i = 0; i < entries_.size(); ++i) {
+    probes[n] = i;
+    n += table[home(entries_[i].addr)] != 0;
+  }
+  size_t beaten = 0;
+  for (size_t k = 0; k < n; ++k) {
+    ViewEntry& cur = entries_[probes[k]];
+    const uint32_t slot = slot_of(cur.addr);
+    if (slot == 0) continue;
+    Candidate& c = batch[slot - 1];
+    if (Better(*c.entry, cur)) {
+      cur.addr = kInvalidAddress;
+      ++beaten;
+    } else {
+      c.entry = nullptr;
+    }
+  }
+
+  // 4. The batch's survivors in the view's order. A welcome's contacts,
+  // all of age 0 in ascending address order, are in it already.
+  size_t kept = 0;
+  for (const Candidate& c : batch) {
+    if (c.entry != nullptr) batch[kept++] = {OrderKey(*c.entry), c.entry};
+  }
+  batch.resize(kept);
+  auto by_key = [](const Candidate& a, const Candidate& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(batch.begin(), batch.end(), by_key)) {
+    std::sort(batch.begin(), batch.end(), by_key);
+  }
+
+  // 5. Merge the two sorted runs from the back into entries_, up to
+  // capacity, stepping over beaten view entries: the union's last
+  // `total - keep` entries get no slot, and a batch entry is copied only
+  // when it gets one. A beaten entry's better instance sorts no later
+  // than it, so every beaten entry left below the cut is stepped over
+  // before the last batch entry is placed.
+  const size_t total = entries_.size() - beaten + batch.size();
+  const size_t keep = std::min(total, static_cast<size_t>(capacity_));
+  ptrdiff_t i = static_cast<ptrdiff_t>(entries_.size()) - 1;
+  ptrdiff_t j = static_cast<ptrdiff_t>(batch.size()) - 1;
+  for (size_t drop = total - keep; drop > 0;) {
+    if (i >= 0 && entries_[i].addr == kInvalidAddress) {
+      --i;
+    } else if (i >= 0 && (j < 0 || batch[j].key < OrderKey(entries_[i]))) {
+      --i;
+      --drop;
+    } else {
+      --j;
+      --drop;
+    }
+  }
+  if (keep > entries_.size()) {
+    entries_.reserve(static_cast<size_t>(capacity_));  // once per buffer
+  }
+  entries_.resize(keep);
+  for (size_t w = keep; j >= 0;) {
+    if (i >= 0 && entries_[i].addr == kInvalidAddress) {
+      --i;
+    } else if (i >= 0 && batch[j].key < OrderKey(entries_[i])) {
+      entries_[--w] = std::move(entries_[i--]);
+    } else {
+      entries_[--w] = *batch[j--].entry;
+    }
+  }
 }
 
 bool View::Remove(PeerAddress addr) {

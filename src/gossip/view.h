@@ -44,8 +44,8 @@ static_assert(sizeof(ViewEntry) == 16, "ViewEntry grew");
 class View {
  public:
   /// capacity: V_gossip. max_age: entries older than this are dead contacts
-  /// — they are dropped by DropOlderThan() and rejected at Merge()/Insert()
-  /// time so they cannot re-enter from circulating subsets.
+  /// — they are dropped by DropOlderThan() and rejected at Merge() time so
+  /// they cannot re-enter from circulating subsets.
   explicit View(int capacity, int max_age = std::numeric_limits<int>::max());
 
   int capacity() const { return capacity_; }
@@ -69,14 +69,13 @@ class View {
   /// Algorithm 4: merge() + select_recent(). Combines the current view, the
   /// received subset and an optional fresh entry for the gossip partner,
   /// dropping duplicates (keeping the smallest age, or on a tie the first
-  /// instance carrying a summary) and entries for `self`, then keeps the
-  /// `capacity` most recent entries.
+  /// instance carrying a summary, the view's own instance first) and
+  /// entries for `self`, then keeps the `capacity` most recent entries.
+  /// One pass over the view for any batch; a batch already in the view's
+  /// order, as a directory's welcome is (age 0, ascending addresses), is
+  /// not sorted. `received` must not alias entries().
   void Merge(const std::vector<ViewEntry>& received,
              const std::optional<ViewEntry>& fresh, PeerAddress self);
-
-  /// Inserts or refreshes a single entry in its sorted slot, by the rules
-  /// of Merge(), evicting the oldest if at capacity.
-  void Insert(const ViewEntry& entry, PeerAddress self);
 
   /// Removes the entry for a (dead) contact. Returns true if present.
   bool Remove(PeerAddress addr);

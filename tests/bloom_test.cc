@@ -398,5 +398,33 @@ TEST(ViewAllocationTest, GossipRoundOnAFullViewDoesNotAllocate) {
   EXPECT_LE(view.entries().capacity(), 50u);
 }
 
+TEST(ViewAllocationTest, RewelcomeIntoAFullAgedViewDoesNotAllocate) {
+  // A client back from churn: its directory's welcome, 50 age-0 contacts
+  // in ascending address order, lands in a full view of aged entries,
+  // some with summaries, and names 17 of them again.
+  const PeerAddress self = 1000;
+  View view(50, /*max_age=*/12);
+  const SummaryRef summary = Summarize(500, 8, 5, {});
+  std::vector<ViewEntry> aged;
+  for (PeerAddress a = 0; a < 50; ++a) {
+    aged.push_back(Contact(2 * a, 1 + static_cast<int>(a % 7),
+                           a % 3 == 0 ? summary : nullptr));
+  }
+  view.Merge(aged, std::nullopt, self);
+  ASSERT_EQ(view.size(), 50u);
+  std::vector<ViewEntry> welcome;
+  for (PeerAddress a = 0; a < 50; ++a) welcome.push_back(Contact(3 * a, 0));
+
+  const long before = g_allocations.load();
+  view.Merge(welcome, std::nullopt, self);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  ASSERT_EQ(view.size(), 50u);
+  for (size_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(view.entries()[i].addr, welcome[i].addr);
+    EXPECT_EQ(view.entries()[i].age, 0);
+    EXPECT_EQ(view.entries()[i].summary, nullptr);
+  }
+}
+
 }  // namespace
 }  // namespace flower

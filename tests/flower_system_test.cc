@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "core/flower_messages.h"
 #include "test_util.h"
 
 namespace flower {
@@ -221,6 +227,85 @@ TEST_F(FlowerSystemTest, DeterministicAcrossIdenticalRuns) {
                            metrics.MeanLookupLatency());
   };
   EXPECT_EQ(run(), run());
+}
+
+// Records the contacts of the welcome a directory sends the client it
+// admits, in wire order.
+class WelcomeProbe : public Peer {
+ public:
+  void HandleMessage(MessagePtr msg) override {
+    if (msg->type() != MessageKind::kWelcome) return;
+    ++welcomes;
+    const auto welcome = MessageCast<WelcomeMsg>(std::move(msg));
+    for (const ViewEntry& e : welcome->contacts) contacts.push_back(e.addr);
+  }
+
+  int welcomes = 0;
+  std::vector<PeerAddress> contacts;
+};
+
+// A directory welcomes a new client with min(other members, V_gossip)
+// contacts, strictly ascending by address and never the client itself.
+// The contacts are the set the directory drew before it sent them in
+// ascending order (recorded from the draw-order sender at seed 42): the
+// order changed, the draw did not.
+TEST(DirectoryWelcomeTest, ContactsAscendAndKeepTheDrawnSet) {
+  SimConfig c = TinyConfig();
+  c.view_size = 5;
+  TestWorld world(c, 42);
+  Metrics metrics(c);
+  FlowerSystem system(c, world.sim(), world.network(), world.topology(),
+                      &metrics);
+  system.Setup();
+  struct Case {
+    WebsiteId site;
+    size_t members;  // admitted before the probe
+    std::vector<PeerAddress> drawn;
+  };
+  // Site 0 draws 5 of 12 other members; site 1 sends all 3.
+  const std::vector<Case> cases = {{0, 12, {105, 163, 166, 240, 267}},
+                                   {1, 3, {6, 65, 263}}};
+  for (const Case& tc : cases) {
+    const std::vector<NodeId>& pool =
+        system.deployment().client_pools[tc.site][0];
+    ASSERT_GT(pool.size(), tc.members);
+    const Website& site = system.catalog().site(tc.site);
+    for (size_t i = 0; i < tc.members; ++i) {
+      system.SubmitQuery(pool[i], tc.site, site.objects[i]);
+      world.sim()->RunFor(kMinute);
+    }
+    WelcomeProbe probe;
+    world.network()->RegisterPeer(&probe, pool[tc.members]);
+    DirectoryPeer* dir = system.FindDirectory(tc.site, 0);
+    ASSERT_NE(dir, nullptr);
+    world.network()->Send(
+        &probe, dir->address(),
+        std::make_unique<FlowerQueryMsg>(
+            site.index, site.dring_hash, site.objects[tc.members],
+            probe.address(), 0, world.sim()->Now(),
+            QueryStage::kToDirectory));
+    world.sim()->RunFor(kMinute);
+    world.network()->UnregisterPeer(&probe);
+
+    ASSERT_EQ(probe.welcomes, 1);
+    ASSERT_TRUE(dir->IndexHas(probe.address()));
+    const size_t others = dir->IndexSize() - 1;
+    EXPECT_EQ(others, tc.members);
+    EXPECT_EQ(probe.contacts.size(),
+              std::min(others, static_cast<size_t>(c.view_size)));
+    EXPECT_TRUE(std::adjacent_find(probe.contacts.begin(),
+                                   probe.contacts.end(),
+                                   std::greater_equal<PeerAddress>()) ==
+                probe.contacts.end())
+        << "contacts not strictly ascending";
+    for (PeerAddress a : probe.contacts) {
+      EXPECT_NE(a, probe.address());
+      EXPECT_TRUE(dir->IndexHas(a)) << a;
+    }
+    std::vector<PeerAddress> as_set = probe.contacts;
+    std::sort(as_set.begin(), as_set.end());
+    EXPECT_EQ(as_set, tc.drawn);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/peer_table.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -54,8 +55,9 @@ TEST(PeerTableTest, PointersStableAcrossChurn) {
   }
 }
 
-// Dense-slot invariant: after any removal sequence the arrays hold
-// exactly the live population, nodes()[i] matches at(i), and a node
+// Dense-slot invariant: after any removal sequence the table holds
+// exactly the live population, the node-order walk visits each live peer
+// once in ascending NodeId order whatever the slot order, and a node
 // re-inserted after removal is reachable again.
 TEST(PeerTableTest, SlotsStayDenseAndConsistentUnderChurn) {
   PeerTable<FakePeer> table;
@@ -71,12 +73,11 @@ TEST(PeerTableTest, SlotsStayDenseAndConsistentUnderChurn) {
   table.Take(10);
   EXPECT_EQ(table.size(), 47u);
   std::vector<NodeId> seen;
-  for (size_t i = 0; i < table.size(); ++i) {
-    EXPECT_EQ(table.at(i)->id, table.nodes()[i]);
-    seen.push_back(table.nodes()[i]);
-  }
-  std::sort(seen.begin(), seen.end());
-  EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end());
+  table.ForEachByNode([&seen](const FakePeer* p) { seen.push_back(p->id); });
+  EXPECT_EQ(seen.size(), table.size());
+  EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end(),
+                                 std::greater_equal<NodeId>()) == seen.end())
+      << "walk not in strictly ascending node order";
   for (NodeId n : {49u, 25u, 10u}) {
     EXPECT_FALSE(table.Contains(n));
   }

@@ -20,7 +20,7 @@ ViewEntry E(PeerAddress addr, int age) {
 
 TEST(ViewTest, InsertAndFind) {
   View v(5);
-  v.Insert(E(1, 0), /*self=*/99);
+  v.Merge({E(1, 0)}, std::nullopt, /*self=*/99);
   EXPECT_TRUE(v.Contains(1));
   EXPECT_FALSE(v.Contains(2));
   EXPECT_EQ(v.size(), 1u);
@@ -28,14 +28,13 @@ TEST(ViewTest, InsertAndFind) {
 
 TEST(ViewTest, SelfNeverInserted) {
   View v(5);
-  v.Insert(E(99, 0), /*self=*/99);
+  v.Merge({E(99, 0)}, std::nullopt, /*self=*/99);
   EXPECT_TRUE(v.empty());
 }
 
 TEST(ViewTest, IncrementAges) {
   View v(5);
-  v.Insert(E(1, 0), 99);
-  v.Insert(E(2, 3), 99);
+  v.Merge({E(1, 0), E(2, 3)}, std::nullopt, 99);
   v.IncrementAges();
   EXPECT_EQ(v.Find(1)->age, 1);
   EXPECT_EQ(v.Find(2)->age, 4);
@@ -43,9 +42,7 @@ TEST(ViewTest, IncrementAges) {
 
 TEST(ViewTest, SelectOldestPicksMaxAge) {
   View v(5);
-  v.Insert(E(1, 2), 99);
-  v.Insert(E(2, 7), 99);
-  v.Insert(E(3, 4), 99);
+  v.Merge({E(1, 2), E(2, 7), E(3, 4)}, std::nullopt, 99);
   ASSERT_NE(v.SelectOldest(), nullptr);
   EXPECT_EQ(v.SelectOldest()->addr, 2u);
 }
@@ -57,7 +54,9 @@ TEST(ViewTest, SelectOldestEmptyReturnsNull) {
 
 TEST(ViewTest, SelectSubsetExcludesAndBounds) {
   View v(10);
-  for (PeerAddress a = 1; a <= 8; ++a) v.Insert(E(a, 0), 99);
+  v.Merge({E(1, 0), E(2, 0), E(3, 0), E(4, 0), E(5, 0), E(6, 0), E(7, 0),
+           E(8, 0)},
+          std::nullopt, 99);
   Rng rng(1);
   auto subset = v.SelectSubset(4, &rng, /*exclude=*/3);
   EXPECT_EQ(subset.size(), 4u);
@@ -66,14 +65,14 @@ TEST(ViewTest, SelectSubsetExcludesAndBounds) {
 
 TEST(ViewTest, SelectSubsetWhenFewerThanRequested) {
   View v(10);
-  v.Insert(E(1, 0), 99);
+  v.Merge({E(1, 0)}, std::nullopt, 99);
   Rng rng(1);
   EXPECT_EQ(v.SelectSubset(5, &rng, kInvalidAddress).size(), 1u);
 }
 
 TEST(ViewTest, MergeKeepsFreshestDuplicate) {
   View v(5);
-  v.Insert(E(1, 5), 99);
+  v.Merge({E(1, 5)}, std::nullopt, 99);
   v.Merge({E(1, 2)}, std::nullopt, 99);
   EXPECT_EQ(v.Find(1)->age, 2);
   // A staler duplicate must not replace a fresher entry.
@@ -94,8 +93,7 @@ TEST(ViewTest, MergeCapacityKeepsMostRecent) {
 
 TEST(ViewTest, MergeFreshEntryWins) {
   View v(2);
-  v.Insert(E(1, 4), 99);
-  v.Insert(E(2, 6), 99);
+  v.Merge({E(1, 4), E(2, 6)}, std::nullopt, 99);
   ViewEntry fresh = E(7, 0);
   v.Merge({}, fresh, 99);
   EXPECT_TRUE(v.Contains(7));
@@ -105,7 +103,7 @@ TEST(ViewTest, MergeFreshEntryWins) {
 
 TEST(ViewTest, MergePrefersInstanceWithSummaryOnTie) {
   View v(5);
-  v.Insert(E(1, 3), 99);
+  v.Merge({E(1, 3)}, std::nullopt, 99);
   ViewEntry with_summary = E(1, 3);
   with_summary.summary = ContentSummary::Build(10, 8, 3, [](BloomFilter&) {});
   v.Merge({with_summary}, std::nullopt, 99);
@@ -114,7 +112,7 @@ TEST(ViewTest, MergePrefersInstanceWithSummaryOnTie) {
 
 TEST(ViewTest, RemoveEntry) {
   View v(5);
-  v.Insert(E(1, 0), 99);
+  v.Merge({E(1, 0)}, std::nullopt, 99);
   EXPECT_TRUE(v.Remove(1));
   EXPECT_FALSE(v.Remove(1));
   EXPECT_TRUE(v.empty());
@@ -167,10 +165,6 @@ class ReferenceView {
     if (entries_.size() > static_cast<size_t>(capacity_)) {
       entries_.resize(static_cast<size_t>(capacity_));
     }
-  }
-
-  void Insert(const ViewEntry& e, PeerAddress self) {
-    Merge({e}, std::nullopt, self);
   }
 
   bool Remove(PeerAddress addr) {
@@ -278,6 +272,8 @@ TEST(ViewEquivalenceTest, RandomCallsMatchMergeSortTruncate) {
       ContentSummary::Build(50, 8, 3, [](BloomFilter&) {}), nullptr};
   Rng rng(20240607);
   int calls = 0;
+  int welcomes_into_empty = 0;
+  int welcomes_into_full_aged = 0;
   for (int capacity : {1, 2, 5, 16, 50}) {
     for (int max_age : {3, 12, std::numeric_limits<int>::max()}) {
       const int age_span = max_age == std::numeric_limits<int>::max()
@@ -315,9 +311,25 @@ TEST(ViewEquivalenceTest, RandomCallsMatchMergeSortTruncate) {
             break;
           }
           case 3: {
-            const ViewEntry e = draw();
-            view.Insert(e, kSelf);
-            ref.Insert(e, kSelf);
+            // A directory's welcome: distinct ascending addresses, age 0,
+            // no summary, up to twice the capacity. Its addresses reach
+            // past the other batches' so that it can fill a view.
+            std::vector<size_t> picks = rng.SampleIndices(
+                kAddresses + 2 * static_cast<size_t>(capacity),
+                rng.Index(2 * static_cast<size_t>(capacity) + 1));
+            std::sort(picks.begin(), picks.end());
+            std::vector<ViewEntry> welcome;
+            for (size_t a : picks) {
+              const auto addr = static_cast<PeerAddress>(a);
+              if (addr != kSelf) welcome.push_back(E(addr, 0));
+            }
+            if (view.empty()) ++welcomes_into_empty;
+            if (view.size() == static_cast<size_t>(capacity) &&
+                view.entries().front().age > 0) {
+              ++welcomes_into_full_aged;
+            }
+            view.Merge(welcome, std::nullopt, kSelf);
+            ref.Merge(welcome, std::nullopt, kSelf);
             break;
           }
           case 4: {
@@ -368,6 +380,10 @@ TEST(ViewEquivalenceTest, RandomCallsMatchMergeSortTruncate) {
     }
   }
   EXPECT_EQ(calls, 6000);
+  // 31 and 199 with this seed; every capacity, 50 included, has some of
+  // the second kind.
+  EXPECT_GT(welcomes_into_empty, 10);
+  EXPECT_GT(welcomes_into_full_aged, 100);
 }
 
 }  // namespace
